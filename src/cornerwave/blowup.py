@@ -17,17 +17,18 @@ artifact; the classifier notes this.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (EmptyPositivity, GridSpec, ProblemSpec, RadiusOutOfRange,
-                     ScalarField, StagnationPoint, bilinear,
+from .domain import (TWO_PI, EmptyPositivity, GridSpec, ProblemSpec,
+                     RadiusOutOfRange, ScalarField, StagnationPoint, bilinear,
                      value_envelope_monomial, weight_at, wrap_angle)
 from .quadrature import DiskStencil, grad_central, require_circle_inside
 from .weiss import limit_density
 
-TWO_PI = 2.0 * math.pi
+# Weighted density of the rescaled positivity set (see limit_density).
+estimate_density = limit_density
 
 EXCLUSION_NOTE = ("cusp and flat profiles are excluded for exact weak "
                   "solutions; such a verdict indicates a non-solution field "
@@ -52,11 +53,6 @@ def rescale(u: ScalarField, sp: StagnationPoint, r: float,
     vals = bilinear(u.values, u.grid,
                     sp.location[0] + r * Zx, sp.location[1] + r * Zy)
     return ScalarField(ref, r ** sp.kappa * vals)
-
-
-def l2_disk_norm(f: ScalarField, radius: float = 1.0) -> float:
-    disk = DiskStencil(f.grid, (0.0, 0.0), radius)
-    return math.sqrt(disk.integrate(f.values * f.values))
 
 
 def l2_disk_distance(f1: ScalarField, f2: ScalarField, radius: float = 1.0) -> float:
@@ -243,12 +239,6 @@ class BlowupResult:
             raise ValueError("blow-up radii must be strictly decreasing")
         if self.directions is not None and not (self.directions[0] < self.directions[1]):
             raise ValueError("directions must satisfy theta1 < theta2")
-
-
-def estimate_density(spec: ProblemSpec, u: ScalarField, sp: StagnationPoint,
-                     r: float, reference_n: int = 257) -> float:
-    """Weighted density of the rescaled positivity set (see limit_density)."""
-    return limit_density(spec, u, sp, r, reference_n=reference_n)
 
 
 def blowup_analysis(spec: ProblemSpec, u: ScalarField, sp: StagnationPoint,

@@ -18,6 +18,8 @@ the quadrant that hosts the fluid, e.g. (-x)^alpha (-y)^beta for a type-1
 point with x0 < 0 and downward force.  The force direction theta0 (down or
 up for type 1, left or right for type 2) fixes the degenerate factor's
 side; the sign of the stagnation coordinate fixes the non-degenerate one.
+These conventions are derived once per spec, in its SubcaseModel
+(``ProblemSpec.model``), and every module reads them from there.
 
 Everything here is immutable value data shared by the solver and the
 analysis modules.
@@ -28,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +146,90 @@ def _close(a: float, b: float, tol: float = 1e-9) -> bool:
     return abs(a - b) <= tol
 
 
+def _side(v, s):
+    """Base of one weight factor: (s v)_+ for s = +-1, |v| for s = 0."""
+    return np.abs(v) if s == 0 else np.maximum(s * v, 0.0)
+
+
+def _side_and_slope(v, s):
+    """Base of one weight factor and its derivative (0 where it vanishes)."""
+    if s == 0:
+        return np.abs(v), np.sign(v)
+    b = np.maximum(s * v, 0.0)
+    return b, np.where(b > 0, float(s), 0.0)
+
+
+@dataclass(frozen=True)
+class SubcaseModel:
+    """Sign and exponent conventions of one stagnation point.
+
+    Each axis factor of the weight C |x|^alpha |y|^beta is one-sided,
+    (s v)_+ with s = +-1, or two-sided, |v| with s = 0.  The degenerate
+    axes are those whose factor vanishes at X0: y for type 1, x for
+    type 2, both for type 3.  The remaining (non-degenerate) factor is
+    frozen at X0 by the blow-up.  Built once per spec, see
+    ``ProblemSpec.model``.
+    """
+
+    subcase: str                     # "1.1" ... "2.4" or "3"
+    location: tuple[float, float]    # X0
+    exponents: tuple[float, float]   # (alpha, beta)
+    signs: tuple[int, int]           # (sx, sy); 0 means two-sided
+    degenerate: tuple[bool, bool]    # per axis (x, y)
+    power: float                     # degenerate exponent p; kappa = -(p+2)/2
+    frozen_exponent: float           # of the non-degenerate factor (0 for type 3)
+    frozen: float                    # non-degenerate factor at X0 (1 for type 3)
+    frozen_root: float               # its square root, as |x0|^(alpha/2)
+    theta0: float | None             # force direction (None for type 3)
+    bisector: float | None           # fluid-cone bisector (None for type 3)
+    air_normal: tuple[float, float]  # air side: (X - X0) . air_normal <= 0
+
+    def bases(self, x, y):
+        """Bases of the two weight factors at (x, y)."""
+        return _side(x, self.signs[0]), _side(y, self.signs[1])
+
+    def monomial(self, x, y, scale=1.0):
+        """scale times the degenerate factors: (sy y)_+^beta for type 1,
+        (sx x)_+^alpha for type 2, |x|^alpha |y|^beta for type 3.  The
+        scale is applied first, so C * frozen * monomial rounds as
+        ``weight_at`` does."""
+        out = scale
+        for v, s, e, d in zip((x, y), self.signs, self.exponents, self.degenerate):
+            if d:
+                out = out * _side(v, s) ** e
+        return out
+
+
+def _build_model(spec: ProblemSpec) -> SubcaseModel:
+    # the only switch on the stagnation type outside validation and I/O
+    a, b, st = spec.alpha, spec.beta, spec.stag
+    if isinstance(st, Type1):
+        sx, sy = (1 if st.x0 > 0 else -1), (1 if _close(st.theta0, THETA_UP) else -1)
+        labels = {(-1, -1): "1.1", (1, 1): "1.2", (-1, 1): "1.3", (1, -1): "1.4"}
+        return SubcaseModel(
+            subcase=labels[sx, sy], location=(st.x0, 0.0), exponents=(a, b),
+            signs=(sx, sy), degenerate=(False, True), power=b,
+            frozen_exponent=a, frozen=abs(st.x0) ** a,
+            frozen_root=abs(st.x0) ** (a / 2.0), theta0=st.theta0,
+            bisector=math.pi / 2.0 if sy > 0 else -math.pi / 2.0,
+            air_normal=(math.cos(st.theta0), math.sin(st.theta0)))
+    if isinstance(st, Type2):
+        sx, sy = (1 if _close(st.theta0, THETA_RIGHT) else -1), (1 if st.y0 > 0 else -1)
+        labels = {(-1, -1): "2.1", (1, 1): "2.2", (1, -1): "2.3", (-1, 1): "2.4"}
+        return SubcaseModel(
+            subcase=labels[sx, sy], location=(0.0, st.y0), exponents=(a, b),
+            signs=(sx, sy), degenerate=(True, False), power=a,
+            frozen_exponent=b, frozen=abs(st.y0) ** b,
+            frozen_root=abs(st.y0) ** (b / 2.0), theta0=st.theta0,
+            bisector=0.0 if sx > 0 else math.pi,
+            air_normal=(math.cos(st.theta0), math.sin(st.theta0)))
+    return SubcaseModel(
+        subcase="3", location=(0.0, 0.0), exponents=(a, b), signs=(0, 0),
+        degenerate=(True, True), power=a + b, frozen_exponent=0.0, frozen=1.0,
+        frozen_root=1.0, theta0=None, bisector=None,
+        air_normal=(math.cos(st.theta_star), math.sin(st.theta_star)))
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Exponents, stagnation type, domain rectangle, and weight constant."""
@@ -169,34 +256,19 @@ class ProblemSpec:
         if not self.domain.contains(self.stagnation_location):
             raise InvalidSpec("stagnation point lies outside the domain rectangle")
 
-    @property
-    def stagnation_location(self) -> tuple[float, float]:
-        if isinstance(self.stag, Type1):
-            return (self.stag.x0, 0.0)
-        if isinstance(self.stag, Type2):
-            return (0.0, self.stag.y0)
-        return (0.0, 0.0)
+    @cached_property
+    def model(self) -> SubcaseModel:
+        """The subcase conventions, built on first use (not a field, so
+        equality and the persisted header are unaffected)."""
+        return _build_model(self)
 
     @property
-    def signs(self) -> tuple[int, int]:
-        """One-sided weight signs (sx, sy); (0, 0) means |.| in both axes."""
-        if isinstance(self.stag, Type1):
-            sy = 1 if _close(self.stag.theta0, THETA_UP) else -1
-            return (1 if self.stag.x0 > 0 else -1, sy)
-        if isinstance(self.stag, Type2):
-            sx = 1 if _close(self.stag.theta0, THETA_RIGHT) else -1
-            return (sx, 1 if self.stag.y0 > 0 else -1)
-        return (0, 0)
+    def stagnation_location(self) -> tuple[float, float]:
+        return self.model.location
 
     @property
     def subcase(self) -> str:
-        if isinstance(self.stag, Type1):
-            table = {(-1, -1): "1.1", (1, 1): "1.2", (-1, 1): "1.3", (1, -1): "1.4"}
-            return table[self.signs]
-        if isinstance(self.stag, Type2):
-            table = {(-1, -1): "2.1", (1, 1): "2.2", (1, -1): "2.3", (-1, 1): "2.4"}
-            return table[self.signs]
-        return "3"
+        return self.model.subcase
 
     @property
     def kappa(self) -> float:
@@ -210,11 +282,7 @@ class ProblemSpec:
 
 def kappa_for(spec: ProblemSpec) -> float:
     """Rescaling exponent: u_r(X) = r^kappa u(X0 + r X) stays O(1)."""
-    if isinstance(spec.stag, Type1):
-        return -(spec.beta + 2.0) / 2.0
-    if isinstance(spec.stag, Type2):
-        return -(spec.alpha + 2.0) / 2.0
-    return -(spec.alpha + spec.beta + 2.0) / 2.0
+    return -(spec.model.power + 2.0) / 2.0
 
 
 def weight_at(spec: ProblemSpec, x, y=None):
@@ -227,33 +295,18 @@ def weight_at(spec: ProblemSpec, x, y=None):
     """
     if y is None:
         x, y = x
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    sx, sy = spec.signs
-    if sx == 0:
-        xf = np.abs(x) ** spec.alpha
-        yf = np.abs(y) ** spec.beta
-    else:
-        xf = np.maximum(sx * x, 0.0) ** spec.alpha
-        yf = np.maximum(sy * y, 0.0) ** spec.beta
-    out = spec.weight_constant * xf * yf
+    xb, yb = spec.model.bases(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    out = spec.weight_constant * xb ** spec.alpha * yb ** spec.beta
     return float(out) if out.ndim == 0 else out
 
 
 def weight_gradient_at(spec: ProblemSpec, x, y):
     """Gradient of the one-sided weight, with value 0 where a factor's base
     vanishes (the measure-zero axis set)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     a, b, c = spec.alpha, spec.beta, spec.weight_constant
-    sx, sy = spec.signs
-    if sx == 0:
-        xb, yb = np.abs(x), np.abs(y)
-        dxb, dyb = np.sign(x), np.sign(y)
-    else:
-        xb, yb = np.maximum(sx * x, 0.0), np.maximum(sy * y, 0.0)
-        dxb = np.where(xb > 0, float(sx), 0.0)
-        dyb = np.where(yb > 0, float(sy), 0.0)
+    sx, sy = spec.model.signs
+    xb, dxb = _side_and_slope(np.asarray(x, dtype=float), sx)
+    yb, dyb = _side_and_slope(np.asarray(y, dtype=float), sy)
     xf = xb ** a
     yf = yb ** b
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -266,7 +319,8 @@ def weight_gradient_at(spec: ProblemSpec, x, y):
 
 def value_envelope_monomial(spec: ProblemSpec, x, y):
     """Pointwise growth envelope implied by the Bernstein gradient bound
-    |grad u|^2 <= C * weight near the stagnation point:
+    |grad u|^2 <= C * weight near the stagnation point: one term per
+    degenerate axis, that axis's half exponent raised by one,
 
         type 1: (sx x)_+^{a/2} (sy y)_+^{b/2+1}
         type 2: (sx x)_+^{a/2+1} (sy y)_+^{b/2}
@@ -274,18 +328,12 @@ def value_envelope_monomial(spec: ProblemSpec, x, y):
 
     Admissible fields stay below a constant multiple of this; hair-like
     spikes hugging a degeneracy axis violate it."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    a, b = spec.alpha, spec.beta
-    sx, sy = spec.signs
-    if sx == 0:
-        ax, ay = np.abs(x), np.abs(y)
-        return ax ** (a / 2 + 1) * ay ** (b / 2) + ax ** (a / 2) * ay ** (b / 2 + 1)
-    xb = np.maximum(sx * x, 0.0)
-    yb = np.maximum(sy * y, 0.0)
-    if isinstance(spec.stag, Type1):
-        return xb ** (a / 2) * yb ** (b / 2 + 1)
-    return xb ** (a / 2 + 1) * yb ** (b / 2)
+    m = spec.model
+    xb, yb = m.bases(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    a, b = spec.alpha / 2, spec.beta / 2
+    terms = [xb ** (a + dx) * yb ** (b + dy)
+             for dx, dy in ((1, 0), (0, 1)) if m.degenerate[dy]]
+    return sum(terms[1:], terms[0])
 
 
 @dataclass(frozen=True)

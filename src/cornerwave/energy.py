@@ -1,4 +1,4 @@
-"""Discrete Alt-Caffarelli energy and its projected-gradient minimizer.
+"""Discrete Alt-Caffarelli energy and its projected-gradient descent.
 
 The functional is
 
@@ -25,6 +25,13 @@ the recorded energy sequence non-increasing by construction.  Running out
 of sweeps while the energy still falls faster than the tolerance is a
 flagged success (``converged = False``) carrying that best iterate.
 
+The returned field is the lowest exact-energy state visited from the
+star-hull start, i.e. a state of the corner basin; it is not always the
+lowest discrete-energy state.  Without the one-layer dilation of the hull,
+the Stokes solve at 257^2 empties the ball r < 0.3 around the stagnation
+point and ends at energy 1.44576, below the 1.44989 of the corner it
+returns with the dilation.
+
 Admissible fields vanish identically on the closed half-plane through the
 stagnation point opposite the force direction (the air side); the
 minimizer is sought in that class, matching the structure of weak
@@ -36,7 +43,6 @@ positive, so the corner profile would be bypassed entirely.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,9 +62,7 @@ class SolverParams:
     smoothing_eps: float | None = None
     step_size: float | None = None   # SOR relaxation factor in (0, 2)
     max_iters: int = 6000            # total sweeps
-    tol_energy: float = 1e-9
     tol_field: float = 1e-7          # relative per-block field change at rest
-    positivity_projection: bool = True
     block_size: int = 10             # sweeps per energy/stationarity check
     enforce_support: bool = True
     bernstein_trim: bool = True
@@ -141,14 +145,9 @@ def support_mask(spec: ProblemSpec, grid: GridSpec) -> np.ndarray:
     """Nodes of the closed non-fluid half-plane through the stagnation
     point (normal = force direction; theta_star for type 3), where
     admissible fields vanish identically."""
-    from .domain import Type3
     X, Y = grid.mesh()
     x0, y0 = spec.stagnation_location
-    if isinstance(spec.stag, Type3):
-        th = spec.stag.theta_star
-    else:
-        th = spec.stag.theta0
-    nx_, ny_ = math.cos(th), math.sin(th)
+    nx_, ny_ = spec.model.air_normal
     return ((X - x0) * nx_ + (Y - y0) * ny_) <= 1e-12
 
 
@@ -215,14 +214,17 @@ def minimize_energy(spec: ProblemSpec, grid: GridSpec, boundary_data,
                     params: SolverParams | None = None,
                     initial: ScalarField | None = None,
                     weight: np.ndarray | None = None) -> SolveResult:
-    """Minimize J with Dirichlet data on the grid ring.
+    """Descend J with Dirichlet data on the grid ring and return the lowest
+    exact-energy state visited.
 
     ``boundary_data`` is a ScalarField or (ny, nx) array whose outer ring
     supplies the data (interior values ignored).  ``initial`` seeds the
     iteration; the default start is the harmonic extension of the ring
     data restricted to the star hull of its positive arcs, which selects
     the corner basin (an unrestricted harmonic start sits in the flat
-    local minimum instead).  ``weight`` overrides the spec weight nodewise
+    local minimum instead).  The result is the best state of that basin,
+    not a certified global minimizer of the discrete energy (see the
+    module docstring).  ``weight`` overrides the spec weight nodewise
     (diagnostic hook, e.g. freezing the weight to 1 for plane-solution
     smoke tests).
     """
@@ -281,13 +283,12 @@ def minimize_energy(spec: ProblemSpec, grid: GridSpec, boundary_data,
     # plain descent cannot remove them; the envelope constant is taken
     # from the ring data itself (scale-invariant for cone-trace data).
     envelope = None
-    from .domain import Type3 as _Type3
     if params.bernstein_trim and weight is None \
-            and not isinstance(spec.stag, _Type3):
-        # No envelope for type 3: a cone containing a coordinate axis (the
-        # axis-symmetric pairs) has positive values on a ray where the
-        # growth monomial vanishes, so the literal bound would zero the
-        # cone interior itself.
+            and spec.model.bisector is not None:
+        # No envelope for type 3 (no fixed bisector): a cone containing a
+        # coordinate axis (the axis-symmetric pairs) has positive values on
+        # a ray where the growth monomial vanishes, so the literal bound
+        # would zero the cone interior itself.
         X, Y = grid.mesh()
         mono = value_envelope_monomial(spec, X, Y)
         sel = ring & (mono > 0) & (bd > 0)
@@ -328,8 +329,7 @@ def minimize_energy(spec: ProblemSpec, grid: GridSpec, boundary_data,
                 band = (u > 0.0) & (u < eps)
                 target = 0.25 * nb - quarter * band_force * band
                 u[mask] = (1.0 - omega) * u[mask] + omega * target[mask]
-                if params.positivity_projection:
-                    np.maximum(u, 0.0, out=u)
+                np.maximum(u, 0.0, out=u)
                 if envelope is not None:
                     # sticky within the block: a violator stays zero for
                     # the rest of the block, so its surroundings relax down

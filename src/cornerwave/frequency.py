@@ -26,21 +26,16 @@ be measured separately.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .domain import (DegenerateDenominator, ProblemSpec, ScalarField,
-                     StagnationPoint, Type1, Type2, Type3, weight_at)
-from .quadrature import DiskStencil, circle_integral_u2, grad_central
+                     StagnationPoint, _fmt)
+from .quadrature import DiskStencil, circle_integral_u2
 from .weiss import (_analysis_arrays, _check_radius, _remainder_from_arrays,
                     cumulative_remainder)
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 @dataclass
@@ -68,15 +63,11 @@ class FrequencyProfile:
 
 
 def _limit_weight_nodes(spec: ProblemSpec, grid) -> np.ndarray:
-    """Weight with the non-degenerate factor frozen at the stagnation point."""
+    """Weight with the non-degenerate factor frozen at the stagnation point:
+    C * frozen factor * degenerate monomial."""
     X, Y = grid.mesh()
-    sx, sy = spec.signs
-    c = spec.weight_constant
-    if isinstance(spec.stag, Type1):
-        return c * abs(spec.stag.x0) ** spec.alpha * np.maximum(sy * Y, 0.0) ** spec.beta
-    if isinstance(spec.stag, Type2):
-        return c * abs(spec.stag.y0) ** spec.beta * np.maximum(sx * X, 0.0) ** spec.alpha
-    return np.asarray(weight_at(spec, X, Y))
+    m = spec.model
+    return m.monomial(X, Y, scale=spec.weight_constant * m.frozen)
 
 
 def frequency_profile(spec: ProblemSpec, u: ScalarField, sp: StagnationPoint,

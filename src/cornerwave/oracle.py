@@ -35,10 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .domain import (GridSpec, InvalidPair, InvalidSpec, ProblemSpec, ScalarField,
-                     Type1, Type2, Type3, wrap_angle)
-
-TWO_PI = 2.0 * math.pi
+from .domain import (THETA_DOWN, THETA_LEFT, THETA_RIGHT, THETA_UP, TWO_PI,
+                     GridSpec, InvalidPair, InvalidSpec, ProblemSpec, Rect,
+                     ScalarField, Type1, Type2, Type3, wrap_angle)
 
 
 class DomainError(ValueError):
@@ -86,59 +85,23 @@ def angular_weight(spec: ProblemSpec, theta):
     weight constant live in prefactors, not here.
     """
     theta = np.asarray(theta, dtype=float)
-    sx, sy = spec.signs
-    if isinstance(spec.stag, Type1):
-        out = np.maximum(sy * np.sin(theta), 0.0) ** spec.beta
-    elif isinstance(spec.stag, Type2):
-        out = np.maximum(sx * np.cos(theta), 0.0) ** spec.alpha
-    else:
-        out = np.abs(np.cos(theta)) ** spec.alpha * np.abs(np.sin(theta)) ** spec.beta
+    out = spec.model.monomial(np.cos(theta), np.sin(theta))
     return float(out) if out.ndim == 0 else out
 
 
-def _density_prefactor(spec: ProblemSpec) -> float:
-    """Non-degenerate weight factor frozen at the stagnation point."""
-    if isinstance(spec.stag, Type1):
-        return abs(spec.stag.x0) ** spec.alpha
-    if isinstance(spec.stag, Type2):
-        return abs(spec.stag.y0) ** spec.beta
-    return 1.0
-
-
-def _degenerate_power(spec: ProblemSpec) -> float:
-    if isinstance(spec.stag, Type1):
-        return spec.beta
-    if isinstance(spec.stag, Type2):
-        return spec.alpha
-    return spec.alpha + spec.beta
-
-
-def cone_bisector(spec: ProblemSpec) -> float | None:
-    """Bisector of the fluid cone for types 1 and 2 (None for type 3)."""
-    sx, sy = spec.signs
-    if isinstance(spec.stag, Type1):
-        return math.pi / 2.0 if sy > 0 else -math.pi / 2.0
-    if isinstance(spec.stag, Type2):
-        return 0.0 if sx > 0 else math.pi
-    return None
-
-
 def blowup_limit(spec: ProblemSpec, pair: AnglePair | None = None) -> ClosedFormProfile:
-    """Exact blow-up profile for a spec; type 3 requires an angle pair."""
+    """Exact blow-up profile for a spec; type 3 requires an angle pair
+    (ignored for types 1 and 2, whose cone is centered on the bisector)."""
+    m = spec.model
     deg = spec.degree
-    if isinstance(spec.stag, Type3):
+    if m.bisector is None:
         if pair is None:
             raise InvalidSpec("type-3 blow-up limit needs an admissible angle pair")
         theta1, theta2 = pair.theta1, pair.theta2
-        pref = math.sqrt(spec.weight_constant)
     else:
-        bis = cone_bisector(spec)
         half = math.pi / (2.0 * deg)
-        theta1, theta2 = bis - half, bis + half
-        if isinstance(spec.stag, Type1):
-            pref = abs(spec.stag.x0) ** (spec.alpha / 2.0) * math.sqrt(spec.weight_constant)
-        else:
-            pref = abs(spec.stag.y0) ** (spec.beta / 2.0) * math.sqrt(spec.weight_constant)
+        theta1, theta2 = m.bisector - half, m.bisector + half
+    pref = m.frozen_root * math.sqrt(spec.weight_constant)
     w1 = angular_weight(spec, theta1)
     w2 = angular_weight(spec, theta2)
     if abs(w1 - w2) > 1e-10 * max(1.0, w1, w2):
@@ -214,16 +177,17 @@ def corner_density(spec: ProblemSpec, theta1: float, theta2: float) -> float:
     p being the degenerate exponent (beta, alpha, or alpha+beta)."""
     if theta1 == theta2:
         return 0.0
-    p = _degenerate_power(spec)
-    ang = _angular_integral(spec, theta1, theta2)
-    return spec.weight_constant * _density_prefactor(spec) * ang / (p + 2.0)
+    return _density(spec, _angular_integral(spec, theta1, theta2))
 
 
 def full_ball_density(spec: ProblemSpec) -> float:
     """Weighted density of the flat (everywhere-positive) profile."""
-    p = _degenerate_power(spec)
-    ang = _angular_integral(spec, -math.pi, math.pi)
-    return spec.weight_constant * _density_prefactor(spec) * ang / (p + 2.0)
+    return _density(spec, _angular_integral(spec, -math.pi, math.pi))
+
+
+def _density(spec: ProblemSpec, angular: float) -> float:
+    m = spec.model
+    return spec.weight_constant * m.frozen * angular / (m.power + 2.0)
 
 
 def angle_condition(s: float, alpha: float, beta: float) -> float:
@@ -289,6 +253,21 @@ def pair_symmetric(alpha: float, beta: float, theta1: float, tol: float = 1e-8) 
         if abs(frac) * q <= tol:
             return True
     return False
+
+
+def angle_pair(alpha: float, beta: float, theta1: float | None = None) -> AnglePair:
+    """The type-3 pair with edges theta1 and theta1 + 2 pi/(alpha+beta+2);
+    theta1 defaults to the downward axis-symmetric pair.  Raises
+    InvalidPair unless both edge weights agree and are positive."""
+    A = TWO_PI / (alpha + beta + 2.0)
+    t1 = -math.pi / 2.0 - A / 2.0 if theta1 is None else float(theta1)
+    w1 = float(_type3_weight(alpha, beta, t1))
+    w2 = float(_type3_weight(alpha, beta, t1 + A))
+    if abs(w1 - w2) > 1e-10 * max(1.0, w1, w2) or w1 <= 0:
+        raise InvalidPair(f"theta1={t1:.12g} is no admissible pair: "
+                          f"edge weights {w1:.6g} and {w2:.6g}")
+    return AnglePair(theta1=t1, theta2=t1 + A,
+                     symmetric=pair_symmetric(alpha, beta, t1))
 
 
 def _canonical_degenerate_pairs(alpha: float, beta: float) -> list[float]:
@@ -417,16 +396,13 @@ def _subcase_specs(alpha: float, beta: float, x0_mag: float, y0_mag: float,
                    domain_pad: float = 4.0):
     """All subcase configurations admissible at these exponents (type 2
     needs alpha >= 1, type 3 needs both; inadmissible rows are skipped)."""
-    from .domain import Rect
     big = Rect(-domain_pad, -domain_pad, domain_pad, domain_pad)
-    down, up = 3 * math.pi / 2.0, math.pi / 2.0
-    right, left = 0.0, math.pi
     stags = [Type1(x0=x0, theta0=th)
-             for x0, th in [(-x0_mag, down), (x0_mag, up),
-                            (-x0_mag, up), (x0_mag, down)]]
+             for x0, th in [(-x0_mag, THETA_DOWN), (x0_mag, THETA_UP),
+                            (-x0_mag, THETA_UP), (x0_mag, THETA_DOWN)]]
     stags += [Type2(y0=y0, theta0=th)
-              for y0, th in [(-y0_mag, left), (y0_mag, right),
-                             (-y0_mag, right), (y0_mag, left)]]
+              for y0, th in [(-y0_mag, THETA_LEFT), (y0_mag, THETA_RIGHT),
+                             (-y0_mag, THETA_RIGHT), (y0_mag, THETA_LEFT)]]
     stags.append(Type3())
     out = []
     for stag in stags:
@@ -442,26 +418,18 @@ def conclusion_table(alpha: float, beta: float, x0_mag: float = 1.0,
     """Openings, cone edges, force directions, and densities for all nine
     subcases at the given exponents.  The type-3 row uses the supplied pair
     or defaults to the downward axis-symmetric one."""
+    if pair is None:
+        pair = angle_pair(alpha, beta)
     rows = []
     for spec in _subcase_specs(alpha, beta, x0_mag, y0_mag):
-        if isinstance(spec.stag, Type3):
-            p = pair
-            if p is None:
-                A = TWO_PI / (alpha + beta + 2.0)
-                t1 = -math.pi / 2.0 - A / 2.0
-                p = AnglePair(theta1=t1, theta2=t1 + A,
-                              symmetric=pair_symmetric(alpha, beta, t1))
-            prof = blowup_limit(spec, p)
-            theta0 = None
-        else:
-            prof = blowup_limit(spec)
-            theta0 = spec.stag.theta0
-        x0 = spec.stag.x0 if isinstance(spec.stag, Type1) else None
-        y0 = spec.stag.y0 if isinstance(spec.stag, Type2) else None
+        m = spec.model
+        prof = blowup_limit(spec, pair)
+        # the stagnation coordinate off the degenerate axes, if any
+        x0, y0 = (None if d else v for v, d in zip(m.location, m.degenerate))
         rows.append(ConclusionRow(
-            stag_type=int(spec.subcase[0]),
-            subcase=spec.subcase,
-            x0=x0, y0=y0, theta0=theta0,
+            stag_type=int(m.subcase[0]),
+            subcase=m.subcase,
+            x0=x0, y0=y0, theta0=m.theta0,
             opening=prof.opening,
             theta1=prof.theta1, theta2=prof.theta2,
             density=corner_density(spec, prof.theta1, prof.theta2),

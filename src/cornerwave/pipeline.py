@@ -33,7 +33,8 @@ import yaml
 from . import blowup as bw
 from . import oracle
 from .domain import (GridSpec, ProblemSpec, Rect, ScalarField, StagnationPoint,
-                     Type1, Type2, Type3, save_field, stagnation_point)
+                     Type1, Type2, Type3, _fmt, load_field, save_field,
+                     stagnation_point)
 from .energy import SolverParams, SolveResult, minimize_energy
 from .frequency import frequency_profile
 from .weiss import weiss_profile
@@ -51,10 +52,6 @@ class SolverError(Exception):
 
 class AnalysisError(Exception):
     """Failure inside an analysis stage; exit code 4."""
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 def _need(mapping: dict, key: str, where: str):
@@ -135,7 +132,6 @@ def parse_config(data: dict) -> PipelineConfig:
             smoothing_eps=sol.get("smoothing_eps"),
             step_size=sol.get("step_size"),
             max_iters=int(sol.get("max_iters", 6000)),
-            tol_energy=float(sol.get("tol_energy", 1e-9)),
             tol_field=float(sol.get("tol_field", 1e-7)),
             block_size=int(sol.get("block_size", 10)),
             enforce_support=bool(sol.get("enforce_support", True)),
@@ -151,6 +147,9 @@ def parse_config(data: dict) -> PipelineConfig:
             raise ConfigError(f"unknown boundary source {boundary.source!r}")
         if boundary.init not in ("hull", "oracle"):
             raise ConfigError(f"unknown solver init {boundary.init!r}")
+        if boundary.pair_theta1 is not None:
+            # the pair seeds type-3 boundary data and the table's type-3 row
+            oracle.angle_pair(spec.alpha, spec.beta, boundary.pair_theta1)
         ana = data.get("analysis", {}) or {}
         radii = _radii_list(ana.get("radii"))
         analysis = AnalysisConfig(
@@ -207,19 +206,9 @@ def load_config(path) -> PipelineConfig:
 
 def _oracle_boundary(cfg: PipelineConfig):
     spec = cfg.problem
-    if isinstance(spec.stag, Type3):
-        if cfg.boundary.pair_theta1 is not None:
-            t1 = float(cfg.boundary.pair_theta1)
-            A = 2 * math.pi / (spec.alpha + spec.beta + 2)
-            pair = oracle.AnglePair(theta1=t1, theta2=t1 + A,
-                                    symmetric=oracle.pair_symmetric(spec.alpha, spec.beta, t1))
-        else:
-            A = 2 * math.pi / (spec.alpha + spec.beta + 2)
-            t1 = -math.pi / 2 - A / 2
-            pair = oracle.AnglePair(theta1=t1, theta2=t1 + A, symmetric=True)
-        profile = oracle.blowup_limit(spec, pair)
-    else:
-        profile = oracle.blowup_limit(spec)
+    # the seed pair is read for type 3 only
+    pair = oracle.angle_pair(spec.alpha, spec.beta, cfg.boundary.pair_theta1)
+    profile = oracle.blowup_limit(spec, pair)
     X, Y = cfg.grid.mesh()
     x0, y0 = spec.stagnation_location
     vals = oracle.evaluate_at_points(profile, X, Y, (x0, y0))
@@ -294,7 +283,7 @@ def run_analysis(cfg: PipelineConfig, u: ScalarField):
 def run_classify(cfg: PipelineConfig, sp: StagnationPoint, density: float):
     try:
         spec = cfg.problem
-        if isinstance(spec.stag, Type3):
+        if spec.model.bisector is None:  # type 3: every admissible pair
             pairs = oracle.solve_angle_pairs(spec.alpha, spec.beta)
             corner = [oracle.corner_density(spec, p.theta1, p.theta2) for p in pairs]
         else:
@@ -316,11 +305,7 @@ def _json_dump(obj, path) -> None:
 
 def write_table1(alpha: float, beta: float, path,
                  pair_theta1: float | None = None) -> None:
-    pair = None
-    if pair_theta1 is not None:
-        A = 2 * math.pi / (alpha + beta + 2)
-        pair = oracle.AnglePair(theta1=pair_theta1, theta2=pair_theta1 + A,
-                                symmetric=oracle.pair_symmetric(alpha, beta, pair_theta1))
+    pair = None if pair_theta1 is None else oracle.angle_pair(alpha, beta, pair_theta1)
     rows = oracle.conclusion_table(alpha, beta, pair=pair)
     lines = ["type,subcase,x0,y0,theta0,opening,theta1,theta2,density"]
     for r in rows:
@@ -459,13 +444,7 @@ def run(cfg: PipelineConfig, stages=("solve", "analyze", "classify", "table1"),
         p = outdir / "solution.field"
         if not p.exists():
             raise AnalysisError("no solution field available; run solve first")
-        from .domain import load_field
         solution, _ = load_field(p)
-        try:
-            profile = oracle.blowup_limit(spec) \
-                if not isinstance(spec.stag, Type3) else None
-        except Exception:
-            profile = None
 
     sp = None
     density = None

@@ -14,9 +14,7 @@ import math
 
 import numpy as np
 
-from .domain import GridSpec, RadiusOutOfRange, bilinear
-
-TWO_PI = 2.0 * math.pi
+from .domain import TWO_PI, GridSpec, RadiusOutOfRange, bilinear
 
 
 def grad_central(values: np.ndarray, spacing: float):

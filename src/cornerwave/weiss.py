@@ -12,7 +12,11 @@ weight factor:
 
     type 1:  h(r) = r^{2k-1} * integral of alpha*sx*(x - x0)*(sx x)_+^{alpha-1} (sy y)_+^beta chi
     type 2:  h(r) = r^{2k-1} * integral of beta*sy*(y - y0)*(sx x)_+^alpha (sy y)_+^{beta-1} chi
-    type 3:  h == 0  (and h == 0 for type 1 with alpha = 0).
+    type 3:  h == 0,
+
+that is, (X - X0) . grad w along the non-degenerate axis; h == 0 wherever
+the frozen factor is constant (type 3, type 1 with alpha = 0, type 2 with
+beta = 0).
 
 The boundary moment J1(r) = r^{2 kappa - 1} * integral of u^2 over dB_r is
 non-decreasing as well.  On an exactly homogeneous profile both M - int h
@@ -25,21 +29,15 @@ frozen weight over it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .domain import (GridSpec, ProblemSpec, ScalarField, StagnationPoint,
-                     RadiusOutOfRange, Type1, Type2, Type3, weight_at)
-from .oracle import _degenerate_power, _density_prefactor
+                     RadiusOutOfRange, _fmt, weight_at, weight_gradient_at)
 from .quadrature import (DiskStencil, circle_integral_u2, grad_central,
                          require_circle_inside)
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 @dataclass
@@ -89,27 +87,13 @@ def _analysis_arrays(spec: ProblemSpec, u: ScalarField):
 
 
 def _remainder_integrand(spec: ProblemSpec, X, Y) -> np.ndarray:
-    a, b, c = spec.alpha, spec.beta, spec.weight_constant
-    sx, sy = spec.signs
-    if isinstance(spec.stag, Type3):
+    # (X - X0) . grad w along the non-degenerate axis, whose factor the
+    # frozen weight holds at its X0 value
+    m = spec.model
+    if m.frozen_exponent == 0:
         return np.zeros_like(np.asarray(X, dtype=float))
-    if isinstance(spec.stag, Type1):
-        if a == 0:
-            return np.zeros_like(np.asarray(X, dtype=float))
-        x0 = spec.stag.x0
-        xb = np.maximum(sx * X, 0.0)
-        yb = np.maximum(sy * Y, 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xpow = np.where(xb > 0, xb ** (a - 1.0), 0.0)
-        return c * a * sx * (X - x0) * xpow * yb ** b
-    if b == 0:
-        return np.zeros_like(np.asarray(X, dtype=float))
-    y0 = spec.stag.y0
-    xb = np.maximum(sx * X, 0.0)
-    yb = np.maximum(sy * Y, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ypow = np.where(yb > 0, yb ** (b - 1.0), 0.0)
-    return c * b * sy * (Y - y0) * xb ** a * ypow
+    axis = m.degenerate.index(False)
+    return ((X, Y)[axis] - m.location[axis]) * weight_gradient_at(spec, X, Y)[axis]
 
 
 def weiss_energy(spec: ProblemSpec, u: ScalarField, sp: StagnationPoint,
@@ -129,25 +113,14 @@ def _weiss_energy_from_arrays(u, sp, r, gradsq, w, chi) -> float:
 
 def remainder_term(spec: ProblemSpec, u: ScalarField, sp: StagnationPoint,
                    r: float) -> float:
-    """Remainder h(r); exactly 0 for type 3 and for type 1 with alpha = 0."""
+    """Remainder h(r); exactly 0 when the frozen factor is constant (type 3,
+    type 1 with alpha = 0, type 2 with beta = 0)."""
     _check_radius(sp, u.grid, r)
-    if isinstance(spec.stag, Type3):
-        return 0.0
-    if isinstance(spec.stag, Type1) and spec.alpha == 0:
-        return 0.0
-    if isinstance(spec.stag, Type2) and spec.beta == 0:
-        return 0.0
-    _, _, chi, rem = _analysis_arrays(spec, u)
-    disk = DiskStencil(u.grid, sp.location, r)
-    return r ** (2 * sp.kappa - 1) * disk.integrate(rem)
+    return _remainder_from_arrays(spec, u, sp, r, _analysis_arrays(spec, u)[3])
 
 
 def _remainder_from_arrays(spec, u, sp, r, rem) -> float:
-    if isinstance(spec.stag, Type3):
-        return 0.0
-    if isinstance(spec.stag, Type1) and spec.alpha == 0:
-        return 0.0
-    if isinstance(spec.stag, Type2) and spec.beta == 0:
+    if spec.model.frozen_exponent == 0:
         return 0.0
     disk = DiskStencil(u.grid, sp.location, r)
     return r ** (2 * sp.kappa - 1) * disk.integrate(rem)
@@ -250,13 +223,6 @@ def limit_density(spec: ProblemSpec, u: ScalarField, sp: StagnationPoint,
     ii = np.clip(np.rint((px - g.origin[0]) / g.spacing).astype(int), 0, g.nx - 1)
     jj = np.clip(np.rint((py - g.origin[1]) / g.spacing).astype(int), 0, g.ny - 1)
     chi = (u.values[jj, ii] > 0.0).astype(float)
-    sx, sy = spec.signs
-    if isinstance(spec.stag, Type1):
-        mono = np.maximum(sy * Zy, 0.0) ** spec.beta
-    elif isinstance(spec.stag, Type2):
-        mono = np.maximum(sx * Zx, 0.0) ** spec.alpha
-    else:
-        mono = np.abs(Zx) ** spec.alpha * np.abs(Zy) ** spec.beta
     disk = DiskStencil(ref, (0.0, 0.0), 1.0)
-    val = disk.integrate(mono * chi)
-    return spec.weight_constant * _density_prefactor(spec) * val
+    val = disk.integrate(spec.model.monomial(Zx, Zy) * chi)
+    return spec.weight_constant * spec.model.frozen * val

@@ -1,7 +1,6 @@
 """Shared fixtures: the heavyweight solver runs are executed once per
 session and reused by the module tests and the acceptance suite."""
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 
 import cornerwave as cw
-from cornerwave.oracle import AnglePair, blowup_limit, evaluate_at_points
+from cornerwave.oracle import angle_pair, blowup_limit, evaluate_at_points
 
 
 @dataclass
@@ -63,12 +62,9 @@ def alpha2_case():
 def type3_case():
     """72-degree doubly degenerate corner: alpha=2, beta=1, seeded with the
     downward axis-symmetric angle pair."""
-    A = 2 * math.pi / 5.0
-    t1 = -math.pi / 2.0 - A / 2.0
-    pair = AnglePair(theta1=t1, theta2=t1 + A, symmetric=True)
     spec = cw.ProblemSpec(alpha=2.0, beta=1.0, stag=cw.Type3(),
                           domain=cw.Rect(-1.0, -1.0, 1.0, 1.0))
-    return _solve_case(spec, 257, pair=pair)
+    return _solve_case(spec, 257, pair=angle_pair(2.0, 1.0))
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,8 @@ import cornerwave as cw
 from cornerwave.pipeline import (AnalysisError, ConfigError, load_config,
                                  parse_config, run, write_table1)
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 SMALL_CONFIG = {
     "problem": {
         "alpha": 0.0, "beta": 1.0, "weight_constant": 1.0,
@@ -173,12 +175,20 @@ class TestCli:
         return subprocess.run([sys.executable, "-m", "cornerwave", *args],
                               capture_output=True, text=True)
 
-    def test_malformed_config_exit_2(self, tmp_path):
+    @pytest.mark.parametrize("verb", ["run", "table1", "solve"])
+    @pytest.mark.parametrize("config", ["missing_field", "bad_pair"])
+    def test_malformed_config_exit_2(self, tmp_path, config, verb):
         bad = tmp_path / "bad.yaml"
-        bad.write_text("problem: {alpha: 0.0}\n")
+        if config == "missing_field":
+            bad.write_text("problem: {alpha: 0.0}\n")
+        else:
+            # a type-3 seed pair whose edge weights differ
+            data = yaml.safe_load((CONFIGS / "corner_type3.yaml").read_text())
+            data["boundary"]["pair_theta1"] = 0.3
+            bad.write_text(yaml.safe_dump(data))
         out = tmp_path / "o"
-        r = self.run_cli("run", "--config", str(bad), "--out", str(out))
-        assert r.returncode == 2
+        r = self.run_cli(verb, "--config", str(bad), "--out", str(out))
+        assert r.returncode == 2, r.stderr
         rec = json.loads((out / "error.json").read_text())
         assert rec["stage"] == "config"
 
