@@ -305,8 +305,8 @@ def _json_dump(obj, path) -> None:
 
 def write_table1(alpha: float, beta: float, path,
                  pair_theta1: float | None = None) -> None:
-    pair = None if pair_theta1 is None else oracle.angle_pair(alpha, beta, pair_theta1)
-    rows = oracle.conclusion_table(alpha, beta, pair=pair)
+    rows = oracle.conclusion_table(alpha, beta,
+                                   pair=oracle.angle_pair(alpha, beta, pair_theta1))
     lines = ["type,subcase,x0,y0,theta0,opening,theta1,theta2,density"]
     for r in rows:
         lines.append(",".join([
