@@ -306,38 +306,19 @@ def minimize_energy(spec: ProblemSpec, grid: GridSpec, boundary_data,
     converged = False
     message = "flow reached stationarity"
 
-    jj, ii = np.indices(u.shape)
-    parity = (jj + ii) % 2 == 0
-    colors = (parity & ~pinned, ~parity & ~pinned)
-    quarter = h * h / 8.0
+    free = ~pinned
+    pull = (h * h / 8.0) * band_force
     scale = max(float(np.max(np.abs(u))), float(np.max(bd)), 1e-300)
 
     # The indicator energy jumps by w*h^2 the moment a front node turns
     # positive while its Dirichlet payoff accrues over later relaxation
     # sweeps, so the flow runs to its own stationarity (field change per
-    # block below tolance) rather than stopping on energy stalls; the
+    # block below tolerance) rather than stopping on energy stalls; the
     # returned iterate is the best feasible state visited, making the
     # recorded energy sequence non-increasing by construction.
     while iters < params.max_iters:
         u_prev = u.copy()
-        zapped = None
-        for _ in range(params.block_size):
-            for mask in colors:
-                nb = np.zeros_like(u)
-                nb[1:-1, 1:-1] = (u[1:-1, 2:] + u[1:-1, :-2]
-                                  + u[2:, 1:-1] + u[:-2, 1:-1])
-                band = (u > 0.0) & (u < eps)
-                target = 0.25 * nb - quarter * band_force * band
-                u[mask] = (1.0 - omega) * u[mask] + omega * target[mask]
-                np.maximum(u, 0.0, out=u)
-                if envelope is not None:
-                    # sticky within the block: a violator stays zero for
-                    # the rest of the block, so its surroundings relax down
-                    # instead of instantly regrowing it past the envelope
-                    viol = u > envelope
-                    zapped = viol if zapped is None else (zapped | viol)
-                    u[zapped] = 0.0
-                u[air] = 0.0
+        _sor_block(u, free, eps, pull, omega, envelope, params.block_size)
         iters += params.block_size
         e = _energy_raw(u, grid, w)
         if e < e_best:
@@ -374,22 +355,85 @@ def minimize_energy(spec: ProblemSpec, grid: GridSpec, boundary_data,
                        iterations=iters, converged=converged, message=message)
 
 
+def _sublattices(shape) -> list[tuple]:
+    """The interior nodes in red-black order as four strided sublattices.
+
+    Red (i + j even) is odd rows by odd columns plus even rows by even
+    columns, black the two mixed ones.  Each entry is the index of the
+    sublattice and the indices of its east, west, north and south
+    neighbours, all of the same shape.  The four neighbours of a node have
+    the other colour, so the two sublattices of a colour do not see each
+    other: updating them one after the other is the simultaneous colour
+    update of the red-black sweep, node for node and in the same
+    floating-point operations."""
+    ny, nx = shape
+    out = []
+    for r, c in ((1, 1), (2, 2), (1, 2), (2, 1)):
+        rows, cols = slice(r, ny - 1, 2), slice(c, nx - 1, 2)
+        out.append(((rows, cols),
+                    ((rows, slice(c + 1, nx, 2)),
+                     (rows, slice(c - 1, nx - 2, 2)),
+                     (slice(r + 1, ny, 2), cols),
+                     (slice(r - 1, ny - 2, 2), cols))))
+    return out
+
+
+def _neighbour_sum(u: np.ndarray, nbrs) -> np.ndarray:
+    e, w, n, s = nbrs
+    nb = u[e] + u[w]
+    nb += u[n]
+    nb += u[s]
+    return nb
+
+
+def _sor_block(u: np.ndarray, free: np.ndarray, eps: np.ndarray,
+               pull: np.ndarray, omega: float, envelope: np.ndarray | None,
+               sweeps: int) -> None:
+    """Projected red-black SOR sweeps on ``u`` in place, free nodes only.
+
+    A node's target is the neighbour mean less ``pull`` where it lies in
+    the band 0 < u < eps; the relaxed value is clamped at zero and, with
+    an envelope, zeroed where it exceeds the envelope.  A zeroed node
+    stays zero for the rest of the block, so its surroundings relax down
+    instead of instantly regrowing it past the envelope.
+
+    Only updated nodes are clamped and tested: the rest of the field is
+    already nonnegative and under the envelope (the caller starts from
+    such a state, and the envelope is nonnegative).  Pinned nodes keep
+    their value, selected rather than multiplied away, so no -0.0 enters
+    the field."""
+    keep = 1.0 - omega
+    lattice = []
+    for idx, nbrs in _sublattices(u.shape):
+        env = None if envelope is None else envelope[idx].copy()
+        zapped = None if envelope is None else np.zeros(env.shape, dtype=bool)
+        lattice.append((u[idx], nbrs, eps[idx].copy(), pull[idx].copy(),
+                        free[idx].copy(), env, zapped))
+    for _ in range(sweeps):
+        for node, nbrs, eps_s, pull_s, free_s, env, zapped in lattice:
+            target = 0.25 * _neighbour_sum(u, nbrs)
+            target -= pull_s * ((node > 0.0) & (node < eps_s))
+            new = keep * node
+            new += omega * target
+            np.maximum(new, 0.0, out=new)
+            if env is not None:
+                zapped |= new > env
+                new[zapped] = 0.0
+            np.copyto(node, new, where=free_s)
+
+
 def _relax_on_support(u: np.ndarray, pinned: np.ndarray, sweeps: int) -> None:
     """Plain Gauss-Seidel toward harmonicity on the support {u > 0}.
 
     The update target is the nonnegative neighbor mean, so the support
     cannot shrink (over-relaxation would overshoot below zero at the cut
     and eat the support inward sweep by sweep)."""
-    jj, ii = np.indices(u.shape)
-    parity = (jj + ii) % 2 == 0
     support = (u > 0.0) & ~pinned
-    colors = (parity & support, ~parity & support)
+    lattice = [(u[idx], nbrs, support[idx].copy())
+               for idx, nbrs in _sublattices(u.shape)]
     for _ in range(sweeps):
-        for mask in colors:
-            nb = np.zeros_like(u)
-            nb[1:-1, 1:-1] = (u[1:-1, 2:] + u[1:-1, :-2]
-                              + u[2:, 1:-1] + u[:-2, 1:-1])
-            u[mask] = 0.25 * nb[mask]
+        for node, nbrs, sel in lattice:
+            np.copyto(node, 0.25 * _neighbour_sum(u, nbrs), where=sel)
 
 
 @dataclass

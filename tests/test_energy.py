@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -8,7 +9,11 @@ import cornerwave as cw
 from cornerwave.energy import (boundary_ring, bump_vector_field,
                                domain_variation_residual, harmonic_extension,
                                support_mask)
-from cornerwave.oracle import blowup_limit, profile_field
+from cornerwave.oracle import (angle_pair, blowup_limit, evaluate_at_points,
+                               profile_field)
+
+# the module itself; the package exports its function ``energy``
+energy_module = importlib.import_module("cornerwave.energy")
 
 
 def stokes_spec():
@@ -186,6 +191,119 @@ class TestMinimize:
         pos_lo = lo.field.values > 0
         pos_hi = hi.field.values > 0
         assert not np.any(pos_lo & ~pos_hi)
+
+
+def masked_sor_block(air, zaps):
+    """The boolean-masked red-black kernel the strided one replaced: every
+    half-sweep works on the whole array, clamps it at zero, tests it
+    against the envelope and re-zeroes the air half-plane.  ``zaps``
+    collects the number of envelope zaps per half-sweep."""
+    def sor_block(u, free, eps, pull, omega, envelope, sweeps):
+        jj, ii = np.indices(u.shape)
+        parity = (jj + ii) % 2 == 0
+        colors = (parity & free, ~parity & free)
+        zapped = None
+        for _ in range(sweeps):
+            for mask in colors:
+                nb = np.zeros_like(u)
+                nb[1:-1, 1:-1] = (u[1:-1, 2:] + u[1:-1, :-2]
+                                  + u[2:, 1:-1] + u[:-2, 1:-1])
+                band = (u > 0.0) & (u < eps)
+                target = 0.25 * nb - pull * band
+                u[mask] = (1.0 - omega) * u[mask] + omega * target[mask]
+                np.maximum(u, 0.0, out=u)
+                if envelope is not None:
+                    viol = u > envelope
+                    zapped = viol if zapped is None else (zapped | viol)
+                    zaps.append(int(zapped.sum()))
+                    u[zapped] = 0.0
+                u[air] = 0.0
+    return sor_block
+
+
+def masked_relax_on_support(u, pinned, sweeps):
+    jj, ii = np.indices(u.shape)
+    parity = (jj + ii) % 2 == 0
+    support = (u > 0.0) & ~pinned
+    colors = (parity & support, ~parity & support)
+    for _ in range(sweeps):
+        for mask in colors:
+            nb = np.zeros_like(u)
+            nb[1:-1, 1:-1] = (u[1:-1, 2:] + u[1:-1, :-2]
+                              + u[2:, 1:-1] + u[:-2, 1:-1])
+            u[mask] = 0.25 * nb[mask]
+
+
+def kernel_case(kind, nx, ny, **params):
+    """A spec, grid and cone-trace boundary data with the stagnation point
+    inside; h = 1/16, so 33 x 33 spans two units per side."""
+    h = 1.0 / 16.0
+    if kind == "type1":    # Stokes, subcase 1.1: envelope on, air y >= 0
+        spec = cw.ProblemSpec(0.0, 1.0, cw.Type1(x0=-1.0),
+                              cw.Rect(-2.0, -1.0, -2.0 + (nx - 1) * h,
+                                      -1.0 + (ny - 1) * h))
+        profile = blowup_limit(spec)
+    else:                  # type 3: no envelope, air above the seed cone
+        spec = cw.ProblemSpec(2.0, 1.0, cw.Type3(),
+                              cw.Rect(-1.0, -1.0, -1.0 + (nx - 1) * h,
+                                      -1.0 + (ny - 1) * h))
+        profile = blowup_limit(spec, angle_pair(2.0, 1.0))
+    grid = cw.GridSpec.from_domain(spec.domain, nx, ny)
+    X, Y = grid.mesh()
+    bd = np.asarray(evaluate_at_points(profile, X, Y, spec.stagnation_location))
+    return spec, grid, bd, cw.SolverParams(**params)
+
+
+KERNEL_CASES = {
+    "type1-33x33": ("type1", 33, 33, {}),
+    "type1-34x31": ("type1", 34, 31, {}),
+    "type1-33x33-capped": ("type1", 33, 33, {"max_iters": 40}),
+    "type1-34x31-no-air": ("type1", 34, 31, {"enforce_support": False}),
+    "type3-33x33": ("type3", 33, 33, {}),
+    "type3-34x31": ("type3", 34, 31, {}),
+}
+
+
+class TestStridedKernel:
+    """The strided sublattice kernel against the masked one it replaced:
+    the same fields to the byte (signed zeros included) and the same
+    sweep counts."""
+
+    @pytest.mark.parametrize("case", list(KERNEL_CASES))
+    def test_minimize_matches_masked_reference(self, monkeypatch, case):
+        kind, nx, ny, params = KERNEL_CASES[case]
+        spec, grid, bd, params = kernel_case(kind, nx, ny, **params)
+        air = support_mask(spec, grid) if params.enforce_support \
+            else np.zeros((ny, nx), dtype=bool)
+        assert air.any() == params.enforce_support
+        fast = cw.minimize_energy(spec, grid, bd, params)
+        zaps = []
+        monkeypatch.setattr(energy_module, "_sor_block",
+                            masked_sor_block(air, zaps))
+        monkeypatch.setattr(energy_module, "_relax_on_support",
+                            masked_relax_on_support)
+        ref = cw.minimize_energy(spec, grid, bd, params)
+        assert np.array_equal(fast.field.values, ref.field.values)
+        assert fast.field.values.tobytes() == ref.field.values.tobytes()
+        assert fast.iterations == ref.iterations
+        assert fast.converged == ref.converged == ("capped" not in case)
+        assert fast.energies == ref.energies
+        # the envelope is on for type 1 only, and zaps nodes there
+        assert (sum(zaps) > 0) == (kind == "type1")
+
+    @pytest.mark.parametrize("shape", [(33, 33), (31, 34)])
+    def test_relax_matches_masked_reference(self, shape):
+        rng = np.random.default_rng(7)
+        u = np.maximum(rng.standard_normal(shape), 0.0)
+        pinned = np.zeros(shape, dtype=bool)
+        pinned[:, :3] = True
+        pinned[[0, -1], :] = True
+        pinned[:, -1] = True
+        fast, ref = u.copy(), u.copy()
+        energy_module._relax_on_support(fast, pinned, sweeps=7)
+        masked_relax_on_support(ref, pinned, sweeps=7)
+        assert fast.tobytes() == ref.tobytes()
+        assert not np.array_equal(fast, u)
 
 
 class TestSupportHelpers:
