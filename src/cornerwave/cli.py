@@ -9,7 +9,9 @@
 
 Exit codes: 0 success, 2 configuration error, 3 solver error, 4 analysis
 error.  Failures leave a machine-readable error.json in the output
-directory naming the failing stage.
+directory naming the failing stage.  Verbs that solve print one
+``solver:`` line saying whether the flow converged, after how many sweeps
+and why it stopped; a solve that hits ``max_iters`` still exits 0.
 """
 
 from __future__ import annotations
@@ -75,6 +77,10 @@ def main(argv=None) -> int:
         return 4
     for key, name in manifest.get("outputs", {}).items():
         print(f"{key}: {name}")
+    if "solver" in manifest:
+        status = manifest["solver"]
+        print(f"solver: converged={status['converged']} "
+              f"iterations={status['iterations']} message={status['message']}")
     if "classification" in manifest:
         print(f"verdict: {manifest['classification']}")
     return 0

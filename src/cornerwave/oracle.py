@@ -44,6 +44,13 @@ class DomainError(ValueError):
     """Argument outside the domain of a closed-form evaluator."""
 
 
+def _edge_tolerance(w1: float, w2: float) -> float:
+    """Resolution at which two cone-edge weights count as equal, and one
+    as zero: an edge on a coordinate axis evaluates to a rounding residue
+    such as cos(pi/2) = 6.1e-17, not to 0."""
+    return 1e-10 * max(1.0, w1, w2)
+
+
 @dataclass(frozen=True)
 class ClosedFormProfile:
     """Explicit blow-up limit: amplitude, phase, cone edges, prefactor."""
@@ -104,9 +111,10 @@ def blowup_limit(spec: ProblemSpec, pair: AnglePair | None = None) -> ClosedForm
     pref = m.frozen_root * math.sqrt(spec.weight_constant)
     w1 = angular_weight(spec, theta1)
     w2 = angular_weight(spec, theta2)
-    if abs(w1 - w2) > 1e-10 * max(1.0, w1, w2):
+    tol = _edge_tolerance(w1, w2)
+    if abs(w1 - w2) > tol:
         raise InvalidSpec(f"edge weights differ: {w1!r} vs {w2!r}")
-    if w1 <= 0:
+    if w1 <= tol:
         raise InvalidSpec("degenerate cone: edge weight vanishes")
     C0 = math.sqrt(w1) / deg
     phi0 = wrap_angle(-deg * 0.5 * (theta1 + theta2))
@@ -263,7 +271,8 @@ def angle_pair(alpha: float, beta: float, theta1: float | None = None) -> AngleP
     t1 = -math.pi / 2.0 - A / 2.0 if theta1 is None else float(theta1)
     w1 = float(_type3_weight(alpha, beta, t1))
     w2 = float(_type3_weight(alpha, beta, t1 + A))
-    if abs(w1 - w2) > 1e-10 * max(1.0, w1, w2) or w1 <= 0:
+    tol = _edge_tolerance(w1, w2)
+    if abs(w1 - w2) > tol or w1 <= tol:
         raise InvalidPair(f"theta1={t1:.12g} is no admissible pair: "
                           f"edge weights {w1:.6g} and {w2:.6g}")
     return AnglePair(theta1=t1, theta2=t1 + A,
@@ -328,9 +337,24 @@ def solve_angle_pairs(alpha: float, beta: float, samples: int = 4096,
     for p in pairs:
         w1 = float(_type3_weight(alpha, beta, p.theta1))
         w2 = float(_type3_weight(alpha, beta, p.theta2))
-        if abs(w1 - w2) > 1e-10 * max(1.0, w1, w2):
+        if abs(w1 - w2) > _edge_tolerance(w1, w2):
             raise InvalidPair(f"root at {p.theta1:.12g} violates edge equality")
     return pairs
+
+
+def corner_pairs(alpha: float, beta: float) -> list[AnglePair]:
+    """The pairs of ``solve_angle_pairs`` that carry a corner profile,
+    i.e. that ``angle_pair`` admits.  At alpha = beta = 1 this drops the
+    four canonical pairs with a diagonal bisector: their edges lie on the
+    axes, where the edge weight vanishes."""
+    out = []
+    for p in solve_angle_pairs(alpha, beta):
+        try:
+            angle_pair(alpha, beta, p.theta1)
+        except InvalidPair:
+            continue
+        out.append(p)
+    return out
 
 
 def _merge_circular(roots: list[float], tol: float) -> list[float]:

@@ -23,6 +23,7 @@ back as a config (provenance round-trip).
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -40,6 +41,8 @@ from .frequency import frequency_profile
 from .weiss import weiss_profile
 
 FORMATS = ("csv", "json", "svg")
+
+log = logging.getLogger(__name__)
 
 
 class ConfigError(Exception):
@@ -283,8 +286,8 @@ def run_analysis(cfg: PipelineConfig, u: ScalarField):
 def run_classify(cfg: PipelineConfig, sp: StagnationPoint, density: float):
     try:
         spec = cfg.problem
-        if spec.model.bisector is None:  # type 3: every admissible pair
-            pairs = oracle.solve_angle_pairs(spec.alpha, spec.beta)
+        if spec.model.bisector is None:  # type 3: every corner pair
+            pairs = oracle.corner_pairs(spec.alpha, spec.beta)
             corner = [oracle.corner_density(spec, p.theta1, p.theta2) for p in pairs]
         else:
             prof = oracle.blowup_limit(spec)
@@ -438,6 +441,9 @@ def run(cfg: PipelineConfig, stages=("solve", "analyze", "classify", "table1"),
             "final_energy": result.energies[-1],
             "message": result.message,
         }
+        if not result.converged:
+            log.warning("solver did not converge after %d sweeps: %s",
+                        result.iterations, result.message)
 
     needs_analysis = {"analyze", "classify"} & set(stages)
     if needs_analysis and solution is None:

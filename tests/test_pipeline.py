@@ -9,8 +9,10 @@ import pytest
 import yaml
 
 import cornerwave as cw
+from cornerwave import oracle
+from cornerwave.oracle import AnglePair, angle_pair, blowup_limit, corner_density
 from cornerwave.pipeline import (AnalysisError, ConfigError, load_config,
-                                 parse_config, run, write_table1)
+                                 parse_config, run, run_classify, write_table1)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -160,6 +162,32 @@ class TestDeterminism:
             assert a == b
 
 
+class TestClassifyPairs:
+    @pytest.mark.parametrize("alpha, beta, scored", [(1.0, 1.0, 4), (2.0, 1.0, 12)])
+    def test_type3_scores_only_corner_pairs(self, monkeypatch, alpha, beta, scored):
+        # at alpha = beta = 1 four of the eight canonical pairs put both
+        # edges on the axes, where the edge weight vanishes and no corner
+        # profile exists; the classifier must not score against them
+        data = json.loads(json.dumps(SMALL_CONFIG))
+        data["problem"].update(alpha=alpha, beta=beta, stagnation={"type": 3},
+                               domain=[-1.0, -1.0, 1.0, 1.0])
+        spec = parse_config(data).problem
+        scored_pairs = []
+
+        def recording(spec, theta1, theta2):
+            scored_pairs.append(AnglePair(theta1, theta2, False))
+            return corner_density(spec, theta1, theta2)
+
+        monkeypatch.setattr(oracle, "corner_density", recording)
+        seed = angle_pair(alpha, beta)
+        report = run_classify(parse_config(data), cw.stagnation_point(spec, 0.5),
+                              corner_density(spec, seed.theta1, seed.theta2))
+        assert report.verdict == "corner"
+        assert len(scored_pairs) == scored
+        for pair in scored_pairs:
+            blowup_limit(spec, pair)
+
+
 class TestTable1Writer:
     def test_table_csv(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -207,13 +235,27 @@ class TestCli:
         r = self.run_cli("analyze", "--config", str(cfgp), "--out", str(out))
         assert r.returncode == 4
 
+    def test_solver_status_reported(self, tmp_path):
+        # a solve stopped by max_iters is reported, not silently shipped
+        data = small_config(tmp_path, grid={"nx": 33, "ny": 33},
+                            solver={"max_iters": 20})
+        cfgp = tmp_path / "c.yaml"
+        cfgp.write_text(yaml.safe_dump(data))
+        r = self.run_cli("solve", "--config", str(cfgp))
+        assert r.returncode == 0, r.stderr
+        assert ("solver: converged=False iterations=20 "
+                "message=max_iters hit before the flow settled") in r.stdout
+        assert "solver did not converge after 20 sweeps" in r.stderr
+
     def test_solve_then_analyze_then_classify(self, tmp_path):
         data = small_config(tmp_path)
         out = tmp_path / "staged"
         data["outputs"]["directory"] = str(out)
         cfgp = tmp_path / "c.yaml"
         cfgp.write_text(yaml.safe_dump(data))
-        assert self.run_cli("solve", "--config", str(cfgp)).returncode == 0
+        r = self.run_cli("solve", "--config", str(cfgp))
+        assert r.returncode == 0
+        assert "solver: converged=True" in r.stdout
         assert (out / "solution.field").exists()
         assert self.run_cli("analyze", "--config", str(cfgp)).returncode == 0
         assert (out / "weiss.csv").exists()

@@ -24,8 +24,8 @@ from cornerwave.domain import (value_envelope_monomial, weight_gradient_at,
                                wrap_angle)
 from cornerwave.energy import support_mask
 from cornerwave.oracle import (AnglePair, angular_weight, blowup_limit,
-                               corner_density, evaluate_at_points,
-                               full_ball_density, solve_angle_pairs)
+                               corner_density, corner_pairs,
+                               evaluate_at_points, full_ball_density)
 
 DOWN, UP, RIGHT, LEFT = 3 * math.pi / 2, math.pi / 2, 0.0, math.pi
 MAG = 0.75  # |x0| = |y0| != 1, so the frozen non-degenerate factor shows
@@ -158,11 +158,7 @@ class TestSubcaseMaps:
         spec = make(label, alpha, beta)
         image = spec_map(spec)
         if isinstance(spec.stag, cw.Type3):
-            # at alpha = beta = 1 the diagonal-bisector pairs put both edges
-            # on the axes, where no profile exists
-            pairs = [p for p in solve_angle_pairs(alpha, beta)
-                     if angular_weight(spec, p.theta1) > 1e-12]
-            profiles = [blowup_limit(spec, p) for p in pairs]
+            profiles = [blowup_limit(spec, p) for p in corner_pairs(alpha, beta)]
             images = [blowup_limit(image, mapped_pair(p, angle_map,
                                                       image.alpha, image.beta))
                       for p in profiles]
