@@ -9,15 +9,17 @@ import sys
 import time
 from pathlib import Path
 
+from cornerwave.cli import STAGES
 from cornerwave.pipeline import load_config, run
 
+# (config, CLI verb whose stages it runs)
 CONFIGS = [
-    ("table1.yaml", True),
-    ("stokes.yaml", False),
-    ("corner_beta2.yaml", False),
-    ("corner_alpha2.yaml", False),
-    ("corner_type3.yaml", False),
-    ("blowup_convergence.yaml", False),
+    ("table1.yaml", "table1"),
+    ("stokes.yaml", "run"),
+    ("corner_beta2.yaml", "run"),
+    ("corner_alpha2.yaml", "run"),
+    ("corner_type3.yaml", "run"),
+    ("blowup_convergence.yaml", "run"),
 ]
 
 
@@ -26,11 +28,11 @@ def main() -> int:
     parser.add_argument("--out", default="out", help="output root directory")
     args = parser.parse_args()
     root = Path(__file__).resolve().parent.parent
-    for name, oracle_only in CONFIGS:
+    for name, verb in CONFIGS:
         cfg = load_config(root / "configs" / name)
         cfg.outputs.directory = str(Path(args.out) / Path(cfg.outputs.directory).name)
         t0 = time.monotonic()
-        manifest = run(cfg, oracle_only=oracle_only)
+        manifest = run(cfg, stages=STAGES[verb])
         dt = time.monotonic() - t0
         verdict = manifest.get("classification", "-")
         print(f"{name:28s} {dt:7.1f}s  verdict={verdict}  files={len(manifest['outputs'])}")

@@ -20,7 +20,8 @@ from .oracle import (AnglePair, ClosedFormProfile, angle_condition,
                      blowup_limit, chebyshev_coefficients, conclusion_table,
                      corner_density, evaluate_blowup_limit, full_ball_density,
                      profile_field, solve_angle_pairs)
-from .weiss import (WeissProfile, check_monotonicity, limit_density,
-                    remainder_term, weiss_energy, weiss_profile)
+from .weiss import (RadialSweep, WeissProfile, check_monotonicity,
+                    limit_density, radial_sweep, remainder_term, weiss_energy,
+                    weiss_profile)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -5,7 +5,6 @@
     cornerwave analyze  --config cfg.yaml ...
     cornerwave classify --config cfg.yaml ...
     cornerwave table1   --config cfg.yaml ...
-    cornerwave run      --config cfg.yaml --oracle-only
 
 Exit codes: 0 success, 2 configuration error, 3 solver error, 4 analysis
 error.  Failures leave a machine-readable error.json in the output
@@ -19,8 +18,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .pipeline import (AnalysisError, ConfigError, SolverError, load_config,
-                       run, write_error_record)
+from .pipeline import (AnalysisError, ConfigError, SolverError, check_formats,
+                       load_config, run, write_error_record)
 
 STAGES = {
     "run": ("solve", "analyze", "classify", "table1"),
@@ -42,8 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="override output directory")
         p.add_argument("--format", default=None,
                        help="comma-separated subset of csv,json,svg")
-        p.add_argument("--oracle-only", action="store_true",
-                       help="skip the solver; emit oracle artifacts only")
     return parser
 
 
@@ -55,14 +52,10 @@ def main(argv=None) -> int:
         if args.out:
             cfg.outputs.directory = args.out
         if args.format:
-            fmts = tuple(f.strip() for f in args.format.split(",") if f.strip())
-            cfg.outputs.formats = fmts
-            for f in fmts:
-                if f not in ("csv", "json", "svg"):
-                    raise ConfigError(f"unknown output format {f!r}")
+            cfg.outputs.formats = check_formats(
+                f.strip() for f in args.format.split(",") if f.strip())
         outdir = cfg.outputs.directory
-        manifest = run(cfg, stages=STAGES[args.verb],
-                       oracle_only=args.oracle_only)
+        manifest = run(cfg, stages=STAGES[args.verb])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         write_error_record(outdir, "config", exc)

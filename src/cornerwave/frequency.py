@@ -20,8 +20,8 @@ On a homogeneous harmonic field of degree N supported in a cone and
 vanishing on its edges, D(r) = N at every radius.  Flat candidates obey
 the lower bound H(r) >= beta/2 + 1, which ``check_frequency_bound``
 verifies radius by radius.  The remainder term enters V2 exactly as
-printed above; ``include_remainder_term=False`` drops it so its size can
-be measured separately.
+printed above.  Its share r^{1 - 2 kappa} * integral_0^r h / ring is the
+Weiss profile's ``remainder_integral / J1`` from the same radial sweep.
 """
 
 from __future__ import annotations
@@ -31,11 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import (DegenerateDenominator, ProblemSpec, ScalarField,
-                     StagnationPoint, _fmt)
-from .quadrature import DiskStencil, circle_integral_u2
-from .weiss import (_analysis_arrays, _check_radius, _remainder_from_arrays,
-                    cumulative_remainder)
+from .domain import DegenerateDenominator, _fmt
+from .weiss import RadialSweep, cumulative_remainder
 
 
 @dataclass
@@ -62,41 +59,19 @@ class FrequencyProfile:
         Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def _limit_weight_nodes(spec: ProblemSpec, grid) -> np.ndarray:
-    """Weight with the non-degenerate factor frozen at the stagnation point:
-    C * frozen factor * degenerate monomial."""
-    X, Y = grid.mesh()
-    m = spec.model
-    return m.monomial(X, Y, scale=spec.weight_constant * m.frozen)
-
-
-def frequency_profile(spec: ProblemSpec, u: ScalarField, sp: StagnationPoint,
-                      radii, include_remainder_term: bool = True) -> FrequencyProfile:
-    radii = np.asarray(radii, dtype=float)
-    if np.any(np.diff(radii) <= 0):
-        raise ValueError("radii must be strictly increasing")
-    for r in (radii[0], radii[-1]):
-        _check_radius(sp, u.grid, r)
-    gradsq, w, chi, rem = _analysis_arrays(spec, u)
-    lw = _limit_weight_nodes(spec, u.grid)
-    k = sp.kappa
-
-    h_vals = np.array([_remainder_from_arrays(spec, u, sp, r, rem) for r in radii])
-    h_cum = cumulative_remainder(radii, h_vals) if include_remainder_term \
-        else np.zeros_like(radii)
-
+def frequency_profile(sweep: RadialSweep) -> FrequencyProfile:
+    radii, k = sweep.radii, sweep.kappa
+    h_cum = cumulative_remainder(radii, sweep.remainder)
     D = np.empty_like(radii)
     V1 = np.empty_like(radii)
     V2 = np.empty_like(radii)
     for i, r in enumerate(radii):
-        ring = circle_integral_u2(u.values, u.grid, sp.location, r)
+        ring = sweep.ring[i]
         if ring <= 1e-300:
             raise DegenerateDenominator(r, ring)
-        disk = DiskStencil(u.grid, sp.location, r)
-        D[i] = r * disk.integrate(gradsq) / ring
-        V1[i] = r * disk.integrate(lw * (1.0 - chi)) / ring
-        V2[i] = (r * disk.integrate((lw - w) * chi)
-                 + r ** (1.0 - 2.0 * k) * h_cum[i]) / ring
+        D[i] = r * sweep.dirichlet[i] / ring
+        V1[i] = r * sweep.free_weight[i] / ring
+        V2[i] = (r * sweep.weight_gap[i] + r ** (1.0 - 2.0 * k) * h_cum[i]) / ring
     V = V1 + V2
     return FrequencyProfile(radii=radii, D=D, V1=V1, V2=V2, V=V, H=D - V)
 

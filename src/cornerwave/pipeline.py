@@ -38,7 +38,7 @@ from .domain import (GridSpec, ProblemSpec, Rect, ScalarField, StagnationPoint,
                      stagnation_point)
 from .energy import SolverParams, SolveResult, minimize_energy
 from .frequency import frequency_profile
-from .weiss import weiss_profile
+from .weiss import radial_sweep, weiss_profile
 
 FORMATS = ("csv", "json", "svg")
 
@@ -80,7 +80,6 @@ class AnalysisConfig:
     direction_radius: float | None = None
     annuli: list[float] | None = None
     reference_n: int = 129
-    include_remainder_term: bool = True
 
 
 @dataclass
@@ -162,13 +161,9 @@ def parse_config(data: dict) -> PipelineConfig:
             density_radius=ana.get("density_radius"),
             direction_radius=ana.get("direction_radius"),
             annuli=ana.get("annuli"),
-            reference_n=int(ana.get("reference_n", 129)),
-            include_remainder_term=bool(ana.get("include_remainder_term", True)))
+            reference_n=int(ana.get("reference_n", 129)))
         out = data.get("outputs", {}) or {}
-        formats = tuple(out.get("formats", list(FORMATS)))
-        for f in formats:
-            if f not in FORMATS:
-                raise ConfigError(f"unknown output format {f!r}")
+        formats = check_formats(out.get("formats", FORMATS))
         outputs = OutputConfig(directory=out.get("directory", "out"), formats=formats)
     except ConfigError:
         raise
@@ -177,6 +172,15 @@ def parse_config(data: dict) -> PipelineConfig:
     return PipelineConfig(problem=spec, grid=grid, solver=solver,
                           boundary=boundary, analysis=analysis,
                           outputs=outputs, raw=data)
+
+
+def check_formats(formats) -> tuple[str, ...]:
+    """The output formats as a tuple; ConfigError names an unknown one."""
+    formats = tuple(formats)
+    for f in formats:
+        if f not in FORMATS:
+            raise ConfigError(f"unknown output format {f!r}")
+    return formats
 
 
 def _radii_list(spec) -> list[float]:
@@ -267,11 +271,11 @@ def run_solve(cfg: PipelineConfig) -> tuple[SolveResult, object]:
 def run_analysis(cfg: PipelineConfig, u: ScalarField):
     try:
         sp = stagnation_point(cfg.problem, cfg.analysis.delta)
-        wp = weiss_profile(cfg.problem, u, sp, cfg.analysis.radii) \
-            if cfg.analysis.radii else None
-        fp = frequency_profile(cfg.problem, u, sp, cfg.analysis.radii,
-                               include_remainder_term=cfg.analysis.include_remainder_term) \
-            if cfg.analysis.radii else None
+        wp = fp = None
+        if cfg.analysis.radii:
+            sweep = radial_sweep(cfg.problem, u, sp, cfg.analysis.radii)
+            wp = weiss_profile(sweep)
+            fp = frequency_profile(sweep)
         br = bw.blowup_analysis(
             cfg.problem, u, sp, cfg.analysis.blowup_radii,
             reference_n=cfg.analysis.reference_n,
@@ -409,17 +413,14 @@ def write_svg(u: ScalarField, spec: ProblemSpec, sp: StagnationPoint, path,
 # ---------------------------------------------------------------------------
 # orchestration
 
-def run(cfg: PipelineConfig, stages=("solve", "analyze", "classify", "table1"),
-        oracle_only: bool = False) -> dict:
+def run(cfg: PipelineConfig,
+        stages=("solve", "analyze", "classify", "table1")) -> dict:
     """Execute the requested stages; returns a manifest of written files."""
     outdir = Path(cfg.outputs.directory)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest: dict = {"outputs": {}}
     fmts = cfg.outputs.formats
     spec = cfg.problem
-
-    if oracle_only:
-        stages = ("table1",)
 
     if "table1" in stages and "csv" in fmts:
         p = outdir / "table1.csv"

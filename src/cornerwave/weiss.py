@@ -22,6 +22,11 @@ The boundary moment J1(r) = r^{2 kappa - 1} * integral of u^2 over dB_r is
 non-decreasing as well.  On an exactly homogeneous profile both M - int h
 and J1 are constant, which the checks treat as the equality case.
 
+``radial_sweep`` integrates everything both this profile and the
+frequency profile need, one disk stencil and one circle integral per
+radius; ``weiss_profile`` and ``frequency.frequency_profile`` only turn
+those integrals into columns.
+
 The limiting weighted density M(0+) is estimated by rescaling the
 positivity set of u to the unit ball at a small radius and integrating the
 frozen weight over it.
@@ -74,16 +79,35 @@ def _check_radius(sp: StagnationPoint, grid: GridSpec, r: float) -> None:
     require_circle_inside(grid, sp.location, r)
 
 
+@dataclass
+class RadialSweep:
+    """Per-radius integrals over B_r and dB_r shared by the Weiss and
+    frequency profiles.  ``remainder`` holds h(r) itself; the frozen
+    weight lw is the weight with its non-degenerate factor held at X0."""
+
+    radii: np.ndarray
+    kappa: float
+    ring: np.ndarray          # integral over dB_r of u^2
+    bulk: np.ndarray          # integral over B_r of |grad u|^2 + w chi
+    dirichlet: np.ndarray     # integral over B_r of |grad u|^2
+    remainder: np.ndarray     # h(r)
+    free_weight: np.ndarray   # integral over B_r of lw (1 - chi)
+    weight_gap: np.ndarray    # integral over B_r of (lw - w) chi
+
+
 def _analysis_arrays(spec: ProblemSpec, u: ScalarField):
-    """Nodewise |grad u|^2, weight, chi, and the remainder integrand."""
+    """Nodewise integrands of the sweep: |grad u|^2 + w chi, |grad u|^2,
+    the remainder integrand, lw (1 - chi) and (lw - w) chi."""
     g = u.grid
     ux, uy = grad_central(u.values, g.spacing)
     gradsq = ux * ux + uy * uy
     X, Y = g.mesh()
     w = np.asarray(weight_at(spec, X, Y))
+    m = spec.model
+    lw = m.monomial(X, Y, scale=spec.weight_constant * m.frozen)
     chi = (u.values > 0.0).astype(float)
     rem = _remainder_integrand(spec, X, Y) * chi
-    return gradsq, w, chi, rem
+    return gradsq + w * chi, gradsq, rem, lw * (1.0 - chi), (lw - w) * chi
 
 
 def _remainder_integrand(spec: ProblemSpec, X, Y) -> np.ndarray:
@@ -96,34 +120,44 @@ def _remainder_integrand(spec: ProblemSpec, X, Y) -> np.ndarray:
     return ((X, Y)[axis] - m.location[axis]) * weight_gradient_at(spec, X, Y)[axis]
 
 
+def radial_sweep(spec: ProblemSpec, u: ScalarField, sp: StagnationPoint,
+                 radii) -> RadialSweep:
+    """The integrals of both profiles from one disk stencil and one circle
+    integral per radius."""
+    radii = np.asarray(radii, dtype=float)
+    if np.any(np.diff(radii) <= 0):
+        raise ValueError("radii must be strictly increasing")
+    for r in (radii[0], radii[-1]):
+        _check_radius(sp, u.grid, r)
+    bulk_f, gradsq, rem, free_f, gap_f = _analysis_arrays(spec, u)
+    k = sp.kappa
+    cols = np.empty((6, len(radii)))
+    for i, r in enumerate(radii):
+        disk = DiskStencil(u.grid, sp.location, r)
+        # rem is +0.0 everywhere when the frozen factor is constant, so h
+        # is then exactly 0
+        cols[:, i] = (circle_integral_u2(u.values, u.grid, sp.location, r),
+                      disk.integrate(bulk_f), disk.integrate(gradsq),
+                      r ** (2 * k - 1) * disk.integrate(rem),
+                      disk.integrate(free_f), disk.integrate(gap_f))
+    return RadialSweep(radii, k, *cols)
+
+
+def _weiss_energy_at(sweep: RadialSweep, i: int) -> float:
+    r, k = sweep.radii[i], sweep.kappa
+    return r ** (2 * k) * sweep.bulk[i] + k * r ** (2 * k - 1) * sweep.ring[i]
+
+
 def weiss_energy(spec: ProblemSpec, u: ScalarField, sp: StagnationPoint,
                  r: float) -> float:
-    _check_radius(sp, u.grid, r)
-    gradsq, w, chi, _ = _analysis_arrays(spec, u)
-    return _weiss_energy_from_arrays(u, sp, r, gradsq, w, chi)
-
-
-def _weiss_energy_from_arrays(u, sp, r, gradsq, w, chi) -> float:
-    k = sp.kappa
-    disk = DiskStencil(u.grid, sp.location, r)
-    bulk = disk.integrate(gradsq + w * chi)
-    ring = circle_integral_u2(u.values, u.grid, sp.location, r)
-    return r ** (2 * k) * bulk + k * r ** (2 * k - 1) * ring
+    return float(_weiss_energy_at(radial_sweep(spec, u, sp, [r]), 0))
 
 
 def remainder_term(spec: ProblemSpec, u: ScalarField, sp: StagnationPoint,
                    r: float) -> float:
     """Remainder h(r); exactly 0 when the frozen factor is constant (type 3,
     type 1 with alpha = 0, type 2 with beta = 0)."""
-    _check_radius(sp, u.grid, r)
-    return _remainder_from_arrays(spec, u, sp, r, _analysis_arrays(spec, u)[3])
-
-
-def _remainder_from_arrays(spec, u, sp, r, rem) -> float:
-    if spec.model.frozen_exponent == 0:
-        return 0.0
-    disk = DiskStencil(u.grid, sp.location, r)
-    return r ** (2 * sp.kappa - 1) * disk.integrate(rem)
+    return float(radial_sweep(spec, u, sp, [r]).remainder[0])
 
 
 def cumulative_remainder(radii: np.ndarray, h_values: np.ndarray) -> np.ndarray:
@@ -140,27 +174,16 @@ def cumulative_remainder(radii: np.ndarray, h_values: np.ndarray) -> np.ndarray:
     return out
 
 
-def weiss_profile(spec: ProblemSpec, u: ScalarField, sp: StagnationPoint,
-                  radii) -> WeissProfile:
+def weiss_profile(sweep: RadialSweep) -> WeissProfile:
     """Assemble M, dM/dr (central differences in log r), h, int h, J1."""
-    radii = np.asarray(radii, dtype=float)
-    if np.any(np.diff(radii) <= 0):
-        raise ValueError("radii must be strictly increasing")
-    for r in (radii[0], radii[-1]):
-        _check_radius(sp, u.grid, r)
-    gradsq, w, chi, rem = _analysis_arrays(spec, u)
-    k = sp.kappa
-    M = np.empty_like(radii)
-    H = np.empty_like(radii)
-    J1 = np.empty_like(radii)
-    for i, r in enumerate(radii):
-        M[i] = _weiss_energy_from_arrays(u, sp, r, gradsq, w, chi)
-        H[i] = _remainder_from_arrays(spec, u, sp, r, rem)
-        J1[i] = r ** (2 * k - 1) * circle_integral_u2(u.values, u.grid, sp.location, r)
+    radii, k = sweep.radii, sweep.kappa
+    M = np.array([_weiss_energy_at(sweep, i) for i in range(len(radii))])
+    J1 = np.array([r ** (2 * k - 1) * ring for r, ring in zip(radii, sweep.ring)])
     logr = np.log(radii)
     dM = np.gradient(M, logr) / radii
-    return WeissProfile(radii=radii, M=M, dM_numeric=dM, remainder=H,
-                        remainder_integral=cumulative_remainder(radii, H), J1=J1)
+    return WeissProfile(radii=radii, M=M, dM_numeric=dM, remainder=sweep.remainder,
+                        remainder_integral=cumulative_remainder(radii, sweep.remainder),
+                        J1=J1)
 
 
 @dataclass

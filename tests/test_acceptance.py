@@ -105,7 +105,7 @@ def test_criterion_04_monotonicity_suite(stokes_case, blowup_case):
     grid = cw.GridSpec.from_domain(spec.domain, 513, 513)
     u0 = profile_field(prof, grid, spec.stagnation_location)
     sp = cw.stagnation_point(spec)
-    wp = cw.weiss_profile(spec, u0, sp, radii)
+    wp = cw.weiss_profile(cw.radial_sweep(spec, u0, sp, radii))
     rep_exact = cw.check_monotonicity(wp, 1e-3)
     assert rep_exact.all_passed
     # also the pure gravity-type exact profile
@@ -114,12 +114,12 @@ def test_criterion_04_monotonicity_suite(stokes_case, blowup_case):
                         cw.GridSpec.from_domain(spec0.domain, 513, 513),
                         spec0.stagnation_location)
     rep_exact0 = cw.check_monotonicity(
-        cw.weiss_profile(spec0, u00, stokes_case.sp, radii), 1e-3)
+        cw.weiss_profile(cw.radial_sweep(spec0, u00, stokes_case.sp, radii)), 1e-3)
     assert rep_exact0.all_passed
     # solver outputs at the relaxed tolerance
     worst = 0.0
     for case in (stokes_case, blowup_case):
-        wps = cw.weiss_profile(case.spec, case.result.field, case.sp, radii)
+        wps = cw.weiss_profile(cw.radial_sweep(case.spec, case.result.field, case.sp, radii))
         rep_solver = cw.check_monotonicity(wps, 5e-3)
         assert rep_solver.all_passed
         worst = max(worst, rep_solver.worst_violation,
@@ -177,7 +177,7 @@ def test_criterion_06_frequency_suite():
     worst_d = 0.0
     for N, n in ((1.5, 513), (2.0, 513), (3.0, 1025)):
         grid = cw.GridSpec(nx=n, ny=n, origin=(-1.0, -1.0), spacing=2.0 / (n - 1))
-        fp = cw.frequency_profile(spec, _cone_field(grid, N), sp, radii)
+        fp = cw.frequency_profile(cw.radial_sweep(spec, _cone_field(grid, N), sp, radii))
         err = float(np.max(np.abs(fp.D - N)))
         assert err <= 0.02, f"N={N}: {err}"
         worst_d = max(worst_d, err)
@@ -186,7 +186,7 @@ def test_criterion_06_frequency_suite():
     worst_deficit = -math.inf
     for N in (2, 3):
         grid = cw.GridSpec(nx=513, ny=513, origin=(-1.0, -1.0), spacing=2.0 / 512)
-        fp = cw.frequency_profile(spec, _lobe_field(grid, N), sp, radii)
+        fp = cw.frequency_profile(cw.radial_sweep(spec, _lobe_field(grid, N), sp, radii))
         rep = cw.check_frequency_bound(fp, beta=1.0, tol=0.05)
         assert rep.passed
         worst_deficit = max(worst_deficit, rep.worst_deficit)

@@ -5,6 +5,7 @@ import pytest
 
 import cornerwave as cw
 from cornerwave.oracle import blowup_limit, profile_field
+from cornerwave.quadrature import DiskStencil, circle_integral_u2
 
 RADII = np.geomspace(0.3, 0.8, 8)
 
@@ -46,14 +47,14 @@ class TestDirichletRatio:
     def test_homogeneous_harmonic_degree(self, N, n, tol):
         grid, spec, sp = reference_setup(n)
         u = cone_field(grid, N)
-        fp = cw.frequency_profile(spec, u, sp, RADII)
+        fp = cw.frequency_profile(cw.radial_sweep(spec, u, sp, RADII))
         assert np.max(np.abs(fp.D - N)) <= tol
         assert np.allclose(fp.H, fp.D - fp.V)
 
     def test_integer_lobes_constancy(self):
         grid, spec, sp = reference_setup(513)
         u = lobe_field(grid, 2)
-        fp = cw.frequency_profile(spec, u, sp, RADII)
+        fp = cw.frequency_profile(cw.radial_sweep(spec, u, sp, RADII))
         assert np.max(np.abs(fp.D - 2.0)) <= 0.02
 
 
@@ -61,7 +62,7 @@ class TestVolumeTerm:
     def test_positive_constant_field_v1_zero(self):
         grid, spec, sp = reference_setup(129)
         u = cw.ScalarField(grid, np.ones((129, 129)))
-        fp = cw.frequency_profile(spec, u, sp, RADII)
+        fp = cw.frequency_profile(cw.radial_sweep(spec, u, sp, RADII))
         assert np.all(fp.V1 == 0.0)
 
     def test_v2_vanishes_for_alpha0(self):
@@ -73,7 +74,7 @@ class TestVolumeTerm:
         grid = cw.GridSpec.from_domain(spec.domain, 257, 257)
         u = profile_field(prof, grid, spec.stagnation_location)
         sp = cw.stagnation_point(spec)
-        fp = cw.frequency_profile(spec, u, sp, np.geomspace(0.1, 0.45, 8))
+        fp = cw.frequency_profile(cw.radial_sweep(spec, u, sp, np.geomspace(0.1, 0.45, 8)))
         assert np.all(fp.V2 == 0.0)
         assert np.all(fp.V1 > 0.0)
         assert np.allclose(fp.V, fp.V1)
@@ -81,12 +82,13 @@ class TestVolumeTerm:
     def test_v1_nonnegative(self):
         grid, spec, sp = reference_setup(257)
         u = cone_field(grid, 1.5)
-        fp = cw.frequency_profile(spec, u, sp, RADII)
+        fp = cw.frequency_profile(cw.radial_sweep(spec, u, sp, RADII))
         assert np.all(fp.V1 >= 0.0)
 
-    def test_remainder_switch(self):
-        # dropping the cumulative-remainder term must change V2 for a
-        # configuration with a genuine remainder
+    def test_remainder_share(self):
+        # on a configuration with a genuine remainder, V2's share
+        # r^{1 - 2 kappa} int_0^r h / ring is the Weiss profile's int h / J1;
+        # the rest of V2 is r * int (lw - w) chi / ring
         spec = cw.ProblemSpec(alpha=1.0, beta=1.0, stag=cw.Type1(x0=-1.0),
                               domain=cw.Rect(-1.5, -0.5, -0.5, 0.5))
         g = cw.GridSpec.from_domain(spec.domain, 257, 257)
@@ -95,17 +97,29 @@ class TestVolumeTerm:
                            * np.maximum(-Y, 0.0))
         sp = cw.stagnation_point(spec)
         radii = np.geomspace(0.1, 0.2, 4)
-        with_rem = cw.frequency_profile(spec, u, sp, radii)
-        without = cw.frequency_profile(spec, u, sp, radii,
-                                       include_remainder_term=False)
-        assert not np.allclose(with_rem.V2, without.V2)
+        sweep = cw.radial_sweep(spec, u, sp, radii)
+        wp = cw.weiss_profile(sweep)
+        fp = cw.frequency_profile(sweep)
+        share = wp.remainder_integral / wp.J1
+        assert np.all(share != 0.0)
+        # the weight with its non-degenerate factor |x|^alpha frozen at x0
+        w = cw.weight_at(spec, X, Y)
+        lw = cw.weight_at(spec, np.full_like(X, -1.0), Y)
+        chi = (u.values > 0.0).astype(float)
+        for i, r in enumerate(radii):
+            disk = DiskStencil(g, sp.location, r)
+            ring = circle_integral_u2(u.values, g, sp.location, r)
+            gap = r * disk.integrate((lw - w) * chi) / ring
+            assert fp.V2[i] - share[i] == pytest.approx(gap, rel=1e-12, abs=0.0)
+            assert cw.weiss_energy(spec, u, sp, r) == wp.M[i]
+            assert cw.remainder_term(spec, u, sp, r) == wp.remainder[i]
 
 
 class TestFrequencyBound:
     def test_flat_candidates_pass(self):
         grid, spec, sp = reference_setup(513)
         for N in (2, 3):
-            fp = cw.frequency_profile(spec, lobe_field(grid, N), sp, RADII)
+            fp = cw.frequency_profile(cw.radial_sweep(spec, lobe_field(grid, N), sp, RADII))
             rep = cw.check_frequency_bound(fp, beta=1.0, tol=0.05)
             assert rep.passed, f"N={N}: worst deficit {rep.worst_deficit}"
 
@@ -130,7 +144,7 @@ class TestFrequencyBound:
         grid = cw.GridSpec.from_domain(spec.domain, 513, 513)
         u = profile_field(prof, grid, spec.stagnation_location)
         sp = cw.stagnation_point(spec)
-        fp = cw.frequency_profile(spec, u, sp, np.geomspace(0.2, 0.45, 6))
+        fp = cw.frequency_profile(cw.radial_sweep(spec, u, sp, np.geomspace(0.2, 0.45, 6)))
         h_exact = 1.5 - (2.0 / 3.0 - math.sqrt(3.0) / 3.0) / (2.0 * math.pi / 27.0)
         assert np.max(np.abs(fp.H - h_exact)) <= 0.02
         rep = cw.check_frequency_bound(fp, beta=1.0, tol=0.05)
@@ -140,7 +154,7 @@ class TestFrequencyBound:
         grid, spec, sp = reference_setup(129)
         u = cw.ScalarField(grid, np.zeros((129, 129)))
         with pytest.raises(cw.DegenerateDenominator):
-            cw.frequency_profile(spec, u, sp, RADII)
+            cw.frequency_profile(cw.radial_sweep(spec, u, sp, RADII))
 
     def test_csv_columns(self, tmp_path):
         radii = np.array([0.1, 0.2])

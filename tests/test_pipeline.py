@@ -135,7 +135,7 @@ class TestRun:
 
     def test_oracle_only_mode(self, tmp_path):
         cfg = parse_config(small_config(tmp_path))
-        manifest = run(cfg, oracle_only=True)
+        manifest = run(cfg, stages=("table1",))
         assert list(manifest["outputs"]) == ["table1"]
         assert (Path(cfg.outputs.directory) / "table1.csv").exists()
 
@@ -227,6 +227,16 @@ class TestCli:
         r = self.run_cli("table1", "--config", str(cfgp), "--out", str(out))
         assert r.returncode == 0, r.stderr
         assert (out / "table1.csv").exists()
+
+    def test_unknown_format_exit_2(self, tmp_path):
+        cfgp = tmp_path / "c.yaml"
+        cfgp.write_text(yaml.safe_dump(small_config(tmp_path)))
+        out = tmp_path / "f"
+        r = self.run_cli("table1", "--config", str(cfgp), "--out", str(out),
+                         "--format", "csv,pdf")
+        assert r.returncode == 2, r.stderr
+        assert "unknown output format 'pdf'" in r.stderr
+        assert json.loads((out / "error.json").read_text())["stage"] == "config"
 
     def test_analyze_without_solution_exit_4(self, tmp_path):
         cfgp = tmp_path / "c.yaml"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cornerwave as cw
+from cornerwave import quadrature, weiss
 from cornerwave.oracle import (AnglePair, blowup_limit, corner_density,
                                profile_field)
 from cornerwave.quadrature import DiskStencil, circle_integral_u2
@@ -100,13 +101,39 @@ class TestRemainder:
         assert cw.remainder_term(spec, u, sp, 0.3) == pytest.approx(0.0, abs=1e-9)
 
 
+class TestRadialSweep:
+    def test_one_stencil_and_ring_per_radius(self, monkeypatch):
+        # type 1 with alpha = 1 has h != 0, so the remainder integral must
+        # share the stencil of the other four
+        spec, _, u = stokes_field(alpha=1.0, beta=1.0, n=129)
+        sp = cw.stagnation_point(spec)
+        calls = {"disk": 0, "ring": 0}
+        build = quadrature.DiskStencil.__init__
+        ring = weiss.circle_integral_u2
+
+        def counting_build(self, *args, **kwargs):
+            calls["disk"] += 1
+            build(self, *args, **kwargs)
+
+        def counting_ring(*args, **kwargs):
+            calls["ring"] += 1
+            return ring(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature.DiskStencil, "__init__", counting_build)
+        monkeypatch.setattr(weiss, "circle_integral_u2", counting_ring)
+        radii = np.geomspace(0.1, 0.4, 6)
+        sweep = cw.radial_sweep(spec, u, sp, radii)
+        assert np.all(sweep.remainder != 0.0)
+        assert calls == {"disk": len(radii), "ring": len(radii)}
+
+
 class TestProfileAndMonotonicity:
     def test_zero_field_profile(self):
         spec = stokes_spec()
         g = cw.GridSpec.from_domain(spec.domain, 65, 65)
         u = cw.ScalarField(g, np.zeros((65, 65)))
         sp = cw.stagnation_point(spec)
-        wp = cw.weiss_profile(spec, u, sp, np.geomspace(0.1, 0.4, 8))
+        wp = cw.weiss_profile(cw.radial_sweep(spec, u, sp, np.geomspace(0.1, 0.4, 8)))
         assert np.all(wp.M == 0) and np.all(wp.J1 == 0)
         assert np.all(wp.remainder == 0)
         assert cw.check_monotonicity(wp, 1e-12).all_passed
@@ -116,7 +143,7 @@ class TestProfileAndMonotonicity:
         # constant; the check passes at 1e-3 for spacing 1/256
         spec, _, u = stokes_field(alpha=1.0, beta=1.0)
         sp = cw.stagnation_point(spec)
-        wp = cw.weiss_profile(spec, u, sp, np.geomspace(0.05, 0.45, 32))
+        wp = cw.weiss_profile(cw.radial_sweep(spec, u, sp, np.geomspace(0.05, 0.45, 32)))
         rep = cw.check_monotonicity(wp, 1e-3)
         assert rep.all_passed
 
@@ -127,7 +154,7 @@ class TestProfileAndMonotonicity:
         spec, _, u = stokes_field(alpha=1.0, beta=1.0)
         sp = cw.stagnation_point(spec)
         radii = np.geomspace(0.15, 0.45, 16)
-        wp = cw.weiss_profile(spec, u, sp, radii)
+        wp = cw.weiss_profile(cw.radial_sweep(spec, u, sp, radii))
         assert np.max(np.abs(wp.dM_numeric - wp.remainder)) <= 0.05
 
     def test_adversarial_profile_flagged(self):
