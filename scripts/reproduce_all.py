@@ -2,6 +2,9 @@
 """Run every bundled experiment config and print a one-line summary each.
 
 Usage: python scripts/reproduce_all.py [--out DIR]
+
+Exits 1 when a config run with the ``run`` verb is not classified as a
+corner, 0 otherwise.
 """
 
 import argparse
@@ -28,6 +31,7 @@ def main() -> int:
     parser.add_argument("--out", default="out", help="output root directory")
     args = parser.parse_args()
     root = Path(__file__).resolve().parent.parent
+    status = 0
     for name, verb in CONFIGS:
         cfg = load_config(root / "configs" / name)
         cfg.outputs.directory = str(Path(args.out) / Path(cfg.outputs.directory).name)
@@ -36,7 +40,9 @@ def main() -> int:
         dt = time.monotonic() - t0
         verdict = manifest.get("classification", "-")
         print(f"{name:28s} {dt:7.1f}s  verdict={verdict}  files={len(manifest['outputs'])}")
-    return 0
+        if verb == "run" and verdict != "corner":
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

@@ -244,8 +244,7 @@ class BlowupResult:
 def blowup_analysis(spec: ProblemSpec, u: ScalarField, sp: StagnationPoint,
                     radii, reference_n: int = 129,
                     density_radius: float | None = None,
-                    direction_radius: float | None = None,
-                    annuli=None) -> BlowupResult:
+                    direction_radius: float | None = None) -> BlowupResult:
     """Rescale along a decreasing radius schedule and collect convergence
     diagnostics, the density estimate, and the asymptotic directions."""
     radii = [float(r) for r in radii]
@@ -257,8 +256,8 @@ def blowup_analysis(spec: ProblemSpec, u: ScalarField, sp: StagnationPoint,
     dens = estimate_density(spec, u, sp, r_dens)
     r_dir = direction_radius if direction_radius is not None else radii[-1]
     try:
-        est = estimate_asymptotic_directions(u, annuli=annuli,
-                                             center=sp.location, radius=r_dir)
+        est = estimate_asymptotic_directions(u, center=sp.location,
+                                             radius=r_dir)
         directions = (est.theta1, est.theta2)
     except EmptyPositivity:
         est, directions = None, None

@@ -55,18 +55,21 @@ from .domain import (GridSpec, InvalidBoundary, InvalidSpec, ProblemSpec,
 from .quadrature import grad_central, laplacian5
 
 
+OMEGA = 1.85            # SOR relaxation factor
+TOL_FIELD = 1e-7        # relative per-block field change at rest
+BLOCK_SIZE = 10         # sweeps per energy/stationarity check
+ENVELOPE_MARGIN = 1.3   # envelope constant over the largest ring u / monomial
+
+
 @dataclass
 class SolverParams:
-    """Knobs for minimize_energy; None picks a spacing-based default."""
+    """Settings of minimize_energy: the sweep budget, and whether the air
+    half-plane is pinned to zero and the Bernstein envelope trims spikes
+    (both on for every pipeline solve)."""
 
-    smoothing_eps: float | None = None
-    step_size: float | None = None   # SOR relaxation factor in (0, 2)
     max_iters: int = 6000            # total sweeps
-    tol_field: float = 1e-7          # relative per-block field change at rest
-    block_size: int = 10             # sweeps per energy/stationarity check
     enforce_support: bool = True
     bernstein_trim: bool = True
-    bernstein_margin: float = 1.3
 
 
 @dataclass
@@ -226,7 +229,11 @@ def minimize_energy(spec: ProblemSpec, grid: GridSpec, boundary_data,
     not a certified global minimizer of the discrete energy (see the
     module docstring).  ``weight`` overrides the spec weight nodewise
     (diagnostic hook, e.g. freezing the weight to 1 for plane-solution
-    smoke tests).
+    smoke tests) and switches the envelope off.
+
+    ``params`` sets the sweep budget and the two switches.  The band width
+    eps = 2h*sqrt(w) and the module constants OMEGA, TOL_FIELD, BLOCK_SIZE
+    and ENVELOPE_MARGIN are fixed.
     """
     params = params or SolverParams()
     bd = boundary_data.values if isinstance(boundary_data, ScalarField) else np.asarray(boundary_data, float)
@@ -246,24 +253,18 @@ def minimize_energy(spec: ProblemSpec, grid: GridSpec, boundary_data,
 
     w = _weight_nodes(spec, grid) if weight is None else np.asarray(weight, float)
     h = grid.spacing
-    if params.smoothing_eps is not None:
-        eps = np.full_like(w, params.smoothing_eps)
-    else:
-        # local band width 2h*sqrt(w): the band criterion u < eps is then
-        # slope < 2*sqrt(w), scale-correct under the degenerate weight, and
-        # the stationary band exit slope is sqrt(w).  The band drains in
-        # O(1) sweeps only where w is bounded below.  Near a degenerate
-        # stagnation point w -> 0 (w ~ r^3 at a type-3 point) takes the
-        # band and its pull with it, so the flow keeps a front that the
-        # start placed too wide there; the sharpening's energy comparison
-        # below settles it.  Flooring eps does not help: near the vertex
-        # the whole cone then lies in the band and is drained to zero.
-        eps = 2.0 * h * np.sqrt(w)
+    # local band width 2h*sqrt(w): the band criterion u < eps is then
+    # slope < 2*sqrt(w), scale-correct under the degenerate weight, and
+    # the stationary band exit slope is sqrt(w).  The band drains in O(1)
+    # sweeps only where w is bounded below.  Near a degenerate stagnation
+    # point w -> 0 (w ~ r^3 at a type-3 point) takes the band and its pull
+    # with it, so the flow keeps a front that the start placed too wide
+    # there; the sharpening's energy comparison below settles it.
+    # Flooring eps does not help: near the vertex the whole cone then lies
+    # in the band and is drained to zero.
+    eps = 2.0 * h * np.sqrt(w)
     tiny = 1e-300
     band_force = np.where(eps > tiny, w / np.maximum(eps, tiny), 0.0)
-    omega = params.step_size if params.step_size is not None else 1.85
-    if not (0.0 < omega < 2.0):
-        raise InvalidSpec("SOR relaxation factor must lie in (0, 2)")
 
     if initial is not None:
         u = initial.values.copy()
@@ -293,7 +294,7 @@ def minimize_energy(spec: ProblemSpec, grid: GridSpec, boundary_data,
         mono = value_envelope_monomial(spec, X, Y)
         sel = ring & (mono > 0) & (bd > 0)
         if np.any(sel):
-            c_env = params.bernstein_margin * float(np.max(bd[sel] / mono[sel]))
+            c_env = ENVELOPE_MARGIN * float(np.max(bd[sel] / mono[sel]))
             envelope = c_env * mono
             envelope[ring] = np.inf
             # make the baseline feasible without cratering its support
@@ -318,13 +319,13 @@ def minimize_energy(spec: ProblemSpec, grid: GridSpec, boundary_data,
     # recorded energy sequence non-increasing by construction.
     while iters < params.max_iters:
         u_prev = u.copy()
-        _sor_block(u, free, eps, pull, omega, envelope, params.block_size)
-        iters += params.block_size
+        _sor_block(u, free, eps, pull, OMEGA, envelope, BLOCK_SIZE)
+        iters += BLOCK_SIZE
         e = _energy_raw(u, grid, w)
         if e < e_best:
             best, e_best = u.copy(), e
             energies.append(e)
-        if float(np.max(np.abs(u - u_prev))) < params.tol_field * scale:
+        if float(np.max(np.abs(u - u_prev))) < TOL_FIELD * scale:
             converged = True
             break
     else:

@@ -63,9 +63,18 @@ def _need(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _known(mapping, keys: tuple[str, ...], where: str) -> dict:
+    """The mapping itself; ConfigError names the first key not in ``keys``."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    for key in mapping:
+        if key not in keys:
+            raise ConfigError(f"unknown field '{key}' in {where}")
+    return mapping
+
+
 @dataclass
 class BoundaryConfig:
-    source: str = "oracle"          # oracle | plane | zero
     perturbation: float = 0.0       # amplitude of the decaying same-cone mode
     pair_theta1: float | None = None  # type-3 seed pair
     init: str = "hull"              # hull | oracle
@@ -78,7 +87,6 @@ class AnalysisConfig:
     blowup_radii: list[float] = field(default_factory=list)
     density_radius: float | None = None
     direction_radius: float | None = None
-    annuli: list[float] | None = None
     reference_n: int = 129
 
 
@@ -100,23 +108,33 @@ class PipelineConfig:
 
 
 def _parse_stag(d: dict) -> Type1 | Type2 | Type3:
-    kind = _need(d, "type", "problem.stagnation")
+    where = "problem.stagnation"
+    kind = _need(d, "type", where)
     if kind in (1, "1", "type1"):
-        return Type1(x0=_need(d, "x0", "problem.stagnation"),
+        _known(d, ("type", "x0", "theta0"), where)
+        return Type1(x0=_need(d, "x0", where),
                      theta0=d.get("theta0", 3 * math.pi / 2))
     if kind in (2, "2", "type2"):
-        return Type2(y0=_need(d, "y0", "problem.stagnation"),
+        _known(d, ("type", "y0", "theta0"), where)
+        return Type2(y0=_need(d, "y0", where),
                      theta0=d.get("theta0", 0.0))
     if kind in (3, "3", "type3"):
+        _known(d, ("type", "theta_star"), where)
         return Type3(theta_star=d.get("theta_star", -math.pi / 2))
     raise ConfigError(f"unknown stagnation type {kind!r}")
 
 
 def parse_config(data: dict) -> PipelineConfig:
+    """The config as typed settings.  Every mapping is checked against the
+    keys read from it, so a mistyped or retired key is a ConfigError."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
     try:
-        prob = _need(data, "problem", "config")
+        _known(data, ("problem", "grid", "solver", "boundary", "analysis",
+                      "outputs"), "config")
+        prob = _known(_need(data, "problem", "config"),
+                      ("alpha", "beta", "domain", "stagnation",
+                       "weight_constant"), "problem")
         alpha = _need(prob, "alpha", "problem")
         beta = _need(prob, "beta", "problem")
         dom = _need(prob, "domain", "problem")
@@ -125,34 +143,31 @@ def parse_config(data: dict) -> PipelineConfig:
             stag=_parse_stag(_need(prob, "stagnation", "problem")),
             domain=Rect(*[float(v) for v in dom]),
             weight_constant=float(prob.get("weight_constant", 1.0)))
-        grid_cfg = _need(data, "grid", "config")
+        grid_cfg = _known(_need(data, "grid", "config"), ("nx", "ny"), "grid")
         grid = GridSpec.from_domain(spec.domain,
                                     int(_need(grid_cfg, "nx", "grid")),
                                     int(_need(grid_cfg, "ny", "grid")))
-        sol = data.get("solver", {}) or {}
-        solver = SolverParams(
-            smoothing_eps=sol.get("smoothing_eps"),
-            step_size=sol.get("step_size"),
-            max_iters=int(sol.get("max_iters", 6000)),
-            tol_field=float(sol.get("tol_field", 1e-7)),
-            block_size=int(sol.get("block_size", 10)),
-            enforce_support=bool(sol.get("enforce_support", True)),
-            bernstein_trim=bool(sol.get("bernstein_trim", True)),
-            bernstein_margin=float(sol.get("bernstein_margin", 1.3)))
-        bnd = data.get("boundary", {}) or {}
+        sol = _known(data.get("solver") or {}, ("max_iters",), "solver")
+        solver = SolverParams(max_iters=int(sol.get("max_iters", 6000)))
+        bnd = _known(data.get("boundary") or {},
+                     ("source", "perturbation", "pair_theta1", "init"),
+                     "boundary")
+        # the boundary data is always the oracle's blow-up profile; the
+        # key stays readable because checked-in configs spell it out
+        if bnd.get("source", "oracle") != "oracle":
+            raise ConfigError(f"unknown boundary source {bnd['source']!r}")
         boundary = BoundaryConfig(
-            source=bnd.get("source", "oracle"),
             perturbation=float(bnd.get("perturbation", 0.0)),
             pair_theta1=bnd.get("pair_theta1"),
             init=bnd.get("init", "hull"))
-        if boundary.source not in ("oracle", "plane", "zero"):
-            raise ConfigError(f"unknown boundary source {boundary.source!r}")
         if boundary.init not in ("hull", "oracle"):
             raise ConfigError(f"unknown solver init {boundary.init!r}")
         if boundary.pair_theta1 is not None:
             # the pair seeds type-3 boundary data and the table's type-3 row
             oracle.angle_pair(spec.alpha, spec.beta, boundary.pair_theta1)
-        ana = data.get("analysis", {}) or {}
+        ana = _known(data.get("analysis") or {},
+                     ("delta", "radii", "blowup_radii", "density_radius",
+                      "direction_radius", "reference_n"), "analysis")
         radii = _radii_list(ana.get("radii"))
         analysis = AnalysisConfig(
             delta=ana.get("delta"),
@@ -160,9 +175,11 @@ def parse_config(data: dict) -> PipelineConfig:
             blowup_radii=[float(r) for r in ana.get("blowup_radii", [])],
             density_radius=ana.get("density_radius"),
             direction_radius=ana.get("direction_radius"),
-            annuli=ana.get("annuli"),
             reference_n=int(ana.get("reference_n", 129)))
-        out = data.get("outputs", {}) or {}
+        # checked here, so a bad delta fails before the solve, not after it
+        stagnation_point(spec, analysis.delta)
+        out = _known(data.get("outputs") or {}, ("directory", "formats"),
+                     "outputs")
         formats = check_formats(out.get("formats", FORMATS))
         outputs = OutputConfig(directory=out.get("directory", "out"), formats=formats)
     except ConfigError:
@@ -189,6 +206,7 @@ def _radii_list(spec) -> list[float]:
     if isinstance(spec, (list, tuple)):
         return [float(r) for r in spec]
     if isinstance(spec, dict):
+        _known(spec, ("r_min", "r_max", "count", "log"), "analysis.radii")
         r0 = float(_need(spec, "r_min", "analysis.radii"))
         r1 = float(_need(spec, "r_max", "analysis.radii"))
         n = int(_need(spec, "count", "analysis.radii"))
@@ -211,7 +229,9 @@ def load_config(path) -> PipelineConfig:
 # ---------------------------------------------------------------------------
 # stage: boundary data
 
-def _oracle_boundary(cfg: PipelineConfig):
+def build_boundary(cfg: PipelineConfig):
+    """Full-grid array whose ring supplies the Dirichlet data (the blow-up
+    profile, plus the optional perturbation mode), and that profile."""
     spec = cfg.problem
     # the seed pair is read for type 3 only
     pair = oracle.angle_pair(spec.alpha, spec.beta, cfg.boundary.pair_theta1)
@@ -234,17 +254,6 @@ def _oracle_boundary(cfg: PipelineConfig):
     return np.asarray(vals), profile
 
 
-def build_boundary(cfg: PipelineConfig):
-    """Full-grid array whose ring supplies the Dirichlet data, plus the
-    oracle profile used (None for plane/zero data)."""
-    if cfg.boundary.source == "zero":
-        return np.zeros((cfg.grid.ny, cfg.grid.nx)), None
-    if cfg.boundary.source == "plane":
-        _, Y = cfg.grid.mesh()
-        return np.maximum(-Y, 0.0), None
-    return _oracle_boundary(cfg)
-
-
 # ---------------------------------------------------------------------------
 # stages
 
@@ -253,16 +262,9 @@ def run_solve(cfg: PipelineConfig) -> tuple[SolveResult, object]:
         bd, profile = build_boundary(cfg)
         initial = None
         if cfg.boundary.init == "oracle":
-            if profile is None:
-                raise ConfigError("init=oracle needs an oracle boundary source")
             initial = ScalarField(cfg.grid, bd.copy())
-        weight = None
-        if cfg.boundary.source == "plane":
-            weight = np.ones((cfg.grid.ny, cfg.grid.nx))
         result = minimize_energy(cfg.problem, cfg.grid, bd, cfg.solver,
-                                 initial=initial, weight=weight)
-    except ConfigError:
-        raise
+                                 initial=initial)
     except Exception as exc:
         raise SolverError(f"solve stage failed: {exc}") from exc
     return result, profile
@@ -280,8 +282,8 @@ def run_analysis(cfg: PipelineConfig, u: ScalarField):
             cfg.problem, u, sp, cfg.analysis.blowup_radii,
             reference_n=cfg.analysis.reference_n,
             density_radius=cfg.analysis.density_radius,
-            direction_radius=cfg.analysis.direction_radius,
-            annuli=cfg.analysis.annuli) if cfg.analysis.blowup_radii else None
+            direction_radius=cfg.analysis.direction_radius) \
+            if cfg.analysis.blowup_radii else None
         return sp, wp, fp, br
     except Exception as exc:
         raise AnalysisError(f"analysis stage failed: {exc}") from exc
@@ -325,11 +327,6 @@ def write_table1(alpha: float, beta: float, path,
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def _downsample(values: np.ndarray, max_side: int = 128) -> np.ndarray:
-    step = max(1, int(math.ceil(max(values.shape) / max_side)))
-    return values[::step, ::step]
-
-
 def _marching_segments(values: np.ndarray, grid: GridSpec, level: float):
     """Line segments of the level set by marching squares (no chaining)."""
     v = values - level
@@ -366,8 +363,9 @@ def write_svg(u: ScalarField, spec: ProblemSpec, sp: StagnationPoint, path,
     """Grayscale contour of u, the free-boundary polyline, and (when a
     profile is given) the predicted cone edges."""
     g = u.grid
-    sub = _downsample(u.values)
-    step = max(1, int(math.ceil(max(u.values.shape) / 128)))
+    # at most 128 shaded cells per side
+    step = max(1, math.ceil(max(u.values.shape) / 128))
+    sub = u.values[::step, ::step]
     vmax = float(u.values.max()) or 1.0
     ext = g.extent
     sx = size / (ext.x_max - ext.x_min)

@@ -142,19 +142,12 @@ def require_circle_inside(grid: GridSpec, center, r: float, factor: float = 1.0)
             f"ball of radius {factor * r:g} exceeds grid reach {room:g}")
 
 
-def circle_samples(values: np.ndarray, grid: GridSpec, center, r: float,
-                   n_min: int = 64):
-    """Sample a nodewise array on the circle of radius r; returns
-    (sampled values, arclength weight per sample)."""
-    require_circle_inside(grid, center, r)
-    n = max(n_min, int(math.ceil(TWO_PI * r / grid.spacing)))
-    theta = TWO_PI * np.arange(n) / n
-    px = center[0] + r * np.cos(theta)
-    py = center[1] + r * np.sin(theta)
-    vals = bilinear(values, grid, px, py)
-    return vals, r * TWO_PI / n
-
-
 def circle_integral_u2(values: np.ndarray, grid: GridSpec, center, r: float) -> float:
-    vals, w = circle_samples(values, grid, center, r)
-    return float(np.sum(vals * vals) * w)
+    """Integral of u^2 over the circle of radius r about ``center``, from
+    bilinear samples at max(64, ceil(2 pi r / h)) equispaced angles."""
+    require_circle_inside(grid, center, r)
+    n = max(64, int(math.ceil(TWO_PI * r / grid.spacing)))
+    theta = TWO_PI * np.arange(n) / n
+    vals = bilinear(values, grid, center[0] + r * np.cos(theta),
+                    center[1] + r * np.sin(theta))
+    return float(np.sum(vals * vals) * (r * TWO_PI / n))

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import subprocess
@@ -62,6 +63,55 @@ class TestConfigParsing:
         data["outputs"]["formats"] = ["csv", "pdf"]
         with pytest.raises(ConfigError, match="pdf"):
             parse_config(data)
+
+    # the solver, boundary and analysis settings that are constants now
+    @pytest.mark.parametrize("section, key, value", [
+        ("solver", "smoothing_eps", 0.01),
+        ("solver", "step_size", 1.85),
+        ("solver", "tol_field", 1e-7),
+        ("solver", "block_size", 10),
+        ("solver", "bernstein_margin", 1.3),
+        ("solver", "enforce_support", True),
+        ("solver", "bernstein_trim", True),
+        ("boundary", "source", "plane"),
+        ("boundary", "source", "zero"),
+        ("analysis", "annuli", [0.25, 0.85]),
+    ])
+    def test_retired_key_rejected(self, section, key, value):
+        data = json.loads(json.dumps(SMALL_CONFIG))
+        data[section][key] = value
+        with pytest.raises(ConfigError, match=value if key == "source" else key):
+            parse_config(data)
+
+    @pytest.mark.parametrize("path, key", [
+        ((), "smoothng_eps"), (("problem",), "smoothng_eps"),
+        (("problem", "stagnation"), "smoothng_eps"),
+        # a type-2 key on a type-1 point
+        (("problem", "stagnation"), "y0"),
+        (("grid",), "smoothng_eps"), (("solver",), "smoothng_eps"),
+        (("boundary",), "smoothng_eps"), (("analysis",), "smoothng_eps"),
+        (("analysis", "radii"), "smoothng_eps"), (("outputs",), "smoothng_eps")])
+    def test_unknown_key_named_in_every_mapping(self, path, key):
+        data = json.loads(json.dumps(SMALL_CONFIG))
+        mapping = data
+        for name in path:
+            mapping = mapping[name]
+        mapping[key] = 0.1
+        with pytest.raises(ConfigError, match=f"unknown field '{key}'"):
+            parse_config(data)
+
+    @pytest.mark.parametrize("delta", [5.0, 0.0, -0.1])
+    def test_delta_out_of_range_rejected(self, delta):
+        data = json.loads(json.dumps(SMALL_CONFIG))
+        data["analysis"]["delta"] = delta
+        with pytest.raises(ConfigError, match="delta"):
+            parse_config(data)
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")),
+                             ids=lambda p: p.stem)
+    def test_checked_in_config_loads(self, path):
+        cfg = load_config(path)
+        assert cfg.outputs.directory == f"out/{path.stem}"
 
     def test_radii_list_and_range(self):
         data = json.loads(json.dumps(SMALL_CONFIG))
@@ -198,27 +248,56 @@ class TestTable1Writer:
         assert lines[-1].split(",")[4] == "N/A"
 
 
+class TestReproduceAll:
+    @pytest.mark.parametrize("verdict, status", [("corner", 0), ("cusp", 1)])
+    def test_exit_status_follows_verdicts(self, monkeypatch, tmp_path,
+                                          verdict, status):
+        path = CONFIGS.parent / "scripts" / "reproduce_all.py"
+        spec = importlib.util.spec_from_file_location("reproduce_all", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+
+        def fake_run(cfg, stages):
+            if "classify" in stages:
+                return {"outputs": {}, "classification": verdict}
+            return {"outputs": {}}
+
+        monkeypatch.setattr(script, "run", fake_run)
+        monkeypatch.setattr(sys, "argv", ["reproduce_all", "--out", str(tmp_path)])
+        assert script.main() == status
+
+
 class TestCli:
     def run_cli(self, *args):
         return subprocess.run([sys.executable, "-m", "cornerwave", *args],
                               capture_output=True, text=True)
 
     @pytest.mark.parametrize("verb", ["run", "table1", "solve"])
-    @pytest.mark.parametrize("config", ["missing_field", "bad_pair"])
+    @pytest.mark.parametrize("config", ["missing_field", "bad_pair",
+                                        "unknown_key", "bad_delta"])
     def test_malformed_config_exit_2(self, tmp_path, config, verb):
         bad = tmp_path / "bad.yaml"
         if config == "missing_field":
             bad.write_text("problem: {alpha: 0.0}\n")
         else:
-            # a type-3 seed pair whose edge weights differ
             data = yaml.safe_load((CONFIGS / "corner_type3.yaml").read_text())
-            data["boundary"]["pair_theta1"] = 0.3
+            if config == "bad_pair":
+                # a type-3 seed pair whose edge weights differ
+                data["boundary"]["pair_theta1"] = 0.3
+            elif config == "unknown_key":
+                # a misspelt max_iters
+                data["solver"] = {"max_iter": 100}
+            else:
+                # delta beyond half the distance to the domain edge
+                data["analysis"]["delta"] = 5.0
             bad.write_text(yaml.safe_dump(data))
         out = tmp_path / "o"
         r = self.run_cli(verb, "--config", str(bad), "--out", str(out))
         assert r.returncode == 2, r.stderr
         rec = json.loads((out / "error.json").read_text())
         assert rec["stage"] == "config"
+        # rejected before any stage ran
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
     def test_table1_verb(self, tmp_path):
         cfgp = tmp_path / "c.yaml"

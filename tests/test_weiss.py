@@ -101,6 +101,26 @@ class TestRemainder:
         assert cw.remainder_term(spec, u, sp, 0.3) == pytest.approx(0.0, abs=1e-9)
 
 
+class TestCumulativeRemainder:
+    def test_exact_on_linear_h(self):
+        # the trapezoid rule is exact on a linear h, so past the first
+        # radius the running sum is the integral from r_0
+        radii = np.geomspace(0.05, 0.45, 9)
+        h = 2.0 - 3.0 * radii
+        out = weiss.cumulative_remainder(radii, h)
+
+        def antiderivative(r):
+            return 2.0 * r - 1.5 * r * r
+
+        exact = antiderivative(radii) - antiderivative(radii[0])
+        assert out - out[0] == pytest.approx(exact, rel=0, abs=1e-15)
+
+    def test_first_stretch_is_h_times_r0(self):
+        out = weiss.cumulative_remainder([0.2, 0.3], [0.7, 0.5])
+        assert out[0] == 0.7 * 0.2
+        assert out[1] == pytest.approx(0.14 + 0.5 * (0.7 + 0.5) * 0.1)
+
+
 class TestRadialSweep:
     def test_one_stencil_and_ring_per_radius(self, monkeypatch):
         # type 1 with alpha = 1 has h != 0, so the remainder integral must
