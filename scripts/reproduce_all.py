@@ -1,5 +1,7 @@
 #!/usr/bin/env python3
-"""Run every bundled experiment config and print a one-line summary each.
+"""Run every bundled experiment config and print a one-line summary each:
+wall time, verdict, solver sweeps and convergence ("-" for a config that
+does not solve) and the number of files written.
 
 Usage: python scripts/reproduce_all.py [--out DIR]
 
@@ -39,7 +41,11 @@ def main() -> int:
         manifest = run(cfg, stages=STAGES[verb])
         dt = time.monotonic() - t0
         verdict = manifest.get("classification", "-")
-        print(f"{name:28s} {dt:7.1f}s  verdict={verdict}  files={len(manifest['outputs'])}")
+        solver = manifest.get("solver", {})
+        print(f"{name:28s} {dt:7.1f}s  verdict={verdict}  "
+              f"sweeps={solver.get('iterations', '-')}  "
+              f"converged={solver.get('converged', '-')}  "
+              f"files={len(manifest['outputs'])}")
         if verb == "run" and verdict != "corner":
             status = 1
     return status

@@ -283,7 +283,21 @@ def minimize_energy(spec: ProblemSpec, grid: GridSpec, boundary_data,
     # excluded by the Bernstein bound rather than by energetics, so the
     # plain descent cannot remove them; the envelope constant is taken
     # from the ring data itself (scale-invariant for cone-trace data).
+    #
+    # ``zapped`` remembers the zeroed nodes for the whole flow; a node in
+    # it stays zero until the flow ends.  Without it each block regrows
+    # the nodes the block before zeroed and zeroes them again, a limit
+    # cycle that runs the beta = 2 and alpha = 2 corners to max_iters
+    # (6000 sweeps, against 910 with the memory kept).  The zaps of the
+    # first block alone are released, as they act on the start rather
+    # than on the flow: Stokes zaps 33 nodes in its first block and none
+    # after, and keeping those empties the Stokes vertex (its analysis
+    # then fails at r = 0.05).  With a memory per block, beta = 2 zaps up
+    # to 47 nodes in 585 of the 599 later blocks and never the same set
+    # in two blocks running, so a test for a repeated zap set would not
+    # stop its cycle.
     envelope = None
+    zapped = None
     if params.bernstein_trim and weight is None \
             and spec.model.bisector is not None:
         # No envelope for type 3 (no fixed bisector): a cone containing a
@@ -296,9 +310,11 @@ def minimize_energy(spec: ProblemSpec, grid: GridSpec, boundary_data,
         if np.any(sel):
             c_env = ENVELOPE_MARGIN * float(np.max(bd[sel] / mono[sel]))
             envelope = c_env * mono
-            envelope[ring] = np.inf
+            # pinned nodes keep their value, so none enters the memory
+            envelope[pinned] = np.inf
             # make the baseline feasible without cratering its support
             np.minimum(u, envelope, out=u)
+            zapped = np.zeros(u.shape, dtype=bool)
 
     best = u.copy()
     e_best = _energy_raw(best, grid, w)
@@ -319,7 +335,9 @@ def minimize_energy(spec: ProblemSpec, grid: GridSpec, boundary_data,
     # recorded energy sequence non-increasing by construction.
     while iters < params.max_iters:
         u_prev = u.copy()
-        _sor_block(u, free, eps, pull, OMEGA, envelope, BLOCK_SIZE)
+        _sor_block(u, free, eps, pull, OMEGA, envelope, zapped, BLOCK_SIZE)
+        if iters == 0 and zapped is not None:
+            zapped[...] = False
         iters += BLOCK_SIZE
         e = _energy_raw(u, grid, w)
         if e < e_best:
@@ -389,14 +407,17 @@ def _neighbour_sum(u: np.ndarray, nbrs) -> np.ndarray:
 
 def _sor_block(u: np.ndarray, free: np.ndarray, eps: np.ndarray,
                pull: np.ndarray, omega: float, envelope: np.ndarray | None,
-               sweeps: int) -> None:
+               zapped: np.ndarray | None, sweeps: int) -> None:
     """Projected red-black SOR sweeps on ``u`` in place, free nodes only.
 
     A node's target is the neighbour mean less ``pull`` where it lies in
     the band 0 < u < eps; the relaxed value is clamped at zero and, with
-    an envelope, zeroed where it exceeds the envelope.  A zeroed node
-    stays zero for the rest of the block, so its surroundings relax down
-    instead of instantly regrowing it past the envelope.
+    an envelope, zeroed where it exceeds the envelope.  ``zapped`` (a
+    boolean array of ``u``'s shape, given with the envelope) is the zap
+    memory: a zeroed node is marked in it in place, and a marked node is
+    set to +0.0 at every update, so its surroundings relax down instead of
+    instantly regrowing it past the envelope.  The memory only grows here;
+    the caller keeps it across blocks (see minimize_energy).
 
     Only updated nodes are clamped and tested: the rest of the field is
     already nonnegative and under the envelope (the caller starts from
@@ -407,19 +428,19 @@ def _sor_block(u: np.ndarray, free: np.ndarray, eps: np.ndarray,
     lattice = []
     for idx, nbrs in _sublattices(u.shape):
         env = None if envelope is None else envelope[idx].copy()
-        zapped = None if envelope is None else np.zeros(env.shape, dtype=bool)
+        zap = None if envelope is None else zapped[idx]
         lattice.append((u[idx], nbrs, eps[idx].copy(), pull[idx].copy(),
-                        free[idx].copy(), env, zapped))
+                        free[idx].copy(), env, zap))
     for _ in range(sweeps):
-        for node, nbrs, eps_s, pull_s, free_s, env, zapped in lattice:
+        for node, nbrs, eps_s, pull_s, free_s, env, zap in lattice:
             target = 0.25 * _neighbour_sum(u, nbrs)
             target -= pull_s * ((node > 0.0) & (node < eps_s))
             new = keep * node
             new += omega * target
             np.maximum(new, 0.0, out=new)
             if env is not None:
-                zapped |= new > env
-                new[zapped] = 0.0
+                zap |= new > env
+                new[zap] = 0.0
             np.copyto(node, new, where=free_s)
 
 

@@ -73,6 +73,19 @@ def _known(mapping, keys: tuple[str, ...], where: str) -> dict:
     return mapping
 
 
+def _float_or_none(mapping: dict, key: str, where: str) -> float | None:
+    """``mapping[key]`` as a float, None when it is absent or null;
+    ConfigError names the key when the value is not a number."""
+    value = mapping.get(key)
+    if value is None:
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"{where}.{key} must be a number, not {value!r}") from None
+
+
 @dataclass
 class BoundaryConfig:
     perturbation: float = 0.0       # amplitude of the decaying same-cone mode
@@ -158,7 +171,7 @@ def parse_config(data: dict) -> PipelineConfig:
             raise ConfigError(f"unknown boundary source {bnd['source']!r}")
         boundary = BoundaryConfig(
             perturbation=float(bnd.get("perturbation", 0.0)),
-            pair_theta1=bnd.get("pair_theta1"),
+            pair_theta1=_float_or_none(bnd, "pair_theta1", "boundary"),
             init=bnd.get("init", "hull"))
         if boundary.init not in ("hull", "oracle"):
             raise ConfigError(f"unknown solver init {boundary.init!r}")
@@ -170,11 +183,12 @@ def parse_config(data: dict) -> PipelineConfig:
                       "direction_radius", "reference_n"), "analysis")
         radii = _radii_list(ana.get("radii"))
         analysis = AnalysisConfig(
-            delta=ana.get("delta"),
+            delta=_float_or_none(ana, "delta", "analysis"),
             radii=radii,
             blowup_radii=[float(r) for r in ana.get("blowup_radii", [])],
-            density_radius=ana.get("density_radius"),
-            direction_radius=ana.get("direction_radius"),
+            density_radius=_float_or_none(ana, "density_radius", "analysis"),
+            direction_radius=_float_or_none(ana, "direction_radius",
+                                            "analysis"),
             reference_n=int(ana.get("reference_n", 129)))
         # checked here, so a bad delta fails before the solve, not after it
         stagnation_point(spec, analysis.delta)

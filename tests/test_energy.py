@@ -180,6 +180,14 @@ class TestMinimize:
         r = cw.harmonic_residual(stokes_case.result.field, threshold=0.05)
         assert r <= 1.5
 
+    @pytest.mark.parametrize("case", ["beta2_case", "alpha2_case"])
+    def test_envelope_corners_converge(self, request, case):
+        # with the zap memory cleared at every block, the envelope kept
+        # these two flows in a cycle up to max_iters
+        result = request.getfixturevalue(case).result
+        assert result.converged
+        assert result.iterations < cw.SolverParams().max_iters
+
     def test_comparison_principle(self):
         # scaling the data up never shrinks the positivity set
         spec = stokes_spec()
@@ -196,13 +204,15 @@ class TestMinimize:
 def masked_sor_block(air, zaps):
     """The boolean-masked red-black kernel the strided one replaced: every
     half-sweep works on the whole array, clamps it at zero, tests it
-    against the envelope and re-zeroes the air half-plane.  ``zaps``
-    collects the number of envelope zaps per half-sweep."""
-    def sor_block(u, free, eps, pull, omega, envelope, sweeps):
+    against the envelope, zeroes the nodes in the zap memory ``zapped``
+    and re-zeroes the air half-plane.  ``zaps`` collects the size of the
+    memory a block starts with and the size it ends with."""
+    def sor_block(u, free, eps, pull, omega, envelope, zapped, sweeps):
         jj, ii = np.indices(u.shape)
         parity = (jj + ii) % 2 == 0
         colors = (parity & free, ~parity & free)
-        zapped = None
+        if zapped is not None:
+            carried = int(zapped.sum())
         for _ in range(sweeps):
             for mask in colors:
                 nb = np.zeros_like(u)
@@ -213,11 +223,11 @@ def masked_sor_block(air, zaps):
                 u[mask] = (1.0 - omega) * u[mask] + omega * target[mask]
                 np.maximum(u, 0.0, out=u)
                 if envelope is not None:
-                    viol = u > envelope
-                    zapped = viol if zapped is None else (zapped | viol)
-                    zaps.append(int(zapped.sum()))
+                    zapped |= u > envelope
                     u[zapped] = 0.0
                 u[air] = 0.0
+        if zapped is not None:
+            zaps.append((carried, int(zapped.sum())))
     return sor_block
 
 
@@ -238,10 +248,16 @@ def kernel_case(kind, nx, ny, **params):
     """A spec, grid and cone-trace boundary data with the stagnation point
     inside; h = 1/16, so 33 x 33 spans two units per side."""
     h = 1.0 / 16.0
-    if kind == "type1":    # Stokes, subcase 1.1: envelope on, air y >= 0
+    if kind == "stokes":   # subcase 1.1: envelope on, air y >= 0
         spec = cw.ProblemSpec(0.0, 1.0, cw.Type1(x0=-1.0),
                               cw.Rect(-2.0, -1.0, -2.0 + (nx - 1) * h,
                                       -1.0 + (ny - 1) * h))
+        profile = blowup_limit(spec)
+    elif kind == "beta2":  # the same, beta = 2, centred on (-1, 0)
+        x0, y0 = -1.0 - (nx - 1) // 2 * h, -((ny - 1) // 2) * h
+        spec = cw.ProblemSpec(0.0, 2.0, cw.Type1(x0=-1.0),
+                              cw.Rect(x0, y0, x0 + (nx - 1) * h,
+                                      y0 + (ny - 1) * h))
         profile = blowup_limit(spec)
     else:                  # type 3: no envelope, air above the seed cone
         spec = cw.ProblemSpec(2.0, 1.0, cw.Type3(),
@@ -255,10 +271,13 @@ def kernel_case(kind, nx, ny, **params):
 
 
 KERNEL_CASES = {
-    "type1-33x33": ("type1", 33, 33, {}),
-    "type1-34x31": ("type1", 34, 31, {}),
-    "type1-33x33-capped": ("type1", 33, 33, {"max_iters": 40}),
-    "type1-34x31-no-air": ("type1", 34, 31, {"enforce_support": False}),
+    "type1-33x33": ("stokes", 33, 33, {}),
+    "type1-34x31": ("stokes", 34, 31, {}),
+    "type1-33x33-capped": ("stokes", 33, 33, {"max_iters": 40}),
+    "type1-34x31-no-air": ("stokes", 34, 31, {"enforce_support": False}),
+    # zaps 3 nodes in block 2 and keeps them in the memory to the end;
+    # dropping them between blocks changes the returned field
+    "type1-beta2-49x49": ("beta2", 49, 49, {}),
     "type3-33x33": ("type3", 33, 33, {}),
     "type3-34x31": ("type3", 34, 31, {}),
 }
@@ -289,7 +308,42 @@ class TestStridedKernel:
         assert fast.converged == ref.converged == ("capped" not in case)
         assert fast.energies == ref.energies
         # the envelope is on for type 1 only, and zaps nodes there
-        assert (sum(zaps) > 0) == (kind == "type1")
+        assert bool(zaps) == (kind != "type3")
+        if zaps:
+            assert max(end for _, end in zaps) > 0
+            # the first block starts with an empty memory and its zaps
+            # are released; later zaps are carried to the end of the flow
+            assert zaps[0][0] == zaps[1][0] == 0
+            assert all(start == prev_end for (start, _), (_, prev_end)
+                       in zip(zaps[2:], zaps[1:]))
+        if kind == "beta2":
+            assert zaps[1][1] == 3 and zaps[-1][0] == 3
+
+    def test_zap_memory_is_kept(self):
+        # marked nodes stay +0.0 through a call, new zaps are added to the
+        # memory, and no mark is dropped
+        rng = np.random.default_rng(3)
+        shape = (33, 34)
+        u = rng.uniform(0.5, 1.0, shape)
+        free = np.zeros(shape, dtype=bool)
+        free[1:-1, 1:-1] = True
+        eps = np.full(shape, 0.1)
+        pull = np.full(shape, 0.01)
+        envelope = np.full(shape, 1.1)
+        envelope[~free] = np.inf
+        marked = np.zeros(shape, dtype=bool)
+        marked[5:9, 6:12] = True
+        zapped = marked.copy()
+        fast = u.copy()
+        energy_module._sor_block(fast, free, eps, pull, 1.85, envelope,
+                                 zapped, sweeps=5)
+        assert np.all(zapped[marked]) and np.any(zapped & ~marked)
+        assert fast[zapped].tobytes() == bytes(8 * int(zapped.sum()))
+        # without the marks the same block regrows those nodes
+        fresh = u.copy()
+        energy_module._sor_block(fresh, free, eps, pull, 1.85, envelope,
+                                 np.zeros(shape, dtype=bool), sweeps=5)
+        assert np.all(fresh[marked] > 0.0)
 
     @pytest.mark.parametrize("shape", [(33, 33), (31, 34)])
     def test_relax_matches_masked_reference(self, shape):

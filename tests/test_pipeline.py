@@ -107,6 +107,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="delta"):
             parse_config(data)
 
+    @pytest.mark.parametrize("section, key", [
+        ("analysis", "delta"), ("analysis", "density_radius"),
+        ("analysis", "direction_radius"), ("boundary", "pair_theta1")])
+    def test_text_number_rejected_by_key(self, section, key):
+        data = json.loads(json.dumps(SMALL_CONFIG))
+        data[section][key] = "abc"
+        with pytest.raises(ConfigError, match=f"{section}.{key} must be a number"):
+            parse_config(data)
+
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")),
                              ids=lambda p: p.stem)
     def test_checked_in_config_loads(self, path):
@@ -250,7 +259,7 @@ class TestTable1Writer:
 
 class TestReproduceAll:
     @pytest.mark.parametrize("verdict, status", [("corner", 0), ("cusp", 1)])
-    def test_exit_status_follows_verdicts(self, monkeypatch, tmp_path,
+    def test_exit_status_follows_verdicts(self, monkeypatch, capsys, tmp_path,
                                           verdict, status):
         path = CONFIGS.parent / "scripts" / "reproduce_all.py"
         spec = importlib.util.spec_from_file_location("reproduce_all", path)
@@ -259,12 +268,22 @@ class TestReproduceAll:
 
         def fake_run(cfg, stages):
             if "classify" in stages:
-                return {"outputs": {}, "classification": verdict}
+                return {"outputs": {}, "classification": verdict,
+                        "solver": {"iterations": 910, "converged": False}}
             return {"outputs": {}}
 
         monkeypatch.setattr(script, "run", fake_run)
         monkeypatch.setattr(sys, "argv", ["reproduce_all", "--out", str(tmp_path)])
         assert script.main() == status
+        # one line per config; the solver status only where it solves
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(script.CONFIGS)
+        for line, (name, verb) in zip(lines, script.CONFIGS):
+            assert line.startswith(name)
+            if verb == "run":
+                assert "sweeps=910  converged=False" in line
+            else:
+                assert "sweeps=-  converged=-" in line
 
 
 class TestCli:
@@ -274,7 +293,8 @@ class TestCli:
 
     @pytest.mark.parametrize("verb", ["run", "table1", "solve"])
     @pytest.mark.parametrize("config", ["missing_field", "bad_pair",
-                                        "unknown_key", "bad_delta"])
+                                        "unknown_key", "bad_delta",
+                                        "text_density_radius"])
     def test_malformed_config_exit_2(self, tmp_path, config, verb):
         bad = tmp_path / "bad.yaml"
         if config == "missing_field":
@@ -287,6 +307,9 @@ class TestCli:
             elif config == "unknown_key":
                 # a misspelt max_iters
                 data["solver"] = {"max_iter": 100}
+            elif config == "text_density_radius":
+                # not a number; used only after the solve
+                data["analysis"]["density_radius"] = "abc"
             else:
                 # delta beyond half the distance to the domain edge
                 data["analysis"]["delta"] = 5.0
@@ -296,6 +319,8 @@ class TestCli:
         assert r.returncode == 2, r.stderr
         rec = json.loads((out / "error.json").read_text())
         assert rec["stage"] == "config"
+        if config == "text_density_radius":
+            assert "analysis.density_radius" in rec["message"]
         # rejected before any stage ran
         assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
