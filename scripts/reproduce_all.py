@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run every bundled experiment config and print a one-line summary each:
-wall time, verdict, solver sweeps and convergence ("-" for a config that
-does not solve) and the number of files written.
+wall time, verdict, solver sweeps, convergence and final energy ("-" for
+a config that does not solve) and the number of files written.
 
 Usage: python scripts/reproduce_all.py [--out DIR]
 
@@ -45,6 +45,7 @@ def main() -> int:
         print(f"{name:28s} {dt:7.1f}s  verdict={verdict}  "
               f"sweeps={solver.get('iterations', '-')}  "
               f"converged={solver.get('converged', '-')}  "
+              f"final_energy={solver.get('final_energy', '-')}  "
               f"files={len(manifest['outputs'])}")
         if verb == "run" and verdict != "corner":
             status = 1

@@ -6,7 +6,7 @@ against."""
 
 from .blowup import (BlowupResult, ClassificationReport, blowup_analysis,
                      check_bernstein, classify, estimate_asymptotic_directions,
-                     estimate_density, homogeneity_residual, rescale)
+                     homogeneity_residual, rescale)
 from .domain import (DegenerateDenominator, EmptyPositivity, GridSpec,
                      InvalidBoundary, InvalidPair, InvalidSpec, ProblemSpec,
                      RadiusOutOfRange, Rect, ScalarField, StagnationPoint,

@@ -23,20 +23,14 @@ import numpy as np
 
 from .domain import (TWO_PI, EmptyPositivity, GridSpec, ProblemSpec,
                      RadiusOutOfRange, ScalarField, StagnationPoint, bilinear,
-                     value_envelope_monomial, weight_at, wrap_angle)
+                     reference_grid, value_envelope_monomial, weight_at,
+                     wrap_angle)
 from .quadrature import DiskStencil, grad_central, require_circle_inside
 from .weiss import limit_density
-
-# Weighted density of the rescaled positivity set (see limit_density).
-estimate_density = limit_density
 
 EXCLUSION_NOTE = ("cusp and flat profiles are excluded for exact weak "
                   "solutions; such a verdict indicates a non-solution field "
                   "or a numerical artifact")
-
-
-def reference_grid(n: int = 129) -> GridSpec:
-    return GridSpec(nx=n, ny=n, origin=(-1.0, -1.0), spacing=2.0 / (n - 1))
 
 
 def rescale(u: ScalarField, sp: StagnationPoint, r: float,
@@ -141,15 +135,12 @@ def _positivity_arcs(values: np.ndarray, grid: GridSpec, rho: float,
     cell."""
     dth = TWO_PI / n_theta
     theta = -math.pi + dth * np.arange(n_theta)
-    nx, ny = grid.nx, grid.ny
 
     def positive(t):
         t = np.asarray(t, dtype=float)
         px = center[0] + rho * np.cos(t)
         py = center[1] + rho * np.sin(t)
-        ii = np.clip(np.rint((px - grid.origin[0]) / grid.spacing).astype(int), 0, nx - 1)
-        jj = np.clip(np.rint((py - grid.origin[1]) / grid.spacing).astype(int), 0, ny - 1)
-        out = values[jj, ii] > 0.0
+        out = values[grid.nearest_node(px, py)] > 0.0
         return bool(out) if np.ndim(out) == 0 else out
 
     mask = positive(theta)
@@ -253,7 +244,7 @@ def blowup_analysis(spec: ProblemSpec, u: ScalarField, sp: StagnationPoint,
              for i in range(len(fields) - 1)]
     resid = homogeneity_residual(fields[-1], -sp.kappa)
     r_dens = density_radius if density_radius is not None else radii[-1]
-    dens = estimate_density(spec, u, sp, r_dens)
+    dens = limit_density(spec, u, sp, r_dens)
     r_dir = direction_radius if direction_radius is not None else radii[-1]
     try:
         est = estimate_asymptotic_directions(u, center=sp.location,

@@ -377,6 +377,18 @@ class GridSpec:
     def distance_to_edge(self, point) -> float:
         return self.extent.distance_to_boundary(point)
 
+    def nearest_node(self, px, py):
+        """Indices (jj, ii) of the node nearest each point (px, py), clamped
+        to the grid."""
+        ii = np.clip(np.rint((px - self.origin[0]) / self.spacing).astype(int), 0, self.nx - 1)
+        jj = np.clip(np.rint((py - self.origin[1]) / self.spacing).astype(int), 0, self.ny - 1)
+        return jj, ii
+
+
+def reference_grid(n: int = 129) -> GridSpec:
+    """The n x n grid on the reference square [-1, 1]^2."""
+    return GridSpec(nx=n, ny=n, origin=(-1.0, -1.0), spacing=2.0 / (n - 1))
+
 
 @dataclass
 class ScalarField:

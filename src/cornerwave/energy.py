@@ -19,18 +19,21 @@ condition 2*lap(u) = w/eps reproduces the Bernoulli balance
 |grad u|^2 = w at the band exit, so the positivity front settles on the
 free boundary.  The sweeps are projected red-black SOR (plain explicit
 steps need O(1/h^2) iterations and let indicator-cost lags stall the
-front), the iterate is re-projected after every half-sweep, and the
-returned field is the best exact-indicator-energy state visited, making
-the recorded energy sequence non-increasing by construction.  Running out
-of sweeps while the energy still falls faster than the tolerance is a
-flagged success (``converged = False``) carrying that best iterate.
+front), and the iterate is re-projected after every half-sweep.  The flow
+only relaxes; the result is chosen once, after it, as the lowest
+exact-indicator energy among the start and eight trimmed, relaxed
+candidates cut from the flow end and the start, so the recorded energy
+sequence is non-increasing.  The flow is not scored: evaluated after
+every 10-sweep block, none of 910 energies over the bundled configs'
+solves (nor any of the test suite's) beat the start.  A solve that runs
+out of sweeps before the field settles is flagged (``converged = False``)
+and chosen the same way.
 
-The returned field is the lowest exact-energy state visited from the
-star-hull start, i.e. a state of the corner basin; it is not always the
-lowest discrete-energy state.  Without the one-layer dilation of the hull,
-the Stokes solve at 257^2 empties the ball r < 0.3 around the stagnation
-point and ends at energy 1.44576, below the 1.44989 of the corner it
-returns with the dilation.
+From the star-hull start the result is a state of the corner basin, not
+always the lowest discrete-energy state.  Without the one-layer dilation
+of the hull, the Stokes solve at 257^2 empties the ball r < 0.3 around
+the stagnation point and ends at energy 1.44576, below the 1.44989 of the
+corner it returns with the dilation.
 
 Admissible fields vanish identically on the closed half-plane through the
 stagnation point opposite the force direction (the air side); the
@@ -202,8 +205,7 @@ def star_hull_mask(grid: GridSpec, center, ring_positive: np.ndarray) -> np.ndar
     t = np.linspace(0.0, 1.0, 3 * max(nx, ny))[None, :]
     sx = center[0] + (px[:, None] - center[0]) * t
     sy = center[1] + (py[:, None] - center[1]) * t
-    ii = np.clip(np.rint((sx - grid.origin[0]) / grid.spacing).astype(int), 0, nx - 1)
-    jj = np.clip(np.rint((sy - grid.origin[1]) / grid.spacing).astype(int), 0, ny - 1)
+    jj, ii = grid.nearest_node(sx, sy)
     mask[jj.ravel(), ii.ravel()] = True
     out = mask.copy()
     out[1:, :] |= mask[:-1, :]
@@ -217,8 +219,8 @@ def minimize_energy(spec: ProblemSpec, grid: GridSpec, boundary_data,
                     params: SolverParams | None = None,
                     initial: ScalarField | None = None,
                     weight: np.ndarray | None = None) -> SolveResult:
-    """Descend J with Dirichlet data on the grid ring and return the lowest
-    exact-energy state visited.
+    """Relax J with Dirichlet data on the grid ring and return the lowest
+    exact-energy state among the start and the trimmed candidates.
 
     ``boundary_data`` is a ScalarField or (ny, nx) array whose outer ring
     supplies the data (interior values ignored).  ``initial`` seeds the
@@ -316,9 +318,7 @@ def minimize_energy(spec: ProblemSpec, grid: GridSpec, boundary_data,
             np.minimum(u, envelope, out=u)
             zapped = np.zeros(u.shape, dtype=bool)
 
-    best = u.copy()
-    e_best = _energy_raw(best, grid, w)
-    energies = [e_best]
+    start = u.copy()
     iters = 0
     converged = False
     message = "flow reached stationarity"
@@ -330,19 +330,15 @@ def minimize_energy(spec: ProblemSpec, grid: GridSpec, boundary_data,
     # The indicator energy jumps by w*h^2 the moment a front node turns
     # positive while its Dirichlet payoff accrues over later relaxation
     # sweeps, so the flow runs to its own stationarity (field change per
-    # block below tolerance) rather than stopping on energy stalls; the
-    # returned iterate is the best feasible state visited, making the
-    # recorded energy sequence non-increasing by construction.
+    # block below tolerance) rather than stopping on energy stalls.  No
+    # block is scored (see the module docstring); the choice is made once,
+    # in the sharpening below.
     while iters < params.max_iters:
         u_prev = u.copy()
         _sor_block(u, free, eps, pull, OMEGA, envelope, zapped, BLOCK_SIZE)
         if iters == 0 and zapped is not None:
             zapped[...] = False
         iters += BLOCK_SIZE
-        e = _energy_raw(u, grid, w)
-        if e < e_best:
-            best, e_best = u.copy(), e
-            energies.append(e)
         if float(np.max(np.abs(u - u_prev))) < TOL_FIELD * scale:
             converged = True
             break
@@ -356,8 +352,11 @@ def minimize_energy(spec: ProblemSpec, grid: GridSpec, boundary_data,
     # band width, relax each on its frozen support, and keep whichever the
     # exact indicator energy prefers; the sharp minimizer's edge sits near
     # the eps/4 level of the skirt, and the energy comparison selects it
-    # without any measurement-side tuning.
-    for source in (u, best):
+    # without any measurement-side tuning.  The untrimmed flow end is no
+    # candidate: its energy was never below the start's.
+    best, e_best = start, _energy_raw(start, grid, w)
+    energies = [e_best]
+    for source in (u, start):
         for c in (0.25, 0.5, 0.75, 1.0):
             cand = np.where(source >= c * eps, source, 0.0)
             cand[ring] = bd[ring]
@@ -367,7 +366,7 @@ def minimize_energy(spec: ProblemSpec, grid: GridSpec, boundary_data,
                 cand[cand > envelope] = 0.0
             e = _energy_raw(cand, grid, w)
             if e < e_best:
-                best, e_best = cand.copy(), e
+                best, e_best = cand, e
                 energies.append(e)
 
     return SolveResult(field=ScalarField(grid, best), energies=energies,

@@ -508,7 +508,7 @@ def run(cfg: PipelineConfig,
             r_dens = cfg.analysis.density_radius or (
                 cfg.analysis.blowup_radii[-1] if cfg.analysis.blowup_radii
                 else 0.5 * sp.delta)
-            density = bw.estimate_density(spec, solution, sp, r_dens)
+            density = bw.limit_density(spec, solution, sp, r_dens)
         report = run_classify(cfg, sp, density)
         if "json" in fmts:
             p = outdir / "classification.json"

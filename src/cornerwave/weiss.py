@@ -40,7 +40,8 @@ from pathlib import Path
 import numpy as np
 
 from .domain import (GridSpec, ProblemSpec, ScalarField, StagnationPoint,
-                     RadiusOutOfRange, _fmt, weight_at, weight_gradient_at)
+                     RadiusOutOfRange, _fmt, reference_grid, weight_at,
+                     weight_gradient_at)
 from .quadrature import (DiskStencil, circle_integral_u2, grad_central,
                          require_circle_inside)
 
@@ -233,8 +234,7 @@ def limit_density(spec: ProblemSpec, u: ScalarField, sp: StagnationPoint,
     (sx z1)_+^alpha for type 2, |z1|^alpha |z2|^beta for type 3) and the
     prefactor carries the non-degenerate factor at X0."""
     _check_radius(sp, u.grid, r_small)
-    n = reference_n
-    ref = GridSpec(nx=n, ny=n, origin=(-1.0, -1.0), spacing=2.0 / (n - 1))
+    ref = reference_grid(reference_n)
     Zx, Zy = ref.mesh()
     px = sp.location[0] + r_small * Zx
     py = sp.location[1] + r_small * Zy
@@ -242,10 +242,7 @@ def limit_density(spec: ProblemSpec, u: ScalarField, sp: StagnationPoint,
     # node (bilinear sampling would dilate the set by up to one cell); the
     # reference-square corners poking past B_1 are clamped and carry zero
     # disk weight anyway
-    g = u.grid
-    ii = np.clip(np.rint((px - g.origin[0]) / g.spacing).astype(int), 0, g.nx - 1)
-    jj = np.clip(np.rint((py - g.origin[1]) / g.spacing).astype(int), 0, g.ny - 1)
-    chi = (u.values[jj, ii] > 0.0).astype(float)
+    chi = (u.values[u.grid.nearest_node(px, py)] > 0.0).astype(float)
     disk = DiskStencil(ref, (0.0, 0.0), 1.0)
     val = disk.integrate(spec.model.monomial(Zx, Zy) * chi)
     return spec.weight_constant * spec.model.frozen * val

@@ -68,7 +68,7 @@ def test_criterion_02_stokes_corner(stokes_case):
                                             center=case.sp.location, radius=0.45)
     opening_deg = math.degrees(est.opening)
     assert abs(opening_deg - 120.0) <= 3.0
-    dens = cw.estimate_density(case.spec, case.result.field, case.sp, 0.3)
+    dens = cw.limit_density(case.spec, case.result.field, case.sp, 0.3)
     assert abs(dens - SQRT3_3) <= 0.05 * SQRT3_3
     verdict = cw.classify(case.spec, dens, case.sp, SQRT3_3, 2.0 / 3.0)
     assert verdict.verdict == "corner"
@@ -262,17 +262,17 @@ def test_criterion_09_classifier_trichotomy():
         sp = cw.stagnation_point(spec, delta=0.5)
         # oracle cone
         u_cone = profile_field(prof, grid, spec.stagnation_location)
-        d_cone = cw.estimate_density(spec, u_cone, sp, 0.3)
+        d_cone = cw.limit_density(spec, u_cone, sp, 0.3)
         assert cw.classify(spec, d_cone, sp, corner, full).verdict == "corner"
         # zero field
         u_zero = cw.ScalarField(grid, np.zeros((257, 257)))
-        d_zero = cw.estimate_density(spec, u_zero, sp, 0.3)
+        d_zero = cw.limit_density(spec, u_zero, sp, 0.3)
         rep_cusp = cw.classify(spec, d_zero, sp, corner, full)
         assert rep_cusp.verdict == "cusp"
         assert "excluded" in rep_cusp.theoretical_note
         # everywhere positive
         u_full = cw.ScalarField(grid, np.ones((257, 257)))
-        d_full = cw.estimate_density(spec, u_full, sp, 0.3)
+        d_full = cw.limit_density(spec, u_full, sp, 0.3)
         rep_flat = cw.classify(spec, d_full, sp, corner, full)
         assert rep_flat.verdict == "flat"
         assert "excluded" in rep_flat.theoretical_note

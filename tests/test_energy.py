@@ -188,6 +188,24 @@ class TestMinimize:
         assert result.converged
         assert result.iterations < cw.SolverParams().max_iters
 
+    @pytest.mark.parametrize("case", ["type1-33x33", "type1-33x33-capped"])
+    def test_energy_evaluated_after_the_flow_only(self, monkeypatch, case):
+        # the start and the eight sharpening candidates, whatever the
+        # number of flow blocks
+        kind, nx, ny, params = KERNEL_CASES[case]
+        spec, grid, bd, params = kernel_case(kind, nx, ny, **params)
+        calls = []
+        raw = energy_module._energy_raw
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return raw(*args, **kwargs)
+
+        monkeypatch.setattr(energy_module, "_energy_raw", counted)
+        result = cw.minimize_energy(spec, grid, bd, params)
+        assert result.iterations >= 4 * energy_module.BLOCK_SIZE
+        assert len(calls) == 9
+
     def test_comparison_principle(self):
         # scaling the data up never shrinks the positivity set
         spec = stokes_spec()

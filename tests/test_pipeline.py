@@ -269,7 +269,8 @@ class TestReproduceAll:
         def fake_run(cfg, stages):
             if "classify" in stages:
                 return {"outputs": {}, "classification": verdict,
-                        "solver": {"iterations": 910, "converged": False}}
+                        "solver": {"iterations": 910, "converged": False,
+                                   "final_energy": 0.8311472280658553}}
             return {"outputs": {}}
 
         monkeypatch.setattr(script, "run", fake_run)
@@ -281,9 +282,10 @@ class TestReproduceAll:
         for line, (name, verb) in zip(lines, script.CONFIGS):
             assert line.startswith(name)
             if verb == "run":
-                assert "sweeps=910  converged=False" in line
+                assert ("sweeps=910  converged=False  "
+                        "final_energy=0.8311472280658553  ") in line
             else:
-                assert "sweeps=-  converged=-" in line
+                assert "sweeps=-  converged=-  final_energy=-  " in line
 
 
 class TestCli:
