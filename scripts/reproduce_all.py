@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Run every bundled experiment config and print a one-line summary each:
 wall time, verdict, solver sweeps, convergence and final energy ("-" for
-a config that does not solve) and the number of files written.
+a config that does not solve) and the number of files written, then the
+total wall time of all configs.
 
 Usage: python scripts/reproduce_all.py [--out DIR]
 
@@ -34,12 +35,14 @@ def main() -> int:
     args = parser.parse_args()
     root = Path(__file__).resolve().parent.parent
     status = 0
+    total = 0.0
     for name, verb in CONFIGS:
         cfg = load_config(root / "configs" / name)
         cfg.outputs.directory = str(Path(args.out) / Path(cfg.outputs.directory).name)
         t0 = time.monotonic()
         manifest = run(cfg, stages=STAGES[verb])
         dt = time.monotonic() - t0
+        total += dt
         verdict = manifest.get("classification", "-")
         solver = manifest.get("solver", {})
         print(f"{name:28s} {dt:7.1f}s  verdict={verdict}  "
@@ -49,6 +52,7 @@ def main() -> int:
               f"files={len(manifest['outputs'])}")
         if verb == "run" and verdict != "corner":
             status = 1
+    print(f"total={total:.1f}s")
     return status
 
 

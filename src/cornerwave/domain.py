@@ -466,7 +466,7 @@ def stagnation_point(spec: ProblemSpec, delta: float | None = None) -> Stagnatio
 # bit-exactly.
 
 def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+    return "%.17g" % v
 
 
 def _stag_to_json(stag: StagnationType) -> dict:
@@ -506,7 +506,8 @@ def save_field(field: ScalarField, path, spec: ProblemSpec | None = None) -> Non
                        spec.domain.x_max, spec.domain.y_max],
         })
     lines = [json.dumps(header, sort_keys=True)]
-    lines.extend(_fmt(v) for v in field.values.ravel())
+    for row in field.values:
+        lines.extend(map(_fmt, row.tolist()))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 

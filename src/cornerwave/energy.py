@@ -373,34 +373,76 @@ def minimize_energy(spec: ProblemSpec, grid: GridSpec, boundary_data,
                        iterations=iters, converged=converged, message=message)
 
 
-def _sublattices(shape) -> list[tuple]:
-    """The interior nodes in red-black order as four strided sublattices.
+# The four parity classes (row parity, column parity) of the nodes in
+# red-black order: red (i + j even) is odd rows by odd columns plus even
+# rows by even columns, black the two mixed ones.
+_PARITIES = ((1, 1), (0, 0), (1, 0), (0, 1))
 
-    Red (i + j even) is odd rows by odd columns plus even rows by even
-    columns, black the two mixed ones.  Each entry is the index of the
-    sublattice and the indices of its east, west, north and south
-    neighbours, all of the same shape.  The four neighbours of a node have
-    the other colour, so the two sublattices of a colour do not see each
-    other: updating them one after the other is the simultaneous colour
-    update of the red-black sweep, node for node and in the same
-    floating-point operations."""
-    ny, nx = shape
+
+def _planes(a: np.ndarray) -> dict:
+    """Contiguous copies of the four parity planes ``a[p::2, q::2]``."""
+    return {(p, q): np.ascontiguousarray(a[p::2, q::2])
+            for p in (0, 1) for q in (0, 1)}
+
+
+def _unplane(a: np.ndarray, planes: dict) -> None:
+    for (p, q), plane in planes.items():
+        a[p::2, q::2] = plane
+
+
+def _cut(a: np.ndarray, key, idx) -> np.ndarray:
+    """A contiguous copy of the cut ``idx`` of the parity plane ``key``."""
+    p, q = key
+    return a[p::2, q::2][idx].copy()
+
+
+def _span(lo: int, hi: int, parity: int, shift: int = 0) -> slice:
+    """The plane indices of the nodes ``k + shift`` for the nodes k of
+    parity ``parity`` in [lo, hi]; a node k + shift sits at index
+    (k + shift) // 2 of its own plane."""
+    first = lo + (lo - parity) % 2
+    last = hi - (hi - parity) % 2
+    if first > last:
+        return slice(0, 0)
+    return slice((first + shift) // 2, (last + shift) // 2 + 1)
+
+
+def _sublattices(mask: np.ndarray) -> list[tuple]:
+    """The interior nodes a kernel may update, in red-black order, as four
+    rectangular cuts of the parity planes (see ``_planes``).
+
+    The cuts cover the bounding box of ``mask`` clipped to the interior,
+    and nothing else: outside the box no node may change, so no work is
+    spent there, and an empty mask gives no cut.  Each entry is the plane
+    of the cut, its index in that plane, and the plane and index of its
+    east, west, north and south neighbours, all of the cut's shape.  The
+    four neighbours of a node have the other colour, so the two cuts of a
+    colour do not see each other: updating them one after the other is the
+    simultaneous colour update of the red-black sweep, node for node and
+    in the same floating-point operations."""
+    inner = mask[1:-1, 1:-1]
+    rows = np.flatnonzero(inner.any(axis=1))
+    if rows.size == 0:
+        return []
+    cols = np.flatnonzero(inner.any(axis=0))
+    j0, j1 = int(rows[0]) + 1, int(rows[-1]) + 1
+    i0, i1 = int(cols[0]) + 1, int(cols[-1]) + 1
     out = []
-    for r, c in ((1, 1), (2, 2), (1, 2), (2, 1)):
-        rows, cols = slice(r, ny - 1, 2), slice(c, nx - 1, 2)
-        out.append(((rows, cols),
-                    ((rows, slice(c + 1, nx, 2)),
-                     (rows, slice(c - 1, nx - 2, 2)),
-                     (slice(r + 1, ny, 2), cols),
-                     (slice(r - 1, ny - 2, 2), cols))))
+    for p, q in _PARITIES:
+        rows_, cols_ = _span(j0, j1, p), _span(i0, i1, q)
+        out.append(((p, q), (rows_, cols_),
+                    (((p, 1 - q), (rows_, _span(i0, i1, q, 1))),
+                     ((p, 1 - q), (rows_, _span(i0, i1, q, -1))),
+                     ((1 - p, q), (_span(j0, j1, p, 1), cols_)),
+                     ((1 - p, q), (_span(j0, j1, p, -1), cols_)))))
     return out
 
 
-def _neighbour_sum(u: np.ndarray, nbrs) -> np.ndarray:
+def _neighbour_sum(nbrs) -> np.ndarray:
     e, w, n, s = nbrs
-    nb = u[e] + u[w]
-    nb += u[n]
-    nb += u[s]
+    nb = e + w
+    nb += n
+    nb += s
     return nb
 
 
@@ -418,21 +460,32 @@ def _sor_block(u: np.ndarray, free: np.ndarray, eps: np.ndarray,
     instantly regrowing it past the envelope.  The memory only grows here;
     the caller keeps it across blocks (see minimize_energy).
 
+    The work is done on contiguous copies of the parity planes of ``u``
+    and ``zapped``, written back on exit, and only inside the bounding box
+    of ``free`` (see ``_sublattices``): for a pinned air half-plane that
+    is half the interior.  Every node of the box gets the same operations
+    in the same order as in a sweep of the whole interior, and no node
+    outside it is free, so the field does not change by a bit.
+
     Only updated nodes are clamped and tested: the rest of the field is
     already nonnegative and under the envelope (the caller starts from
     such a state, and the envelope is nonnegative).  Pinned nodes keep
     their value, selected rather than multiplied away, so no -0.0 enters
     the field."""
     keep = 1.0 - omega
+    planes = _planes(u)
+    zaps = None if envelope is None else _planes(zapped)
     lattice = []
-    for idx, nbrs in _sublattices(u.shape):
-        env = None if envelope is None else envelope[idx].copy()
-        zap = None if envelope is None else zapped[idx]
-        lattice.append((u[idx], nbrs, eps[idx].copy(), pull[idx].copy(),
-                        free[idx].copy(), env, zap))
+    for key, idx, nbrs in _sublattices(free):
+        env = None if envelope is None else _cut(envelope, key, idx)
+        zap = None if envelope is None else zaps[key][idx]
+        lattice.append((planes[key][idx],
+                        tuple(planes[k][i] for k, i in nbrs),
+                        _cut(eps, key, idx), _cut(pull, key, idx),
+                        _cut(free, key, idx), env, zap))
     for _ in range(sweeps):
         for node, nbrs, eps_s, pull_s, free_s, env, zap in lattice:
-            target = 0.25 * _neighbour_sum(u, nbrs)
+            target = 0.25 * _neighbour_sum(nbrs)
             target -= pull_s * ((node > 0.0) & (node < eps_s))
             new = keep * node
             new += omega * target
@@ -441,6 +494,9 @@ def _sor_block(u: np.ndarray, free: np.ndarray, eps: np.ndarray,
                 zap |= new > env
                 new[zap] = 0.0
             np.copyto(node, new, where=free_s)
+    _unplane(u, planes)
+    if zaps is not None:
+        _unplane(zapped, zaps)
 
 
 def _relax_on_support(u: np.ndarray, pinned: np.ndarray, sweeps: int) -> None:
@@ -448,13 +504,19 @@ def _relax_on_support(u: np.ndarray, pinned: np.ndarray, sweeps: int) -> None:
 
     The update target is the nonnegative neighbor mean, so the support
     cannot shrink (over-relaxation would overshoot below zero at the cut
-    and eat the support inward sweep by sweep)."""
+    and eat the support inward sweep by sweep).  As in ``_sor_block``, the
+    sweeps run on contiguous parity planes and only inside the bounding
+    box of the frozen support, with the same operations per node, so the
+    result is the full-lattice sweep's to the bit."""
     support = (u > 0.0) & ~pinned
-    lattice = [(u[idx], nbrs, support[idx].copy())
-               for idx, nbrs in _sublattices(u.shape)]
+    planes = _planes(u)
+    lattice = [(planes[key][idx], tuple(planes[k][i] for k, i in nbrs),
+                _cut(support, key, idx))
+               for key, idx, nbrs in _sublattices(support)]
     for _ in range(sweeps):
         for node, nbrs, sel in lattice:
-            np.copyto(node, 0.25 * _neighbour_sum(u, nbrs), where=sel)
+            np.copyto(node, 0.25 * _neighbour_sum(nbrs), where=sel)
+    _unplane(u, planes)
 
 
 @dataclass

@@ -342,33 +342,32 @@ def write_table1(alpha: float, beta: float, path,
 
 
 def _marching_segments(values: np.ndarray, grid: GridSpec, level: float):
-    """Line segments of the level set by marching squares (no chaining)."""
+    """Line segments of the level set by marching squares (no chaining),
+    cell by cell in row-major order.  Only the mixed cells, those with
+    corners on both sides of the level, are visited."""
     v = values - level
     xs, ys = grid.xs(), grid.ys()
     segs = []
-    neg = v < 0
+    neg = (v < 0).astype(np.uint8)
+    cell = neg[:-1, :-1] | neg[:-1, 1:] << 1 | neg[1:, 1:] << 2 | neg[1:, :-1] << 3
+    J, I = np.nonzero((cell != 0) & (cell != 15))
 
     def edge_point(x1, y1, v1, x2, y2, v2):
         t = v1 / (v1 - v2)
         return (x1 + t * (x2 - x1), y1 + t * (y2 - y1))
 
-    for j in range(grid.ny - 1):
-        for i in range(grid.nx - 1):
-            idx = (int(neg[j, i]) | int(neg[j, i + 1]) << 1
-                   | int(neg[j + 1, i + 1]) << 2 | int(neg[j + 1, i]) << 3)
-            if idx in (0, 15):
-                continue
-            corners = [(xs[i], ys[j], v[j, i]), (xs[i + 1], ys[j], v[j, i + 1]),
-                       (xs[i + 1], ys[j + 1], v[j + 1, i + 1]),
-                       (xs[i], ys[j + 1], v[j + 1, i])]
-            pts = []
-            for a in range(4):
-                x1, y1, v1 = corners[a]
-                x2, y2, v2 = corners[(a + 1) % 4]
-                if (v1 < 0) != (v2 < 0):
-                    pts.append(edge_point(x1, y1, v1, x2, y2, v2))
-            for a in range(0, len(pts) - 1, 2):
-                segs.append((pts[a], pts[a + 1]))
+    for j, i in zip(J.tolist(), I.tolist()):
+        corners = [(xs[i], ys[j], v[j, i]), (xs[i + 1], ys[j], v[j, i + 1]),
+                   (xs[i + 1], ys[j + 1], v[j + 1, i + 1]),
+                   (xs[i], ys[j + 1], v[j + 1, i])]
+        pts = []
+        for a in range(4):
+            x1, y1, v1 = corners[a]
+            x2, y2, v2 = corners[(a + 1) % 4]
+            if (v1 < 0) != (v2 < 0):
+                pts.append(edge_point(x1, y1, v1, x2, y2, v2))
+        for a in range(0, len(pts) - 1, 2):
+            segs.append((pts[a], pts[a + 1]))
     return segs
 
 

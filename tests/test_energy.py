@@ -277,6 +277,12 @@ def kernel_case(kind, nx, ny, **params):
                               cw.Rect(x0, y0, x0 + (nx - 1) * h,
                                       y0 + (ny - 1) * h))
         profile = blowup_limit(spec)
+    elif kind == "alpha2":  # subcase 2.2: envelope on, air x <= 0
+        x0, y0 = -((nx - 1) // 2) * h, 1.0 - (ny - 1) // 2 * h
+        spec = cw.ProblemSpec(2.0, 0.0, cw.Type2(y0=1.0, theta0=0.0),
+                              cw.Rect(x0, y0, x0 + (nx - 1) * h,
+                                      y0 + (ny - 1) * h))
+        profile = blowup_limit(spec)
     else:                  # type 3: no envelope, air above the seed cone
         spec = cw.ProblemSpec(2.0, 1.0, cw.Type3(),
                               cw.Rect(-1.0, -1.0, -1.0 + (nx - 1) * h,
@@ -296,6 +302,9 @@ KERNEL_CASES = {
     # zaps 3 nodes in block 2 and keeps them in the memory to the end;
     # dropping them between blocks changes the returned field
     "type1-beta2-49x49": ("beta2", 49, 49, {}),
+    # the air is a column half-plane, so the free box is cut in columns
+    # (it starts on the odd column 25); zaps like the beta = 2 case
+    "type2-alpha2-49x49": ("alpha2", 49, 49, {}),
     "type3-33x33": ("type3", 33, 33, {}),
     "type3-34x31": ("type3", 34, 31, {}),
 }
@@ -334,7 +343,7 @@ class TestStridedKernel:
             assert zaps[0][0] == zaps[1][0] == 0
             assert all(start == prev_end for (start, _), (_, prev_end)
                        in zip(zaps[2:], zaps[1:]))
-        if kind == "beta2":
+        if kind in ("beta2", "alpha2"):
             assert zaps[1][1] == 3 and zaps[-1][0] == 3
 
     def test_zap_memory_is_kept(self):
@@ -376,6 +385,104 @@ class TestStridedKernel:
         masked_relax_on_support(ref, pinned, sweeps=7)
         assert fast.tobytes() == ref.tobytes()
         assert not np.array_equal(fast, u)
+
+
+# masks of the nodes a kernel may update on a 31 x 34 grid (interior rows
+# 1-29, columns 1-32), by the bounding box they span: rows j0-j1 by
+# columns i0-i1, or None for no node
+BOX_CASES = {
+    "even-start": (2, 20, 4, 17),
+    "odd-start": (3, 19, 5, 22),
+    "last-row-and-column": (20, 29, 25, 32),
+    "single-node": (11, 11, 8, 8),
+    "empty": None,
+}
+BOX_SHAPE = (31, 34)
+
+
+def box_mask(box, rng):
+    """A random mask whose bounding box is ``box``: its two corners and
+    about half of the nodes between them."""
+    mask = np.zeros(BOX_SHAPE, dtype=bool)
+    if box is not None:
+        j0, j1, i0, i1 = box
+        mask[j0:j1 + 1, i0:i1 + 1] = rng.random((j1 - j0 + 1, i1 - i0 + 1)) < 0.5
+        mask[j0, i0] = mask[j1, i1] = True
+    return mask
+
+
+class TestCroppedKernel:
+    """The kernels work only inside the bounding box of the nodes they may
+    update, on contiguous parity planes, and give the masked reference's
+    bytes wherever that box lies."""
+
+    @pytest.mark.parametrize("case", list(BOX_CASES) + ["whole-array"])
+    def test_lattice_covers_the_box(self, case):
+        # every box node once, red before black, with its four neighbours
+        if case == "whole-array":
+            mask, box = np.ones(BOX_SHAPE, dtype=bool), (1, 29, 1, 32)
+        else:
+            box = BOX_CASES[case]
+            mask = box_mask(box, np.random.default_rng(0))
+        ny, nx = BOX_SHAPE
+        index = np.arange(ny * nx).reshape(BOX_SHAPE)
+        planes = energy_module._planes(index)
+        covered, colours = [], []
+        for key, idx, nbrs in energy_module._sublattices(mask):
+            nodes = planes[key][idx]
+            covered.extend(nodes.ravel().tolist())
+            colours.extend(((nodes // nx + nodes % nx) % 2).ravel().tolist())
+            for (k, i), step in zip(nbrs, (1, -1, nx, -nx)):
+                assert np.array_equal(planes[k][i], nodes + step)
+        expect = np.zeros(BOX_SHAPE, dtype=bool)
+        if box is not None:
+            j0, j1, i0, i1 = box
+            expect[j0:j1 + 1, i0:i1 + 1] = True
+        assert sorted(covered) == np.flatnonzero(expect).tolist()
+        assert colours == sorted(colours)
+
+    @pytest.mark.parametrize("envelope_on", [True, False])
+    @pytest.mark.parametrize("case", list(BOX_CASES))
+    def test_sor_block_matches_masked_reference(self, case, envelope_on):
+        # the caller's state: nonnegative, under the envelope, zero on the
+        # zap memory, and an infinite envelope off the free nodes
+        rng = np.random.default_rng(11)
+        free = box_mask(BOX_CASES[case], rng)
+        u = np.maximum(rng.normal(0.3, 0.4, BOX_SHAPE), 0.0)
+        eps = rng.uniform(0.05, 0.3, BOX_SHAPE)
+        pull = rng.uniform(0.0, 0.02, BOX_SHAPE)
+        envelope = zapped = None
+        if envelope_on:
+            envelope = np.where(free, rng.uniform(0.4, 0.8, BOX_SHAPE), np.inf)
+            zapped = free & (rng.random(BOX_SHAPE) < 0.1)
+            np.minimum(u, envelope, out=u)
+            u[zapped] = 0.0
+        fast, ref = u.copy(), u.copy()
+        fast_zaps = None if zapped is None else zapped.copy()
+        ref_zaps = None if zapped is None else zapped.copy()
+        energy_module._sor_block(fast, free, eps, pull, 1.85, envelope,
+                                 fast_zaps, sweeps=6)
+        masked_sor_block(np.zeros(BOX_SHAPE, dtype=bool), [])(
+            ref, free, eps, pull, 1.85, envelope, ref_zaps, sweeps=6)
+        assert fast.tobytes() == ref.tobytes()
+        if zapped is not None:
+            assert np.array_equal(fast_zaps, ref_zaps)
+        assert np.array_equal(fast, u) == (case == "empty")
+        assert np.array_equal(fast[~free], u[~free])
+
+    @pytest.mark.parametrize("case", list(BOX_CASES))
+    def test_relax_matches_masked_reference(self, case):
+        # the support {u > 0} off the pinned nodes is the case's mask
+        rng = np.random.default_rng(12)
+        support = box_mask(BOX_CASES[case], rng)
+        u = np.maximum(rng.standard_normal(BOX_SHAPE), 0.0)
+        u[support] = rng.uniform(0.1, 1.0, int(support.sum()))
+        pinned = ~support
+        fast, ref = u.copy(), u.copy()
+        energy_module._relax_on_support(fast, pinned, sweeps=5)
+        masked_relax_on_support(ref, pinned, sweeps=5)
+        assert fast.tobytes() == ref.tobytes()
+        assert np.array_equal(fast, u) == (case == "empty")
 
 
 class TestSupportHelpers:

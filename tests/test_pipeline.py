@@ -12,7 +12,8 @@ import yaml
 import cornerwave as cw
 from cornerwave import oracle
 from cornerwave.oracle import AnglePair, angle_pair, blowup_limit, corner_density
-from cornerwave.pipeline import (AnalysisError, ConfigError, load_config,
+from cornerwave.pipeline import (AnalysisError, ConfigError,
+                                 _marching_segments, load_config,
                                  parse_config, run, run_classify, write_table1)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -199,6 +200,57 @@ class TestRun:
         assert (Path(cfg.outputs.directory) / "table1.csv").exists()
 
 
+def cell_loop_segments(values, grid, level):
+    """Marching squares over every cell, the loop the mixed-cell walk
+    replaced."""
+    v = values - level
+    xs, ys = grid.xs(), grid.ys()
+    segs = []
+    neg = v < 0
+
+    def edge_point(x1, y1, v1, x2, y2, v2):
+        t = v1 / (v1 - v2)
+        return (x1 + t * (x2 - x1), y1 + t * (y2 - y1))
+
+    for j in range(grid.ny - 1):
+        for i in range(grid.nx - 1):
+            idx = (int(neg[j, i]) | int(neg[j, i + 1]) << 1
+                   | int(neg[j + 1, i + 1]) << 2 | int(neg[j + 1, i]) << 3)
+            if idx in (0, 15):
+                continue
+            corners = [(xs[i], ys[j], v[j, i]), (xs[i + 1], ys[j], v[j, i + 1]),
+                       (xs[i + 1], ys[j + 1], v[j + 1, i + 1]),
+                       (xs[i], ys[j + 1], v[j + 1, i])]
+            pts = []
+            for a in range(4):
+                x1, y1, v1 = corners[a]
+                x2, y2, v2 = corners[(a + 1) % 4]
+                if (v1 < 0) != (v2 < 0):
+                    pts.append(edge_point(x1, y1, v1, x2, y2, v2))
+            for a in range(0, len(pts) - 1, 2):
+                segs.append((pts[a], pts[a + 1]))
+    return segs
+
+
+class TestMarchingSquares:
+    def test_solved_type3_field(self, type3_case):
+        # the level write_svg draws
+        values = type3_case.result.field.values
+        level = 1e-6 * float(values.max())
+        segs = _marching_segments(values, type3_case.grid, level)
+        assert segs
+        assert segs == cell_loop_segments(values, type3_case.grid, level)
+
+    def test_random_field_with_saddles(self):
+        grid = cw.GridSpec.from_domain(cw.Rect(-1.0, -1.0, 1.0, 0.5), 41, 31)
+        values = np.random.default_rng(5).standard_normal((31, 41))
+        neg = (values < 0.25).astype(int)
+        cell = neg[:-1, :-1] | neg[:-1, 1:] << 1 | neg[1:, 1:] << 2 | neg[1:, :-1] << 3
+        assert np.any(cell == 5) and np.any(cell == 10)
+        assert _marching_segments(values, grid, 0.25) \
+            == cell_loop_segments(values, grid, 0.25)
+
+
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, tmp_path):
         outs = []
@@ -276,9 +328,11 @@ class TestReproduceAll:
         monkeypatch.setattr(script, "run", fake_run)
         monkeypatch.setattr(sys, "argv", ["reproduce_all", "--out", str(tmp_path)])
         assert script.main() == status
-        # one line per config; the solver status only where it solves
-        lines = capsys.readouterr().out.splitlines()
+        # one line per config; the solver status only where it solves;
+        # then the total wall time
+        *lines, total = capsys.readouterr().out.splitlines()
         assert len(lines) == len(script.CONFIGS)
+        assert total.startswith("total=") and total.endswith("s")
         for line, (name, verb) in zip(lines, script.CONFIGS):
             assert line.startswith(name)
             if verb == "run":
