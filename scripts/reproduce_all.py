@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Run every bundled experiment config and print a one-line summary each:
 wall time, verdict, solver sweeps, convergence and final energy ("-" for
-a config that does not solve) and the number of files written, then the
-total wall time of all configs.
+a config that does not solve), the number of files written and a sha256
+digest of the config's output directory, then the total wall time of all
+configs.  The digest covers the name and bytes of every file in that
+directory, in name order, so two runs into fresh directories wrote the
+same artifacts exactly when their digests agree.
 
 Usage: python scripts/reproduce_all.py [--out DIR]
 
@@ -11,6 +14,7 @@ corner, 0 otherwise.
 """
 
 import argparse
+import hashlib
 import sys
 import time
 from pathlib import Path
@@ -27,6 +31,15 @@ CONFIGS = [
     ("corner_type3.yaml", "run"),
     ("blowup_convergence.yaml", "run"),
 ]
+
+
+def digest(directory: Path) -> str:
+    """sha256 over the name and bytes of each file in ``directory``, in
+    name order."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in directory.iterdir() if p.is_file()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
 
 
 def main() -> int:
@@ -49,7 +62,8 @@ def main() -> int:
               f"sweeps={solver.get('iterations', '-')}  "
               f"converged={solver.get('converged', '-')}  "
               f"final_energy={solver.get('final_energy', '-')}  "
-              f"files={len(manifest['outputs'])}")
+              f"files={len(manifest['outputs'])}  "
+              f"sha256={digest(Path(cfg.outputs.directory))}")
         if verb == "run" and verdict != "corner":
             status = 1
     print(f"total={total:.1f}s")

@@ -49,11 +49,12 @@ def rescale(u: ScalarField, sp: StagnationPoint, r: float,
     return ScalarField(ref, r ** sp.kappa * vals)
 
 
-def l2_disk_distance(f1: ScalarField, f2: ScalarField, radius: float = 1.0) -> float:
+def l2_disk_distance(f1: ScalarField, f2: ScalarField) -> float:
+    """L^2(B_1) distance of two fields on the reference square."""
     if f1.grid != f2.grid:
         raise ValueError("fields live on different grids")
     d = f1.values - f2.values
-    disk = DiskStencil(f1.grid, (0.0, 0.0), radius)
+    disk = DiskStencil(f1.grid, (0.0, 0.0), 1.0)
     return math.sqrt(disk.integrate(d * d))
 
 
@@ -74,20 +75,18 @@ class BernsteinReport:
     gradient_ratio: float
     value_ratio: float
     bound: float
-    value_bound: float
 
 
 def check_bernstein(spec: ProblemSpec, u: ScalarField, sp: StagnationPoint,
-                    r0: float, C: float, value_bound: float | None = None) -> BernsteinReport:
+                    r0: float, C: float) -> BernsteinReport:
     """Pointwise gradient bound |grad u|^2 <= C * weight over B_{r0}.
 
     Nodes where the weight vanishes are checked against the integrated
-    growth bound u <= value_bound * monomial instead (value_bound defaults
-    to C); a positive u where even the monomial vanishes fails outright."""
+    growth bound u <= C * monomial instead; a positive u where even the
+    monomial vanishes fails outright."""
     if not (0 < r0 < sp.delta):
         raise RadiusOutOfRange(f"r0={r0:g} outside (0, delta={sp.delta:g})")
     require_circle_inside(u.grid, sp.location, r0)
-    vb = C if value_bound is None else value_bound
     g = u.grid
     X, Y = g.mesh()
     dist = np.hypot(X - sp.location[0], Y - sp.location[1])
@@ -110,9 +109,9 @@ def check_bernstein(spec: ProblemSpec, u: ScalarField, sp: StagnationPoint,
             value_ratio = float(np.max(uv[ok] / m[ok]))
         if np.any(~ok & (uv > 1e-12 * max(1.0, float(np.max(u.values))))):
             value_ratio = math.inf
-    return BernsteinReport(passed=(grad_ratio <= C and value_ratio <= vb),
+    return BernsteinReport(passed=(grad_ratio <= C and value_ratio <= C),
                            gradient_ratio=grad_ratio, value_ratio=value_ratio,
-                           bound=C, value_bound=vb)
+                           bound=C)
 
 
 @dataclass
@@ -124,17 +123,23 @@ class DirectionEstimate:
     per_annulus: list[tuple[float, float, float, int]]  # (rho, lo, hi, n_arcs)
 
 
+# angular samples per circle, and the annuli of the direction estimate
+N_THETA = 1440
+ANNULI = np.linspace(0.25, 0.85, 8)
+
+
 def _positivity_arcs(values: np.ndarray, grid: GridSpec, rho: float,
-                     n_theta: int, center=(0.0, 0.0)) -> list[tuple[float, float]]:
+                     center) -> list[tuple[float, float]]:
     """Angular arcs where the node-level positivity mask {u > 0} holds on
-    the circle |X - center| = rho, endpoints refined by bisection.
+    the circle |X - center| = rho, sampled at N_THETA angles, endpoints
+    refined by bisection.
 
     The mask is sampled at the nearest node: bilinear interpolation would
     dilate the support by up to one cell outward, biasing every opening
     estimate wide, while nearest-node sampling is unbiased to half a
     cell."""
-    dth = TWO_PI / n_theta
-    theta = -math.pi + dth * np.arange(n_theta)
+    dth = TWO_PI / N_THETA
+    theta = -math.pi + dth * np.arange(N_THETA)
 
     def positive(t):
         t = np.asarray(t, dtype=float)
@@ -160,21 +165,20 @@ def _positivity_arcs(values: np.ndarray, grid: GridSpec, rho: float,
         return 0.5 * (a + b)
 
     arcs = []
-    rising = [i for i in range(n_theta) if mask[i] and not mask[i - 1]]
+    rising = [i for i in range(N_THETA) if mask[i] and not mask[i - 1]]
     for i in rising:
         lo = refine(theta[i], theta[i] - dth)
         j = i + 1
-        while mask[j % n_theta]:
+        while mask[j % N_THETA]:
             j += 1
         hi = refine(theta[i] + (j - 1 - i) * dth, theta[i] + (j - i) * dth)
         arcs.append((lo, hi))
     return arcs
 
 
-def estimate_asymptotic_directions(u0: ScalarField, annuli=None,
-                                   n_theta: int = 1440, center=(0.0, 0.0),
+def estimate_asymptotic_directions(u0: ScalarField, center=(0.0, 0.0),
                                    radius: float = 1.0) -> DirectionEstimate:
-    """Median angular extent of {u0 > 0} over ~8 annuli.
+    """Median angular extent of {u0 > 0} over the 8 ANNULI.
 
     Defaults measure a blow-up-frame field on annuli of the reference
     square; passing ``center`` and ``radius`` measures the source field
@@ -182,14 +186,11 @@ def estimate_asymptotic_directions(u0: ScalarField, annuli=None,
     the support dilation a rescaling interpolation would add).  Raises
     EmptyPositivity when no annulus meets the set; more than one angular
     component is reported, not fatal."""
-    if annuli is None:
-        annuli = np.linspace(0.25, 0.85, 8)
     vals = u0.values.astype(float)
     per = []
     disconnected = False
-    for rho in annuli:
-        arcs = _positivity_arcs(vals, u0.grid, float(rho) * radius, n_theta,
-                                center=center)
+    for rho in ANNULI:
+        arcs = _positivity_arcs(vals, u0.grid, float(rho) * radius, center)
         if not arcs:
             continue
         if len(arcs) > 1:
@@ -215,6 +216,12 @@ def estimate_asymptotic_directions(u0: ScalarField, annuli=None,
                              per_annulus=per)
 
 
+def check_decreasing(radii) -> None:
+    """Raise unless a blow-up radius schedule strictly decreases."""
+    if np.any(np.diff(radii) >= 0):
+        raise ValueError("blow-up radii must be strictly decreasing")
+
+
 @dataclass
 class BlowupResult:
     rescaled_fields: list[ScalarField]
@@ -226,8 +233,7 @@ class BlowupResult:
     direction_report: DirectionEstimate | None = None
 
     def __post_init__(self):
-        if np.any(np.diff(self.radii_used) >= 0):
-            raise ValueError("blow-up radii must be strictly decreasing")
+        check_decreasing(self.radii_used)
         if self.directions is not None and not (self.directions[0] < self.directions[1]):
             raise ValueError("directions must satisfy theta1 < theta2")
 

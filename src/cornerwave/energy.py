@@ -22,12 +22,11 @@ steps need O(1/h^2) iterations and let indicator-cost lags stall the
 front), and the iterate is re-projected after every half-sweep.  The flow
 only relaxes; the result is chosen once, after it, as the lowest
 exact-indicator energy among the start and eight trimmed, relaxed
-candidates cut from the flow end and the start, so the recorded energy
-sequence is non-increasing.  The flow is not scored: evaluated after
-every 10-sweep block, none of 910 energies over the bundled configs'
-solves (nor any of the test suite's) beat the start.  A solve that runs
-out of sweeps before the field settles is flagged (``converged = False``)
-and chosen the same way.
+candidates cut from the flow end and the start.  The flow is not scored:
+evaluated after every 10-sweep block, none of 910 energies over the
+bundled configs' solves (nor any of the test suite's) beat the start.  A
+solve that runs out of sweeps before the field settles is flagged
+(``converged = False``) and chosen the same way.
 
 From the star-hull start the result is a state of the corner basin, not
 always the lowest discrete-energy state.  Without the one-layer dilation
@@ -46,7 +45,7 @@ positive, so the corner profile would be bypassed entirely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -78,7 +77,7 @@ class SolverParams:
 @dataclass
 class SolveResult:
     field: ScalarField
-    energies: list[float] = field(default_factory=list)
+    energy: float             # exact energy of ``field``, the chosen state
     iterations: int = 0
     converged: bool = True
     message: str = ""
@@ -93,16 +92,11 @@ def _node_quadrature_weights(grid: GridSpec) -> np.ndarray:
     return w
 
 
-def _weight_nodes(spec: ProblemSpec, grid: GridSpec) -> np.ndarray:
-    X, Y = grid.mesh()
-    return np.asarray(weight_at(spec, X, Y))
-
-
 def energy(spec: ProblemSpec, u: ScalarField, mask: np.ndarray | None = None,
            weight: np.ndarray | None = None) -> float:
     """Exact-indicator energy of a field; optional node mask restricts the
     quadrature region, optional weight overrides the spec's weight."""
-    w = _weight_nodes(spec, u.grid) if weight is None else weight
+    w = np.asarray(weight_at(spec, *u.grid.mesh())) if weight is None else weight
     return _energy_raw(u.values, u.grid, w, mask)
 
 
@@ -217,25 +211,25 @@ def star_hull_mask(grid: GridSpec, center, ring_positive: np.ndarray) -> np.ndar
 
 def minimize_energy(spec: ProblemSpec, grid: GridSpec, boundary_data,
                     params: SolverParams | None = None,
-                    initial: ScalarField | None = None,
                     weight: np.ndarray | None = None) -> SolveResult:
     """Relax J with Dirichlet data on the grid ring and return the lowest
     exact-energy state among the start and the trimmed candidates.
 
     ``boundary_data`` is a ScalarField or (ny, nx) array whose outer ring
-    supplies the data (interior values ignored).  ``initial`` seeds the
-    iteration; the default start is the harmonic extension of the ring
-    data restricted to the star hull of its positive arcs, which selects
-    the corner basin (an unrestricted harmonic start sits in the flat
-    local minimum instead).  The result is the best state of that basin,
-    not a certified global minimizer of the discrete energy (see the
-    module docstring).  ``weight`` overrides the spec weight nodewise
+    supplies the data (interior values ignored).  The start is the
+    harmonic extension of the ring data restricted to the star hull of its
+    positive arcs, which selects the corner basin (an unrestricted
+    harmonic start sits in the flat local minimum instead).  The result is
+    the best state of that basin, not a certified global minimizer of the
+    discrete energy (see the module docstring); ``SolveResult.energy`` is
+    its exact energy.  ``weight`` overrides the spec weight nodewise
     (diagnostic hook, e.g. freezing the weight to 1 for plane-solution
     smoke tests) and switches the envelope off.
 
-    ``params`` sets the sweep budget and the two switches.  The band width
-    eps = 2h*sqrt(w) and the module constants OMEGA, TOL_FIELD, BLOCK_SIZE
-    and ENVELOPE_MARGIN are fixed.
+    ``params`` sets the sweep budget, never exceeded (the last block is
+    cut short), and the two switches.  The band width eps = 2h*sqrt(w) and
+    the module constants OMEGA, TOL_FIELD, BLOCK_SIZE and ENVELOPE_MARGIN
+    are fixed.
     """
     params = params or SolverParams()
     bd = boundary_data.values if isinstance(boundary_data, ScalarField) else np.asarray(boundary_data, float)
@@ -253,7 +247,8 @@ def minimize_energy(spec: ProblemSpec, grid: GridSpec, boundary_data,
                 "boundary data positive on the non-fluid half-plane")
     pinned = ring | air
 
-    w = _weight_nodes(spec, grid) if weight is None else np.asarray(weight, float)
+    w = np.asarray(weight_at(spec, *grid.mesh())) if weight is None \
+        else np.asarray(weight, float)
     h = grid.spacing
     # local band width 2h*sqrt(w): the band criterion u < eps is then
     # slope < 2*sqrt(w), scale-correct under the degenerate weight, and
@@ -268,13 +263,10 @@ def minimize_energy(spec: ProblemSpec, grid: GridSpec, boundary_data,
     tiny = 1e-300
     band_force = np.where(eps > tiny, w / np.maximum(eps, tiny), 0.0)
 
-    if initial is not None:
-        u = initial.values.copy()
-    else:
-        hull = star_hull_mask(grid, spec.stagnation_location, ring & (bd > 0))
-        start = np.where(ring, bd, 0.0)
-        start[air] = 0.0
-        u = harmonic_extension(grid, start, pinned=ring | air | ~hull)
+    hull = star_hull_mask(grid, spec.stagnation_location, ring & (bd > 0))
+    start = np.where(ring, bd, 0.0)
+    start[air] = 0.0
+    u = harmonic_extension(grid, start, pinned=ring | air | ~hull)
     u[ring] = bd[ring]
     u[air] = 0.0
     np.maximum(u, 0.0, out=u)
@@ -335,10 +327,11 @@ def minimize_energy(spec: ProblemSpec, grid: GridSpec, boundary_data,
     # in the sharpening below.
     while iters < params.max_iters:
         u_prev = u.copy()
-        _sor_block(u, free, eps, pull, OMEGA, envelope, zapped, BLOCK_SIZE)
+        sweeps = min(BLOCK_SIZE, params.max_iters - iters)
+        _sor_block(u, free, eps, pull, envelope, zapped, sweeps)
         if iters == 0 and zapped is not None:
             zapped[...] = False
-        iters += BLOCK_SIZE
+        iters += sweeps
         if float(np.max(np.abs(u - u_prev))) < TOL_FIELD * scale:
             converged = True
             break
@@ -355,7 +348,6 @@ def minimize_energy(spec: ProblemSpec, grid: GridSpec, boundary_data,
     # without any measurement-side tuning.  The untrimmed flow end is no
     # candidate: its energy was never below the start's.
     best, e_best = start, _energy_raw(start, grid, w)
-    energies = [e_best]
     for source in (u, start):
         for c in (0.25, 0.5, 0.75, 1.0):
             cand = np.where(source >= c * eps, source, 0.0)
@@ -367,9 +359,8 @@ def minimize_energy(spec: ProblemSpec, grid: GridSpec, boundary_data,
             e = _energy_raw(cand, grid, w)
             if e < e_best:
                 best, e_best = cand, e
-                energies.append(e)
 
-    return SolveResult(field=ScalarField(grid, best), energies=energies,
+    return SolveResult(field=ScalarField(grid, best), energy=e_best,
                        iterations=iters, converged=converged, message=message)
 
 
@@ -447,7 +438,7 @@ def _neighbour_sum(nbrs) -> np.ndarray:
 
 
 def _sor_block(u: np.ndarray, free: np.ndarray, eps: np.ndarray,
-               pull: np.ndarray, omega: float, envelope: np.ndarray | None,
+               pull: np.ndarray, envelope: np.ndarray | None,
                zapped: np.ndarray | None, sweeps: int) -> None:
     """Projected red-black SOR sweeps on ``u`` in place, free nodes only.
 
@@ -472,7 +463,7 @@ def _sor_block(u: np.ndarray, free: np.ndarray, eps: np.ndarray,
     such a state, and the envelope is nonnegative).  Pinned nodes keep
     their value, selected rather than multiplied away, so no -0.0 enters
     the field."""
-    keep = 1.0 - omega
+    keep = 1.0 - OMEGA
     planes = _planes(u)
     zaps = None if envelope is None else _planes(zapped)
     lattice = []
@@ -488,7 +479,7 @@ def _sor_block(u: np.ndarray, free: np.ndarray, eps: np.ndarray,
             target = 0.25 * _neighbour_sum(nbrs)
             target -= pull_s * ((node > 0.0) & (node < eps_s))
             new = keep * node
-            new += omega * target
+            new += OMEGA * target
             np.maximum(new, 0.0, out=new)
             if env is not None:
                 zap |= new > env
@@ -551,7 +542,7 @@ class TestVectorField:
 
 
 def bump_vector_field(grid: GridSpec, center, radius: float,
-                      direction=(0.6, 0.8), collar: int = 2) -> TestVectorField:
+                      direction=(0.6, 0.8)) -> TestVectorField:
     """Smooth compactly supported bump: direction * exp(1 - 1/(1 - s^2))
     with s the scaled distance to ``center``."""
     X, Y = grid.mesh()
@@ -559,7 +550,7 @@ def bump_vector_field(grid: GridSpec, center, radius: float,
     bump = np.zeros_like(X)
     inside = s2 < 1.0
     bump[inside] = np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
-    return TestVectorField(grid, direction[0] * bump, direction[1] * bump, collar=collar)
+    return TestVectorField(grid, direction[0] * bump, direction[1] * bump)
 
 
 def domain_variation_residual(spec: ProblemSpec, u: ScalarField,

@@ -225,9 +225,14 @@ def edge_weight_mismatch(alpha: float, beta: float, theta1):
         - _type3_weight(alpha, beta, theta1)
 
 
-def snap_symmetric_root(alpha: float, beta: float, theta1: float,
-                        tol: float = 1e-5) -> float:
-    """Snap a root whose cone bisector falls within ``tol`` of a coordinate
+def _symmetry_offsets(alpha: float, beta: float) -> tuple[float, ...]:
+    # bisector positions modulo pi/2 of a symmetric pair: the axes, and
+    # for alpha == beta the diagonals too
+    return (0.0, math.pi / 4.0) if alpha == beta else (0.0,)
+
+
+def snap_symmetric_root(alpha: float, beta: float, theta1: float) -> float:
+    """Snap a root whose cone bisector falls within 1e-5 of a coordinate
     axis (or, for alpha == beta, a diagonal) onto the exact symmetric
     position.  Axis-symmetric pairs exist for every admissible (alpha,
     beta) by reflection symmetry, and at threshold parameters the crossing
@@ -236,31 +241,22 @@ def snap_symmetric_root(alpha: float, beta: float, theta1: float,
     A = TWO_PI / (alpha + beta + 2.0)
     m = theta1 + A / 2.0
     q = math.pi / 2.0
-    near_axis = round(m / q) * q
-    if abs(m - near_axis) <= tol:
-        return wrap_angle(near_axis - A / 2.0)
-    if alpha == beta:
-        near_diag = round((m - q / 2.0) / q) * q + q / 2.0
-        if abs(m - near_diag) <= tol:
-            return wrap_angle(near_diag - A / 2.0)
+    for o in _symmetry_offsets(alpha, beta):
+        near = round((m - o) / q) * q + o
+        if abs(m - near) <= 1e-5:
+            return wrap_angle(near - A / 2.0)
     return theta1
 
 
-def pair_symmetric(alpha: float, beta: float, theta1: float, tol: float = 1e-8) -> bool:
+def pair_symmetric(alpha: float, beta: float, theta1: float) -> bool:
     """A pair is tagged symmetric when reflecting its cone across a
     coordinate axis (or, for alpha == beta, a diagonal) maps it to itself,
-    i.e. the bisector lies on an axis (or diagonal)."""
+    i.e. the bisector lies within 1e-8 of an axis (or diagonal)."""
     A = TWO_PI / (alpha + beta + 2.0)
     m = theta1 + A / 2.0
     q = math.pi / 2.0
-    frac = m / q - round(m / q)
-    if abs(frac) * q <= tol:
-        return True
-    if alpha == beta:
-        frac = (m - q / 2.0) / q - round((m - q / 2.0) / q)
-        if abs(frac) * q <= tol:
-            return True
-    return False
+    return any(abs((m - o) / q - round((m - o) / q)) * q <= 1e-8
+               for o in _symmetry_offsets(alpha, beta))
 
 
 def angle_pair(alpha: float, beta: float, theta1: float | None = None) -> AnglePair:
@@ -289,19 +285,19 @@ def _canonical_degenerate_pairs(alpha: float, beta: float) -> list[float]:
     return [wrap_angle(b - A / 2.0) for b in bisectors]
 
 
-def solve_angle_pairs(alpha: float, beta: float, samples: int = 4096,
-                      merge_tol: float = 1e-8) -> list[AnglePair]:
+def solve_angle_pairs(alpha: float, beta: float) -> list[AnglePair]:
     """All admissible type-3 edge pairs over theta1 in [-pi, pi).
 
-    Dense sampling of the edge-weight mismatch followed by bisection on
-    sign changes; pairs identical modulo 2 pi are merged.  When the
+    Dense sampling of the edge-weight mismatch at 4096 angles followed by
+    bisection on sign changes; roots within 1e-8 of each other, modulo
+    2 pi, are merged.  When the
     mismatch vanishes identically (alpha = beta = 1) every angle is
     admissible and the eight canonical limiting pairs are returned.
     """
     if alpha < 1 or beta < 1:
         raise InvalidSpec("angle pairs require alpha >= 1 and beta >= 1")
     A = TWO_PI / (alpha + beta + 2.0)
-    th = np.linspace(-math.pi, math.pi, samples, endpoint=False)
+    th = np.linspace(-math.pi, math.pi, 4096, endpoint=False)
     G = edge_weight_mismatch(alpha, beta, th)
     scale = float(np.max(_type3_weight(alpha, beta, th)))
     if float(np.max(np.abs(G))) <= 1e-12 * max(scale, 1e-300):
@@ -310,7 +306,7 @@ def solve_angle_pairs(alpha: float, beta: float, samples: int = 4096,
         roots = []
         g_next = np.roll(G, -1)
         th_next = np.concatenate([th[1:], [th[0] + TWO_PI]])
-        for i in range(samples):
+        for i in range(len(th)):
             a, b = th[i], th_next[i]
             ga, gb = G[i], g_next[i]
             if ga == 0.0:
@@ -330,7 +326,7 @@ def solve_angle_pairs(alpha: float, beta: float, samples: int = 4096,
                         lo, glo = mid, gm
                 roots.append(wrap_angle(0.5 * (lo + hi)))
         roots = [snap_symmetric_root(alpha, beta, t) for t in roots]
-        roots = _merge_circular(sorted(roots), merge_tol)
+        roots = _merge_circular(sorted(roots), 1e-8)
     pairs = [AnglePair(theta1=t, theta2=t + A,
                        symmetric=pair_symmetric(alpha, beta, t))
              for t in sorted(roots)]
@@ -416,11 +412,10 @@ class ConclusionRow:
     density: float
 
 
-def _subcase_specs(alpha: float, beta: float, x0_mag: float, y0_mag: float,
-                   domain_pad: float = 4.0):
+def _subcase_specs(alpha: float, beta: float, x0_mag: float, y0_mag: float):
     """All subcase configurations admissible at these exponents (type 2
     needs alpha >= 1, type 3 needs both; inadmissible rows are skipped)."""
-    big = Rect(-domain_pad, -domain_pad, domain_pad, domain_pad)
+    big = Rect(-4.0, -4.0, 4.0, 4.0)
     stags = [Type1(x0=x0, theta0=th)
              for x0, th in [(-x0_mag, THETA_DOWN), (x0_mag, THETA_UP),
                             (-x0_mag, THETA_UP), (x0_mag, THETA_DOWN)]]
@@ -437,15 +432,16 @@ def _subcase_specs(alpha: float, beta: float, x0_mag: float, y0_mag: float,
     return out
 
 
-def conclusion_table(alpha: float, beta: float, x0_mag: float = 1.0,
-                     y0_mag: float = 1.0, pair: AnglePair | None = None) -> list[ConclusionRow]:
+def conclusion_table(alpha: float, beta: float,
+                     pair: AnglePair | None = None) -> list[ConclusionRow]:
     """Openings, cone edges, force directions, and densities for all nine
-    subcases at the given exponents.  The type-3 row uses the supplied pair
-    or defaults to the downward axis-symmetric one."""
+    subcases at the given exponents, the stagnation point at unit distance
+    from its axis.  The type-3 row uses the supplied pair or defaults to
+    the downward axis-symmetric one."""
     if pair is None:
         pair = angle_pair(alpha, beta)
     rows = []
-    for spec in _subcase_specs(alpha, beta, x0_mag, y0_mag):
+    for spec in _subcase_specs(alpha, beta, 1.0, 1.0):
         m = spec.model
         prof = blowup_limit(spec, pair)
         # the stagnation coordinate off the degenerate axes, if any

@@ -18,6 +18,10 @@ All floating-point output is written with 17 significant digits and no
 timestamps, so identical configs reproduce byte-identical artifacts.  The
 resolved config is embedded in every JSON report and can itself be fed
 back as a config (provenance round-trip).
+
+``parse_config`` checks every setting, naming its key, before any stage
+runs, and a saved solution.field is analysed only for the problem and
+grid it was solved for.
 """
 
 from __future__ import annotations
@@ -34,11 +38,11 @@ import yaml
 from . import blowup as bw
 from . import oracle
 from .domain import (GridSpec, ProblemSpec, Rect, ScalarField, StagnationPoint,
-                     Type1, Type2, Type3, _fmt, load_field, save_field,
-                     stagnation_point)
+                     Type1, Type2, Type3, _fmt, load_field, reference_grid,
+                     save_field, spec_from_header, stagnation_point)
 from .energy import SolverParams, SolveResult, minimize_energy
 from .frequency import frequency_profile
-from .weiss import radial_sweep, weiss_profile
+from .weiss import check_radii, radial_sweep, weiss_profile
 
 FORMATS = ("csv", "json", "svg")
 
@@ -58,7 +62,7 @@ class AnalysisError(Exception):
 
 
 def _need(mapping: dict, key: str, where: str):
-    if key not in mapping:
+    if key not in mapping or mapping[key] is None:
         raise ConfigError(f"missing field '{key}' in {where}")
     return mapping[key]
 
@@ -73,24 +77,33 @@ def _known(mapping, keys: tuple[str, ...], where: str) -> dict:
     return mapping
 
 
-def _float_or_none(mapping: dict, key: str, where: str) -> float | None:
-    """``mapping[key]`` as a float, None when it is absent or null;
-    ConfigError names the key when the value is not a number."""
-    value = mapping.get(key)
+def _number(mapping: dict, key: str, where: str, default=None, kind=float,
+            required: bool = False):
+    """``mapping[key]`` converted by ``kind``, ``default`` when it is absent
+    or null (a missing-field error when ``required``); ConfigError names
+    the key when the value is not a number."""
+    value = _need(mapping, key, where) if required else mapping.get(key)
     if value is None:
-        return None
+        return default
     try:
-        return float(value)
+        return kind(value)
     except (TypeError, ValueError):
         raise ConfigError(
             f"{where}.{key} must be a number, not {value!r}") from None
+
+
+def _check(key: str, validate, *args):
+    """``validate(*args)``, its ValueError a ConfigError naming ``key``."""
+    try:
+        return validate(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 @dataclass
 class BoundaryConfig:
     perturbation: float = 0.0       # amplitude of the decaying same-cone mode
     pair_theta1: float | None = None  # type-3 seed pair
-    init: str = "hull"              # hull | oracle
 
 
 @dataclass
@@ -148,50 +161,47 @@ def parse_config(data: dict) -> PipelineConfig:
         prob = _known(_need(data, "problem", "config"),
                       ("alpha", "beta", "domain", "stagnation",
                        "weight_constant"), "problem")
-        alpha = _need(prob, "alpha", "problem")
-        beta = _need(prob, "beta", "problem")
-        dom = _need(prob, "domain", "problem")
         spec = ProblemSpec(
-            alpha=float(alpha), beta=float(beta),
+            alpha=_number(prob, "alpha", "problem", required=True),
+            beta=_number(prob, "beta", "problem", required=True),
             stag=_parse_stag(_need(prob, "stagnation", "problem")),
-            domain=Rect(*[float(v) for v in dom]),
-            weight_constant=float(prob.get("weight_constant", 1.0)))
+            domain=Rect(*[float(v) for v in _need(prob, "domain", "problem")]),
+            weight_constant=_number(prob, "weight_constant", "problem", 1.0))
         grid_cfg = _known(_need(data, "grid", "config"), ("nx", "ny"), "grid")
-        grid = GridSpec.from_domain(spec.domain,
-                                    int(_need(grid_cfg, "nx", "grid")),
-                                    int(_need(grid_cfg, "ny", "grid")))
+        grid = GridSpec.from_domain(
+            spec.domain, _number(grid_cfg, "nx", "grid", kind=int, required=True),
+            _number(grid_cfg, "ny", "grid", kind=int, required=True))
         sol = _known(data.get("solver") or {}, ("max_iters",), "solver")
-        solver = SolverParams(max_iters=int(sol.get("max_iters", 6000)))
+        solver = SolverParams(
+            max_iters=_number(sol, "max_iters", "solver", 6000, int))
+        # the boundary data is always the oracle's blow-up profile
         bnd = _known(data.get("boundary") or {},
-                     ("source", "perturbation", "pair_theta1", "init"),
-                     "boundary")
-        # the boundary data is always the oracle's blow-up profile; the
-        # key stays readable because checked-in configs spell it out
-        if bnd.get("source", "oracle") != "oracle":
-            raise ConfigError(f"unknown boundary source {bnd['source']!r}")
+                     ("perturbation", "pair_theta1"), "boundary")
         boundary = BoundaryConfig(
-            perturbation=float(bnd.get("perturbation", 0.0)),
-            pair_theta1=_float_or_none(bnd, "pair_theta1", "boundary"),
-            init=bnd.get("init", "hull"))
-        if boundary.init not in ("hull", "oracle"):
-            raise ConfigError(f"unknown solver init {boundary.init!r}")
+            perturbation=_number(bnd, "perturbation", "boundary", 0.0),
+            pair_theta1=_number(bnd, "pair_theta1", "boundary"))
         if boundary.pair_theta1 is not None:
             # the pair seeds type-3 boundary data and the table's type-3 row
-            oracle.angle_pair(spec.alpha, spec.beta, boundary.pair_theta1)
+            _check("boundary.pair_theta1", oracle.angle_pair, spec.alpha,
+                   spec.beta, boundary.pair_theta1)
         ana = _known(data.get("analysis") or {},
                      ("delta", "radii", "blowup_radii", "density_radius",
                       "direction_radius", "reference_n"), "analysis")
-        radii = _radii_list(ana.get("radii"))
         analysis = AnalysisConfig(
-            delta=_float_or_none(ana, "delta", "analysis"),
-            radii=radii,
+            delta=_number(ana, "delta", "analysis"),
+            radii=_radii_list(ana.get("radii")),
             blowup_radii=[float(r) for r in ana.get("blowup_radii", [])],
-            density_radius=_float_or_none(ana, "density_radius", "analysis"),
-            direction_radius=_float_or_none(ana, "direction_radius",
-                                            "analysis"),
-            reference_n=int(ana.get("reference_n", 129)))
-        # checked here, so a bad delta fails before the solve, not after it
-        stagnation_point(spec, analysis.delta)
+            density_radius=_number(ana, "density_radius", "analysis"),
+            direction_radius=_number(ana, "direction_radius", "analysis"),
+            reference_n=_number(ana, "reference_n", "analysis", 129, int))
+        # the analysis settings the solve does not read are checked here,
+        # so a bad one fails before the solve, not after it
+        sp = _check("analysis.delta", stagnation_point, spec, analysis.delta)
+        if analysis.radii:
+            _check("analysis.radii", check_radii, sp, grid, analysis.radii)
+        _check("analysis.blowup_radii", bw.check_decreasing,
+               analysis.blowup_radii)
+        _check("analysis.reference_n", reference_grid, analysis.reference_n)
         out = _known(data.get("outputs") or {}, ("directory", "formats"),
                      "outputs")
         formats = check_formats(out.get("formats", FORMATS))
@@ -221,9 +231,9 @@ def _radii_list(spec) -> list[float]:
         return [float(r) for r in spec]
     if isinstance(spec, dict):
         _known(spec, ("r_min", "r_max", "count", "log"), "analysis.radii")
-        r0 = float(_need(spec, "r_min", "analysis.radii"))
-        r1 = float(_need(spec, "r_max", "analysis.radii"))
-        n = int(_need(spec, "count", "analysis.radii"))
+        r0 = _number(spec, "r_min", "analysis.radii", required=True)
+        r1 = _number(spec, "r_max", "analysis.radii", required=True)
+        n = _number(spec, "count", "analysis.radii", kind=int, required=True)
         if spec.get("log", True):
             return list(np.geomspace(r0, r1, n))
         return list(np.linspace(r0, r1, n))
@@ -254,17 +264,10 @@ def build_boundary(cfg: PipelineConfig):
     x0, y0 = spec.stagnation_location
     vals = oracle.evaluate_at_points(profile, X, Y, (x0, y0))
     if cfg.boundary.perturbation:
-        # same-cone mode one power of r above the blow-up degree: decays
-        # linearly under rescaling, giving a measurable convergence rate
-        d = profile.degree
-        rr = np.hypot(X - x0, Y - y0)
-        th = np.arctan2(Y - y0, X - x0)
-        dth = np.mod(th - profile.theta1, 2 * math.pi)
-        inside = dth <= profile.opening
-        mode = np.where(inside, np.maximum(
-            np.cos(d * (profile.theta1 + dth) + profile.phi0), 0.0), 0.0)
-        vals = vals + cfg.boundary.perturbation * profile.prefactor * profile.C0 \
-            * rr ** (d + 1.0) * mode
+        # same-cone mode one power of r above the blow-up degree: the
+        # profile times r, decaying linearly under rescaling, which gives
+        # a measurable convergence rate
+        vals = vals + cfg.boundary.perturbation * np.hypot(X - x0, Y - y0) * vals
     return np.asarray(vals), profile
 
 
@@ -274,11 +277,7 @@ def build_boundary(cfg: PipelineConfig):
 def run_solve(cfg: PipelineConfig) -> tuple[SolveResult, object]:
     try:
         bd, profile = build_boundary(cfg)
-        initial = None
-        if cfg.boundary.init == "oracle":
-            initial = ScalarField(cfg.grid, bd.copy())
-        result = minimize_energy(cfg.problem, cfg.grid, bd, cfg.solver,
-                                 initial=initial)
+        result = minimize_energy(cfg.problem, cfg.grid, bd, cfg.solver)
     except Exception as exc:
         raise SolverError(f"solve stage failed: {exc}") from exc
     return result, profile
@@ -372,9 +371,10 @@ def _marching_segments(values: np.ndarray, grid: GridSpec, level: float):
 
 
 def write_svg(u: ScalarField, spec: ProblemSpec, sp: StagnationPoint, path,
-              profile=None, size: int = 640) -> None:
-    """Grayscale contour of u, the free-boundary polyline, and (when a
-    profile is given) the predicted cone edges."""
+              profile=None) -> None:
+    """Grayscale contour of u on a 640-pixel square, the free-boundary
+    polyline, and (when a profile is given) the predicted cone edges."""
+    size = 640
     g = u.grid
     # at most 128 shaded cells per side
     step = max(1, math.ceil(max(u.values.shape) / 128))
@@ -450,7 +450,7 @@ def run(cfg: PipelineConfig,
         manifest["solver"] = {
             "converged": result.converged,
             "iterations": result.iterations,
-            "final_energy": result.energies[-1],
+            "final_energy": result.energy,
             "message": result.message,
         }
         if not result.converged:
@@ -462,7 +462,12 @@ def run(cfg: PipelineConfig,
         p = outdir / "solution.field"
         if not p.exists():
             raise AnalysisError("no solution field available; run solve first")
-        solution, _ = load_field(p)
+        solution, header = load_field(p)
+        # the saved solve must be of the config's problem on its grid
+        if "stag_type" not in header or spec_from_header(header) != spec \
+                or solution.grid != cfg.grid:
+            raise AnalysisError("solution.field was solved for another "
+                                "problem or grid than the config")
 
     sp = None
     density = None
@@ -502,11 +507,8 @@ def run(cfg: PipelineConfig,
         if br is not None:
             density = br.density_estimate
     if "classify" in stages:
-        if density is None:
-            sp = sp or stagnation_point(spec, cfg.analysis.delta)
-            r_dens = cfg.analysis.density_radius or (
-                cfg.analysis.blowup_radii[-1] if cfg.analysis.blowup_radii
-                else 0.5 * sp.delta)
+        if density is None:  # no blow-up schedule
+            r_dens = cfg.analysis.density_radius or 0.5 * sp.delta
             density = bw.limit_density(spec, solution, sp, r_dens)
         report = run_classify(cfg, sp, density)
         if "json" in fmts:

@@ -74,10 +74,17 @@ class WeissProfile:
         Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def _check_radius(sp: StagnationPoint, grid: GridSpec, r: float) -> None:
-    if not (0.0 < r < sp.delta):
-        raise RadiusOutOfRange(f"radius {r:g} outside (0, delta={sp.delta:g})")
-    require_circle_inside(grid, sp.location, r)
+def check_radii(sp: StagnationPoint, grid: GridSpec, radii) -> np.ndarray:
+    """``radii`` as an array; raises unless they increase strictly inside
+    (0, delta) and their circles fit in the grid."""
+    radii = np.asarray(radii, dtype=float)
+    if np.any(np.diff(radii) <= 0):
+        raise ValueError("radii must be strictly increasing")
+    for r in (radii[0], radii[-1]):
+        if not (0.0 < r < sp.delta):
+            raise RadiusOutOfRange(f"radius {r:g} outside (0, delta={sp.delta:g})")
+        require_circle_inside(grid, sp.location, r)
+    return radii
 
 
 @dataclass
@@ -125,11 +132,7 @@ def radial_sweep(spec: ProblemSpec, u: ScalarField, sp: StagnationPoint,
                  radii) -> RadialSweep:
     """The integrals of both profiles from one disk stencil and one circle
     integral per radius."""
-    radii = np.asarray(radii, dtype=float)
-    if np.any(np.diff(radii) <= 0):
-        raise ValueError("radii must be strictly increasing")
-    for r in (radii[0], radii[-1]):
-        _check_radius(sp, u.grid, r)
+    radii = check_radii(sp, u.grid, radii)
     bulk_f, gradsq, rem, free_f, gap_f = _analysis_arrays(spec, u)
     k = sp.kappa
     cols = np.empty((6, len(radii)))
@@ -233,7 +236,7 @@ def limit_density(spec: ProblemSpec, u: ScalarField, sp: StagnationPoint,
     where m is the frozen angular monomial ((sy z2)_+^beta for type 1,
     (sx z1)_+^alpha for type 2, |z1|^alpha |z2|^beta for type 3) and the
     prefactor carries the non-degenerate factor at X0."""
-    _check_radius(sp, u.grid, r_small)
+    check_radii(sp, u.grid, [r_small])
     ref = reference_grid(reference_n)
     Zx, Zy = ref.mesh()
     px = sp.location[0] + r_small * Zx

@@ -156,10 +156,6 @@ class TestMinimize:
         with pytest.raises(cw.InvalidBoundary):
             cw.minimize_energy(spec, g, bd, cw.SolverParams())
 
-    def test_energy_sequence_monotone(self, stokes_case):
-        e = np.array(stokes_case.result.energies)
-        assert np.all(np.diff(e) <= 0)
-
     def test_positivity(self, stokes_case):
         assert np.all(stokes_case.result.field.values >= 0.0)
 
@@ -191,20 +187,22 @@ class TestMinimize:
     @pytest.mark.parametrize("case", ["type1-33x33", "type1-33x33-capped"])
     def test_energy_evaluated_after_the_flow_only(self, monkeypatch, case):
         # the start and the eight sharpening candidates, whatever the
-        # number of flow blocks
+        # number of flow blocks; the result is the lowest of the nine
         kind, nx, ny, params = KERNEL_CASES[case]
         spec, grid, bd, params = kernel_case(kind, nx, ny, **params)
         calls = []
         raw = energy_module._energy_raw
 
         def counted(*args, **kwargs):
-            calls.append(1)
-            return raw(*args, **kwargs)
+            calls.append(raw(*args, **kwargs))
+            return calls[-1]
 
         monkeypatch.setattr(energy_module, "_energy_raw", counted)
         result = cw.minimize_energy(spec, grid, bd, params)
         assert result.iterations >= 4 * energy_module.BLOCK_SIZE
         assert len(calls) == 9
+        assert result.energy == min(calls)
+        assert result.energy == cw.energy(spec, result.field)
 
     def test_comparison_principle(self):
         # scaling the data up never shrinks the positivity set
@@ -225,7 +223,8 @@ def masked_sor_block(air, zaps):
     against the envelope, zeroes the nodes in the zap memory ``zapped``
     and re-zeroes the air half-plane.  ``zaps`` collects the size of the
     memory a block starts with and the size it ends with."""
-    def sor_block(u, free, eps, pull, omega, envelope, zapped, sweeps):
+    def sor_block(u, free, eps, pull, envelope, zapped, sweeps):
+        omega = energy_module.OMEGA
         jj, ii = np.indices(u.shape)
         parity = (jj + ii) % 2 == 0
         colors = (parity & free, ~parity & free)
@@ -298,6 +297,8 @@ KERNEL_CASES = {
     "type1-33x33": ("stokes", 33, 33, {}),
     "type1-34x31": ("stokes", 34, 31, {}),
     "type1-33x33-capped": ("stokes", 33, 33, {"max_iters": 40}),
+    # a budget that is no multiple of the block size: the last block is cut
+    "type1-33x33-capped-15": ("stokes", 33, 33, {"max_iters": 15}),
     "type1-34x31-no-air": ("stokes", 34, 31, {"enforce_support": False}),
     # zaps 3 nodes in block 2 and keeps them in the memory to the end;
     # dropping them between blocks changes the returned field
@@ -331,9 +332,9 @@ class TestStridedKernel:
         ref = cw.minimize_energy(spec, grid, bd, params)
         assert np.array_equal(fast.field.values, ref.field.values)
         assert fast.field.values.tobytes() == ref.field.values.tobytes()
-        assert fast.iterations == ref.iterations
+        assert fast.iterations == ref.iterations <= params.max_iters
         assert fast.converged == ref.converged == ("capped" not in case)
-        assert fast.energies == ref.energies
+        assert fast.energy == ref.energy
         # the envelope is on for type 1 only, and zaps nodes there
         assert bool(zaps) == (kind != "type3")
         if zaps:
@@ -362,13 +363,13 @@ class TestStridedKernel:
         marked[5:9, 6:12] = True
         zapped = marked.copy()
         fast = u.copy()
-        energy_module._sor_block(fast, free, eps, pull, 1.85, envelope,
+        energy_module._sor_block(fast, free, eps, pull, envelope,
                                  zapped, sweeps=5)
         assert np.all(zapped[marked]) and np.any(zapped & ~marked)
         assert fast[zapped].tobytes() == bytes(8 * int(zapped.sum()))
         # without the marks the same block regrows those nodes
         fresh = u.copy()
-        energy_module._sor_block(fresh, free, eps, pull, 1.85, envelope,
+        energy_module._sor_block(fresh, free, eps, pull, envelope,
                                  np.zeros(shape, dtype=bool), sweeps=5)
         assert np.all(fresh[marked] > 0.0)
 
@@ -460,10 +461,10 @@ class TestCroppedKernel:
         fast, ref = u.copy(), u.copy()
         fast_zaps = None if zapped is None else zapped.copy()
         ref_zaps = None if zapped is None else zapped.copy()
-        energy_module._sor_block(fast, free, eps, pull, 1.85, envelope,
+        energy_module._sor_block(fast, free, eps, pull, envelope,
                                  fast_zaps, sweeps=6)
         masked_sor_block(np.zeros(BOX_SHAPE, dtype=bool), [])(
-            ref, free, eps, pull, 1.85, envelope, ref_zaps, sweeps=6)
+            ref, free, eps, pull, envelope, ref_zaps, sweeps=6)
         assert fast.tobytes() == ref.tobytes()
         if zapped is not None:
             assert np.array_equal(fast_zaps, ref_zaps)

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import math
@@ -11,10 +12,12 @@ import yaml
 
 import cornerwave as cw
 from cornerwave import oracle
-from cornerwave.oracle import AnglePair, angle_pair, blowup_limit, corner_density
+from cornerwave.oracle import (AnglePair, angle_pair, blowup_limit,
+                               corner_density, evaluate_at_points)
 from cornerwave.pipeline import (AnalysisError, ConfigError,
-                                 _marching_segments, load_config,
-                                 parse_config, run, run_classify, write_table1)
+                                 _marching_segments, build_boundary,
+                                 load_config, parse_config, run, run_classify,
+                                 write_table1)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -26,7 +29,6 @@ SMALL_CONFIG = {
     },
     "grid": {"nx": 257, "ny": 257},
     "solver": {"max_iters": 3000},
-    "boundary": {"source": "oracle"},
     "analysis": {
         "delta": 0.5,
         "radii": {"r_min": 0.1, "r_max": 0.4, "count": 8, "log": True},
@@ -65,7 +67,8 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="pdf"):
             parse_config(data)
 
-    # the solver, boundary and analysis settings that are constants now
+    # the solver, boundary and analysis settings that are constants now,
+    # and the boundary settings with one value in use
     @pytest.mark.parametrize("section, key, value", [
         ("solver", "smoothing_eps", 0.01),
         ("solver", "step_size", 1.85),
@@ -77,11 +80,13 @@ class TestConfigParsing:
         ("boundary", "source", "plane"),
         ("boundary", "source", "zero"),
         ("analysis", "annuli", [0.25, 0.85]),
+        ("boundary", "source", "oracle"),
+        ("boundary", "init", "oracle"),
     ])
     def test_retired_key_rejected(self, section, key, value):
         data = json.loads(json.dumps(SMALL_CONFIG))
-        data[section][key] = value
-        with pytest.raises(ConfigError, match=value if key == "source" else key):
+        data.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError, match=f"unknown field '{key}'"):
             parse_config(data)
 
     @pytest.mark.parametrize("path, key", [
@@ -96,7 +101,7 @@ class TestConfigParsing:
         data = json.loads(json.dumps(SMALL_CONFIG))
         mapping = data
         for name in path:
-            mapping = mapping[name]
+            mapping = mapping.setdefault(name, {})
         mapping[key] = 0.1
         with pytest.raises(ConfigError, match=f"unknown field '{key}'"):
             parse_config(data)
@@ -110,10 +115,12 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("section, key", [
         ("analysis", "delta"), ("analysis", "density_radius"),
-        ("analysis", "direction_radius"), ("boundary", "pair_theta1")])
+        ("analysis", "direction_radius"), ("boundary", "pair_theta1"),
+        ("grid", "nx"), ("grid", "ny"), ("problem", "alpha"),
+        ("solver", "max_iters"), ("analysis", "reference_n")])
     def test_text_number_rejected_by_key(self, section, key):
         data = json.loads(json.dumps(SMALL_CONFIG))
-        data[section][key] = "abc"
+        data.setdefault(section, {})[key] = "abc"
         with pytest.raises(ConfigError, match=f"{section}.{key} must be a number"):
             parse_config(data)
 
@@ -198,6 +205,28 @@ class TestRun:
         manifest = run(cfg, stages=("table1",))
         assert list(manifest["outputs"]) == ["table1"]
         assert (Path(cfg.outputs.directory) / "table1.csv").exists()
+
+
+class TestBuildBoundary:
+    @pytest.mark.parametrize("name", ["stokes", "corner_beta2", "corner_alpha2",
+                                      "corner_type3", "blowup_convergence"])
+    def test_perturbation_is_the_profile_times_r(self, name):
+        cfg = load_config(CONFIGS / f"{name}.yaml")
+        cfg.boundary.perturbation = 0.5
+        vals, profile = build_boundary(cfg)
+        # the same-cone mode one power of r above the degree, written out
+        X, Y = cfg.grid.mesh()
+        x0, y0 = cfg.problem.stagnation_location
+        d = profile.degree
+        rr = np.hypot(X - x0, Y - y0)
+        dth = np.mod(np.arctan2(Y - y0, X - x0) - profile.theta1, 2 * math.pi)
+        mode = np.where(dth <= profile.opening, np.maximum(
+            np.cos(d * (profile.theta1 + dth) + profile.phi0), 0.0), 0.0)
+        plain = evaluate_at_points(profile, X, Y, (x0, y0))
+        expected = plain + 0.5 * profile.prefactor * profile.C0 \
+            * rr ** (d + 1.0) * mode
+        np.testing.assert_allclose(vals, expected, rtol=1e-13, atol=0.0)
+        assert np.any(vals > plain)
 
 
 def cell_loop_segments(values, grid, level):
@@ -319,6 +348,11 @@ class TestReproduceAll:
         spec.loader.exec_module(script)
 
         def fake_run(cfg, stages):
+            # two files written out of name order, one naming the config
+            outdir = Path(cfg.outputs.directory)
+            outdir.mkdir(parents=True)
+            (outdir / "b.csv").write_bytes(outdir.name.encode())
+            (outdir / "a.csv").write_bytes(b"1\n")
             if "classify" in stages:
                 return {"outputs": {}, "classification": verdict,
                         "solver": {"iterations": 910, "converged": False,
@@ -328,18 +362,45 @@ class TestReproduceAll:
         monkeypatch.setattr(script, "run", fake_run)
         monkeypatch.setattr(sys, "argv", ["reproduce_all", "--out", str(tmp_path)])
         assert script.main() == status
-        # one line per config; the solver status only where it solves;
-        # then the total wall time
+        # one line per config; the solver status only where it solves; the
+        # digest of the files written, in name order; then the total time
         *lines, total = capsys.readouterr().out.splitlines()
         assert len(lines) == len(script.CONFIGS)
         assert total.startswith("total=") and total.endswith("s")
         for line, (name, verb) in zip(lines, script.CONFIGS):
             assert line.startswith(name)
+            digest = hashlib.sha256(b"a.csv\0" + b"1\n" + b"b.csv\0"
+                                    + Path(name).stem.encode()).hexdigest()
+            assert line.endswith(f"  sha256={digest}")
             if verb == "run":
                 assert ("sweeps=910  converged=False  "
                         "final_energy=0.8311472280658553  ") in line
             else:
                 assert "sweeps=-  converged=-  final_energy=-  " in line
+
+
+# corner_type3.yaml with one (section, key, value) set, or None for a
+# config that has only problem.alpha; and the name its error must carry
+MALFORMED = {
+    "missing_field": (None, "'beta'"),
+    # a type-3 seed pair whose edge weights differ
+    "bad_pair": (("boundary", "pair_theta1", 0.3), "boundary.pair_theta1"),
+    # a misspelt max_iters
+    "unknown_key": (("solver", "max_iter", 100), "'max_iter'"),
+    # delta beyond half the distance to the domain edge
+    "bad_delta": (("analysis", "delta", 5.0), "analysis.delta"),
+    # not a number; used only after the solve, like the four below
+    "text_density_radius": (("analysis", "density_radius", "abc"),
+                            "analysis.density_radius"),
+    "text_grid_size": (("grid", "nx", "abc"), "grid.nx"),
+    # below the 16 nodes per axis a grid needs
+    "small_reference_n": (("analysis", "reference_n", 8),
+                          "analysis.reference_n"),
+    "increasing_blowup_radii": (("analysis", "blowup_radii", [0.23, 0.45]),
+                                "analysis.blowup_radii"),
+    # a radius past delta = 0.5
+    "radii_past_delta": (("analysis", "radii", [0.1, 0.7]), "analysis.radii"),
+}
 
 
 class TestCli:
@@ -348,35 +409,23 @@ class TestCli:
                               capture_output=True, text=True)
 
     @pytest.mark.parametrize("verb", ["run", "table1", "solve"])
-    @pytest.mark.parametrize("config", ["missing_field", "bad_pair",
-                                        "unknown_key", "bad_delta",
-                                        "text_density_radius"])
+    @pytest.mark.parametrize("config", list(MALFORMED))
     def test_malformed_config_exit_2(self, tmp_path, config, verb):
         bad = tmp_path / "bad.yaml"
-        if config == "missing_field":
+        edit, named = MALFORMED[config]
+        if edit is None:
             bad.write_text("problem: {alpha: 0.0}\n")
         else:
             data = yaml.safe_load((CONFIGS / "corner_type3.yaml").read_text())
-            if config == "bad_pair":
-                # a type-3 seed pair whose edge weights differ
-                data["boundary"]["pair_theta1"] = 0.3
-            elif config == "unknown_key":
-                # a misspelt max_iters
-                data["solver"] = {"max_iter": 100}
-            elif config == "text_density_radius":
-                # not a number; used only after the solve
-                data["analysis"]["density_radius"] = "abc"
-            else:
-                # delta beyond half the distance to the domain edge
-                data["analysis"]["delta"] = 5.0
+            section, key, value = edit
+            data.setdefault(section, {})[key] = value
             bad.write_text(yaml.safe_dump(data))
         out = tmp_path / "o"
         r = self.run_cli(verb, "--config", str(bad), "--out", str(out))
         assert r.returncode == 2, r.stderr
         rec = json.loads((out / "error.json").read_text())
         assert rec["stage"] == "config"
-        if config == "text_density_radius":
-            assert "analysis.density_radius" in rec["message"]
+        assert named in rec["message"]
         # rejected before any stage ran
         assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
@@ -416,6 +465,25 @@ class TestCli:
         assert ("solver: converged=False iterations=20 "
                 "message=max_iters hit before the flow settled") in r.stdout
         assert "solver did not converge after 20 sweeps" in r.stderr
+
+    def test_staged_verbs_check_the_saved_field(self, tmp_path):
+        # a solution.field solved for another problem or grid than the
+        # config is refused, not analysed as if it fitted
+        data = small_config(tmp_path)
+        run(parse_config(data), stages=("solve",))
+        out = Path(data["outputs"]["directory"])
+        for section, edit in (("problem", {"beta": 2.0}),
+                              ("grid", {"nx": 129, "ny": 129})):
+            edited = json.loads(json.dumps(data))
+            edited[section].update(edit)
+            cfgp = tmp_path / "c.yaml"
+            cfgp.write_text(yaml.safe_dump(edited))
+            for verb in ("analyze", "classify"):
+                r = self.run_cli(verb, "--config", str(cfgp))
+                assert r.returncode == 4, (section, verb, r.stdout)
+                assert "solution.field was solved for another problem" in r.stderr
+                assert json.loads((out / "error.json").read_text())["stage"] \
+                    == "analysis"
 
     def test_solve_then_analyze_then_classify(self, tmp_path):
         data = small_config(tmp_path)
