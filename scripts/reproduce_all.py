@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Run every bundled experiment config and print a one-line summary each:
-wall time, verdict, solver sweeps, convergence and final energy ("-" for
-a config that does not solve), the number of files written and a sha256
-digest of the config's output directory, then the total wall time of all
-configs.  The digest covers the name and bytes of every file in that
-directory, in name order, so two runs into fresh directories wrote the
-same artifacts exactly when their digests agree.
+wall time, verdict, solver sweeps, convergence, final energy and winning
+candidate ("-" for a config that does not solve), the number of files
+written and a sha256 digest of the config's output directory, then the
+total wall time of all configs.  The digest covers the name and bytes of
+every file in that directory, in name order, so two runs into fresh
+directories wrote the same artifacts exactly when their digests agree.
 
 Usage: python scripts/reproduce_all.py [--out DIR]
 
@@ -62,6 +62,7 @@ def main() -> int:
               f"sweeps={solver.get('iterations', '-')}  "
               f"converged={solver.get('converged', '-')}  "
               f"final_energy={solver.get('final_energy', '-')}  "
+              f"winner={solver.get('winner', '-')}  "
               f"files={len(manifest['outputs'])}  "
               f"sha256={digest(Path(cfg.outputs.directory))}")
         if verb == "run" and verdict != "corner":

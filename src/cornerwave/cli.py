@@ -9,8 +9,9 @@
 Exit codes: 0 success, 2 configuration error, 3 solver error, 4 analysis
 error.  Failures leave a machine-readable error.json in the output
 directory naming the failing stage.  Verbs that solve print one
-``solver:`` line saying whether the flow converged, after how many sweeps
-and why it stopped; a solve that hits ``max_iters`` still exits 0.
+``solver:`` line: whether the flow converged, after how many sweeps, why
+it stopped and which candidate won (``<source>@<trim>``, see
+``energy.Candidate``); a solve that hits ``max_iters`` still exits 0.
 """
 
 from __future__ import annotations
@@ -71,9 +72,8 @@ def main(argv=None) -> int:
     for key, name in manifest.get("outputs", {}).items():
         print(f"{key}: {name}")
     if "solver" in manifest:
-        status = manifest["solver"]
-        print(f"solver: converged={status['converged']} "
-              f"iterations={status['iterations']} message={status['message']}")
+        print("solver:", *(f"{key}={manifest['solver'][key]}" for key in
+                           ("converged", "iterations", "message", "winner")))
     if "classification" in manifest:
         print(f"verdict: {manifest['classification']}")
     return 0

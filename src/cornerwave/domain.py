@@ -88,10 +88,9 @@ class Rect:
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise InvalidSpec(f"degenerate rectangle {self}")
 
-    def contains(self, point, margin: float = 0.0) -> bool:
+    def contains(self, point) -> bool:
         x, y = point
-        return (self.x_min + margin <= x <= self.x_max - margin
-                and self.y_min + margin <= y <= self.y_max - margin)
+        return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
 
     def distance_to_boundary(self, point) -> float:
         x, y = point
@@ -142,8 +141,8 @@ class Type3:
 StagnationType = Type1 | Type2 | Type3
 
 
-def _close(a: float, b: float, tol: float = 1e-9) -> bool:
-    return abs(a - b) <= tol
+def _close(a: float, b: float) -> bool:
+    return abs(a - b) <= 1e-9
 
 
 def _side(v, s):
@@ -373,9 +372,6 @@ class GridSpec:
         return Rect(self.origin[0], self.origin[1],
                     self.origin[0] + self.spacing * (self.nx - 1),
                     self.origin[1] + self.spacing * (self.ny - 1))
-
-    def distance_to_edge(self, point) -> float:
-        return self.extent.distance_to_boundary(point)
 
     def nearest_node(self, px, py):
         """Indices (jj, ii) of the node nearest each point (px, py), clamped

@@ -19,14 +19,13 @@ condition 2*lap(u) = w/eps reproduces the Bernoulli balance
 |grad u|^2 = w at the band exit, so the positivity front settles on the
 free boundary.  The sweeps are projected red-black SOR (plain explicit
 steps need O(1/h^2) iterations and let indicator-cost lags stall the
-front), and the iterate is re-projected after every half-sweep.  The flow
-only relaxes; the result is chosen once, after it, as the lowest
-exact-indicator energy among the start and eight trimmed, relaxed
-candidates cut from the flow end and the start.  The flow is not scored:
-evaluated after every 10-sweep block, none of 910 energies over the
-bundled configs' solves (nor any of the test suite's) beat the start.  A
-solve that runs out of sweeps before the field settles is flagged
-(``converged = False``) and chosen the same way.
+front), and the iterate is re-projected after every half-sweep.
+
+A solve runs in three stages: ``_start`` builds the start, ``_flow``
+relaxes a copy of it, and ``_candidates`` scores the start and eight
+trimmed, relaxed cuts of the flow end and the start by their exact
+energy.  The first lowest of the nine is returned, flagged
+``converged = False`` if the flow ran out of sweeps before it settled.
 
 From the star-hull start the result is a state of the corner basin, not
 always the lowest discrete-energy state.  Without the one-layer dilation
@@ -46,6 +45,7 @@ positive, so the corner profile would be bypassed entirely.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -59,8 +59,9 @@ from .quadrature import grad_central, laplacian5
 
 OMEGA = 1.85            # SOR relaxation factor
 TOL_FIELD = 1e-7        # relative per-block field change at rest
-BLOCK_SIZE = 10         # sweeps per energy/stationarity check
+BLOCK_SIZE = 10         # sweeps per stationarity check
 ENVELOPE_MARGIN = 1.3   # envelope constant over the largest ring u / monomial
+TRIMS = (0.25, 0.5, 0.75, 1.0)  # candidate cut levels, in units of eps
 
 
 @dataclass
@@ -74,22 +75,28 @@ class SolverParams:
     bernstein_trim: bool = True
 
 
+class Candidate(NamedTuple):
+    source: str       # the state it was cut from, "start" or "flow"
+    trim: float       # the cut level in units of eps, 0 for the uncut start
+    energy: float     # its exact energy
+
+
 @dataclass
 class SolveResult:
-    field: ScalarField
-    energy: float             # exact energy of ``field``, the chosen state
-    iterations: int = 0
-    converged: bool = True
-    message: str = ""
+    field: ScalarField            # the chosen state, ``winner``'s values
+    winner: Candidate             # the first lowest of ``candidates``
+    iterations: int               # flow sweeps
+    converged: bool
+    candidates: list[Candidate]   # every scored state, in scoring order
 
+    @property
+    def energy(self) -> float:
+        return self.winner.energy
 
-def _node_quadrature_weights(grid: GridSpec) -> np.ndarray:
-    w = np.full((grid.ny, grid.nx), grid.spacing ** 2)
-    w[0, :] *= 0.5
-    w[-1, :] *= 0.5
-    w[:, 0] *= 0.5
-    w[:, -1] *= 0.5
-    return w
+    @property
+    def message(self) -> str:
+        return ("flow reached stationarity" if self.converged
+                else "max_iters hit before the flow settled")
 
 
 def energy(spec: ProblemSpec, u: ScalarField, mask: np.ndarray | None = None,
@@ -112,7 +119,9 @@ def _energy_raw(values: np.ndarray, grid: GridSpec, w: np.ndarray,
     ey = dy * dy
     ex[[0, -1], :] *= 0.5
     ey[:, [0, -1]] *= 0.5
-    qw = _node_quadrature_weights(grid)
+    qw = np.full((grid.ny, grid.nx), grid.spacing ** 2)
+    qw[[0, -1], :] *= 0.5
+    qw[:, [0, -1]] *= 0.5
     if mask is not None:
         m = np.asarray(mask, dtype=float)
         ex *= 0.5 * (m[:, 1:] + m[:, :-1])
@@ -212,25 +221,14 @@ def star_hull_mask(grid: GridSpec, center, ring_positive: np.ndarray) -> np.ndar
 def minimize_energy(spec: ProblemSpec, grid: GridSpec, boundary_data,
                     params: SolverParams | None = None,
                     weight: np.ndarray | None = None) -> SolveResult:
-    """Relax J with Dirichlet data on the grid ring and return the lowest
-    exact-energy state among the start and the trimmed candidates.
+    """Relax J with Dirichlet data on the grid ring and return the first
+    lowest-energy candidate; the stages are named in the module docstring.
 
     ``boundary_data`` is a ScalarField or (ny, nx) array whose outer ring
-    supplies the data (interior values ignored).  The start is the
-    harmonic extension of the ring data restricted to the star hull of its
-    positive arcs, which selects the corner basin (an unrestricted
-    harmonic start sits in the flat local minimum instead).  The result is
-    the best state of that basin, not a certified global minimizer of the
-    discrete energy (see the module docstring); ``SolveResult.energy`` is
-    its exact energy.  ``weight`` overrides the spec weight nodewise
-    (diagnostic hook, e.g. freezing the weight to 1 for plane-solution
-    smoke tests) and switches the envelope off.
-
-    ``params`` sets the sweep budget, never exceeded (the last block is
-    cut short), and the two switches.  The band width eps = 2h*sqrt(w) and
-    the module constants OMEGA, TOL_FIELD, BLOCK_SIZE and ENVELOPE_MARGIN
-    are fixed.
-    """
+    supplies the data (interior values ignored).  ``weight`` overrides the
+    spec weight nodewise (diagnostic hook, e.g. frozen to 1 for plane
+    smoke tests) and switches the envelope off.  ``params`` sets the sweep
+    budget and the two switches; all else is a module constant."""
     params = params or SolverParams()
     bd = boundary_data.values if isinstance(boundary_data, ScalarField) else np.asarray(boundary_data, float)
     if bd.shape != (grid.ny, grid.nx):
@@ -238,130 +236,136 @@ def minimize_energy(spec: ProblemSpec, grid: GridSpec, boundary_data,
     ring = boundary_ring(grid)
     if np.any(bd[ring] < 0):
         raise InvalidBoundary("negative boundary data")
-
-    air = np.zeros_like(ring)
-    if params.enforce_support:
-        air = support_mask(spec, grid)
-        if np.any(bd[ring & air] > 0):
-            raise InvalidBoundary(
-                "boundary data positive on the non-fluid half-plane")
+    air = support_mask(spec, grid) if params.enforce_support \
+        else np.zeros_like(ring)
+    if np.any(bd[ring & air] > 0):
+        raise InvalidBoundary(
+            "boundary data positive on the non-fluid half-plane")
     pinned = ring | air
-
+    fixed = np.where(ring & ~air, bd, 0.0)   # the values of pinned nodes
     w = np.asarray(weight_at(spec, *grid.mesh())) if weight is None \
         else np.asarray(weight, float)
-    h = grid.spacing
-    # local band width 2h*sqrt(w): the band criterion u < eps is then
-    # slope < 2*sqrt(w), scale-correct under the degenerate weight, and
-    # the stationary band exit slope is sqrt(w).  The band drains in O(1)
-    # sweeps only where w is bounded below.  Near a degenerate stagnation
-    # point w -> 0 (w ~ r^3 at a type-3 point) takes the band and its pull
-    # with it, so the flow keeps a front that the start placed too wide
-    # there; the sharpening's energy comparison below settles it.
-    # Flooring eps does not help: near the vertex the whole cone then lies
-    # in the band and is drained to zero.
-    eps = 2.0 * h * np.sqrt(w)
-    tiny = 1e-300
-    band_force = np.where(eps > tiny, w / np.maximum(eps, tiny), 0.0)
+    eps = 2.0 * grid.spacing * np.sqrt(w)   # band width, see _flow
 
-    hull = star_hull_mask(grid, spec.stagnation_location, ring & (bd > 0))
-    start = np.where(ring, bd, 0.0)
-    start[air] = 0.0
-    u = harmonic_extension(grid, start, pinned=ring | air | ~hull)
-    u[ring] = bd[ring]
-    u[air] = 0.0
+    start, envelope = _start(spec, grid, fixed, pinned,
+                             params.bernstein_trim and weight is None)
+    end = start.copy()
+    sweeps, converged = _flow(end, grid, pinned, eps, w, envelope,
+                              params.max_iters)
+    scored = _candidates(grid, fixed, pinned, eps, w, envelope, start, end)
+    # min keeps the first of equal energies, so an earlier candidate wins
+    winner, values = min(scored, key=lambda c: c[0].energy)
+    return SolveResult(ScalarField(grid, values), winner, sweeps, converged,
+                       [c for c, _ in scored])
+
+
+def _start(spec: ProblemSpec, grid: GridSpec, fixed: np.ndarray,
+           pinned: np.ndarray, envelope_on: bool):
+    """The start of the flow and the Bernstein envelope (None when off).
+
+    The start is the harmonic extension of the ring data restricted to the
+    star hull of its positive arcs (an unrestricted harmonic start sits in
+    the flat local minimum), capped by the envelope: a multiple of the
+    admissible monomial fitted to the ring data, so scale-invariant for
+    cone-trace data.  Hair-like spikes along a degeneracy axis carry
+    |grad u|^2 > weight inside, are nearly energy-neutral, and are
+    excluded by the Bernstein bound rather than by energetics, so the
+    plain descent cannot remove them."""
+    hull = star_hull_mask(grid, spec.stagnation_location, fixed > 0)
+    u = harmonic_extension(grid, fixed, pinned=pinned | ~hull)
     np.maximum(u, 0.0, out=u)
+    # No envelope for type 3 (no fixed bisector): a cone containing a
+    # coordinate axis (the axis-symmetric pairs) has positive values on a
+    # ray where the growth monomial vanishes, so the literal bound would
+    # zero the cone interior itself.
+    if not envelope_on or spec.model.bisector is None:
+        return u, None
+    mono = value_envelope_monomial(spec, *grid.mesh())
+    sel = (fixed > 0) & (mono > 0)
+    if not np.any(sel):
+        return u, None
+    envelope = ENVELOPE_MARGIN * float(np.max(fixed[sel] / mono[sel])) * mono
+    envelope[pinned] = np.inf   # so no pinned node enters the zap memory
+    np.minimum(u, envelope, out=u)   # feasible without cratering the support
+    return u, envelope
 
-    # Bernstein envelope: zero interior nodes growing past a multiple of
-    # the admissible monomial.  Hair-like spikes along a degeneracy axis
-    # carry |grad u|^2 > weight inside, are nearly energy-neutral, and are
-    # excluded by the Bernstein bound rather than by energetics, so the
-    # plain descent cannot remove them; the envelope constant is taken
-    # from the ring data itself (scale-invariant for cone-trace data).
-    #
-    # ``zapped`` remembers the zeroed nodes for the whole flow; a node in
-    # it stays zero until the flow ends.  Without it each block regrows
-    # the nodes the block before zeroed and zeroes them again, a limit
-    # cycle that runs the beta = 2 and alpha = 2 corners to max_iters
-    # (6000 sweeps, against 910 with the memory kept).  The zaps of the
-    # first block alone are released, as they act on the start rather
-    # than on the flow: Stokes zaps 33 nodes in its first block and none
-    # after, and keeping those empties the Stokes vertex (its analysis
-    # then fails at r = 0.05).  With a memory per block, beta = 2 zaps up
-    # to 47 nodes in 585 of the 599 later blocks and never the same set
-    # in two blocks running, so a test for a repeated zap set would not
-    # stop its cycle.
-    envelope = None
-    zapped = None
-    if params.bernstein_trim and weight is None \
-            and spec.model.bisector is not None:
-        # No envelope for type 3 (no fixed bisector): a cone containing a
-        # coordinate axis (the axis-symmetric pairs) has positive values on
-        # a ray where the growth monomial vanishes, so the literal bound
-        # would zero the cone interior itself.
-        X, Y = grid.mesh()
-        mono = value_envelope_monomial(spec, X, Y)
-        sel = ring & (mono > 0) & (bd > 0)
-        if np.any(sel):
-            c_env = ENVELOPE_MARGIN * float(np.max(bd[sel] / mono[sel]))
-            envelope = c_env * mono
-            # pinned nodes keep their value, so none enters the memory
-            envelope[pinned] = np.inf
-            # make the baseline feasible without cratering its support
-            np.minimum(u, envelope, out=u)
-            zapped = np.zeros(u.shape, dtype=bool)
 
-    start = u.copy()
-    iters = 0
-    converged = False
-    message = "flow reached stationarity"
+def _flow(u: np.ndarray, grid: GridSpec, pinned: np.ndarray, eps: np.ndarray,
+          w: np.ndarray, envelope: np.ndarray | None,
+          max_iters: int) -> tuple[int, bool]:
+    """Projected SOR on ``u`` in place, in blocks of BLOCK_SIZE sweeps (the
+    last cut short at ``max_iters``), until a block changes the field by
+    less than TOL_FIELD of the start's largest value: (sweeps, converged).
 
+    With eps = 2h*sqrt(w) the band criterion u < eps is a slope below
+    2*sqrt(w), scale-correct under the degenerate weight, and the
+    stationary band exit slope is sqrt(w).  The band drains in O(1) sweeps
+    only where w is bounded below.  Near a degenerate stagnation point
+    w -> 0 (w ~ r^3 at a type-3 point) takes the band and its pull with
+    it, so the flow keeps a front that the start placed too wide there;
+    the candidates' energy comparison settles it.  Flooring eps does not
+    help: near the vertex the whole cone then lies in the band and is
+    drained to zero.
+
+    The indicator energy jumps by w*h^2 the moment a front node turns
+    positive while its Dirichlet payoff accrues over later sweeps, so the
+    flow runs to its own stationarity, not to an energy stall, and no
+    block is scored: evaluated after every block, none of 910 energies
+    over the bundled configs' (or the test suite's) solves beat the start.
+
+    ``zapped`` holds the nodes the envelope zeroed at zero for the whole
+    flow.  Without it each block regrows the nodes the block before zeroed
+    and zeroes them again, a limit cycle that runs the beta = 2 and
+    alpha = 2 corners to max_iters (6000 sweeps, against 910).  With a
+    memory per block, beta = 2 zaps up to 47 nodes in 585 of the 599
+    later blocks, never the same set in two blocks running, so a test for
+    a repeated zap set would not stop its cycle.  The first block's zaps
+    alone are released, as they act on the start rather than on the flow:
+    Stokes zaps 33 nodes in its first block and none after, and keeping
+    those empties the Stokes vertex (its analysis then fails at r = 0.05).
+    """
     free = ~pinned
-    pull = (h * h / 8.0) * band_force
-    scale = max(float(np.max(np.abs(u))), float(np.max(bd)), 1e-300)
-
-    # The indicator energy jumps by w*h^2 the moment a front node turns
-    # positive while its Dirichlet payoff accrues over later relaxation
-    # sweeps, so the flow runs to its own stationarity (field change per
-    # block below tolerance) rather than stopping on energy stalls.  No
-    # block is scored (see the module docstring); the choice is made once,
-    # in the sharpening below.
-    while iters < params.max_iters:
-        u_prev = u.copy()
-        sweeps = min(BLOCK_SIZE, params.max_iters - iters)
-        _sor_block(u, free, eps, pull, envelope, zapped, sweeps)
-        if iters == 0 and zapped is not None:
+    pull = np.divide(w, eps, out=np.zeros_like(eps), where=eps > 0)
+    pull *= grid.spacing * grid.spacing / 8.0
+    scale = max(float(np.max(u)), 1e-300)
+    zapped = None if envelope is None else np.zeros(u.shape, dtype=bool)
+    sweeps = 0
+    while sweeps < max_iters:
+        before = u.copy()
+        block = min(BLOCK_SIZE, max_iters - sweeps)
+        _sor_block(u, free, eps, pull, envelope, zapped, block)
+        if sweeps == 0 and zapped is not None:
             zapped[...] = False
-        iters += sweeps
-        if float(np.max(np.abs(u - u_prev))) < TOL_FIELD * scale:
-            converged = True
-            break
-    else:
-        converged = False
-        message = "max_iters hit before the flow settled"
+        sweeps += block
+        if float(np.max(np.abs(u - before))) < TOL_FIELD * scale:
+            return sweeps, True
+    return sweeps, False
 
-    # Sharpening: the stationary state of the mollified flow carries a
-    # quadratic skirt of width ~eps/sqrt(w) beyond the sharp free boundary
-    # (the smeared interface itself).  Trim candidates at fractions of the
-    # band width, relax each on its frozen support, and keep whichever the
-    # exact indicator energy prefers; the sharp minimizer's edge sits near
-    # the eps/4 level of the skirt, and the energy comparison selects it
-    # without any measurement-side tuning.  The untrimmed flow end is no
-    # candidate: its energy was never below the start's.
-    best, e_best = start, _energy_raw(start, grid, w)
-    for source in (u, start):
-        for c in (0.25, 0.5, 0.75, 1.0):
-            cand = np.where(source >= c * eps, source, 0.0)
-            cand[ring] = bd[ring]
-            cand[air] = 0.0
+
+def _candidates(grid: GridSpec, fixed: np.ndarray, pinned: np.ndarray,
+                eps: np.ndarray, w: np.ndarray, envelope: np.ndarray | None,
+                start: np.ndarray, end: np.ndarray) -> list[tuple]:
+    """The scored states as (Candidate, values), in scoring order: the
+    start, then the flow end and the start each cut at every trim.
+
+    The stationary state of the mollified flow carries a quadratic skirt
+    of width ~eps/sqrt(w) beyond the sharp free boundary (the smeared
+    interface itself).  A cut keeps the nodes with u >= trim * eps, is
+    relaxed on its frozen support and zapped by the envelope.  The sharp
+    minimizer's edge sits near the eps/4 level of the skirt, and the
+    energy comparison selects it without measurement-side tuning.  The
+    uncut flow end is no candidate: it never scored below the start."""
+    scored = [(Candidate("start", 0.0, _energy_raw(start, grid, w)), start)]
+    for source, state in (("flow", end), ("start", start)):
+        for trim in TRIMS:
+            cand = np.where(state >= trim * eps, state, 0.0)
+            cand[pinned] = fixed[pinned]
             _relax_on_support(cand, pinned, sweeps=60)
             if envelope is not None:
                 cand[cand > envelope] = 0.0
-            e = _energy_raw(cand, grid, w)
-            if e < e_best:
-                best, e_best = cand, e
-
-    return SolveResult(field=ScalarField(grid, best), energy=e_best,
-                       iterations=iters, converged=converged, message=message)
+            scored.append(
+                (Candidate(source, trim, _energy_raw(cand, grid, w)), cand))
+    return scored
 
 
 # The four parity classes (row parity, column parity) of the nodes in
@@ -449,14 +453,12 @@ def _sor_block(u: np.ndarray, free: np.ndarray, eps: np.ndarray,
     memory: a zeroed node is marked in it in place, and a marked node is
     set to +0.0 at every update, so its surroundings relax down instead of
     instantly regrowing it past the envelope.  The memory only grows here;
-    the caller keeps it across blocks (see minimize_energy).
+    the caller keeps it across blocks (see ``_flow``).
 
     The work is done on contiguous copies of the parity planes of ``u``
     and ``zapped``, written back on exit, and only inside the bounding box
-    of ``free`` (see ``_sublattices``): for a pinned air half-plane that
-    is half the interior.  Every node of the box gets the same operations
-    in the same order as in a sweep of the whole interior, and no node
-    outside it is free, so the field does not change by a bit.
+    of ``free`` (see ``_sublattices``; for a pinned air half-plane that is
+    half the interior).
 
     Only updated nodes are clamped and tested: the rest of the field is
     already nonnegative and under the envelope (the caller starts from
@@ -496,9 +498,7 @@ def _relax_on_support(u: np.ndarray, pinned: np.ndarray, sweeps: int) -> None:
     The update target is the nonnegative neighbor mean, so the support
     cannot shrink (over-relaxation would overshoot below zero at the cut
     and eat the support inward sweep by sweep).  As in ``_sor_block``, the
-    sweeps run on contiguous parity planes and only inside the bounding
-    box of the frozen support, with the same operations per node, so the
-    result is the full-lattice sweep's to the bit."""
+    sweeps run on parity planes inside the bounding box of the support."""
     support = (u > 0.0) & ~pinned
     planes = _planes(u)
     lattice = [(planes[key][idx], tuple(planes[k][i] for k, i in nbrs),

@@ -197,8 +197,11 @@ def parse_config(data: dict) -> PipelineConfig:
         # the analysis settings the solve does not read are checked here,
         # so a bad one fails before the solve, not after it
         sp = _check("analysis.delta", stagnation_point, spec, analysis.delta)
-        if analysis.radii:
-            _check("analysis.radii", check_radii, sp, grid, analysis.radii)
+        for key, radii in (("radii", analysis.radii),
+                           ("density_radius", [analysis.density_radius]),
+                           ("direction_radius", [analysis.direction_radius])):
+            if radii and None not in radii:
+                _check(f"analysis.{key}", check_radii, sp, grid, radii)
         _check("analysis.blowup_radii", bw.check_decreasing,
                analysis.blowup_radii)
         _check("analysis.reference_n", reference_grid, analysis.reference_n)
@@ -452,6 +455,7 @@ def run(cfg: PipelineConfig,
             "iterations": result.iterations,
             "final_energy": result.energy,
             "message": result.message,
+            "winner": f"{result.winner.source}@{result.winner.trim:g}",
         }
         if not result.converged:
             log.warning("solver did not converge after %d sweeps: %s",

@@ -136,7 +136,7 @@ def require_circle_inside(grid: GridSpec, center, r: float, factor: float = 1.0)
     """Raise RadiusOutOfRange unless B_{factor*r}(center) fits in the grid."""
     if r <= 0:
         raise RadiusOutOfRange(f"radius {r:g} must be positive")
-    room = grid.distance_to_edge(center)
+    room = grid.extent.distance_to_boundary(center)
     if factor * r > room + 1e-12:
         raise RadiusOutOfRange(
             f"ball of radius {factor * r:g} exceeds grid reach {room:g}")

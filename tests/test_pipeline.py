@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -356,7 +357,8 @@ class TestReproduceAll:
             if "classify" in stages:
                 return {"outputs": {}, "classification": verdict,
                         "solver": {"iterations": 910, "converged": False,
-                                   "final_energy": 0.8311472280658553}}
+                                   "final_energy": 0.8311472280658553,
+                                   "winner": "start@0.5"}}
             return {"outputs": {}}
 
         monkeypatch.setattr(script, "run", fake_run)
@@ -375,8 +377,10 @@ class TestReproduceAll:
             if verb == "run":
                 assert ("sweeps=910  converged=False  "
                         "final_energy=0.8311472280658553  ") in line
+                assert "  winner=start@0.5  " in line
             else:
                 assert "sweeps=-  converged=-  final_energy=-  " in line
+                assert "  winner=-  " in line
 
 
 # corner_type3.yaml with one (section, key, value) set, or None for a
@@ -400,6 +404,11 @@ MALFORMED = {
                                 "analysis.blowup_radii"),
     # a radius past delta = 0.5
     "radii_past_delta": (("analysis", "radii", [0.1, 0.7]), "analysis.radii"),
+    "density_radius_past_delta": (("analysis", "density_radius", 0.7),
+                                  "analysis.density_radius"),
+    # a circle far off the grid, which nearest-node sampling would clamp
+    "direction_radius_off_grid": (("analysis", "direction_radius", 3.0),
+                                  "analysis.direction_radius"),
 }
 
 
@@ -464,6 +473,9 @@ class TestCli:
         assert r.returncode == 0, r.stderr
         assert ("solver: converged=False iterations=20 "
                 "message=max_iters hit before the flow settled") in r.stdout
+        # and which of the nine scored states it returns
+        assert re.search(r" winner=(start|flow)@(0|0\.25|0\.5|0\.75|1)\n",
+                         r.stdout)
         assert "solver did not converge after 20 sweeps" in r.stderr
 
     def test_staged_verbs_check_the_saved_field(self, tmp_path):
