@@ -313,33 +313,46 @@ def _flow(u: np.ndarray, grid: GridSpec, pinned: np.ndarray, eps: np.ndarray,
     block is scored: evaluated after every block, none of 910 energies
     over the bundled configs' (or the test suite's) solves beat the start.
 
-    ``zapped`` holds the nodes the envelope zeroed at zero for the whole
-    flow.  Without it each block regrows the nodes the block before zeroed
-    and zeroes them again, a limit cycle that runs the beta = 2 and
-    alpha = 2 corners to max_iters (6000 sweeps, against 910).  With a
-    memory per block, beta = 2 zaps up to 47 nodes in 585 of the 599
-    later blocks, never the same set in two blocks running, so a test for
-    a repeated zap set would not stop its cycle.  The first block's zaps
-    alone are released, as they act on the start rather than on the flow:
-    Stokes zaps 33 nodes in its first block and none after, and keeping
-    those empties the Stokes vertex (its analysis then fails at r = 0.05).
+    The lattice is laid out once per flow: every block sweeps the same
+    ``_lattice`` cuts of ``u`` and its constants, and ``u`` is written back
+    once, at the end.  The stop test reads the cuts alone: a node outside
+    them never changes, so their largest change is the same float as the
+    whole grid's.
+
+    With the envelope each cut carries a zap memory, the nodes of the cut
+    the envelope zeroed, held at zero for the whole flow.  Without it each
+    block regrows the nodes the block before zeroed and zeroes them again,
+    a limit cycle that runs the beta = 2 and alpha = 2 corners to
+    max_iters (6000 sweeps, against 910).  With a memory per block,
+    beta = 2 zaps up to 47 nodes in 585 of the 599 later blocks, never the
+    same set in two blocks running, so a test for a repeated zap set would
+    not stop its cycle.  The first block's zaps alone are released, as
+    they act on the start rather than on the flow: Stokes zaps 33 nodes in
+    its first block and none after, and keeping those empties the Stokes
+    vertex (its analysis then fails at r = 0.05).
     """
     free = ~pinned
     pull = np.divide(w, eps, out=np.zeros_like(eps), where=eps > 0)
     pull *= grid.spacing * grid.spacing / 8.0
     scale = max(float(np.max(u)), 1e-300)
-    zapped = None if envelope is None else np.zeros(u.shape, dtype=bool)
-    sweeps = 0
-    while sweeps < max_iters:
-        before = u.copy()
+    planes, cuts = _lattice(u, free, eps, pull, free, envelope)
+    lattice = [(*cut, None if envelope is None
+                else np.zeros(cut[0].shape, dtype=bool)) for cut in cuts]
+    sweeps, converged = 0, False
+    while sweeps < max_iters and not converged:
+        before = [node.copy() for node, *_ in lattice]
         block = min(BLOCK_SIZE, max_iters - sweeps)
-        _sor_block(u, free, eps, pull, envelope, zapped, block)
-        if sweeps == 0 and zapped is not None:
-            zapped[...] = False
+        _sor_block(lattice, block)
+        if sweeps == 0 and envelope is not None:
+            for *_, zap in lattice:
+                zap[...] = False
         sweeps += block
-        if float(np.max(np.abs(u - before))) < TOL_FIELD * scale:
-            return sweeps, True
-    return sweeps, False
+        change = max((float(np.max(np.abs(node - old), initial=0.0))
+                      for (node, *_), old in zip(lattice, before)),
+                     default=0.0)
+        converged = change < TOL_FIELD * scale
+    _unplane(u, planes)
+    return sweeps, converged
 
 
 def _candidates(grid: GridSpec, fixed: np.ndarray, pinned: np.ndarray,
@@ -383,12 +396,6 @@ def _planes(a: np.ndarray) -> dict:
 def _unplane(a: np.ndarray, planes: dict) -> None:
     for (p, q), plane in planes.items():
         a[p::2, q::2] = plane
-
-
-def _cut(a: np.ndarray, key, idx) -> np.ndarray:
-    """A contiguous copy of the cut ``idx`` of the parity plane ``key``."""
-    p, q = key
-    return a[p::2, q::2][idx].copy()
 
 
 def _span(lo: int, hi: int, parity: int, shift: int = 0) -> slice:
@@ -441,41 +448,39 @@ def _neighbour_sum(nbrs) -> np.ndarray:
     return nb
 
 
-def _sor_block(u: np.ndarray, free: np.ndarray, eps: np.ndarray,
-               pull: np.ndarray, envelope: np.ndarray | None,
-               zapped: np.ndarray | None, sweeps: int) -> None:
-    """Projected red-black SOR sweeps on ``u`` in place, free nodes only.
+def _lattice(u: np.ndarray, mask: np.ndarray, *consts) -> tuple[dict, list]:
+    """The parity planes of ``u`` and the cuts of ``_sublattices(mask)``
+    as entries (node, neighbours, *constants): views of a cut and of its
+    four neighbours in the planes, then a contiguous copy of the cut of
+    each array in ``consts`` (None stays None).  A kernel updates the
+    views in place; ``_unplane(u, planes)`` writes its work back."""
+    planes = _planes(u)
+    cuts = [(planes[key][idx], tuple(planes[k][i] for k, i in nbrs),
+             *(None if c is None else c[key[0]::2, key[1]::2][idx].copy()
+               for c in consts))
+            for key, idx, nbrs in _sublattices(mask)]
+    return planes, cuts
 
-    A node's target is the neighbour mean less ``pull`` where it lies in
-    the band 0 < u < eps; the relaxed value is clamped at zero and, with
-    an envelope, zeroed where it exceeds the envelope.  ``zapped`` (a
-    boolean array of ``u``'s shape, given with the envelope) is the zap
-    memory: a zeroed node is marked in it in place, and a marked node is
-    set to +0.0 at every update, so its surroundings relax down instead of
-    instantly regrowing it past the envelope.  The memory only grows here;
-    the caller keeps it across blocks (see ``_flow``).
 
-    The work is done on contiguous copies of the parity planes of ``u``
-    and ``zapped``, written back on exit, and only inside the bounding box
-    of ``free`` (see ``_sublattices``; for a pinned air half-plane that is
-    half the interior).
+def _sor_block(lattice: list, sweeps: int) -> None:
+    """Projected red-black SOR sweeps on the flow's lattice in place.
+
+    An entry is a ``_lattice`` cut of the free nodes' box with the
+    constants eps, pull, free and envelope, then the cut's zap memory (the
+    last two None without an envelope).  A node's target is the neighbour
+    mean less ``pull`` where it lies in the band 0 < u < eps; the relaxed
+    value is clamped at zero and, with an envelope, zeroed where it
+    exceeds the envelope.  A zeroed node is marked in the zap memory, and
+    a marked node is set to +0.0 at every update, so its surroundings
+    relax down instead of instantly regrowing it past the envelope.  The
+    memory only grows here; the flow keeps it across blocks.
 
     Only updated nodes are clamped and tested: the rest of the field is
-    already nonnegative and under the envelope (the caller starts from
-    such a state, and the envelope is nonnegative).  Pinned nodes keep
-    their value, selected rather than multiplied away, so no -0.0 enters
-    the field."""
+    already nonnegative and under the envelope (the flow starts from such
+    a state, and the envelope is nonnegative).  Pinned nodes keep their
+    value, selected rather than multiplied away, so no -0.0 enters the
+    field."""
     keep = 1.0 - OMEGA
-    planes = _planes(u)
-    zaps = None if envelope is None else _planes(zapped)
-    lattice = []
-    for key, idx, nbrs in _sublattices(free):
-        env = None if envelope is None else _cut(envelope, key, idx)
-        zap = None if envelope is None else zaps[key][idx]
-        lattice.append((planes[key][idx],
-                        tuple(planes[k][i] for k, i in nbrs),
-                        _cut(eps, key, idx), _cut(pull, key, idx),
-                        _cut(free, key, idx), env, zap))
     for _ in range(sweeps):
         for node, nbrs, eps_s, pull_s, free_s, env, zap in lattice:
             target = 0.25 * _neighbour_sum(nbrs)
@@ -487,9 +492,6 @@ def _sor_block(u: np.ndarray, free: np.ndarray, eps: np.ndarray,
                 zap |= new > env
                 new[zap] = 0.0
             np.copyto(node, new, where=free_s)
-    _unplane(u, planes)
-    if zaps is not None:
-        _unplane(zapped, zaps)
 
 
 def _relax_on_support(u: np.ndarray, pinned: np.ndarray, sweeps: int) -> None:
@@ -497,13 +499,11 @@ def _relax_on_support(u: np.ndarray, pinned: np.ndarray, sweeps: int) -> None:
 
     The update target is the nonnegative neighbor mean, so the support
     cannot shrink (over-relaxation would overshoot below zero at the cut
-    and eat the support inward sweep by sweep).  As in ``_sor_block``, the
-    sweeps run on parity planes inside the bounding box of the support."""
+    and eat the support inward sweep by sweep).  As in the flow, the
+    sweeps run on a ``_lattice`` laid out once, inside the bounding box of
+    the support."""
     support = (u > 0.0) & ~pinned
-    planes = _planes(u)
-    lattice = [(planes[key][idx], tuple(planes[k][i] for k, i in nbrs),
-                _cut(support, key, idx))
-               for key, idx, nbrs in _sublattices(support)]
+    planes, lattice = _lattice(u, support, support)
     for _ in range(sweeps):
         for node, nbrs, sel in lattice:
             np.copyto(node, 0.25 * _neighbour_sum(nbrs), where=sel)

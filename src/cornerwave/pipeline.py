@@ -79,17 +79,24 @@ def _known(mapping, keys: tuple[str, ...], where: str) -> dict:
 
 def _number(mapping: dict, key: str, where: str, default=None, kind=float,
             required: bool = False):
-    """``mapping[key]`` converted by ``kind``, ``default`` when it is absent
-    or null (a missing-field error when ``required``); ConfigError names
-    the key when the value is not a number."""
+    """``mapping[key]`` as a ``kind`` (float or int), ``default`` when it
+    is absent or null (a missing-field error when ``required``);
+    ConfigError names the key when the value is not a number, or not a
+    whole one for an int."""
     value = _need(mapping, key, where) if required else mapping.get(key)
     if value is None:
         return default
     try:
-        return kind(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise ConfigError(
             f"{where}.{key} must be a number, not {value!r}") from None
+    if kind is int:
+        if not number.is_integer():
+            raise ConfigError(
+                f"{where}.{key} must be a whole number, not {value!r}")
+        return int(number)
+    return number
 
 
 def _check(key: str, validate, *args):
@@ -174,6 +181,9 @@ def parse_config(data: dict) -> PipelineConfig:
         sol = _known(data.get("solver") or {}, ("max_iters",), "solver")
         solver = SolverParams(
             max_iters=_number(sol, "max_iters", "solver", 6000, int))
+        if solver.max_iters < 1:
+            raise ConfigError("solver.max_iters must be at least 1, "
+                              f"not {solver.max_iters}")
         # the boundary data is always the oracle's blow-up profile
         bnd = _known(data.get("boundary") or {},
                      ("perturbation", "pair_theta1"), "boundary")
@@ -228,19 +238,26 @@ def check_formats(formats) -> tuple[str, ...]:
 
 
 def _radii_list(spec) -> list[float]:
+    """The Weiss and frequency radii, none when ``spec`` is null; the two
+    profiles need at least two."""
     if spec is None:
         return []
     if isinstance(spec, (list, tuple)):
-        return [float(r) for r in spec]
-    if isinstance(spec, dict):
+        radii = [float(r) for r in spec]
+    elif isinstance(spec, dict):
         _known(spec, ("r_min", "r_max", "count", "log"), "analysis.radii")
         r0 = _number(spec, "r_min", "analysis.radii", required=True)
         r1 = _number(spec, "r_max", "analysis.radii", required=True)
         n = _number(spec, "count", "analysis.radii", kind=int, required=True)
-        if spec.get("log", True):
-            return list(np.geomspace(r0, r1, n))
-        return list(np.linspace(r0, r1, n))
-    raise ConfigError("analysis.radii must be a list or {r_min, r_max, count}")
+        space = np.geomspace if spec.get("log", True) else np.linspace
+        radii = list(space(r0, r1, n))
+    else:
+        raise ConfigError(
+            "analysis.radii must be a list or {r_min, r_max, count}")
+    if len(radii) < 2:
+        raise ConfigError(
+            f"analysis.radii needs at least two radii, not {len(radii)}")
+    return radii
 
 
 def load_config(path) -> PipelineConfig:
@@ -466,10 +483,16 @@ def run(cfg: PipelineConfig,
         p = outdir / "solution.field"
         if not p.exists():
             raise AnalysisError("no solution field available; run solve first")
-        solution, header = load_field(p)
-        # the saved solve must be of the config's problem on its grid
-        if "stag_type" not in header or spec_from_header(header) != spec \
-                or solution.grid != cfg.grid:
+        try:
+            solution, header = load_field(p)
+            # the saved solve must be of the config's problem on its grid
+            fits = "stag_type" in header \
+                and spec_from_header(header) == spec \
+                and solution.grid == cfg.grid
+        except (LookupError, OSError, TypeError, ValueError) as exc:
+            raise AnalysisError("cannot read solution.field: "
+                                f"{type(exc).__name__}: {exc}") from exc
+        if not fits:
             raise AnalysisError("solution.field was solved for another "
                                 "problem or grid than the config")
 

@@ -202,6 +202,24 @@ class TestMinimize:
         assert result.energy == min(energies)
         assert result.energy == cw.energy(spec, result.field)
 
+    @pytest.mark.parametrize("case", ["type1-33x33", "type1-33x33-capped-15"])
+    def test_lattice_laid_out_once_per_flow(self, monkeypatch, case):
+        # one layout for the flow, whatever its number of blocks, and one
+        # for each of the eight relaxations
+        kind, nx, ny, params = KERNEL_CASES[case]
+        spec, grid, bd, params = kernel_case(kind, nx, ny, **params)
+        calls = []
+        layout = energy_module._sublattices
+
+        def counting(mask):
+            calls.append(mask.shape)
+            return layout(mask)
+
+        monkeypatch.setattr(energy_module, "_sublattices", counting)
+        result = cw.minimize_energy(spec, grid, bd, params)
+        assert result.iterations > energy_module.BLOCK_SIZE
+        assert len(calls) == 9
+
     @pytest.mark.parametrize("case, source", [
         ("stokes_case", "flow"), ("beta2_case", "start"),
         ("alpha2_case", "start"), ("type3_case", "start"),
@@ -256,6 +274,49 @@ def masked_sor_block(air, zaps):
         if zapped is not None:
             zaps.append((carried, int(zapped.sum())))
     return sor_block
+
+
+def masked_flow(air, zaps):
+    """The flow over the masked kernel: ``_flow`` as it was before the
+    lattice was laid out once per flow, every block driving
+    ``masked_sor_block`` on the whole grid with a whole-grid zap memory
+    and testing stationarity on a whole-grid copy."""
+    sor_block = masked_sor_block(air, zaps)
+
+    def flow(u, grid, pinned, eps, w, envelope, max_iters):
+        free = ~pinned
+        pull = np.divide(w, eps, out=np.zeros_like(eps), where=eps > 0)
+        pull *= grid.spacing * grid.spacing / 8.0
+        scale = max(float(np.max(u)), 1e-300)
+        zapped = None if envelope is None else np.zeros(u.shape, dtype=bool)
+        sweeps = 0
+        while sweeps < max_iters:
+            before = u.copy()
+            block = min(energy_module.BLOCK_SIZE, max_iters - sweeps)
+            sor_block(u, free, eps, pull, envelope, zapped, block)
+            if sweeps == 0 and zapped is not None:
+                zapped[...] = False
+            sweeps += block
+            if float(np.max(np.abs(u - before))) \
+                    < energy_module.TOL_FIELD * scale:
+                return sweeps, True
+        return sweeps, False
+    return flow
+
+
+def lattice_sor_block(u, free, eps, pull, envelope, zapped, sweeps):
+    """``_sor_block`` on a lattice from the shared builder, laid out as the
+    flow lays it out, with the arguments of ``masked_sor_block``: the zap
+    memory of each cut is seeded from ``zapped`` and written back to it."""
+    planes, lattice = energy_module._lattice(u, free, eps, pull, free,
+                                             envelope, zapped)
+    energy_module._sor_block(lattice, sweeps)
+    energy_module._unplane(u, planes)
+    if zapped is not None:
+        index = np.arange(u.size).reshape(u.shape)
+        _, cuts = energy_module._lattice(index, free)
+        for (nodes, _), (*_, zap) in zip(cuts, lattice):
+            np.put(zapped, nodes, zap)
 
 
 def masked_relax_on_support(u, pinned, sweeps):
@@ -322,9 +383,9 @@ KERNEL_CASES = {
 
 
 class TestStridedKernel:
-    """The strided sublattice kernel against the masked one it replaced:
-    the same fields to the byte (signed zeros included) and the same
-    sweep counts."""
+    """The flow on its lattice against the masked flow it replaced: the
+    same fields to the byte (signed zeros included) and the same sweep
+    counts."""
 
     @pytest.mark.parametrize("case", list(KERNEL_CASES))
     def test_minimize_matches_masked_reference(self, monkeypatch, case):
@@ -335,8 +396,7 @@ class TestStridedKernel:
         assert air.any() == params.enforce_support
         fast = cw.minimize_energy(spec, grid, bd, params)
         zaps = []
-        monkeypatch.setattr(energy_module, "_sor_block",
-                            masked_sor_block(air, zaps))
+        monkeypatch.setattr(energy_module, "_flow", masked_flow(air, zaps))
         monkeypatch.setattr(energy_module, "_relax_on_support",
                             masked_relax_on_support)
         ref = cw.minimize_energy(spec, grid, bd, params)
@@ -373,14 +433,13 @@ class TestStridedKernel:
         marked[5:9, 6:12] = True
         zapped = marked.copy()
         fast = u.copy()
-        energy_module._sor_block(fast, free, eps, pull, envelope,
-                                 zapped, sweeps=5)
+        lattice_sor_block(fast, free, eps, pull, envelope, zapped, sweeps=5)
         assert np.all(zapped[marked]) and np.any(zapped & ~marked)
         assert fast[zapped].tobytes() == bytes(8 * int(zapped.sum()))
         # without the marks the same block regrows those nodes
         fresh = u.copy()
-        energy_module._sor_block(fresh, free, eps, pull, envelope,
-                                 np.zeros(shape, dtype=bool), sweeps=5)
+        lattice_sor_block(fresh, free, eps, pull, envelope,
+                          np.zeros(shape, dtype=bool), sweeps=5)
         assert np.all(fresh[marked] > 0.0)
 
     @pytest.mark.parametrize("shape", [(33, 33), (31, 34)])
@@ -471,8 +530,8 @@ class TestCroppedKernel:
         fast, ref = u.copy(), u.copy()
         fast_zaps = None if zapped is None else zapped.copy()
         ref_zaps = None if zapped is None else zapped.copy()
-        energy_module._sor_block(fast, free, eps, pull, envelope,
-                                 fast_zaps, sweeps=6)
+        lattice_sor_block(fast, free, eps, pull, envelope, fast_zaps,
+                          sweeps=6)
         masked_sor_block(np.zeros(BOX_SHAPE, dtype=bool), [])(
             ref, free, eps, pull, envelope, ref_zaps, sweeps=6)
         assert fast.tobytes() == ref.tobytes()

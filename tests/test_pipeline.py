@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 import cornerwave as cw
-from cornerwave import oracle
+from cornerwave import cli, oracle
 from cornerwave.oracle import (AnglePair, angle_pair, blowup_limit,
                                corner_density, evaluate_at_points)
 from cornerwave.pipeline import (AnalysisError, ConfigError,
@@ -409,17 +409,55 @@ MALFORMED = {
     # a circle far off the grid, which nearest-node sampling would clamp
     "direction_radius_off_grid": (("analysis", "direction_radius", 3.0),
                                   "analysis.direction_radius"),
+    # integer settings: a fractional value is not truncated, the sweep
+    # budget is positive, and the two profiles need two radii or more
+    "fractional_grid_size": (("grid", "nx", 257.9), "grid.nx"),
+    "fractional_radii_count": (("analysis", "radii",
+                                {"r_min": 0.05, "r_max": 0.45, "count": 2.9}),
+                               "analysis.radii.count"),
+    "negative_max_iters": (("solver", "max_iters", -1), "solver.max_iters"),
+    "one_radius_count": (("analysis", "radii",
+                          {"r_min": 0.05, "r_max": 0.45, "count": 1}),
+                         "analysis.radii"),
+    "one_radius_list": (("analysis", "radii", [0.2]), "analysis.radii"),
+}
+
+
+def _without(key):
+    """A header and values edit that drops ``key`` from the header."""
+    def edit(header, values):
+        fields = json.loads(header)
+        del fields[key]
+        return [json.dumps(fields), *values]
+    return edit
+
+
+# a saved solution.field (header line, value lines) made unreadable
+CORRUPT_FIELDS = {
+    "truncated": lambda header, values: [header, values[0]],
+    "non_json_header": lambda header, values: ["solution of 33 x 33", *values],
+    "header_without_nx": _without("nx"),
+    "header_without_alpha": _without("alpha"),
 }
 
 
 class TestCli:
-    def run_cli(self, *args):
-        return subprocess.run([sys.executable, "-m", "cornerwave", *args],
-                              capture_output=True, text=True)
+    """The CLI called in-process, its output read back with ``capsys``; the
+    ``python -m cornerwave`` entry point runs as a subprocess once, in
+    ``test_solver_status_reported``."""
+
+    @pytest.fixture
+    def run_cli(self, capsys):
+        def run_cli(*args):
+            capsys.readouterr()
+            code = cli.main(list(args))
+            out, err = capsys.readouterr()
+            return subprocess.CompletedProcess(args, code, out, err)
+        return run_cli
 
     @pytest.mark.parametrize("verb", ["run", "table1", "solve"])
     @pytest.mark.parametrize("config", list(MALFORMED))
-    def test_malformed_config_exit_2(self, tmp_path, config, verb):
+    def test_malformed_config_exit_2(self, run_cli, tmp_path, config, verb):
         bad = tmp_path / "bad.yaml"
         edit, named = MALFORMED[config]
         if edit is None:
@@ -430,7 +468,7 @@ class TestCli:
             data.setdefault(section, {})[key] = value
             bad.write_text(yaml.safe_dump(data))
         out = tmp_path / "o"
-        r = self.run_cli(verb, "--config", str(bad), "--out", str(out))
+        r = run_cli(verb, "--config", str(bad), "--out", str(out))
         assert r.returncode == 2, r.stderr
         rec = json.loads((out / "error.json").read_text())
         assert rec["stage"] == "config"
@@ -438,38 +476,42 @@ class TestCli:
         # rejected before any stage ran
         assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
-    def test_table1_verb(self, tmp_path):
+    def test_table1_verb(self, run_cli, tmp_path):
         cfgp = tmp_path / "c.yaml"
         cfgp.write_text(yaml.safe_dump(small_config(tmp_path)))
         out = tmp_path / "t1"
-        r = self.run_cli("table1", "--config", str(cfgp), "--out", str(out))
+        r = run_cli("table1", "--config", str(cfgp), "--out", str(out))
         assert r.returncode == 0, r.stderr
         assert (out / "table1.csv").exists()
 
-    def test_unknown_format_exit_2(self, tmp_path):
+    def test_unknown_format_exit_2(self, run_cli, tmp_path):
         cfgp = tmp_path / "c.yaml"
         cfgp.write_text(yaml.safe_dump(small_config(tmp_path)))
         out = tmp_path / "f"
-        r = self.run_cli("table1", "--config", str(cfgp), "--out", str(out),
-                         "--format", "csv,pdf")
+        r = run_cli("table1", "--config", str(cfgp), "--out", str(out),
+                    "--format", "csv,pdf")
         assert r.returncode == 2, r.stderr
         assert "unknown output format 'pdf'" in r.stderr
         assert json.loads((out / "error.json").read_text())["stage"] == "config"
 
-    def test_analyze_without_solution_exit_4(self, tmp_path):
+    def test_analyze_without_solution_exit_4(self, run_cli, tmp_path):
         cfgp = tmp_path / "c.yaml"
         cfgp.write_text(yaml.safe_dump(small_config(tmp_path)))
         out = tmp_path / "empty"
-        r = self.run_cli("analyze", "--config", str(cfgp), "--out", str(out))
+        r = run_cli("analyze", "--config", str(cfgp), "--out", str(out))
         assert r.returncode == 4
 
     def test_solver_status_reported(self, tmp_path):
-        # a solve stopped by max_iters is reported, not silently shipped
+        # a solve stopped by max_iters is reported, not silently shipped;
+        # run through the ``python -m cornerwave`` entry point, where the
+        # pipeline's logging warning reaches stderr
         data = small_config(tmp_path, grid={"nx": 33, "ny": 33},
                             solver={"max_iters": 20})
         cfgp = tmp_path / "c.yaml"
         cfgp.write_text(yaml.safe_dump(data))
-        r = self.run_cli("solve", "--config", str(cfgp))
+        r = subprocess.run([sys.executable, "-m", "cornerwave", "solve",
+                            "--config", str(cfgp)],
+                           capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
         assert ("solver: converged=False iterations=20 "
                 "message=max_iters hit before the flow settled") in r.stdout
@@ -478,7 +520,7 @@ class TestCli:
                          r.stdout)
         assert "solver did not converge after 20 sweeps" in r.stderr
 
-    def test_staged_verbs_check_the_saved_field(self, tmp_path):
+    def test_staged_verbs_check_the_saved_field(self, run_cli, tmp_path):
         # a solution.field solved for another problem or grid than the
         # config is refused, not analysed as if it fitted
         data = small_config(tmp_path)
@@ -491,24 +533,49 @@ class TestCli:
             cfgp = tmp_path / "c.yaml"
             cfgp.write_text(yaml.safe_dump(edited))
             for verb in ("analyze", "classify"):
-                r = self.run_cli(verb, "--config", str(cfgp))
+                r = run_cli(verb, "--config", str(cfgp))
                 assert r.returncode == 4, (section, verb, r.stdout)
                 assert "solution.field was solved for another problem" in r.stderr
                 assert json.loads((out / "error.json").read_text())["stage"] \
                     == "analysis"
 
-    def test_solve_then_analyze_then_classify(self, tmp_path):
+    @pytest.mark.parametrize("verb", ["analyze", "classify"])
+    @pytest.mark.parametrize("corrupt", list(CORRUPT_FIELDS))
+    def test_corrupt_solution_field_exit_4(self, run_cli, tmp_path, corrupt,
+                                           verb):
+        # a saved field that cannot be read is an analysis error with its
+        # record, not a traceback
+        data = small_config(tmp_path, grid={"nx": 33, "ny": 33})
+        cfg = parse_config(data)
+        out = Path(cfg.outputs.directory)
+        out.mkdir()
+        path = out / "solution.field"
+        cw.save_field(cw.ScalarField(cfg.grid, np.zeros((33, 33))), path,
+                      spec=cfg.problem)
+        header, *values = path.read_text().splitlines()
+        path.write_text("\n".join(CORRUPT_FIELDS[corrupt](header, values))
+                        + "\n")
+        cfgp = tmp_path / "c.yaml"
+        cfgp.write_text(yaml.safe_dump(data))
+        r = run_cli(verb, "--config", str(cfgp))
+        assert r.returncode == 4, r.stderr
+        assert "analysis error: cannot read solution.field" in r.stderr
+        rec = json.loads((out / "error.json").read_text())
+        assert rec["stage"] == "analysis"
+        assert rec["message"].startswith("cannot read solution.field")
+
+    def test_solve_then_analyze_then_classify(self, run_cli, tmp_path):
         data = small_config(tmp_path)
         out = tmp_path / "staged"
         data["outputs"]["directory"] = str(out)
         cfgp = tmp_path / "c.yaml"
         cfgp.write_text(yaml.safe_dump(data))
-        r = self.run_cli("solve", "--config", str(cfgp))
+        r = run_cli("solve", "--config", str(cfgp))
         assert r.returncode == 0
         assert "solver: converged=True" in r.stdout
         assert (out / "solution.field").exists()
-        assert self.run_cli("analyze", "--config", str(cfgp)).returncode == 0
+        assert run_cli("analyze", "--config", str(cfgp)).returncode == 0
         assert (out / "weiss.csv").exists()
-        r = self.run_cli("classify", "--config", str(cfgp))
+        r = run_cli("classify", "--config", str(cfgp))
         assert r.returncode == 0
         assert "verdict: corner" in r.stdout
