@@ -33,16 +33,14 @@ EXCLUSION_NOTE = ("cusp and flat profiles are excluded for exact weak "
                   "or a numerical artifact")
 
 
-def rescale(u: ScalarField, sp: StagnationPoint, r: float,
-            reference_n: int = 129) -> ScalarField:
-    """u_r(Z) = r^kappa u(X0 + r Z) resampled bilinearly onto [-1, 1]^2.
+def rescale(u: ScalarField, sp: StagnationPoint, r: float) -> ScalarField:
+    """u_r(Z) = r^kappa u(X0 + r Z) resampled bilinearly onto the 129 x 129
+    reference grid of [-1, 1]^2.
 
     Requires B_{2r}(X0) inside the grid so every reference node maps to a
     valid sample point."""
-    if r <= 0:
-        raise RadiusOutOfRange("rescaling radius must be positive")
-    require_circle_inside(u.grid, sp.location, r, factor=2.0)
-    ref = reference_grid(reference_n)
+    check_schedule([r], u.grid, sp.location)
+    ref = reference_grid(129)
     Zx, Zy = ref.mesh()
     vals = bilinear(u.values, u.grid,
                     sp.location[0] + r * Zx, sp.location[1] + r * Zy)
@@ -126,6 +124,10 @@ class DirectionEstimate:
 # angular samples per circle, and the annuli of the direction estimate
 N_THETA = 1440
 ANNULI = np.linspace(0.25, 0.85, 8)
+# the density is read on B_r(X0) and the directions on the ANNULI times r,
+# r being these fractions of the stagnation point's delta
+DENSITY_FRACTION = 0.6
+DIRECTION_FRACTION = 0.9
 
 
 def _positivity_arcs(values: np.ndarray, grid: GridSpec, rho: float,
@@ -216,10 +218,21 @@ def estimate_asymptotic_directions(u0: ScalarField, center=(0.0, 0.0),
                              per_annulus=per)
 
 
-def check_decreasing(radii) -> None:
-    """Raise unless a blow-up radius schedule strictly decreases."""
+def check_schedule(radii, grid: GridSpec, center) -> list[float]:
+    """A blow-up radius schedule as floats; raises ValueError unless it is
+    a list of positive numbers that strictly decrease, each ball
+    B_{2r}(center) inside the grid, the reach ``rescale`` samples."""
+    if np.ndim(radii) != 1:
+        raise ValueError(f"blow-up radii must be a list, not {radii!r}")
+    try:
+        radii = [float(r) for r in radii]
+    except (TypeError, ValueError):
+        raise ValueError(f"blow-up radii must be numbers, not {radii!r}") from None
     if np.any(np.diff(radii) >= 0):
         raise ValueError("blow-up radii must be strictly decreasing")
+    for r in radii:
+        require_circle_inside(grid, center, r, factor=2.0)
+    return radii
 
 
 @dataclass
@@ -233,28 +246,24 @@ class BlowupResult:
     direction_report: DirectionEstimate | None = None
 
     def __post_init__(self):
-        check_decreasing(self.radii_used)
         if self.directions is not None and not (self.directions[0] < self.directions[1]):
             raise ValueError("directions must satisfy theta1 < theta2")
 
 
 def blowup_analysis(spec: ProblemSpec, u: ScalarField, sp: StagnationPoint,
-                    radii, reference_n: int = 129,
-                    density_radius: float | None = None,
-                    direction_radius: float | None = None) -> BlowupResult:
+                    radii) -> BlowupResult:
     """Rescale along a decreasing radius schedule and collect convergence
-    diagnostics, the density estimate, and the asymptotic directions."""
-    radii = [float(r) for r in radii]
-    fields = [rescale(u, sp, r, reference_n=reference_n) for r in radii]
+    diagnostics, the density estimate on B_{0.6 delta} and the asymptotic
+    directions out to 0.9 delta."""
+    radii = check_schedule(radii, u.grid, sp.location)
+    fields = [rescale(u, sp, r) for r in radii]
     dists = [l2_disk_distance(fields[i], fields[i + 1])
              for i in range(len(fields) - 1)]
     resid = homogeneity_residual(fields[-1], -sp.kappa)
-    r_dens = density_radius if density_radius is not None else radii[-1]
-    dens = limit_density(spec, u, sp, r_dens)
-    r_dir = direction_radius if direction_radius is not None else radii[-1]
+    dens = limit_density(spec, u, sp, DENSITY_FRACTION * sp.delta)
     try:
-        est = estimate_asymptotic_directions(u, center=sp.location,
-                                             radius=r_dir)
+        est = estimate_asymptotic_directions(
+            u, center=sp.location, radius=DIRECTION_FRACTION * sp.delta)
         directions = (est.theta1, est.theta2)
     except EmptyPositivity:
         est, directions = None, None

@@ -335,6 +335,11 @@ def value_envelope_monomial(spec: ProblemSpec, x, y):
     return sum(terms[1:], terms[0])
 
 
+def _require_nodes(nx: int, ny: int) -> None:
+    if nx < 16 or ny < 16:
+        raise InvalidSpec("grid needs at least 16 nodes per axis")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform grid with square cells; node (i, j) sits at origin + h*(i, j)."""
@@ -345,13 +350,13 @@ class GridSpec:
     spacing: float
 
     def __post_init__(self):
-        if self.nx < 16 or self.ny < 16:
-            raise InvalidSpec("grid needs at least 16 nodes per axis")
+        _require_nodes(self.nx, self.ny)
         if self.spacing <= 0:
             raise InvalidSpec("grid spacing must be positive")
 
     @classmethod
     def from_domain(cls, rect: Rect, nx: int, ny: int) -> "GridSpec":
+        _require_nodes(nx, ny)  # before the spacing divides by n - 1
         hx = (rect.x_max - rect.x_min) / (nx - 1)
         hy = (rect.y_max - rect.y_min) / (ny - 1)
         if abs(hx - hy) > 1e-9 * max(hx, hy):
@@ -444,16 +449,12 @@ class StagnationPoint:
             raise InvalidSpec("analysis radius delta must be positive")
 
 
-def stagnation_point(spec: ProblemSpec, delta: float | None = None) -> StagnationPoint:
-    """Build the stagnation point of a spec; delta defaults to half the
-    distance to the domain boundary and may not exceed it."""
+def stagnation_point(spec: ProblemSpec) -> StagnationPoint:
+    """Build the stagnation point of a spec; delta is half the distance
+    from X0 to the domain boundary."""
     loc = spec.stagnation_location
-    dmax = spec.domain.distance_to_boundary(loc) / 2.0
-    if delta is None:
-        delta = dmax
-    if not (0.0 < delta <= dmax * (1 + 1e-12)):
-        raise InvalidSpec(f"delta={delta:g} outside (0, {dmax:g}]")
-    return StagnationPoint(location=loc, kappa=kappa_for(spec), delta=float(delta))
+    return StagnationPoint(location=loc, kappa=kappa_for(spec),
+                           delta=spec.domain.distance_to_boundary(loc) / 2.0)
 
 
 # ---------------------------------------------------------------------------

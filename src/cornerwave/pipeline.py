@@ -22,6 +22,18 @@ back as a config (provenance round-trip).
 ``parse_config`` checks every setting, naming its key, before any stage
 runs, and a saved solution.field is analysed only for the problem and
 grid it was solved for.
+
+The analysis works on balls B_r(X0) shrinking toward the stagnation point
+X0 inside a fixed neighbourhood of radius delta, half the distance from X0
+to the domain edge (``stagnation_point``).  Its scales are fixed fractions
+of delta, so they follow the problem and are not settings:
+
+    Weiss and frequency radii   32 log-spaced radii from 0.1 to 0.9 delta
+    density estimate            on B_{0.6 delta}
+    asymptotic directions       on annuli out to 0.9 delta
+    rescaled fields             on the 129 x 129 reference grid
+
+Only the blow-up radius schedule is set, as ``analysis.blowup_radii``.
 """
 
 from __future__ import annotations
@@ -38,11 +50,11 @@ import yaml
 from . import blowup as bw
 from . import oracle
 from .domain import (GridSpec, ProblemSpec, Rect, ScalarField, StagnationPoint,
-                     Type1, Type2, Type3, _fmt, load_field, reference_grid,
-                     save_field, spec_from_header, stagnation_point)
+                     Type1, Type2, Type3, _fmt, load_field, save_field,
+                     spec_from_header, stagnation_point)
 from .energy import SolverParams, SolveResult, minimize_energy
 from .frequency import frequency_profile
-from .weiss import check_radii, radial_sweep, weiss_profile
+from .weiss import radial_sweep, weiss_profile
 
 FORMATS = ("csv", "json", "svg")
 
@@ -114,16 +126,6 @@ class BoundaryConfig:
 
 
 @dataclass
-class AnalysisConfig:
-    delta: float | None = None
-    radii: list[float] = field(default_factory=list)
-    blowup_radii: list[float] = field(default_factory=list)
-    density_radius: float | None = None
-    direction_radius: float | None = None
-    reference_n: int = 129
-
-
-@dataclass
 class OutputConfig:
     directory: str = "out"
     formats: tuple[str, ...] = FORMATS
@@ -135,7 +137,7 @@ class PipelineConfig:
     grid: GridSpec
     solver: SolverParams
     boundary: BoundaryConfig
-    analysis: AnalysisConfig
+    blowup_radii: list[float]
     outputs: OutputConfig
     raw: dict = field(default_factory=dict)
 
@@ -145,16 +147,26 @@ def _parse_stag(d: dict) -> Type1 | Type2 | Type3:
     kind = _need(d, "type", where)
     if kind in (1, "1", "type1"):
         _known(d, ("type", "x0", "theta0"), where)
-        return Type1(x0=_need(d, "x0", where),
-                     theta0=d.get("theta0", 3 * math.pi / 2))
+        return Type1(x0=_number(d, "x0", where, required=True),
+                     theta0=_number(d, "theta0", where, 3 * math.pi / 2))
     if kind in (2, "2", "type2"):
         _known(d, ("type", "y0", "theta0"), where)
-        return Type2(y0=_need(d, "y0", where),
-                     theta0=d.get("theta0", 0.0))
+        return Type2(y0=_number(d, "y0", where, required=True),
+                     theta0=_number(d, "theta0", where, 0.0))
     if kind in (3, "3", "type3"):
         _known(d, ("type", "theta_star"), where)
-        return Type3(theta_star=d.get("theta_star", -math.pi / 2))
+        return Type3(theta_star=_number(d, "theta_star", where, -math.pi / 2))
     raise ConfigError(f"unknown stagnation type {kind!r}")
+
+
+def _parse_domain(prob: dict) -> Rect:
+    corners = _need(prob, "domain", "problem")
+    if not isinstance(corners, list) or len(corners) != 4:
+        raise ConfigError("problem.domain must be four numbers [x_min, y_min, "
+                          f"x_max, y_max], not {corners!r}")
+    entries = dict(enumerate(corners))
+    return Rect(*(_number(entries, i, "problem.domain", required=True)
+                  for i in range(4)))
 
 
 def parse_config(data: dict) -> PipelineConfig:
@@ -172,8 +184,10 @@ def parse_config(data: dict) -> PipelineConfig:
             alpha=_number(prob, "alpha", "problem", required=True),
             beta=_number(prob, "beta", "problem", required=True),
             stag=_parse_stag(_need(prob, "stagnation", "problem")),
-            domain=Rect(*[float(v) for v in _need(prob, "domain", "problem")]),
+            domain=_parse_domain(prob),
             weight_constant=_number(prob, "weight_constant", "problem", 1.0))
+        # every analysis scale is a fraction of delta, which must be positive
+        _check("problem.stagnation", stagnation_point, spec)
         grid_cfg = _known(_need(data, "grid", "config"), ("nx", "ny"), "grid")
         grid = GridSpec.from_domain(
             spec.domain, _number(grid_cfg, "nx", "grid", kind=int, required=True),
@@ -194,37 +208,30 @@ def parse_config(data: dict) -> PipelineConfig:
             # the pair seeds type-3 boundary data and the table's type-3 row
             _check("boundary.pair_theta1", oracle.angle_pair, spec.alpha,
                    spec.beta, boundary.pair_theta1)
-        ana = _known(data.get("analysis") or {},
-                     ("delta", "radii", "blowup_radii", "density_radius",
-                      "direction_radius", "reference_n"), "analysis")
-        analysis = AnalysisConfig(
-            delta=_number(ana, "delta", "analysis"),
-            radii=_radii_list(ana.get("radii")),
-            blowup_radii=[float(r) for r in ana.get("blowup_radii", [])],
-            density_radius=_number(ana, "density_radius", "analysis"),
-            direction_radius=_number(ana, "direction_radius", "analysis"),
-            reference_n=_number(ana, "reference_n", "analysis", 129, int))
-        # the analysis settings the solve does not read are checked here,
-        # so a bad one fails before the solve, not after it
-        sp = _check("analysis.delta", stagnation_point, spec, analysis.delta)
-        for key, radii in (("radii", analysis.radii),
-                           ("density_radius", [analysis.density_radius]),
-                           ("direction_radius", [analysis.direction_radius])):
-            if radii and None not in radii:
-                _check(f"analysis.{key}", check_radii, sp, grid, radii)
-        _check("analysis.blowup_radii", bw.check_decreasing,
-               analysis.blowup_radii)
-        _check("analysis.reference_n", reference_grid, analysis.reference_n)
+        ana = _known(data.get("analysis") or {}, ("blowup_radii",), "analysis")
+        # checked here, not when the blow-up runs after the solve
+        blowup_radii = ana.get("blowup_radii")
+        blowup_radii = [] if blowup_radii is None else _check(
+            "analysis.blowup_radii", bw.check_schedule, blowup_radii, grid,
+            spec.stagnation_location)
         out = _known(data.get("outputs") or {}, ("directory", "formats"),
                      "outputs")
-        formats = check_formats(out.get("formats", FORMATS))
-        outputs = OutputConfig(directory=out.get("directory", "out"), formats=formats)
+        directory = out.get("directory", "out")
+        if not isinstance(directory, str):
+            raise ConfigError(
+                f"outputs.directory must be a string, not {directory!r}")
+        formats = out.get("formats", list(FORMATS))
+        if not isinstance(formats, list):
+            raise ConfigError(
+                f"outputs.formats must be a list, not {formats!r}")
+        outputs = OutputConfig(directory=directory,
+                               formats=check_formats(formats))
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     return PipelineConfig(problem=spec, grid=grid, solver=solver,
-                          boundary=boundary, analysis=analysis,
+                          boundary=boundary, blowup_radii=blowup_radii,
                           outputs=outputs, raw=data)
 
 
@@ -235,29 +242,6 @@ def check_formats(formats) -> tuple[str, ...]:
         if f not in FORMATS:
             raise ConfigError(f"unknown output format {f!r}")
     return formats
-
-
-def _radii_list(spec) -> list[float]:
-    """The Weiss and frequency radii, none when ``spec`` is null; the two
-    profiles need at least two."""
-    if spec is None:
-        return []
-    if isinstance(spec, (list, tuple)):
-        radii = [float(r) for r in spec]
-    elif isinstance(spec, dict):
-        _known(spec, ("r_min", "r_max", "count", "log"), "analysis.radii")
-        r0 = _number(spec, "r_min", "analysis.radii", required=True)
-        r1 = _number(spec, "r_max", "analysis.radii", required=True)
-        n = _number(spec, "count", "analysis.radii", kind=int, required=True)
-        space = np.geomspace if spec.get("log", True) else np.linspace
-        radii = list(space(r0, r1, n))
-    else:
-        raise ConfigError(
-            "analysis.radii must be a list or {r_min, r_max, count}")
-    if len(radii) < 2:
-        raise ConfigError(
-            f"analysis.radii needs at least two radii, not {len(radii)}")
-    return radii
 
 
 def load_config(path) -> PipelineConfig:
@@ -303,21 +287,24 @@ def run_solve(cfg: PipelineConfig) -> tuple[SolveResult, object]:
     return result, profile
 
 
-def run_analysis(cfg: PipelineConfig, u: ScalarField):
+def profile_radii(sp: StagnationPoint) -> np.ndarray:
+    """The radii of the Weiss and frequency profiles: 32 log-spaced radii
+    from 0.1 to 0.9 delta."""
+    return np.geomspace(0.1 * sp.delta, 0.9 * sp.delta, 32)
+
+
+def run_analysis(cfg: PipelineConfig, u: ScalarField, sp: StagnationPoint):
+    """The Weiss and frequency profiles, the blow-up analysis (None without
+    a schedule) and the density estimate, at the scales derived from delta."""
     try:
-        sp = stagnation_point(cfg.problem, cfg.analysis.delta)
-        wp = fp = None
-        if cfg.analysis.radii:
-            sweep = radial_sweep(cfg.problem, u, sp, cfg.analysis.radii)
-            wp = weiss_profile(sweep)
-            fp = frequency_profile(sweep)
-        br = bw.blowup_analysis(
-            cfg.problem, u, sp, cfg.analysis.blowup_radii,
-            reference_n=cfg.analysis.reference_n,
-            density_radius=cfg.analysis.density_radius,
-            direction_radius=cfg.analysis.direction_radius) \
-            if cfg.analysis.blowup_radii else None
-        return sp, wp, fp, br
+        sweep = radial_sweep(cfg.problem, u, sp, profile_radii(sp))
+        wp = weiss_profile(sweep)
+        fp = frequency_profile(sweep)
+        if cfg.blowup_radii:
+            br = bw.blowup_analysis(cfg.problem, u, sp, cfg.blowup_radii)
+            return wp, fp, br, br.density_estimate
+        return wp, fp, None, bw.limit_density(
+            cfg.problem, u, sp, bw.DENSITY_FRACTION * sp.delta)
     except Exception as exc:
         raise AnalysisError(f"analysis stage failed: {exc}") from exc
 
@@ -452,6 +439,7 @@ def run(cfg: PipelineConfig,
     manifest: dict = {"outputs": {}}
     fmts = cfg.outputs.formats
     spec = cfg.problem
+    sp = stagnation_point(spec)
 
     if "table1" in stages and "csv" in fmts:
         p = outdir / "table1.csv"
@@ -496,16 +484,13 @@ def run(cfg: PipelineConfig,
             raise AnalysisError("solution.field was solved for another "
                                 "problem or grid than the config")
 
-    sp = None
-    density = None
     if needs_analysis:
-        sp, wp, fp, br = run_analysis(cfg, solution)
+        wp, fp, br, density = run_analysis(cfg, solution, sp)
         if "analyze" in stages:
-            if wp is not None and "csv" in fmts:
+            if "csv" in fmts:
                 p = outdir / "weiss.csv"
                 wp.to_csv(p)
                 manifest["outputs"]["weiss"] = p.name
-            if fp is not None and "csv" in fmts:
                 p = outdir / "frequency.csv"
                 fp.to_csv(p)
                 manifest["outputs"]["frequency"] = p.name
@@ -531,12 +516,7 @@ def run(cfg: PipelineConfig,
                         "rescaled_fields": rescale_names,
                     }, p)
                     manifest["outputs"]["blowup"] = p.name
-        if br is not None:
-            density = br.density_estimate
     if "classify" in stages:
-        if density is None:  # no blow-up schedule
-            r_dens = cfg.analysis.density_radius or 0.5 * sp.delta
-            density = bw.limit_density(spec, solution, sp, r_dens)
         report = run_classify(cfg, sp, density)
         if "json" in fmts:
             p = outdir / "classification.json"
@@ -545,8 +525,7 @@ def run(cfg: PipelineConfig,
         manifest["classification"] = report.verdict
     if "solve" in stages and "svg" in fmts and solution is not None:
         p = outdir / "solution.svg"
-        write_svg(solution, spec, sp or stagnation_point(spec, cfg.analysis.delta),
-                  p, profile=profile)
+        write_svg(solution, spec, sp, p, profile=profile)
         manifest["outputs"]["svg"] = p.name
     return manifest
 

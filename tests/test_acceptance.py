@@ -136,13 +136,13 @@ def test_criterion_05_homogeneity_blowup(stokes_case, blowup_case):
     # window, so rescalings contract toward the homogeneous limit
     radii = list(np.geomspace(0.45, 0.2, 5))
     br = cw.blowup_analysis(blowup_case.spec, blowup_case.result.field,
-                            blowup_case.sp, radii, reference_n=129)
+                            blowup_case.sp, radii)
     d = br.successive_distance
     assert d[-2] > d[-1] and d[-3] > d[-2], d
     assert br.homogeneity_residual <= 0.1
     # the gravity-type run obeys the same residual budget
     br0 = cw.blowup_analysis(stokes_case.spec, stokes_case.result.field,
-                             stokes_case.sp, [0.4, 0.3, 0.2], reference_n=129)
+                             stokes_case.sp, [0.4, 0.3, 0.2])
     assert br0.homogeneity_residual <= 0.1
     report("05 homogeneity-blowup",
            f"distances {['%.4f' % x for x in d]} decreasing, "
@@ -259,7 +259,7 @@ def test_criterion_09_classifier_trichotomy():
         full = full_ball_density(spec)
         grid = cw.GridSpec.from_domain(
             cw.Rect(*_window_around(spec)), 257, 257)
-        sp = cw.stagnation_point(spec, delta=0.5)
+        sp = cw.stagnation_point(spec)
         # oracle cone
         u_cone = profile_field(prof, grid, spec.stagnation_location)
         d_cone = cw.limit_density(spec, u_cone, sp, 0.3)
@@ -313,12 +313,7 @@ def test_criterion_10_determinism(tmp_path):
                     "domain": [-2.0, -1.0, 0.0, 1.0]},
         "grid": {"nx": 257, "ny": 257},
         "solver": {"max_iters": 2500},
-        "analysis": {"delta": 0.5,
-                     "radii": {"r_min": 0.1, "r_max": 0.4, "count": 6,
-                               "log": True},
-                     "blowup_radii": [0.4, 0.3, 0.22],
-                     "density_radius": 0.3, "direction_radius": 0.4,
-                     "reference_n": 65},
+        "analysis": {"blowup_radii": [0.4, 0.3, 0.22]},
         "outputs": {"directory": "", "formats": ["csv", "json", "svg"]},
     }
     outs = []

@@ -203,8 +203,7 @@ class TestBlowupAnalysis:
     def test_result_shape_on_exact_profile(self):
         spec, prof, u = stokes_profile_field()
         sp = cw.stagnation_point(spec)
-        br = cw.blowup_analysis(spec, u, sp, [0.4, 0.3, 0.2],
-                                density_radius=0.3, direction_radius=0.4)
+        br = cw.blowup_analysis(spec, u, sp, [0.4, 0.3, 0.2])
         assert len(br.rescaled_fields) == 3
         assert len(br.successive_distance) == 2
         assert br.density_estimate == pytest.approx(math.sqrt(3) / 3, abs=1e-2)

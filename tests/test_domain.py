@@ -133,14 +133,6 @@ class TestStagnationPoint:
         assert sp.kappa == -1.5
         assert sp.location == (-1.0, 0.0)
 
-    def test_delta_cap(self):
-        spec = cw.ProblemSpec(0.0, 1.0, cw.Type1(x0=-1.0),
-                              cw.Rect(-2.0, -1.0, 0.0, 1.0))
-        with pytest.raises(cw.InvalidSpec):
-            cw.stagnation_point(spec, delta=0.8)
-        with pytest.raises(cw.InvalidSpec):
-            cw.stagnation_point(spec, delta=-0.1)
-
 
 class TestGridAndField:
     def test_grid_covers_domain(self):

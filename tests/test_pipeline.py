@@ -12,15 +12,20 @@ import pytest
 import yaml
 
 import cornerwave as cw
+from cornerwave import blowup as bw
 from cornerwave import cli, oracle
+from cornerwave.domain import reference_grid
 from cornerwave.oracle import (AnglePair, angle_pair, blowup_limit,
                                corner_density, evaluate_at_points)
 from cornerwave.pipeline import (AnalysisError, ConfigError,
                                  _marching_segments, build_boundary,
-                                 load_config, parse_config, run, run_classify,
-                                 write_table1)
+                                 load_config, parse_config, profile_radii, run,
+                                 run_classify, write_table1)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# the bundled configs that solve
+SOLVED = ["stokes", "corner_beta2", "corner_alpha2", "corner_type3",
+          "blowup_convergence"]
 
 SMALL_CONFIG = {
     "problem": {
@@ -30,14 +35,7 @@ SMALL_CONFIG = {
     },
     "grid": {"nx": 257, "ny": 257},
     "solver": {"max_iters": 3000},
-    "analysis": {
-        "delta": 0.5,
-        "radii": {"r_min": 0.1, "r_max": 0.4, "count": 8, "log": True},
-        "blowup_radii": [0.4, 0.3, 0.22],
-        "density_radius": 0.3,
-        "direction_radius": 0.4,
-        "reference_n": 65,
-    },
+    "analysis": {"blowup_radii": [0.4, 0.3, 0.22]},
     "outputs": {"directory": "out", "formats": ["csv", "json", "svg"]},
 }
 
@@ -69,7 +67,8 @@ class TestConfigParsing:
             parse_config(data)
 
     # the solver, boundary and analysis settings that are constants now,
-    # and the boundary settings with one value in use
+    # the boundary settings with one value in use, and the analysis scales
+    # now derived from delta
     @pytest.mark.parametrize("section, key, value", [
         ("solver", "smoothing_eps", 0.01),
         ("solver", "step_size", 1.85),
@@ -83,6 +82,11 @@ class TestConfigParsing:
         ("analysis", "annuli", [0.25, 0.85]),
         ("boundary", "source", "oracle"),
         ("boundary", "init", "oracle"),
+        ("analysis", "delta", 0.5),
+        ("analysis", "radii", {"r_min": 0.05, "r_max": 0.45, "count": 32}),
+        ("analysis", "density_radius", 0.3),
+        ("analysis", "direction_radius", 0.45),
+        ("analysis", "reference_n", 129),
     ])
     def test_retired_key_rejected(self, section, key, value):
         data = json.loads(json.dumps(SMALL_CONFIG))
@@ -97,7 +101,7 @@ class TestConfigParsing:
         (("problem", "stagnation"), "y0"),
         (("grid",), "smoothng_eps"), (("solver",), "smoothng_eps"),
         (("boundary",), "smoothng_eps"), (("analysis",), "smoothng_eps"),
-        (("analysis", "radii"), "smoothng_eps"), (("outputs",), "smoothng_eps")])
+        (("outputs",), "smoothng_eps")])
     def test_unknown_key_named_in_every_mapping(self, path, key):
         data = json.loads(json.dumps(SMALL_CONFIG))
         mapping = data
@@ -107,21 +111,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"unknown field '{key}'"):
             parse_config(data)
 
-    @pytest.mark.parametrize("delta", [5.0, 0.0, -0.1])
-    def test_delta_out_of_range_rejected(self, delta):
-        data = json.loads(json.dumps(SMALL_CONFIG))
-        data["analysis"]["delta"] = delta
-        with pytest.raises(ConfigError, match="delta"):
-            parse_config(data)
-
     @pytest.mark.parametrize("section, key", [
-        ("analysis", "delta"), ("analysis", "density_radius"),
-        ("analysis", "direction_radius"), ("boundary", "pair_theta1"),
-        ("grid", "nx"), ("grid", "ny"), ("problem", "alpha"),
-        ("solver", "max_iters"), ("analysis", "reference_n")])
+        ("boundary", "pair_theta1"), ("grid", "nx"), ("grid", "ny"),
+        ("problem", "alpha"), ("solver", "max_iters"),
+        ("problem.stagnation", "x0"), ("problem.stagnation", "theta0")])
     def test_text_number_rejected_by_key(self, section, key):
         data = json.loads(json.dumps(SMALL_CONFIG))
-        data.setdefault(section, {})[key] = "abc"
+        mapping = data
+        for name in section.split("."):
+            mapping = mapping.setdefault(name, {})
+        mapping[key] = "abc"
         with pytest.raises(ConfigError, match=f"{section}.{key} must be a number"):
             parse_config(data)
 
@@ -131,15 +130,18 @@ class TestConfigParsing:
         cfg = load_config(path)
         assert cfg.outputs.directory == f"out/{path.stem}"
 
-    def test_radii_list_and_range(self):
-        data = json.loads(json.dumps(SMALL_CONFIG))
-        data["analysis"]["radii"] = [0.1, 0.2, 0.3]
-        cfg = parse_config(data)
-        assert cfg.analysis.radii == [0.1, 0.2, 0.3]
-        data["analysis"]["radii"] = {"r_min": 0.1, "r_max": 0.4, "count": 4,
-                                     "log": False}
-        cfg = parse_config(data)
-        assert cfg.analysis.radii == pytest.approx([0.1, 0.2, 0.3, 0.4])
+    @pytest.mark.parametrize("name", SOLVED)
+    def test_derived_scales_equal_the_retired_settings(self, name):
+        # what every solving config set before the scales were derived
+        # from delta; equal to the bit, so the artifacts stay byte-identical
+        cfg = load_config(CONFIGS / f"{name}.yaml")
+        sp = cw.stagnation_point(cfg.problem)
+        assert sp.delta == 0.5
+        assert np.array_equal(profile_radii(sp), np.geomspace(0.05, 0.45, 32))
+        assert bw.DENSITY_FRACTION * sp.delta == 0.3
+        assert bw.DIRECTION_FRACTION * sp.delta == 0.45
+        u = cw.ScalarField(cfg.grid, np.zeros((cfg.grid.ny, cfg.grid.nx)))
+        assert cw.rescale(u, sp, 0.2).grid == reference_grid(129)
 
     def test_yaml_and_json_both_load(self, tmp_path):
         data = small_config(tmp_path)
@@ -209,8 +211,7 @@ class TestRun:
 
 
 class TestBuildBoundary:
-    @pytest.mark.parametrize("name", ["stokes", "corner_beta2", "corner_alpha2",
-                                      "corner_type3", "blowup_convergence"])
+    @pytest.mark.parametrize("name", SOLVED)
     def test_perturbation_is_the_profile_times_r(self, name):
         cfg = load_config(CONFIGS / f"{name}.yaml")
         cfg.boundary.perturbation = 0.5
@@ -321,7 +322,7 @@ class TestClassifyPairs:
 
         monkeypatch.setattr(oracle, "corner_density", recording)
         seed = angle_pair(alpha, beta)
-        report = run_classify(parse_config(data), cw.stagnation_point(spec, 0.5),
+        report = run_classify(parse_config(data), cw.stagnation_point(spec),
                               corner_density(spec, seed.theta1, seed.theta2))
         assert report.verdict == "corner"
         assert len(scored_pairs) == scored
@@ -391,35 +392,62 @@ MALFORMED = {
     "bad_pair": (("boundary", "pair_theta1", 0.3), "boundary.pair_theta1"),
     # a misspelt max_iters
     "unknown_key": (("solver", "max_iter", 100), "'max_iter'"),
-    # delta beyond half the distance to the domain edge
-    "bad_delta": (("analysis", "delta", 5.0), "analysis.delta"),
-    # not a number; used only after the solve, like the four below
+    # retired analysis keys, refused by name whatever their value
+    "bad_delta": (("analysis", "delta", 5.0), "unknown field 'delta'"),
     "text_density_radius": (("analysis", "density_radius", "abc"),
-                            "analysis.density_radius"),
-    "text_grid_size": (("grid", "nx", "abc"), "grid.nx"),
-    # below the 16 nodes per axis a grid needs
+                            "unknown field 'density_radius'"),
     "small_reference_n": (("analysis", "reference_n", 8),
-                          "analysis.reference_n"),
-    "increasing_blowup_radii": (("analysis", "blowup_radii", [0.23, 0.45]),
-                                "analysis.blowup_radii"),
-    # a radius past delta = 0.5
-    "radii_past_delta": (("analysis", "radii", [0.1, 0.7]), "analysis.radii"),
+                          "unknown field 'reference_n'"),
+    "radii_past_delta": (("analysis", "radii", [0.1, 0.7]),
+                         "unknown field 'radii'"),
     "density_radius_past_delta": (("analysis", "density_radius", 0.7),
-                                  "analysis.density_radius"),
-    # a circle far off the grid, which nearest-node sampling would clamp
+                                  "unknown field 'density_radius'"),
     "direction_radius_off_grid": (("analysis", "direction_radius", 3.0),
-                                  "analysis.direction_radius"),
-    # integer settings: a fractional value is not truncated, the sweep
-    # budget is positive, and the two profiles need two radii or more
-    "fractional_grid_size": (("grid", "nx", 257.9), "grid.nx"),
+                                  "unknown field 'direction_radius'"),
     "fractional_radii_count": (("analysis", "radii",
                                 {"r_min": 0.05, "r_max": 0.45, "count": 2.9}),
-                               "analysis.radii.count"),
-    "negative_max_iters": (("solver", "max_iters", -1), "solver.max_iters"),
+                               "unknown field 'radii'"),
     "one_radius_count": (("analysis", "radii",
                           {"r_min": 0.05, "r_max": 0.45, "count": 1}),
-                         "analysis.radii"),
-    "one_radius_list": (("analysis", "radii", [0.2]), "analysis.radii"),
+                         "unknown field 'radii'"),
+    "one_radius_list": (("analysis", "radii", [0.2]), "unknown field 'radii'"),
+    "text_grid_size": (("grid", "nx", "abc"), "grid.nx"),
+    # blow-up schedules, used only after the solve: increasing, B_{2r}(X0)
+    # past the grid's reach of 1, a radius below 0, a radius that is not a
+    # number, and one radius not in a list
+    "increasing_blowup_radii": (("analysis", "blowup_radii", [0.23, 0.45]),
+                                "analysis.blowup_radii"),
+    "blowup_ball_off_grid": (("analysis", "blowup_radii", [0.9, 0.5]),
+                             "analysis.blowup_radii"),
+    "negative_blowup_radius": (("analysis", "blowup_radii", [0.2, -0.1]),
+                               "analysis.blowup_radii"),
+    "text_blowup_radius": (("analysis", "blowup_radii", ["abc"]),
+                           "analysis.blowup_radii"),
+    "scalar_blowup_radii": (("analysis", "blowup_radii", 0.3),
+                            "analysis.blowup_radii"),
+    # integer settings: a fractional value is not truncated, the sweep
+    # budget is positive, and a grid has 16 nodes per axis or more
+    "fractional_grid_size": (("grid", "nx", 257.9), "grid.nx"),
+    "negative_max_iters": (("solver", "max_iters", -1), "solver.max_iters"),
+    "one_node_grid": (("grid", "nx", 1), "grid needs at least 16 nodes"),
+    # the stagnation point and the domain, each value named by its key
+    "text_theta_star": (("problem", "stagnation",
+                         {"type": 3, "theta_star": "abc"}),
+                        "problem.stagnation.theta_star"),
+    "text_x0": (("problem", "stagnation", {"type": 1, "x0": "abc"}),
+                "problem.stagnation.x0"),
+    "text_y0": (("problem", "stagnation", {"type": 2, "y0": "abc"}),
+                "problem.stagnation.y0"),
+    "short_domain": (("problem", "domain", [-1.0, -1.0, 1.0]),
+                     "problem.domain"),
+    "text_domain": (("problem", "domain", [-1.0, -1.0, "abc", 1.0]),
+                    "problem.domain.2"),
+    # X0 on the domain edge leaves delta = 0
+    "stagnation_on_edge": (("problem", "domain", [-1.0, 0.0, 1.0, 2.0]),
+                           "problem.stagnation"),
+    # the output directory and formats
+    "number_directory": (("outputs", "directory", 5), "outputs.directory"),
+    "scalar_formats": (("outputs", "formats", "csv"), "outputs.formats"),
 }
 
 

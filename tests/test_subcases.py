@@ -187,8 +187,8 @@ class TestSubcaseMaps:
                           + 0.4 * Xg - 0.3 * Yg + 0.2, 0.0)
         u = cw.ScalarField(grid, vals)
         ui = cw.ScalarField(grid, np.ascontiguousarray(field_map(vals)))
-        sp = cw.stagnation_point(spec, delta=0.5)
-        spi = cw.stagnation_point(image, delta=0.5)
+        sp = cw.stagnation_point(spec)
+        spi = cw.stagnation_point(image)
         assert spi.location == point_map(*sp.location)
         np.testing.assert_array_equal(
             field_map(support_mask(spec, grid)), support_mask(image, grid))
