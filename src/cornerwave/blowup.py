@@ -33,14 +33,32 @@ EXCLUSION_NOTE = ("cusp and flat profiles are excluded for exact weak "
                   "or a numerical artifact")
 
 
+# the analysis scales as fractions of the stagnation point's delta (see
+# ``pipeline``), and the nodes per side of the rescaled fields' grid
+DENSITY_FRACTION = 0.6
+DIRECTION_FRACTION = 0.9
+REFERENCE_N = 129
+
+
+def profile_radii(sp: StagnationPoint) -> np.ndarray:
+    """The radii of the Weiss and frequency profiles."""
+    return np.geomspace(0.1 * sp.delta, 0.9 * sp.delta, 32)
+
+
+def stagnation_density(spec: ProblemSpec, u: ScalarField,
+                       sp: StagnationPoint) -> float:
+    """The weighted density of {u > 0} on B_{0.6 delta}(X0)."""
+    return limit_density(spec, u, sp, DENSITY_FRACTION * sp.delta)
+
+
 def rescale(u: ScalarField, sp: StagnationPoint, r: float) -> ScalarField:
-    """u_r(Z) = r^kappa u(X0 + r Z) resampled bilinearly onto the 129 x 129
-    reference grid of [-1, 1]^2.
+    """u_r(Z) = r^kappa u(X0 + r Z) resampled bilinearly onto the reference
+    grid of [-1, 1]^2.
 
     Requires B_{2r}(X0) inside the grid so every reference node maps to a
     valid sample point."""
-    check_schedule([r], u.grid, sp.location)
-    ref = reference_grid(129)
+    require_circle_inside(u.grid, sp.location, r, factor=2.0)
+    ref = reference_grid(REFERENCE_N)
     Zx, Zy = ref.mesh()
     vals = bilinear(u.values, u.grid,
                     sp.location[0] + r * Zx, sp.location[1] + r * Zy)
@@ -124,10 +142,6 @@ class DirectionEstimate:
 # angular samples per circle, and the annuli of the direction estimate
 N_THETA = 1440
 ANNULI = np.linspace(0.25, 0.85, 8)
-# the density is read on B_r(X0) and the directions on the ANNULI times r,
-# r being these fractions of the stagnation point's delta
-DENSITY_FRACTION = 0.6
-DIRECTION_FRACTION = 0.9
 
 
 def _positivity_arcs(values: np.ndarray, grid: GridSpec, rho: float,
@@ -220,7 +234,7 @@ def estimate_asymptotic_directions(u0: ScalarField, center=(0.0, 0.0),
 
 def check_schedule(radii, grid: GridSpec, center) -> list[float]:
     """A blow-up radius schedule as floats; raises ValueError unless it is
-    a list of positive numbers that strictly decrease, each ball
+    a list of finite positive numbers that strictly decrease, each ball
     B_{2r}(center) inside the grid, the reach ``rescale`` samples."""
     if np.ndim(radii) != 1:
         raise ValueError(f"blow-up radii must be a list, not {radii!r}")
@@ -228,8 +242,9 @@ def check_schedule(radii, grid: GridSpec, center) -> list[float]:
         radii = [float(r) for r in radii]
     except (TypeError, ValueError):
         raise ValueError(f"blow-up radii must be numbers, not {radii!r}") from None
-    if np.any(np.diff(radii) >= 0):
-        raise ValueError("blow-up radii must be strictly decreasing")
+    if not np.all(np.isfinite(radii)) or np.any(np.diff(radii) >= 0):
+        raise ValueError("blow-up radii must be finite and strictly "
+                         f"decreasing, not {radii!r}")
     for r in radii:
         require_circle_inside(grid, center, r, factor=2.0)
     return radii
@@ -260,7 +275,7 @@ def blowup_analysis(spec: ProblemSpec, u: ScalarField, sp: StagnationPoint,
     dists = [l2_disk_distance(fields[i], fields[i + 1])
              for i in range(len(fields) - 1)]
     resid = homogeneity_residual(fields[-1], -sp.kappa)
-    dens = limit_density(spec, u, sp, DENSITY_FRACTION * sp.delta)
+    dens = stagnation_density(spec, u, sp)
     try:
         est = estimate_asymptotic_directions(
             u, center=sp.location, radius=DIRECTION_FRACTION * sp.delta)

@@ -49,9 +49,10 @@ import yaml
 
 from . import blowup as bw
 from . import oracle
-from .domain import (GridSpec, ProblemSpec, Rect, ScalarField, StagnationPoint,
-                     Type1, Type2, Type3, _fmt, load_field, save_field,
-                     spec_from_header, stagnation_point)
+from .domain import (DegenerateDenominator, GridSpec, ProblemSpec, Rect,
+                     ScalarField, StagnationPoint, Type1, Type2, Type3, _fmt,
+                     load_field, save_field, spec_from_header,
+                     stagnation_point)
 from .energy import SolverParams, SolveResult, minimize_energy
 from .frequency import frequency_profile
 from .weiss import radial_sweep, weiss_profile
@@ -287,26 +288,22 @@ def run_solve(cfg: PipelineConfig) -> tuple[SolveResult, object]:
     return result, profile
 
 
-def profile_radii(sp: StagnationPoint) -> np.ndarray:
-    """The radii of the Weiss and frequency profiles: 32 log-spaced radii
-    from 0.1 to 0.9 delta."""
-    return np.geomspace(0.1 * sp.delta, 0.9 * sp.delta, 32)
-
-
 def run_analysis(cfg: PipelineConfig, u: ScalarField, sp: StagnationPoint):
-    """The Weiss and frequency profiles, the blow-up analysis (None without
-    a schedule) and the density estimate, at the scales derived from delta."""
+    """The Weiss and frequency profiles (no frequency profile, with a warning,
+    where u vanishes on a circle) and the blow-up analysis, if scheduled."""
     try:
-        sweep = radial_sweep(cfg.problem, u, sp, profile_radii(sp))
+        sweep = radial_sweep(cfg.problem, u, sp, bw.profile_radii(sp))
         wp = weiss_profile(sweep)
-        fp = frequency_profile(sweep)
-        if cfg.blowup_radii:
-            br = bw.blowup_analysis(cfg.problem, u, sp, cfg.blowup_radii)
-            return wp, fp, br, br.density_estimate
-        return wp, fp, None, bw.limit_density(
-            cfg.problem, u, sp, bw.DENSITY_FRACTION * sp.delta)
+        try:
+            fp = frequency_profile(sweep)
+        except DegenerateDenominator as exc:
+            log.warning("no frequency profile: %s", exc)
+            fp = None
+        br = bw.blowup_analysis(cfg.problem, u, sp, cfg.blowup_radii) \
+            if cfg.blowup_radii else None
     except Exception as exc:
         raise AnalysisError(f"analysis stage failed: {exc}") from exc
+    return wp, fp, br
 
 
 def run_classify(cfg: PipelineConfig, sp: StagnationPoint, density: float):
@@ -441,20 +438,21 @@ def run(cfg: PipelineConfig,
     spec = cfg.problem
     sp = stagnation_point(spec)
 
+    def output(key: str, name: str) -> Path:
+        """The path of an output file, entered in the manifest."""
+        manifest["outputs"][key] = name
+        return outdir / name
+
     if "table1" in stages and "csv" in fmts:
-        p = outdir / "table1.csv"
-        write_table1(spec.alpha, spec.beta, p,
+        write_table1(spec.alpha, spec.beta, output("table1", "table1.csv"),
                      pair_theta1=cfg.boundary.pair_theta1)
-        manifest["outputs"]["table1"] = p.name
 
     solution = None
     profile = None
     if "solve" in stages:
         result, profile = run_solve(cfg)
         solution = result.field
-        p = outdir / "solution.field"
-        save_field(solution, p, spec=spec)
-        manifest["outputs"]["solution"] = p.name
+        save_field(solution, output("solution", "solution.field"), spec=spec)
         manifest["solver"] = {
             "converged": result.converged,
             "iterations": result.iterations,
@@ -466,8 +464,7 @@ def run(cfg: PipelineConfig,
             log.warning("solver did not converge after %d sweeps: %s",
                         result.iterations, result.message)
 
-    needs_analysis = {"analyze", "classify"} & set(stages)
-    if needs_analysis and solution is None:
+    if {"analyze", "classify"} & set(stages) and solution is None:
         p = outdir / "solution.field"
         if not p.exists():
             raise AnalysisError("no solution field available; run solve first")
@@ -484,49 +481,46 @@ def run(cfg: PipelineConfig,
             raise AnalysisError("solution.field was solved for another "
                                 "problem or grid than the config")
 
-    if needs_analysis:
-        wp, fp, br, density = run_analysis(cfg, solution, sp)
-        if "analyze" in stages:
-            if "csv" in fmts:
-                p = outdir / "weiss.csv"
-                wp.to_csv(p)
-                manifest["outputs"]["weiss"] = p.name
-                p = outdir / "frequency.csv"
-                fp.to_csv(p)
-                manifest["outputs"]["frequency"] = p.name
-            if br is not None:
-                rescale_names = []
-                for k, f in enumerate(br.rescaled_fields):
-                    q = outdir / f"rescale_{k}.field"
-                    save_field(f, q)
-                    rescale_names.append(q.name)
-                if "json" in fmts:
-                    p = outdir / "blowup.json"
-                    _json_dump({
-                        "config": cfg.raw,
-                        "radii_used": br.radii_used,
-                        "successive_distance": br.successive_distance,
-                        "homogeneity_residual": br.homogeneity_residual,
-                        "density_estimate": br.density_estimate,
-                        "directions": list(br.directions) if br.directions else None,
-                        "opening": (br.directions[1] - br.directions[0])
-                        if br.directions else None,
-                        "disconnected": br.direction_report.disconnected
-                        if br.direction_report else None,
-                        "rescaled_fields": rescale_names,
-                    }, p)
-                    manifest["outputs"]["blowup"] = p.name
+    br = None
+    if "analyze" in stages:
+        wp, fp, br = run_analysis(cfg, solution, sp)
+        if "csv" in fmts:
+            wp.to_csv(output("weiss", "weiss.csv"))
+            if fp is not None:
+                fp.to_csv(output("frequency", "frequency.csv"))
+        if br is not None:
+            rescale_names = [f"rescale_{k}.field"
+                             for k in range(len(br.rescaled_fields))]
+            for name, f in zip(rescale_names, br.rescaled_fields):
+                save_field(f, outdir / name)
+            if "json" in fmts:
+                _json_dump({
+                    "config": cfg.raw,
+                    "radii_used": br.radii_used,
+                    "successive_distance": br.successive_distance,
+                    "homogeneity_residual": br.homogeneity_residual,
+                    "density_estimate": br.density_estimate,
+                    "directions": list(br.directions) if br.directions else None,
+                    "opening": (br.directions[1] - br.directions[0])
+                    if br.directions else None,
+                    "disconnected": br.direction_report.disconnected
+                    if br.direction_report else None,
+                    "rescaled_fields": rescale_names,
+                }, output("blowup", "blowup.json"))
     if "classify" in stages:
+        try:  # the blow-up analysis reads the same density
+            density = br.density_estimate if br is not None \
+                else bw.stagnation_density(spec, solution, sp)
+        except Exception as exc:
+            raise AnalysisError(f"analysis stage failed: {exc}") from exc
         report = run_classify(cfg, sp, density)
         if "json" in fmts:
-            p = outdir / "classification.json"
-            _json_dump({"config": cfg.raw, **asdict(report)}, p)
-            manifest["outputs"]["classification"] = p.name
+            _json_dump({"config": cfg.raw, **asdict(report)},
+                       output("classification", "classification.json"))
         manifest["classification"] = report.verdict
-    if "solve" in stages and "svg" in fmts and solution is not None:
-        p = outdir / "solution.svg"
-        write_svg(solution, spec, sp, p, profile=profile)
-        manifest["outputs"]["svg"] = p.name
+    if "solve" in stages and "svg" in fmts:
+        write_svg(solution, spec, sp, output("svg", "solution.svg"),
+                  profile=profile)
     return manifest
 
 

@@ -13,14 +13,14 @@ import yaml
 
 import cornerwave as cw
 from cornerwave import blowup as bw
-from cornerwave import cli, oracle
+from cornerwave import cli, oracle, pipeline
 from cornerwave.domain import reference_grid
 from cornerwave.oracle import (AnglePair, angle_pair, blowup_limit,
                                corner_density, evaluate_at_points)
 from cornerwave.pipeline import (AnalysisError, ConfigError,
                                  _marching_segments, build_boundary,
-                                 load_config, parse_config, profile_radii, run,
-                                 run_classify, write_table1)
+                                 load_config, parse_config, run, run_classify,
+                                 write_table1)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # the bundled configs that solve
@@ -137,10 +137,11 @@ class TestConfigParsing:
         cfg = load_config(CONFIGS / f"{name}.yaml")
         sp = cw.stagnation_point(cfg.problem)
         assert sp.delta == 0.5
-        assert np.array_equal(profile_radii(sp), np.geomspace(0.05, 0.45, 32))
+        assert np.array_equal(bw.profile_radii(sp), np.geomspace(0.05, 0.45, 32))
         assert bw.DENSITY_FRACTION * sp.delta == 0.3
         assert bw.DIRECTION_FRACTION * sp.delta == 0.45
         u = cw.ScalarField(cfg.grid, np.zeros((cfg.grid.ny, cfg.grid.nx)))
+        assert bw.REFERENCE_N == 129
         assert cw.rescale(u, sp, 0.2).grid == reference_grid(129)
 
     def test_yaml_and_json_both_load(self, tmp_path):
@@ -414,7 +415,7 @@ MALFORMED = {
     "text_grid_size": (("grid", "nx", "abc"), "grid.nx"),
     # blow-up schedules, used only after the solve: increasing, B_{2r}(X0)
     # past the grid's reach of 1, a radius below 0, a radius that is not a
-    # number, and one radius not in a list
+    # number, one radius not in a list, and a NaN radius
     "increasing_blowup_radii": (("analysis", "blowup_radii", [0.23, 0.45]),
                                 "analysis.blowup_radii"),
     "blowup_ball_off_grid": (("analysis", "blowup_radii", [0.9, 0.5]),
@@ -425,6 +426,8 @@ MALFORMED = {
                            "analysis.blowup_radii"),
     "scalar_blowup_radii": (("analysis", "blowup_radii", 0.3),
                             "analysis.blowup_radii"),
+    "nan_blowup_radius": (("analysis", "blowup_radii", [0.45, float("nan")]),
+                          "analysis.blowup_radii"),
     # integer settings: a fractional value is not truncated, the sweep
     # budget is positive, and a grid has 16 nodes per axis or more
     "fractional_grid_size": (("grid", "nx", 257.9), "grid.nx"),
@@ -511,6 +514,25 @@ class TestCli:
         r = run_cli("table1", "--config", str(cfgp), "--out", str(out))
         assert r.returncode == 0, r.stderr
         assert (out / "table1.csv").exists()
+
+    def test_run_verb_where_u_vanishes_near_x0(self, run_cli, tmp_path,
+                                                caplog, monkeypatch):
+        # the 33 x 33 solve of table1.yaml has u = 0 on the smallest profile
+        # circle: the run drops frequency.csv with a warning and classifies
+        out = tmp_path / "t1"
+        r = run_cli("run", "--config", str(CONFIGS / "table1.yaml"),
+                    "--out", str(out))
+        assert r.returncode == 0, r.stderr
+        assert "verdict: cusp" in r.stdout
+        assert "no frequency profile: circle integral of u^2 is 0" in caplog.text
+        assert (out / "weiss.csv").exists()
+        assert not (out / "frequency.csv").exists()
+        # classify reads only the density, never the profiles
+        monkeypatch.setattr(pipeline, "radial_sweep", None)
+        r = run_cli("classify", "--config", str(CONFIGS / "table1.yaml"),
+                    "--out", str(out))
+        assert r.returncode == 0, r.stderr
+        assert "verdict: cusp" in r.stdout
 
     def test_unknown_format_exit_2(self, run_cli, tmp_path):
         cfgp = tmp_path / "c.yaml"
