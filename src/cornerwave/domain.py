@@ -462,8 +462,11 @@ def stagnation_point(spec: ProblemSpec) -> StagnationPoint:
 # Values are written with 17 significant digits, which round-trips float64
 # bit-exactly.
 
+_FLOAT = "%.17g"
+
+
 def _fmt(v: float) -> str:
-    return "%.17g" % v
+    return _FLOAT % v
 
 
 def _stag_to_json(stag: StagnationType) -> dict:
@@ -502,10 +505,10 @@ def save_field(field: ScalarField, path, spec: ProblemSpec | None = None) -> Non
             "domain": [spec.domain.x_min, spec.domain.y_min,
                        spec.domain.x_max, spec.domain.y_max],
         })
-    lines = [json.dumps(header, sort_keys=True)]
-    for row in field.values:
-        lines.extend(map(_fmt, row.tolist()))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    values = field.values.ravel().tolist()
+    body = ((_FLOAT + "\n") * len(values)) % tuple(values)
+    Path(path).write_text(json.dumps(header, sort_keys=True) + "\n" + body,
+                          encoding="ascii")
 
 
 def load_field(path) -> tuple[ScalarField, dict]:

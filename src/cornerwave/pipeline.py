@@ -94,8 +94,8 @@ def _number(mapping: dict, key: str, where: str, default=None, kind=float,
             required: bool = False):
     """``mapping[key]`` as a ``kind`` (float or int), ``default`` when it
     is absent or null (a missing-field error when ``required``);
-    ConfigError names the key when the value is not a number, or not a
-    whole one for an int."""
+    ConfigError names the key when the value is not a finite number, or
+    not a whole one for an int."""
     value = _need(mapping, key, where) if required else mapping.get(key)
     if value is None:
         return default
@@ -104,6 +104,8 @@ def _number(mapping: dict, key: str, where: str, default=None, kind=float,
     except (TypeError, ValueError):
         raise ConfigError(
             f"{where}.{key} must be a number, not {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}.{key} must be finite, not {value!r}")
     if kind is int:
         if not number.is_integer():
             raise ConfigError(

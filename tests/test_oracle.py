@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cornerwave as cw
-from cornerwave.oracle import (AnglePair, DomainError, angle_condition,
-                               angular_weight, blowup_limit,
+from cornerwave.oracle import (AnglePair, DomainError, _angular_integral,
+                               angle_condition, angular_weight, blowup_limit,
                                chebyshev_coefficients, conclusion_table,
                                corner_density, edge_weight_mismatch,
                                evaluate_blowup_limit, expected_pair_count,
@@ -164,6 +164,70 @@ class TestDensities:
         corner = corner_density(spec, pair.theta1, pair.theta2)
         full = full_ball_density(spec)
         assert 0.0 < corner < full
+
+
+Q = math.pi / 2
+# (spec for the exponents, its angular weight in mpmath, intervals on
+# which the weight is not identically zero): subcase 1.1 weighs (-sin)_+^beta,
+# subcase 2.2 (cos)_+^alpha, type 3 |cos|^alpha |sin|^beta.  The intervals
+# run inside one quarter, start, end or cross at multiples of pi/2, or
+# cover the full ball.
+RULE_CASES = {
+    "1.1": (lambda a, b: spec_11(a, b),
+            lambda a, b, t: mpmath.mpf(max(-mpmath.sin(t), 0)) ** b,
+            [(-math.pi, math.pi), (-5 * math.pi / 6, -math.pi / 6),
+             (-Q, -0.2), (-2.5, -Q), (-2.0, -1.0), (-math.pi, -Q)]),
+    "2.2": (lambda a, b: cw.ProblemSpec(a, b, cw.Type2(y0=1.0, theta0=0.0), BIG),
+            lambda a, b, t: mpmath.mpf(max(mpmath.cos(t), 0)) ** a,
+            [(-math.pi, math.pi), (-math.pi / 4, math.pi / 4), (0.0, 1.2),
+             (-1.0, Q), (-1.3, 1.3), (0.2, 0.9)]),
+    "3": (spec_3,
+          lambda a, b, t: abs(mpmath.cos(t)) ** a * abs(mpmath.sin(t)) ** b,
+          [(-math.pi, math.pi), (-Q, 0.7), (-2.0, -Q), (-2.5, 0.4),
+           (0.3, 1.2), (0.0, Q)]),
+}
+
+
+def mp_angular_integral(weight, a, b, theta1, theta2):
+    """The angular integral in 30-digit mpmath, split at the exact
+    multiples of pi/2 inside (theta1, theta2)."""
+    with mpmath.workdps(30):
+        lo, hi = mpmath.mpf(theta1), mpmath.mpf(theta2)
+        ks = range(math.floor(theta1 / Q) - 1, math.ceil(theta2 / Q) + 2)
+        inner = [k * mpmath.pi / 2 for k in ks if lo < k * mpmath.pi / 2 < hi]
+        return float(mpmath.quad(lambda t: weight(a, b, t), [lo, *inner, hi]))
+
+
+class TestAngularRule:
+    """The tanh-sinh rule behind every density, against references."""
+
+    @pytest.mark.parametrize("case", list(RULE_CASES))
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 3.0), (1.5, 2.5),
+                                      (2.5, 1.5), (3.0, 2.0)])
+    def test_matches_mpmath(self, case, a, b):
+        make, weight, intervals = RULE_CASES[case]
+        spec = make(a, b)
+        for theta1, theta2 in intervals:
+            ref = mp_angular_integral(weight, a, b, theta1, theta2)
+            got = _angular_integral(spec, theta1, theta2)
+            assert abs(got - ref) <= 1e-14 * ref, (theta1, theta2, got, ref)
+
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.0, 4.0), (1.5, 2.5),
+                                      (2.0, 2.0), (3.5, 6.0)])
+    def test_type3_full_ball_closed_form(self, a, b):
+        exact = (2.0 * math.gamma((a + 1) / 2) * math.gamma((b + 1) / 2)
+                 / math.gamma((a + b) / 2 + 1))
+        got = _angular_integral(spec_3(a, b), -math.pi, math.pi)
+        assert got == pytest.approx(exact, rel=1e-14)
+
+    @pytest.mark.parametrize("theta", [-Q, 0.0, 0.7, math.pi])
+    def test_empty_interval(self, theta):
+        for make, _, _ in RULE_CASES.values():
+            assert _angular_integral(make(2.0, 1.5), theta, theta) == 0.0
+
+    def test_reversed_interval_refused(self):
+        with pytest.raises(cw.InvalidSpec, match="theta1 <= theta2"):
+            _angular_integral(spec_3(2.0, 3.0), 0.5, 0.4)
 
 
 class TestAngleCondition:

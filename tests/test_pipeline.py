@@ -433,6 +433,10 @@ MALFORMED = {
     "fractional_grid_size": (("grid", "nx", 257.9), "grid.nx"),
     "negative_max_iters": (("solver", "max_iters", -1), "solver.max_iters"),
     "one_node_grid": (("grid", "nx", 1), "grid needs at least 16 nodes"),
+    # a float setting is finite, refused before the boundary is built
+    "nan_weight_constant": (("problem", "weight_constant", float("nan")),
+                            "problem.weight_constant"),
+    "inf_alpha": (("problem", "alpha", float("inf")), "problem.alpha"),
     # the stagnation point and the domain, each value named by its key
     "text_theta_star": (("problem", "stagnation",
                          {"type": 3, "theta_star": "abc"}),
@@ -569,6 +573,25 @@ class TestCli:
         assert re.search(r" winner=(start|flow)@(0|0\.25|0\.5|0\.75|1)\n",
                          r.stdout)
         assert "solver did not converge after 20 sweeps" in r.stderr
+
+    def test_run_imports_no_heavy_scipy(self, tmp_path):
+        # scipy.sparse is the only scipy the program needs; importing
+        # scipy.integrate, optimize or special would cost every CLI process
+        # about a third of a second.  A fresh interpreter, because this
+        # one has imported them for the tests.
+        script = (
+            "import sys\n"
+            "from cornerwave import cli\n"
+            "code = cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+            "heavy = sorted(m for m in sys.modules if m.split('.')[:2] in\n"
+            "               (['scipy', 'integrate'], ['scipy', 'optimize'],\n"
+            "                ['scipy', 'special']))\n"
+            "print(code, heavy)\n")
+        r = subprocess.run([sys.executable, "-c", script,
+                            str(CONFIGS / "table1.yaml"), str(tmp_path / "o")],
+                           capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines()[-1] == "0 []"
 
     def test_staged_verbs_check_the_saved_field(self, run_cli, tmp_path):
         # a solution.field solved for another problem or grid than the
