@@ -12,6 +12,12 @@ corner profile, 0 for a cusp, and the full-ball value for a flat point.
 Cusp and flat profiles are theoretically excluded for exact weak
 solutions, so those verdicts flag a non-solution input or a numerical
 artifact; the classifier notes this.
+
+The analysis works on whole arrays: the asymptotic directions sample the
+positivity mask on all annuli at once and bisect every arc endpoint of
+every annulus together, one array step per bisection step, and
+``blowup_analysis`` builds the B_1 stencil of the reference grid once for
+all its L^2 norms.
 """
 
 from __future__ import annotations
@@ -65,23 +71,29 @@ def rescale(u: ScalarField, sp: StagnationPoint, r: float) -> ScalarField:
     return ScalarField(ref, r ** sp.kappa * vals)
 
 
-def l2_disk_distance(f1: ScalarField, f2: ScalarField) -> float:
-    """L^2(B_1) distance of two fields on the reference square."""
+def l2_disk_distance(f1: ScalarField, f2: ScalarField,
+                     disk: DiskStencil | None = None) -> float:
+    """L^2(B_1) distance of two fields on the reference square; ``disk``
+    is the B_1 stencil of their grid, built here when not given."""
     if f1.grid != f2.grid:
         raise ValueError("fields live on different grids")
     d = f1.values - f2.values
-    disk = DiskStencil(f1.grid, (0.0, 0.0), 1.0)
+    if disk is None:
+        disk = DiskStencil(f1.grid, (0.0, 0.0), 1.0)
     return math.sqrt(disk.integrate(d * d))
 
 
-def homogeneity_residual(u0: ScalarField, degree: float) -> float:
+def homogeneity_residual(u0: ScalarField, degree: float,
+                         disk: DiskStencil | None = None) -> float:
     """L^2(B_1) norm of grad(u) . Z - degree * u on the reference square;
-    zero exactly on homogeneous functions of the given degree."""
+    zero exactly on homogeneous functions of the given degree.  ``disk``
+    is the B_1 stencil of the grid, built here when not given."""
     g = u0.grid
     ux, uy = grad_central(u0.values, g.spacing)
     Zx, Zy = g.mesh()
     resid = ux * Zx + uy * Zy - degree * u0.values
-    disk = DiskStencil(g, (0.0, 0.0), 1.0)
+    if disk is None:
+        disk = DiskStencil(g, (0.0, 0.0), 1.0)
     return math.sqrt(disk.integrate(resid * resid))
 
 
@@ -144,51 +156,61 @@ N_THETA = 1440
 ANNULI = np.linspace(0.25, 0.85, 8)
 
 
-def _positivity_arcs(values: np.ndarray, grid: GridSpec, rho: float,
-                     center) -> list[tuple[float, float]]:
-    """Angular arcs where the node-level positivity mask {u > 0} holds on
-    the circle |X - center| = rho, sampled at N_THETA angles, endpoints
-    refined by bisection.
+def _positive(values: np.ndarray, grid: GridSpec, center, rho, t) -> np.ndarray:
+    """The node-level positivity mask {u > 0} at angles ``t`` on circles of
+    radius ``rho`` about ``center`` (broadcast against each other),
+    sampled at the nearest node.
 
-    The mask is sampled at the nearest node: bilinear interpolation would
-    dilate the support by up to one cell outward, biasing every opening
-    estimate wide, while nearest-node sampling is unbiased to half a
-    cell."""
+    Bilinear interpolation would dilate the support by up to one cell
+    outward, biasing every opening estimate wide, while nearest-node
+    sampling is unbiased to half a cell."""
+    px = center[0] + rho * np.cos(t)
+    py = center[1] + rho * np.sin(t)
+    return values[grid.nearest_node(px, py)] > 0.0
+
+
+def _positivity_arcs(values: np.ndarray, grid: GridSpec, rhos,
+                     center) -> list[list[tuple[float, float]]]:
+    """Angular arcs where {u > 0} holds on each circle |X - center| = rho,
+    in order of their start angle.  The mask is sampled at N_THETA angles
+    on all circles in one ``_positive`` call, then every arc endpoint of
+    every circle is refined together: 46 bisection steps of one
+    ``_positive`` call each."""
+    rhos = np.asarray(rhos, dtype=float)
     dth = TWO_PI / N_THETA
     theta = -math.pi + dth * np.arange(N_THETA)
-
-    def positive(t):
-        t = np.asarray(t, dtype=float)
-        px = center[0] + rho * np.cos(t)
-        py = center[1] + rho * np.sin(t)
-        out = values[grid.nearest_node(px, py)] > 0.0
-        return bool(out) if np.ndim(out) == 0 else out
-
-    mask = positive(theta)
-    if not mask.any():
-        return []
-    if mask.all():
-        return [(-math.pi, math.pi)]
-
-    def refine(a, b):
-        # predicate holds at a, fails at b; bisect to the transition angle
-        for _ in range(46):
-            mid = 0.5 * (a + b)
-            if positive(mid):
-                a = mid
-            else:
-                b = mid
-        return 0.5 * (a + b)
-
-    arcs = []
-    rising = [i for i in range(N_THETA) if mask[i] and not mask[i - 1]]
-    for i in rising:
-        lo = refine(theta[i], theta[i] - dth)
-        j = i + 1
-        while mask[j % N_THETA]:
-            j += 1
-        hi = refine(theta[i] + (j - 1 - i) * dth, theta[i] + (j - i) * dth)
-        arcs.append((lo, hi))
+    masks = _positive(values, grid, center, rhos[:, None], theta[None, :])
+    arcs = [[(-math.pi, math.pi)] if mask.all() else [] for mask in masks]
+    # a bisection bracket (inside the set, outside it) per arc endpoint:
+    # circle by circle, the starts of its arcs, then their ends
+    runs, rho, inside, outside = [], [], [], []
+    for c, mask in enumerate(masks):
+        if mask.all() or not mask.any():
+            continue
+        rising = np.flatnonzero(mask & ~np.roll(mask, 1))
+        falling = np.flatnonzero(mask & ~np.roll(mask, -1))
+        # the last index of the run that starts at each rising index
+        last = falling[np.searchsorted(falling, rising) % len(falling)]
+        last = np.where(last < rising, last + N_THETA, last)
+        start = theta[rising]
+        runs.append((c, len(rising)))
+        rho.append(np.full(2 * len(rising), rhos[c]))
+        inside += [start, start + (last - rising) * dth]
+        outside += [start - dth, start + (last + 1 - rising) * dth]
+    if not runs:
+        return arcs
+    a, b = np.concatenate(inside), np.concatenate(outside)
+    rho = np.concatenate(rho)
+    for _ in range(46):
+        mid = 0.5 * (a + b)
+        pos = _positive(values, grid, center, rho, mid)
+        a = np.where(pos, mid, a)
+        b = np.where(pos, b, mid)
+    ends = (0.5 * (a + b)).tolist()
+    k = 0
+    for c, n in runs:
+        arcs[c] = list(zip(ends[k:k + n], ends[k + n:k + 2 * n]))
+        k += 2 * n
     return arcs
 
 
@@ -199,14 +221,15 @@ def estimate_asymptotic_directions(u0: ScalarField, center=(0.0, 0.0),
     Defaults measure a blow-up-frame field on annuli of the reference
     square; passing ``center`` and ``radius`` measures the source field
     directly on circles of physical radius ``radius * annulus`` (avoiding
-    the support dilation a rescaling interpolation would add).  Raises
+    the support dilation a rescaling interpolation would add).  The arcs
+    of all annuli are found together by ``_positivity_arcs``.  Raises
     EmptyPositivity when no annulus meets the set; more than one angular
     component is reported, not fatal."""
     vals = u0.values.astype(float)
     per = []
     disconnected = False
-    for rho in ANNULI:
-        arcs = _positivity_arcs(vals, u0.grid, float(rho) * radius, center)
+    all_arcs = _positivity_arcs(vals, u0.grid, ANNULI * radius, center)
+    for rho, arcs in zip(ANNULI, all_arcs):
         if not arcs:
             continue
         if len(arcs) > 1:
@@ -272,9 +295,11 @@ def blowup_analysis(spec: ProblemSpec, u: ScalarField, sp: StagnationPoint,
     directions out to 0.9 delta."""
     radii = check_schedule(radii, u.grid, sp.location)
     fields = [rescale(u, sp, r) for r in radii]
-    dists = [l2_disk_distance(fields[i], fields[i + 1])
+    # every rescaled field lives on the reference grid: one B_1 stencil
+    disk = DiskStencil(fields[0].grid, (0.0, 0.0), 1.0)
+    dists = [l2_disk_distance(fields[i], fields[i + 1], disk)
              for i in range(len(fields) - 1)]
-    resid = homogeneity_residual(fields[-1], -sp.kappa)
+    resid = homogeneity_residual(fields[-1], -sp.kappa, disk)
     dens = stagnation_density(spec, u, sp)
     try:
         est = estimate_asymptotic_directions(

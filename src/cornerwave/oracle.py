@@ -308,8 +308,9 @@ def solve_angle_pairs(alpha: float, beta: float) -> list[AnglePair]:
     """All admissible type-3 edge pairs over theta1 in [-pi, pi).
 
     Dense sampling of the edge-weight mismatch at 4096 angles followed by
-    bisection on sign changes; roots within 1e-8 of each other, modulo
-    2 pi, are merged.  When the
+    bisection on sign changes, all brackets together in at most 100 array
+    steps (fewer once a step changes no bracket, as every later step
+    would); roots within 1e-8 of each other, modulo 2 pi, are merged.  When the
     mismatch vanishes identically (alpha = beta = 1) every angle is
     admissible and the eight canonical limiting pairs are returned.
     """
@@ -322,28 +323,21 @@ def solve_angle_pairs(alpha: float, beta: float) -> list[AnglePair]:
     if float(np.max(np.abs(G))) <= 1e-12 * max(scale, 1e-300):
         roots = _canonical_degenerate_pairs(alpha, beta)
     else:
-        roots = []
-        g_next = np.roll(G, -1)
         th_next = np.concatenate([th[1:], [th[0] + TWO_PI]])
-        for i in range(len(th)):
-            a, b = th[i], th_next[i]
-            ga, gb = G[i], g_next[i]
-            if ga == 0.0:
-                roots.append(float(a))
-                continue
-            if ga * gb < 0.0:
-                lo, hi, glo = a, b, ga
-                for _ in range(100):
-                    mid = 0.5 * (lo + hi)
-                    gm = float(edge_weight_mismatch(alpha, beta, mid))
-                    if gm == 0.0:
-                        lo = hi = mid
-                        break
-                    if glo * gm < 0.0:
-                        hi = mid
-                    else:
-                        lo, glo = mid, gm
-                roots.append(wrap_angle(0.5 * (lo + hi)))
+        bracket = np.flatnonzero(G * np.roll(G, -1) < 0.0)
+        lo, hi, glo = th[bracket], th_next[bracket], G[bracket]
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            gm = edge_weight_mismatch(alpha, beta, mid)
+            # a sign change keeps lo; an exact zero closes the bracket on
+            # mid, where later steps leave it
+            flip = glo * gm < 0.0
+            step = (np.where(flip, lo, mid), np.where(flip | (gm == 0.0), mid, hi),
+                    np.where(flip, glo, gm))
+            if all(map(np.array_equal, step, (lo, hi, glo))):
+                break  # no bracket moved, so no later step would move one
+            lo, hi, glo = step
+        roots = th[G == 0.0].tolist() + wrap_angle(0.5 * (lo + hi)).tolist()
         roots = [snap_symmetric_root(alpha, beta, t) for t in roots]
         roots = _merge_circular(sorted(roots), 1e-8)
     pairs = [AnglePair(theta1=t, theta2=t + A,

@@ -349,31 +349,25 @@ def write_table1(alpha: float, beta: float, path,
 def _marching_segments(values: np.ndarray, grid: GridSpec, level: float):
     """Line segments of the level set by marching squares (no chaining),
     cell by cell in row-major order.  Only the mixed cells, those with
-    corners on both sides of the level, are visited."""
+    corners on both sides of the level, are visited, all at once: each
+    cell's crossing points, in the order of its edges (bottom, right,
+    top, left), pair up into its segments."""
     v = values - level
     xs, ys = grid.xs(), grid.ys()
-    segs = []
     neg = (v < 0).astype(np.uint8)
     cell = neg[:-1, :-1] | neg[:-1, 1:] << 1 | neg[1:, 1:] << 2 | neg[1:, :-1] << 3
     J, I = np.nonzero((cell != 0) & (cell != 15))
-
-    def edge_point(x1, y1, v1, x2, y2, v2):
-        t = v1 / (v1 - v2)
-        return (x1 + t * (x2 - x1), y1 + t * (y2 - y1))
-
-    for j, i in zip(J.tolist(), I.tolist()):
-        corners = [(xs[i], ys[j], v[j, i]), (xs[i + 1], ys[j], v[j, i + 1]),
-                   (xs[i + 1], ys[j + 1], v[j + 1, i + 1]),
-                   (xs[i], ys[j + 1], v[j + 1, i])]
-        pts = []
-        for a in range(4):
-            x1, y1, v1 = corners[a]
-            x2, y2, v2 = corners[(a + 1) % 4]
-            if (v1 < 0) != (v2 < 0):
-                pts.append(edge_point(x1, y1, v1, x2, y2, v2))
-        for a in range(0, len(pts) - 1, 2):
-            segs.append((pts[a], pts[a + 1]))
-    return segs
+    # corners counter-clockwise from (i, j); edge a runs from corner a to
+    # corner a + 1
+    ci = np.stack([I, I + 1, I + 1, I], axis=1)
+    cj = np.stack([J, J, J + 1, J + 1], axis=1)
+    x, y, val = xs[ci], ys[cj], v[cj, ci]
+    x2, y2, v2 = (np.roll(c, -1, axis=1) for c in (x, y, val))
+    cross = (val < 0) != (v2 < 0)
+    x, y, val, x2, y2, v2 = (c[cross] for c in (x, y, val, x2, y2, v2))
+    t = val / (val - v2)
+    pts = list(zip((x + t * (x2 - x)).tolist(), (y + t * (y2 - y)).tolist()))
+    return list(zip(pts[0::2], pts[1::2]))
 
 
 def write_svg(u: ScalarField, spec: ProblemSpec, sp: StagnationPoint, path,
@@ -398,17 +392,17 @@ def write_svg(u: ScalarField, spec: ProblemSpec, sp: StagnationPoint, path,
              f'<rect width="{size}" height="{size}" fill="white"/>']
     cell_w = g.spacing * step * sx
     cell_h = g.spacing * step * sy
-    for j in range(sub.shape[0]):
-        for i in range(sub.shape[1]):
-            val = sub[j, i]
-            if val <= 0:
-                continue
-            shade = 255 - int(170 * min(val / vmax, 1.0))
-            x, y = to_px(ext.x_min + i * step * g.spacing,
-                         ext.y_min + j * step * g.spacing)
-            parts.append(f'<rect x="{x - cell_w / 2:.2f}" y="{y - cell_h / 2:.2f}" '
-                         f'width="{cell_w:.2f}" height="{cell_h:.2f}" '
-                         f'fill="rgb({shade},{shade},255)"/>')
+    # the cell's left edge depends on its column only, its top on its row
+    left = [f"{to_px(ext.x_min + i * step * g.spacing, 0.0)[0] - cell_w / 2:.2f}"
+            for i in range(sub.shape[1])]
+    top = [f"{to_px(0.0, ext.y_min + j * step * g.spacing)[1] - cell_h / 2:.2f}"
+           for j in range(sub.shape[0])]
+    size_attrs = f'width="{cell_w:.2f}" height="{cell_h:.2f}"'
+    shaded = sub > 0
+    shades = 255 - (170 * np.minimum(sub[shaded] / vmax, 1.0)).astype(int)
+    for j, i, shade in zip(*np.nonzero(shaded), shades.tolist()):
+        parts.append(f'<rect x="{left[i]}" y="{top[j]}" {size_attrs} '
+                     f'fill="rgb({shade},{shade},255)"/>')
     level = 1e-6 * vmax
     for (p1, p2) in _marching_segments(u.values, g, level):
         a, b = to_px(*p1), to_px(*p2)

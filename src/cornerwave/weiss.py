@@ -24,8 +24,9 @@ and J1 are constant, which the checks treat as the equality case.
 
 ``radial_sweep`` integrates everything both this profile and the
 frequency profile need, one disk stencil and one circle integral per
-radius; ``weiss_profile`` and ``frequency.frequency_profile`` only turn
-those integrals into columns.
+radius, each kind built for all radii in one batch; ``weiss_profile``
+and ``frequency.frequency_profile`` only turn those integrals into
+columns.
 
 The limiting weighted density M(0+) is estimated by rescaling the
 positivity set of u to the unit ball at a small radius and integrating the
@@ -42,8 +43,8 @@ import numpy as np
 from .domain import (GridSpec, ProblemSpec, ScalarField, StagnationPoint,
                      RadiusOutOfRange, _fmt, reference_grid, weight_at,
                      weight_gradient_at)
-from .quadrature import (DiskStencil, circle_integral_u2, grad_central,
-                         require_circle_inside)
+from .quadrature import (DiskStencil, circle_integrals_u2, disk_stencils,
+                         grad_central, require_circle_inside)
 
 
 @dataclass
@@ -130,20 +131,20 @@ def _remainder_integrand(spec: ProblemSpec, X, Y) -> np.ndarray:
 
 def radial_sweep(spec: ProblemSpec, u: ScalarField, sp: StagnationPoint,
                  radii) -> RadialSweep:
-    """The integrals of both profiles from one disk stencil and one circle
-    integral per radius."""
+    """The integrals of both profiles from one batch of disk stencils and
+    one batch of circle integrals, one disk and one circle per radius."""
     radii = check_radii(sp, u.grid, radii)
     bulk_f, gradsq, rem, free_f, gap_f = _analysis_arrays(spec, u)
     k = sp.kappa
     cols = np.empty((6, len(radii)))
-    for i, r in enumerate(radii):
-        disk = DiskStencil(u.grid, sp.location, r)
+    cols[0] = circle_integrals_u2(u.values, u.grid, sp.location, radii)
+    disks = disk_stencils(u.grid, sp.location, radii)
+    for i, (r, disk) in enumerate(zip(radii, disks)):
         # rem is +0.0 everywhere when the frozen factor is constant, so h
         # is then exactly 0
-        cols[:, i] = (circle_integral_u2(u.values, u.grid, sp.location, r),
-                      disk.integrate(bulk_f), disk.integrate(gradsq),
-                      r ** (2 * k - 1) * disk.integrate(rem),
-                      disk.integrate(free_f), disk.integrate(gap_f))
+        cols[1:, i] = (disk.integrate(bulk_f), disk.integrate(gradsq),
+                       r ** (2 * k - 1) * disk.integrate(rem),
+                       disk.integrate(free_f), disk.integrate(gap_f))
     return RadialSweep(radii, k, *cols)
 
 

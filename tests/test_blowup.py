@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import cornerwave as cw
-from cornerwave.blowup import reference_grid
+from cornerwave import blowup
+from cornerwave.blowup import ANNULI, N_THETA, _positivity_arcs, reference_grid
+from cornerwave.domain import TWO_PI
 from cornerwave.oracle import blowup_limit, evaluate_at_points, profile_field
 
 
@@ -118,6 +120,94 @@ class TestBernstein:
         assert rep.gradient_ratio > 10
 
 
+def scalar_positivity_arcs(values, grid, rho, center):
+    """The arcs of {u > 0} on one circle, each endpoint bisected on its
+    own, one scalar predicate call per step: the reference for the
+    batched ``_positivity_arcs``."""
+    dth = TWO_PI / N_THETA
+    theta = -math.pi + dth * np.arange(N_THETA)
+
+    def positive(t):
+        t = np.asarray(t, dtype=float)
+        px = center[0] + rho * np.cos(t)
+        py = center[1] + rho * np.sin(t)
+        out = values[grid.nearest_node(px, py)] > 0.0
+        return bool(out) if np.ndim(out) == 0 else out
+
+    mask = positive(theta)
+    if not mask.any():
+        return []
+    if mask.all():
+        return [(-math.pi, math.pi)]
+
+    def refine(a, b):
+        for _ in range(46):
+            mid = 0.5 * (a + b)
+            if positive(mid):
+                a = mid
+            else:
+                b = mid
+        return 0.5 * (a + b)
+
+    arcs = []
+    for i in [i for i in range(N_THETA) if mask[i] and not mask[i - 1]]:
+        lo = refine(theta[i], theta[i] - dth)
+        j = i + 1
+        while mask[j % N_THETA]:
+            j += 1
+        hi = refine(theta[i] + (j - 1 - i) * dth, theta[i] + (j - i) * dth)
+        arcs.append((lo, hi))
+    return arcs
+
+
+def two_cones(n=257):
+    ref = reference_grid(n)
+    X, Y = ref.mesh()
+    th = np.arctan2(Y, X)
+    vals = ((np.abs(th + math.pi / 2) < 0.3)
+            | (np.abs(th - math.pi / 2) < 0.3)).astype(float)
+    return cw.ScalarField(ref, vals)
+
+
+def direction_cases():
+    """(field, center, radius): the Stokes cone, two cones, a cone that
+    wraps across theta = pi, the full ball and the empty set."""
+    spec, _, u = stokes_profile_field()
+    ref = reference_grid(129)
+    X, Y = ref.mesh()
+    wrapped = (np.abs(np.arctan2(Y, X)) > 2.5).astype(float)
+    return [(u, spec.stagnation_location, 0.45),
+            (two_cones(), (0.0, 0.0), 1.0),
+            (cw.ScalarField(ref, wrapped), (0.0, 0.0), 1.0),
+            (cw.ScalarField(ref, np.ones((129, 129))), (0.0, 0.0), 1.0),
+            (cw.ScalarField(ref, np.zeros((129, 129))), (0.0, 0.0), 1.0)]
+
+
+class TestPositivityArcs:
+    def test_equal_to_scalar_reference(self):
+        for u, center, radius in direction_cases():
+            rhos = ANNULI * radius
+            batch = _positivity_arcs(u.values, u.grid, rhos, center)
+            assert batch == [scalar_positivity_arcs(u.values, u.grid, float(rho), center)
+                             for rho in rhos]
+
+    def test_predicate_calls_do_not_grow_with_endpoints(self, monkeypatch):
+        # a structural guard: sampling is one call and the bisection of all
+        # endpoints together 46 more, against 46 per endpoint one by one
+        calls = []
+        positive = blowup._positive
+
+        def counting(*args):
+            calls.append(1)
+            return positive(*args)
+
+        monkeypatch.setattr(blowup, "_positive", counting)
+        for u, center, radius in direction_cases()[:3]:
+            calls.clear()
+            cw.estimate_asymptotic_directions(u, center=center, radius=radius)
+            assert len(calls) <= len(ANNULI) + 2 * 46
+
+
 class TestDirections:
     def test_exact_stokes_cone(self):
         spec, _, u = stokes_profile_field()
@@ -154,12 +244,7 @@ class TestDirections:
             cw.estimate_asymptotic_directions(u)
 
     def test_two_cones_reported_disconnected(self):
-        ref = reference_grid(257)
-        X, Y = ref.mesh()
-        th = np.arctan2(Y, X)
-        vals = ((np.abs(th + math.pi / 2) < 0.3)
-                | (np.abs(th - math.pi / 2) < 0.3)).astype(float)
-        est = cw.estimate_asymptotic_directions(cw.ScalarField(ref, vals))
+        est = cw.estimate_asymptotic_directions(two_cones())
         assert est.disconnected
 
 

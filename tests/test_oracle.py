@@ -8,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cornerwave as cw
+from cornerwave.domain import wrap_angle
 from cornerwave.oracle import (AnglePair, DomainError, _angular_integral,
-                               angle_condition, angular_weight, blowup_limit,
+                               _merge_circular, angle_condition,
+                               angular_weight, blowup_limit,
                                chebyshev_coefficients, conclusion_table,
                                corner_density, edge_weight_mismatch,
                                evaluate_blowup_limit, expected_pair_count,
                                full_ball_density, pair_symmetric,
-                               profile_gradient_sq, solve_angle_pairs)
+                               profile_gradient_sq, snap_symmetric_root,
+                               solve_angle_pairs)
 
 BIG = cw.Rect(-4.0, -4.0, 4.0, 4.0)
 
@@ -293,7 +296,59 @@ def brute_force_pairs(alpha, beta, samples=65536, merge_tol=1e-8):
     return merged
 
 
+def scalar_root_scan(alpha, beta):
+    """The raw roots of the edge-weight mismatch found one bracket at a
+    time, each bisected with scalar evaluations: the reference for the
+    batched scan of ``solve_angle_pairs`` (generic case only)."""
+    th = np.linspace(-math.pi, math.pi, 4096, endpoint=False)
+    G = edge_weight_mismatch(alpha, beta, th)
+    roots = []
+    g_next = np.roll(G, -1)
+    th_next = np.concatenate([th[1:], [th[0] + 2 * math.pi]])
+    for i in range(len(th)):
+        a, b = th[i], th_next[i]
+        ga, gb = G[i], g_next[i]
+        if ga == 0.0:
+            roots.append(float(a))
+            continue
+        if ga * gb < 0.0:
+            lo, hi, glo = a, b, ga
+            for _ in range(100):
+                mid = 0.5 * (lo + hi)
+                gm = float(edge_weight_mismatch(alpha, beta, mid))
+                if gm == 0.0:
+                    lo = hi = mid
+                    break
+                if glo * gm < 0.0:
+                    hi = mid
+                else:
+                    lo, glo = mid, gm
+            roots.append(wrap_angle(0.5 * (lo + hi)))
+    roots = [snap_symmetric_root(alpha, beta, t) for t in roots]
+    return _merge_circular(sorted(roots), 1e-8)
+
+
 class TestAnglePairs:
+    @pytest.mark.parametrize("a", [1.0, 1.5, 2.0, 2.5, 3.0])
+    def test_batched_scan_matches_scalar_reference(self, a):
+        # the (alpha, beta) grid of acceptance criterion 7, but alpha =
+        # beta = 1, which takes the canonical pairs, not the scan.  Array
+        # and scalar powers of numpy may differ by an ulp, so an unsnapped
+        # root may move by a few ulps; snapped (symmetric) roots are exact
+        tol = 16 * np.finfo(float).eps * math.pi
+        for b in (1.0, 1.5, 2.0, 2.5, 3.0):
+            if a == b == 1.0:
+                continue
+            ref = scalar_root_scan(a, b)
+            pairs = solve_angle_pairs(a, b)
+            assert len(pairs) == len(ref) == expected_pair_count(a, b)
+            for p, t in zip(pairs, ref):
+                assert p.symmetric == pair_symmetric(a, b, t)
+                if p.symmetric:
+                    assert p.theta1 == t
+                else:
+                    assert abs(p.theta1 - t) <= tol
+
     def test_balanced_case_contains_canonical_pair(self):
         pairs = solve_angle_pairs(1.0, 1.0)
         t1s = [p.theta1 for p in pairs]

@@ -264,6 +264,45 @@ def cell_loop_segments(values, grid, level):
     return segs
 
 
+def cell_loop_rects(u):
+    """The shaded cells of ``write_svg``, cell by cell: the loop the
+    per-row and per-column formatting replaced."""
+    g = u.grid
+    step = max(1, math.ceil(max(u.values.shape) / 128))
+    sub = u.values[::step, ::step]
+    vmax = float(u.values.max()) or 1.0
+    ext = g.extent
+    sx = 640 / (ext.x_max - ext.x_min)
+    sy = 640 / (ext.y_max - ext.y_min)
+    cell_w = g.spacing * step * sx
+    cell_h = g.spacing * step * sy
+    rects = []
+    for j in range(sub.shape[0]):
+        for i in range(sub.shape[1]):
+            val = sub[j, i]
+            if val <= 0:
+                continue
+            shade = 255 - int(170 * min(val / vmax, 1.0))
+            x = (ext.x_min + i * step * g.spacing - ext.x_min) * sx
+            y = (ext.y_max - (ext.y_min + j * step * g.spacing)) * sy
+            rects.append(f'<rect x="{x - cell_w / 2:.2f}" y="{y - cell_h / 2:.2f}" '
+                         f'width="{cell_w:.2f}" height="{cell_h:.2f}" '
+                         f'fill="rgb({shade},{shade},255)"/>')
+    return rects
+
+
+class TestSvg:
+    def test_rect_layer_matches_cell_loop(self, type3_case, tmp_path):
+        u = type3_case.result.field
+        spec = type3_case.spec
+        path = tmp_path / "solution.svg"
+        pipeline.write_svg(u, spec, type3_case.sp, path)
+        lines = path.read_text().splitlines()
+        rects = [ln for ln in lines if ln.startswith("<rect x=")]
+        assert rects
+        assert rects == cell_loop_rects(u)
+
+
 class TestMarchingSquares:
     def test_solved_type3_field(self, type3_case):
         # the level write_svg draws

@@ -124,27 +124,45 @@ class TestCumulativeRemainder:
 class TestRadialSweep:
     def test_one_stencil_and_ring_per_radius(self, monkeypatch):
         # type 1 with alpha = 1 has h != 0, so the remainder integral must
-        # share the stencil of the other four
+        # share the stencils of the other four; the stencils and the rings
+        # of all radii are built in one batch each
         spec, _, u = stokes_field(alpha=1.0, beta=1.0, n=129)
         sp = cw.stagnation_point(spec)
-        calls = {"disk": 0, "ring": 0}
-        build = quadrature.DiskStencil.__init__
-        ring = weiss.circle_integral_u2
+        calls = {"disks": [], "rings": []}
+        disks = weiss.disk_stencils
+        rings = weiss.circle_integrals_u2
 
-        def counting_build(self, *args, **kwargs):
-            calls["disk"] += 1
-            build(self, *args, **kwargs)
+        def counting_disks(grid, center, radii):
+            calls["disks"].append(len(radii))
+            return disks(grid, center, radii)
 
-        def counting_ring(*args, **kwargs):
-            calls["ring"] += 1
-            return ring(*args, **kwargs)
+        def counting_rings(values, grid, center, radii):
+            calls["rings"].append(len(radii))
+            return rings(values, grid, center, radii)
 
-        monkeypatch.setattr(quadrature.DiskStencil, "__init__", counting_build)
-        monkeypatch.setattr(weiss, "circle_integral_u2", counting_ring)
+        monkeypatch.setattr(weiss, "disk_stencils", counting_disks)
+        monkeypatch.setattr(weiss, "circle_integrals_u2", counting_rings)
         radii = np.geomspace(0.1, 0.4, 6)
         sweep = cw.radial_sweep(spec, u, sp, radii)
         assert np.all(sweep.remainder != 0.0)
-        assert calls == {"disk": len(radii), "ring": len(radii)}
+        assert calls == {"disks": [len(radii)], "rings": [len(radii)]}
+
+    @pytest.mark.parametrize("count", [1, 6, 32])
+    def test_one_rim_overlap_evaluation(self, monkeypatch, count):
+        # a structural guard: the rim cells of every radius share one
+        # exact-overlap call, however many radii there are
+        spec, _, u = stokes_field(n=129)
+        sp = cw.stagnation_point(spec)
+        calls = []
+        overlap = quadrature.cell_disk_overlap
+
+        def counting_overlap(cx, cy, half, r):
+            calls.append(np.size(cx))
+            return overlap(cx, cy, half, r)
+
+        monkeypatch.setattr(quadrature, "cell_disk_overlap", counting_overlap)
+        cw.radial_sweep(spec, u, sp, np.geomspace(0.1, 0.4, count))
+        assert len(calls) == 1 and calls[0] > 0
 
 
 class TestProfileAndMonotonicity:
