@@ -257,10 +257,12 @@ def estimate_asymptotic_directions(u0: ScalarField, center=(0.0, 0.0),
 
 def check_schedule(radii, grid: GridSpec, center) -> list[float]:
     """A blow-up radius schedule as floats; raises ValueError unless it is
-    a list of finite positive numbers that strictly decrease, each ball
-    B_{2r}(center) inside the grid, the reach ``rescale`` samples."""
-    if np.ndim(radii) != 1:
-        raise ValueError(f"blow-up radii must be a list, not {radii!r}")
+    a nonempty list of finite positive numbers that strictly decrease,
+    each ball B_{2r}(center) inside the grid, the reach ``rescale``
+    samples."""
+    if np.ndim(radii) != 1 or len(radii) == 0:
+        raise ValueError(
+            f"blow-up radii must be a nonempty list, not {radii!r}")
     try:
         radii = [float(r) for r in radii]
     except (TypeError, ValueError):

@@ -75,6 +75,12 @@ def wrap_angle(theta):
     return float(out) if np.isscalar(theta) or out.ndim == 0 else out
 
 
+def _clip(v, lo, hi):
+    # np.clip without its Python-level wrapper: the same integers and the
+    # same finite floats
+    return np.minimum(np.maximum(v, lo), hi)
+
+
 @dataclass(frozen=True)
 class Rect:
     """Axis-aligned rectangle [x_min, x_max] x [y_min, y_max]."""
@@ -381,8 +387,8 @@ class GridSpec:
     def nearest_node(self, px, py):
         """Indices (jj, ii) of the node nearest each point (px, py), clamped
         to the grid."""
-        ii = np.clip(np.rint((px - self.origin[0]) / self.spacing).astype(int), 0, self.nx - 1)
-        jj = np.clip(np.rint((py - self.origin[1]) / self.spacing).astype(int), 0, self.ny - 1)
+        ii = _clip(np.rint((px - self.origin[0]) / self.spacing).astype(int), 0, self.nx - 1)
+        jj = _clip(np.rint((py - self.origin[1]) / self.spacing).astype(int), 0, self.ny - 1)
         return jj, ii
 
 
@@ -423,10 +429,10 @@ def bilinear(values: np.ndarray, grid: GridSpec, px, py):
     if np.any(gx < -eps) or np.any(gx > grid.nx - 1 + eps) \
             or np.any(gy < -eps) or np.any(gy > grid.ny - 1 + eps):
         raise RadiusOutOfRange("interpolation point outside the grid")
-    i0 = np.clip(np.floor(gx).astype(int), 0, grid.nx - 2)
-    j0 = np.clip(np.floor(gy).astype(int), 0, grid.ny - 2)
-    fx = np.clip(gx - i0, 0.0, 1.0)
-    fy = np.clip(gy - j0, 0.0, 1.0)
+    i0 = _clip(np.floor(gx).astype(int), 0, grid.nx - 2)
+    j0 = _clip(np.floor(gy).astype(int), 0, grid.ny - 2)
+    fx = _clip(gx - i0, 0.0, 1.0)
+    fy = _clip(gy - j0, 0.0, 1.0)
     v00 = values[j0, i0]
     v10 = values[j0, i0 + 1]
     v01 = values[j0 + 1, i0]

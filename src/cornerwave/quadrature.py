@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .domain import TWO_PI, GridSpec, RadiusOutOfRange, bilinear
+from .domain import TWO_PI, GridSpec, RadiusOutOfRange, _clip, bilinear
 
 
 def grad_central(values: np.ndarray, spacing: float):
@@ -46,11 +46,6 @@ def laplacian5(values: np.ndarray, spacing: float) -> np.ndarray:
                        + values[2:, 1:-1] + values[:-2, 1:-1]
                        - 4.0 * values[1:-1, 1:-1]) / spacing ** 2
     return lap
-
-
-def _clip(v, lo, hi):
-    # np.clip for finite input, without its Python-level wrapper
-    return np.minimum(np.maximum(v, lo), hi)
 
 
 def _sqrt_arc_antiderivative(u: np.ndarray, r) -> np.ndarray:

@@ -296,3 +296,12 @@ class TestBlowupAnalysis:
         t1, t2 = br.directions
         assert t2 - t1 == pytest.approx(2 * math.pi / 3, abs=0.04)
         assert br.homogeneity_residual <= 0.05
+
+    def test_empty_schedule_refused(self):
+        # the schedule's own error, not an IndexError from the analysis
+        spec, _, u = stokes_profile_field(129)
+        sp = cw.stagnation_point(spec)
+        with pytest.raises(ValueError, match="nonempty list"):
+            blowup.check_schedule([], u.grid, sp.location)
+        with pytest.raises(ValueError, match="nonempty list"):
+            cw.blowup_analysis(spec, u, sp, [])

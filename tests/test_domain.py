@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cornerwave as cw
-from cornerwave.domain import (Rect, _stag_from_json, _stag_to_json,
+from cornerwave.domain import (Rect, _stag_from_json, _stag_to_json, bilinear,
                                spec_from_header, value_envelope_monomial,
                                wrap_angle)
 
@@ -161,6 +161,60 @@ class TestGridAndField:
         f = cw.ScalarField(g, np.ones((16, 16)))
         with pytest.raises(cw.RadiusOutOfRange):
             f.interp(5.0, 0.5)
+
+
+def bilinear_np_clip(values, grid, px, py):
+    # domain.bilinear as written with np.clip
+    gx = (px - grid.origin[0]) / grid.spacing
+    gy = (py - grid.origin[1]) / grid.spacing
+    i0 = np.clip(np.floor(gx).astype(int), 0, grid.nx - 2)
+    j0 = np.clip(np.floor(gy).astype(int), 0, grid.ny - 2)
+    fx = np.clip(gx - i0, 0.0, 1.0)
+    fy = np.clip(gy - j0, 0.0, 1.0)
+    return (values[j0, i0] * (1 - fx) * (1 - fy)
+            + values[j0, i0 + 1] * fx * (1 - fy)
+            + values[j0 + 1, i0] * (1 - fx) * fy
+            + values[j0 + 1, i0 + 1] * fx * fy)
+
+
+class TestClamping:
+    """nearest_node and bilinear clamp without np.clip's wrapper and give
+    its integers and floats."""
+
+    GRID = cw.GridSpec(nx=21, ny=17, origin=(-1.0, 0.5), spacing=0.1)
+
+    def test_nearest_node_equals_np_clip(self):
+        g = self.GRID
+        rng = np.random.default_rng(7)
+        # in range, and up to one grid length outside on every side
+        px = rng.uniform(-3.0, 3.0, 2000)
+        py = rng.uniform(-1.1, 3.7, 2000)
+        jj, ii = g.nearest_node(px, py)
+        ref_i = np.clip(np.rint((px - g.origin[0]) / g.spacing).astype(int),
+                        0, g.nx - 1)
+        ref_j = np.clip(np.rint((py - g.origin[1]) / g.spacing).astype(int),
+                        0, g.ny - 1)
+        assert ii.dtype == ref_i.dtype and jj.dtype == ref_j.dtype
+        assert np.array_equal(ii, ref_i) and np.array_equal(jj, ref_j)
+        assert ii.min() == 0 and ii.max() == g.nx - 1
+        assert jj.min() == 0 and jj.max() == g.ny - 1
+
+    def test_bilinear_equals_np_clip(self):
+        g = self.GRID
+        rng = np.random.default_rng(8)
+        values = rng.standard_normal((g.ny, g.nx))
+        x1, y1 = g.extent.x_max, g.extent.y_max
+        # random points inside, the four edges exactly, and points up to the
+        # 1e-9 cells outside that bilinear still accepts and clamps
+        px = np.concatenate([rng.uniform(-1.0, x1, 500), [-1.0, x1, 0.0, 0.0],
+                             -1.0 - rng.uniform(0, 9e-11, 50),
+                             x1 + rng.uniform(0, 9e-11, 50)])
+        py = np.concatenate([rng.uniform(0.5, y1, 500), [0.9, 0.9, 0.5, y1],
+                             rng.uniform(0.5, y1, 50),
+                             0.5 - rng.uniform(0, 9e-11, 50)])
+        out = bilinear(values, g, px, py)
+        assert np.array_equal(out, bilinear_np_clip(values, g, px, py))
+        assert bilinear(values, g, x1, y1) == values[-1, -1]
 
 
 class TestPersistence:

@@ -1,9 +1,15 @@
 import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import spsolve
 
 import cornerwave as cw
 from cornerwave.energy import (boundary_ring, bump_vector_field,
@@ -11,9 +17,12 @@ from cornerwave.energy import (boundary_ring, bump_vector_field,
                                support_mask)
 from cornerwave.oracle import (angle_pair, blowup_limit, evaluate_at_points,
                                profile_field)
+from cornerwave.pipeline import build_boundary, parse_config
 
 # the module itself; the package exports its function ``energy``
 energy_module = importlib.import_module("cornerwave.energy")
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def stokes_spec():
@@ -571,6 +580,152 @@ class TestSupportHelpers:
         data = np.where(ring, exact, 0.0)
         out = harmonic_extension(g, data)
         assert np.max(np.abs(out - exact)) <= 1e-10
+
+
+def spsolve_extension(grid, data, pinned=None):
+    """The harmonic extension as one sparse direct solve of the five-point
+    system on the free nodes."""
+    ring = boundary_ring(grid)
+    pinned = ring if pinned is None else (pinned | ring)
+    free = ~pinned
+    n_free = int(free.sum())
+    if n_free == 0:
+        return data.copy()
+    idx = -np.ones(free.shape, dtype=int)
+    idx[free] = np.arange(n_free)
+    J, I = np.nonzero(free)
+    k = idx[J, I]
+    rows, cols, vals = [k], [k], [np.full(n_free, 4.0)]
+    rhs = np.zeros(n_free)
+    for dj, di in ((0, 1), (0, -1), (1, 0), (-1, 0)):
+        Jn, In = J + dj, I + di
+        nb = free[Jn, In]
+        rows.append(k[nb])
+        cols.append(idx[Jn[nb], In[nb]])
+        vals.append(np.full(int(nb.sum()), -1.0))
+        np.add.at(rhs, k[~nb], data[Jn[~nb], In[~nb]])
+    A = csr_matrix((np.concatenate(vals),
+                    (np.concatenate(rows), np.concatenate(cols))),
+                   shape=(n_free, n_free))
+    out = data.copy()
+    out[free] = spsolve(A, rhs)
+    return out
+
+
+def assert_matches_spsolve(grid, data, pinned):
+    out = harmonic_extension(grid, data, pinned)
+    ref = spsolve_extension(grid, data, pinned)
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(data))
+
+
+def free_set(kind, ny, nx, rng):
+    """A free-node mask of ``kind`` on an ny x nx grid, empty for "empty"
+    (the ring is pinned by the solver in any case)."""
+    free = np.zeros((ny, nx), dtype=bool)
+    if kind == "single":
+        free[rng.integers(1, ny - 1), rng.integers(1, nx - 1)] = True
+    elif kind == "components":
+        # blocks on either side of a pinned column, and an isolated node
+        c = int(rng.integers(3, nx - 3))
+        free[1:-1, 1:c] = True
+        free[2:-4, c + 1:-1] = True
+        free[-2, -2] = True
+    elif kind == "edge":
+        # a region against the ring on three sides
+        free[1:int(rng.integers(2, ny - 1)), 1:-1] = True
+    elif kind == "odd":
+        # isolated nodes at odd offsets from the box corner, so no coarse
+        # level keeps a free node
+        odd = free[1:-1:2, 1:-1:2]
+        odd[...] = rng.random(odd.shape) < 0.5
+    elif kind == "random":
+        free = rng.random((ny, nx)) < rng.uniform(0.2, 0.95)
+    return free
+
+
+class _Captured(Exception):
+    pass
+
+
+class TestHarmonicExtension:
+    """The multigrid-preconditioned CG solve against a sparse direct solve."""
+
+    @pytest.mark.parametrize("name", ["stokes", "corner_beta2",
+                                      "corner_alpha2", "corner_type3",
+                                      "blowup_convergence"])
+    def test_bundled_starts(self, name, monkeypatch):
+        # the start solve of each solving config, at 129^2
+        raw = yaml.safe_load((CONFIGS / f"{name}.yaml").read_text())
+        raw["grid"] = {"nx": 129, "ny": 129}
+        cfg = parse_config(raw)
+        seen = []
+
+        def capture(grid, data, pinned=None):
+            seen.append((grid, data, pinned))
+            raise _Captured
+
+        monkeypatch.setattr(energy_module, "harmonic_extension", capture)
+        with pytest.raises(_Captured):
+            cw.minimize_energy(cfg.problem, cfg.grid, build_boundary(cfg)[0],
+                               cfg.solver)
+        grid, fixed, pinned = seen[0]
+        assert np.any(fixed > 0) and not np.all(pinned)
+        assert_matches_spsolve(grid, fixed, pinned)
+
+    @pytest.mark.parametrize("kind", ["empty", "single", "components",
+                                      "edge", "odd", "random"])
+    @given(ny=st.integers(16, 48), nx=st.integers(16, 48),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_drawn_masks(self, kind, ny, nx, seed):
+        rng = np.random.default_rng(seed)
+        grid = cw.GridSpec(nx=nx, ny=ny, origin=(0.0, 0.0), spacing=1.0)
+        data = rng.uniform(-1.0, 1.0, (ny, nx)) * 10.0 ** rng.uniform(-3, 3)
+        assert_matches_spsolve(grid, data, ~free_set(kind, ny, nx, rng))
+
+    @given(a=st.integers(1, 40).filter(lambda a: (a + 1) & a),
+           b=st.integers(1, 40).filter(lambda b: (b + 1) & b),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_box_sides_not_two_to_the_k_plus_one(self, a, b, seed):
+        # an a x b free rectangle has a box of a + 2 by b + 2 nodes
+        rng = np.random.default_rng(seed)
+        grid = cw.GridSpec(nx=48, ny=48, origin=(0.0, 0.0), spacing=1.0)
+        pinned = np.ones((48, 48), dtype=bool)
+        j, i = rng.integers(1, 48 - a), rng.integers(1, 48 - b)
+        pinned[j:j + a, i:i + b] = False
+        data = rng.uniform(0.0, 1.0, (48, 48))
+        assert_matches_spsolve(grid, data, pinned)
+
+    def test_no_free_node_returns_a_copy(self):
+        grid = cw.GridSpec(nx=16, ny=16, origin=(0.0, 0.0), spacing=1.0)
+        data = np.arange(256.0).reshape(16, 16)
+        out = harmonic_extension(grid, data, np.ones((16, 16), dtype=bool))
+        assert out is not data and np.array_equal(out, data)
+
+    def test_zero_data_gives_zero(self):
+        grid = cw.GridSpec(nx=33, ny=33, origin=(0.0, 0.0), spacing=1.0)
+        data = np.zeros((33, 33))
+        assert not np.any(harmonic_extension(grid, data))
+
+    def test_capped_iterations_raise(self, monkeypatch):
+        # a start that is not solved is refused, not returned
+        g = cw.GridSpec.from_domain(cw.Rect(-1, -1, 1, 1), 65, 65)
+        X, Y = g.mesh()
+        data = np.where(boundary_ring(g), X * X - Y * Y + 2.0, 0.0)
+        monkeypatch.setattr(energy_module, "CG_MAX_ITERS", 2)
+        with pytest.raises(ArithmeticError, match="after 2 steps"):
+            harmonic_extension(g, data)
+
+    def test_preconditioner_is_symmetric(self):
+        rng = np.random.default_rng(0)
+        free = np.zeros((65, 49), dtype=bool)
+        free[1:-1, 1:-1] = rng.random((63, 47)) < 0.8
+        mg = energy_module._Multigrid(free, 3)
+        x, y = (rng.standard_normal(free.shape) * free for _ in range(2))
+        xMy, yMx = np.vdot(x, mg.cycle(y)), np.vdot(y, mg.cycle(x))
+        assert abs(xMy - yMx) <= 1e-12 * abs(xMy)
+        assert np.vdot(x, mg.cycle(x)) > 0
 
 
 class TestDomainVariation:

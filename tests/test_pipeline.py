@@ -454,7 +454,8 @@ MALFORMED = {
     "text_grid_size": (("grid", "nx", "abc"), "grid.nx"),
     # blow-up schedules, used only after the solve: increasing, B_{2r}(X0)
     # past the grid's reach of 1, a radius below 0, a radius that is not a
-    # number, one radius not in a list, and a NaN radius
+    # number, one radius not in a list, a NaN radius and no radius (leave
+    # the key out for no blow-up analysis)
     "increasing_blowup_radii": (("analysis", "blowup_radii", [0.23, 0.45]),
                                 "analysis.blowup_radii"),
     "blowup_ball_off_grid": (("analysis", "blowup_radii", [0.9, 0.5]),
@@ -467,6 +468,8 @@ MALFORMED = {
                             "analysis.blowup_radii"),
     "nan_blowup_radius": (("analysis", "blowup_radii", [0.45, float("nan")]),
                           "analysis.blowup_radii"),
+    "empty_blowup_radii": (("analysis", "blowup_radii", []),
+                           "analysis.blowup_radii"),
     # integer settings: a fractional value is not truncated, the sweep
     # budget is positive, and a grid has 16 nodes per axis or more
     "fractional_grid_size": (("grid", "nx", 257.9), "grid.nx"),
@@ -613,24 +616,28 @@ class TestCli:
                          r.stdout)
         assert "solver did not converge after 20 sweeps" in r.stderr
 
-    def test_run_imports_no_heavy_scipy(self, tmp_path):
-        # scipy.sparse is the only scipy the program needs; importing
-        # scipy.integrate, optimize or special would cost every CLI process
-        # about a third of a second.  A fresh interpreter, because this
-        # one has imported them for the tests.
-        script = (
-            "import sys\n"
-            "from cornerwave import cli\n"
-            "code = cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
-            "heavy = sorted(m for m in sys.modules if m.split('.')[:2] in\n"
-            "               (['scipy', 'integrate'], ['scipy', 'optimize'],\n"
-            "                ['scipy', 'special']))\n"
-            "print(code, heavy)\n")
-        r = subprocess.run([sys.executable, "-c", script,
-                            str(CONFIGS / "table1.yaml"), str(tmp_path / "o")],
+    @staticmethod
+    def scipy_modules_after(code, *argv):
+        # the scipy modules loaded by ``code`` in a fresh interpreter, as
+        # this one has imported scipy for the tests.  The program needs
+        # none; importing it costs every CLI process about a third of a
+        # second.
+        script = ("import sys\n" + code + "\nprint(sorted(m for m in "
+                  "sys.modules if m.split('.')[0] == 'scipy'))\n")
+        r = subprocess.run([sys.executable, "-c", script, *argv],
                            capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
-        assert r.stdout.splitlines()[-1] == "0 []"
+        return r.stdout.splitlines()[-1]
+
+    def test_run_imports_no_scipy(self, tmp_path):
+        code = ("from cornerwave import cli\n"
+                "assert cli.main(['run', '--config', sys.argv[1],\n"
+                "                 '--out', sys.argv[2]]) == 0")
+        assert self.scipy_modules_after(code, str(CONFIGS / "table1.yaml"),
+                                        str(tmp_path / "o")) == "[]"
+
+    def test_import_loads_no_scipy(self):
+        assert self.scipy_modules_after("import cornerwave.cli") == "[]"
 
     def test_staged_verbs_check_the_saved_field(self, run_cli, tmp_path):
         # a solution.field solved for another problem or grid than the
