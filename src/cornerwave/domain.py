@@ -495,6 +495,13 @@ def _stag_from_json(d: dict) -> StagnationType:
 
 
 def save_field(field: ScalarField, path, spec: ProblemSpec | None = None) -> None:
+    """Write ``field`` as a JSON header line and one ``%.17g`` line per
+    node, row-major.
+
+    Most nodes of a solved field are +0.0, printed "0": the body is built
+    run by run, a run of +0.0 as repeated "0" lines and a run of other
+    values (-0.0 included) formatted together, so the bytes are those of
+    formatting every value and only the nonzero ones pay for it."""
     g = field.grid
     header = {
         "nx": g.nx,
@@ -511,8 +518,17 @@ def save_field(field: ScalarField, path, spec: ProblemSpec | None = None) -> Non
             "domain": [spec.domain.x_min, spec.domain.y_min,
                        spec.domain.x_max, spec.domain.y_max],
         })
-    values = field.values.ravel().tolist()
-    body = ((_FLOAT + "\n") * len(values)) % tuple(values)
+    values = field.values.ravel()
+    zero = (values == 0.0) & ~np.signbit(values)
+    bounds = [0, *(np.flatnonzero(np.diff(zero)) + 1).tolist(), values.size]
+    runs = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        if zero[a]:
+            runs.append("0\n" * (b - a))
+        else:
+            runs.append(((_FLOAT + "\n") * (b - a))
+                        % tuple(values[a:b].tolist()))
+    body = "".join(runs)
     Path(path).write_text(json.dumps(header, sort_keys=True) + "\n" + body,
                           encoding="ascii")
 

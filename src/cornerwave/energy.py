@@ -27,6 +27,15 @@ trimmed, relaxed cuts of the flow end and the start by their exact
 energy.  The first lowest of the nine is returned, flagged
 ``converged = False`` if the flow ran out of sweeps before it settled.
 
+The sweeps are most of a solve, so they make as few array passes as the
+same floats allow: they update only the bounding box of the free nodes,
+on contiguous parity planes laid out once per flow (``_lattice``), and
+write a cut of free nodes only, as every cut of the bundled solves is,
+back without a mask (``_sor_block``).  The nine energy evaluations share
+one array of node weights (``_node_weights``).  None of this changes a
+float: fields, energies and sweep counts are those of the whole-grid
+masked kernel the tests keep as the reference.
+
 The start is a discrete harmonic extension (``harmonic_extension``),
 solved by conjugate gradients preconditioned with one symmetric multigrid
 V-cycle (``_Multigrid``: red-black Gauss-Seidel smoothing, a dense solve on
@@ -64,7 +73,7 @@ from .quadrature import grad_central, laplacian5
 
 OMEGA = 1.85            # SOR relaxation factor
 TOL_FIELD = 1e-7        # relative per-block field change at rest
-BLOCK_SIZE = 10         # sweeps per stationarity check
+BLOCK_SIZE = 10         # sweeps per stationarity check; even, see _flow
 ENVELOPE_MARGIN = 1.3   # envelope constant over the largest ring u / monomial
 TRIMS = (0.25, 0.5, 0.75, 1.0)  # candidate cut levels, in units of eps
 CG_TOL = 1e-13          # relative residual at which the harmonic start stops
@@ -112,30 +121,42 @@ def energy(spec: ProblemSpec, u: ScalarField, mask: np.ndarray | None = None,
     """Exact-indicator energy of a field; optional node mask restricts the
     quadrature region, optional weight overrides the spec's weight."""
     w = np.asarray(weight_at(spec, *u.grid.mesh())) if weight is None else weight
-    return _energy_raw(u.values, u.grid, w, mask)
+    return _energy_raw(u.values, u.grid, _node_weights(u.grid, w, mask), mask)
 
 
-def _energy_raw(values: np.ndarray, grid: GridSpec, w: np.ndarray,
-                mask: np.ndarray | None = None) -> float:
-    # Dirichlet part over grid edges, the five-point form the sweeps relax
-    # (central differences miss the odd-even mode, and relaxation can raise
-    # them).  An edge on the boundary ring carries half weight, a masked
-    # edge the mean of its endpoints' mask.
-    dx = np.diff(values, axis=1)
-    dy = np.diff(values, axis=0)
-    ex = dx * dx
-    ey = dy * dy
-    ex[[0, -1], :] *= 0.5
-    ey[:, [0, -1]] *= 0.5
+def _node_weights(grid: GridSpec, w: np.ndarray,
+                  mask: np.ndarray | None = None) -> np.ndarray:
+    """The weight term's quadrature: ``w`` times the node cell areas (half
+    cells on the boundary ring), times the optional node mask."""
     qw = np.full((grid.ny, grid.nx), grid.spacing ** 2)
     qw[[0, -1], :] *= 0.5
     qw[:, [0, -1]] *= 0.5
     if mask is not None:
+        qw *= np.asarray(mask, dtype=float)
+    return w * qw
+
+
+def _energy_raw(values: np.ndarray, grid: GridSpec, wq: np.ndarray,
+                mask: np.ndarray | None = None) -> float:
+    """The exact-indicator energy of ``values`` with the node weights
+    ``wq = _node_weights(grid, w, mask)``, which a solve builds once for
+    its nine evaluations.  The weight term sums ``wq * chi``: as chi is 0
+    or 1, that is ``(w * chi) * areas`` to the bit."""
+    # Dirichlet part over grid edges, the five-point form the sweeps relax
+    # (central differences miss the odd-even mode, and relaxation can raise
+    # them).  An edge on the boundary ring carries half weight, a masked
+    # edge the mean of its endpoints' mask.
+    ex = np.diff(values, axis=1)
+    ey = np.diff(values, axis=0)
+    ex *= ex
+    ey *= ey
+    ex[[0, -1], :] *= 0.5
+    ey[:, [0, -1]] *= 0.5
+    if mask is not None:
         m = np.asarray(mask, dtype=float)
         ex *= 0.5 * (m[:, 1:] + m[:, :-1])
         ey *= 0.5 * (m[1:, :] + m[:-1, :])
-        qw = qw * m
-    return float(np.sum(ex) + np.sum(ey) + np.sum(w * (values > 0.0) * qw))
+    return float(np.sum(ex) + np.sum(ey) + np.sum(wq * (values > 0.0)))
 
 
 def harmonic_residual(u: ScalarField, threshold: float) -> float:
@@ -332,6 +353,17 @@ def _flow(u: np.ndarray, grid: GridSpec, pinned: np.ndarray, eps: np.ndarray,
     them never changes, so their largest change is the same float as the
     whole grid's.
 
+    The rest state is a cycle of period two, not a fixed point: on type 3
+    at 257^2, 19.6k nodes switch between 0 and a small positive value
+    every sweep, while 22.8k are positive after any one sweep.  Only
+    states an even number of sweeps apart agree, so the stop test, which
+    compares states BLOCK_SIZE sweeps apart, fires only for an even
+    block.  Type 3 at 257^2 stops after 560 sweeps with blocks of 10 and
+    576 with 12, and runs to the 6000-sweep cap with 5, 9 and 11; with 9
+    it is still reported converged, as its last block, cut short at the
+    cap, is 6 sweeps long.  Beta = 2, whose zap memory also moves, stops
+    with 10 alone of 5, 9, 10, 11 and 12.
+
     With the envelope each cut carries a zap memory, the nodes of the cut
     the envelope zeroed, held at zero for the whole flow.  Without it each
     block regrows the nodes the block before zeroed and zeroes them again,
@@ -348,9 +380,7 @@ def _flow(u: np.ndarray, grid: GridSpec, pinned: np.ndarray, eps: np.ndarray,
     pull = np.divide(w, eps, out=np.zeros_like(eps), where=eps > 0)
     pull *= grid.spacing * grid.spacing / 8.0
     scale = max(float(np.max(u)), 1e-300)
-    planes, cuts = _lattice(u, free, eps, pull, free, envelope)
-    lattice = [(*cut, None if envelope is None
-                else np.zeros(cut[0].shape, dtype=bool)) for cut in cuts]
+    planes, lattice = _flow_lattice(u, free, eps, pull, envelope)
     sweeps, converged = 0, False
     while sweeps < max_iters and not converged:
         before = [node.copy() for node, *_ in lattice]
@@ -381,7 +411,8 @@ def _candidates(grid: GridSpec, fixed: np.ndarray, pinned: np.ndarray,
     minimizer's edge sits near the eps/4 level of the skirt, and the
     energy comparison selects it without measurement-side tuning.  The
     uncut flow end is no candidate: it never scored below the start."""
-    scored = [(Candidate("start", 0.0, _energy_raw(start, grid, w)), start)]
+    wq = _node_weights(grid, w)
+    scored = [(Candidate("start", 0.0, _energy_raw(start, grid, wq)), start)]
     for source, state in (("flow", end), ("start", start)):
         for trim in TRIMS:
             cand = np.where(state >= trim * eps, state, 0.0)
@@ -390,7 +421,7 @@ def _candidates(grid: GridSpec, fixed: np.ndarray, pinned: np.ndarray,
             if envelope is not None:
                 cand[cand > envelope] = 0.0
             scored.append(
-                (Candidate(source, trim, _energy_raw(cand, grid, w)), cand))
+                (Candidate(source, trim, _energy_raw(cand, grid, wq)), cand))
     return scored
 
 
@@ -475,35 +506,58 @@ def _lattice(u: np.ndarray, mask: np.ndarray, *consts) -> tuple[dict, list]:
     return planes, cuts
 
 
+def _flow_lattice(u: np.ndarray, free: np.ndarray, eps: np.ndarray,
+                  pull: np.ndarray, envelope: np.ndarray | None
+                  ) -> tuple[dict, list]:
+    """The parity planes of ``u`` and the lattice ``_sor_block`` sweeps:
+    the ``_lattice`` cuts of the free nodes' box with the constants eps,
+    pull, free and envelope, then an empty zap memory per cut (the last
+    two None without an envelope).  The free mask of a cut that holds
+    free nodes only is True, so ``_sor_block`` writes that cut back whole
+    instead of through a mask; every cut of the bundled solves is such a
+    cut, and an air half-plane at an angle to the grid gives the others."""
+    planes, cuts = _lattice(u, free, eps, pull, free, envelope)
+    return planes, [
+        (node, nbrs, eps_s, pull_s, True if free_s.all() else free_s, env,
+         None if env is None else np.zeros(node.shape, dtype=bool))
+        for node, nbrs, eps_s, pull_s, free_s, env in cuts]
+
+
 def _sor_block(lattice: list, sweeps: int) -> None:
     """Projected red-black SOR sweeps on the flow's lattice in place.
 
-    An entry is a ``_lattice`` cut of the free nodes' box with the
-    constants eps, pull, free and envelope, then the cut's zap memory (the
-    last two None without an envelope).  A node's target is the neighbour
-    mean less ``pull`` where it lies in the band 0 < u < eps; the relaxed
-    value is clamped at zero and, with an envelope, zeroed where it
-    exceeds the envelope.  A zeroed node is marked in the zap memory, and
-    a marked node is set to +0.0 at every update, so its surroundings
-    relax down instead of instantly regrowing it past the envelope.  The
-    memory only grows here; the flow keeps it across blocks.
+    The entries are those of ``_flow_lattice``.  A node's target is the
+    neighbour mean less ``pull`` where it lies in the band 0 < u < eps;
+    the relaxed value is clamped at zero and, with an envelope, zeroed
+    where it exceeds the envelope.  A zeroed node is marked in the zap
+    memory, and a marked node is set to +0.0 at every update, so its
+    surroundings relax down instead of instantly regrowing it past the
+    envelope.  The memory only grows here; the flow keeps it across
+    blocks.
 
     Only updated nodes are clamped and tested: the rest of the field is
     already nonnegative and under the envelope (the flow starts from such
-    a state, and the envelope is nonnegative).  Pinned nodes keep their
-    value, selected rather than multiplied away, so no -0.0 enters the
-    field."""
+    a state, and the envelope is nonnegative).  The update is worked out
+    in a contiguous temporary, as a cut is in general a row-strided view
+    of its plane, and written back once: whole for a cut of free nodes
+    only, through the free mask for a cut that holds pinned nodes, so
+    those keep their value, selected rather than multiplied away, and no
+    -0.0 enters the field.  Every product and sum is the one of the plain
+    formula ``keep * u + OMEGA * (0.25 * sum - pull * band)``, in that
+    order; the scalings act in place on the target."""
     keep = 1.0 - OMEGA
     for _ in range(sweeps):
         for node, nbrs, eps_s, pull_s, free_s, env, zap in lattice:
-            target = 0.25 * _neighbour_sum(nbrs)
+            target = _neighbour_sum(nbrs)
+            target *= 0.25
             target -= pull_s * ((node > 0.0) & (node < eps_s))
+            target *= OMEGA
             new = keep * node
-            new += OMEGA * target
+            new += target
             np.maximum(new, 0.0, out=new)
             if env is not None:
                 zap |= new > env
-                new[zap] = 0.0
+                np.copyto(new, 0.0, where=zap)
             np.copyto(node, new, where=free_s)
 
 
@@ -519,7 +573,9 @@ def _relax_on_support(u: np.ndarray, pinned: np.ndarray, sweeps: int) -> None:
     planes, lattice = _lattice(u, support, support)
     for _ in range(sweeps):
         for node, nbrs, sel in lattice:
-            np.copyto(node, 0.25 * _neighbour_sum(nbrs), where=sel)
+            target = _neighbour_sum(nbrs)
+            target *= 0.25
+            np.copyto(node, target, where=sel)
     _unplane(u, planes)
 
 

@@ -245,6 +245,33 @@ class TestPersistence:
         spec2 = spec_from_header(header)
         assert spec2 == spec
 
+    @pytest.mark.parametrize("case", ["signed-zeros", "subnormal-and-huge",
+                                      "all-zero", "no-zero"])
+    def test_body_is_every_value_formatted(self, case, tmp_path):
+        # +0.0 is written as "0" without formatting; the bytes are those
+        # of formatting every value, and they load back bit for bit
+        rng = np.random.default_rng(5)
+        vals = np.where(rng.random((16, 17)) < 0.7, 0.0,
+                        rng.normal(size=(16, 17)))
+        if case == "signed-zeros":
+            vals[3, :5] = -0.0
+            vals[-1, -1] = -0.0
+        elif case == "subnormal-and-huge":
+            vals[0, 0], vals[0, 1], vals[7, 2] = 5e-324, -5e-324, 1e300
+            vals[7, 3], vals[-1, -1] = -1e300, 5e-324
+        elif case == "all-zero":
+            vals[...] = 0.0
+        else:
+            vals = rng.normal(size=(16, 17))
+        g = cw.GridSpec(nx=17, ny=16, origin=(0.0, 0.0), spacing=0.25)
+        p = tmp_path / "f.field"
+        cw.save_field(cw.ScalarField(g, vals), p)
+        body = p.read_text(encoding="ascii").split("\n", 1)[1]
+        flat = vals.ravel().tolist()
+        assert body == ("%.17g\n" * len(flat)) % tuple(flat)
+        loaded, _ = cw.load_field(p)
+        assert loaded.values.tobytes() == vals.tobytes()
+
     def test_stag_json_roundtrip(self):
         for stag in (cw.Type1(x0=-1.0), cw.Type2(y0=2.0, theta0=math.pi),
                      cw.Type3(theta_star=0.3)):

@@ -94,6 +94,36 @@ class TestEnergy:
                       epsabs=1e-12, epsrel=1e-12)
         assert val == pytest.approx(ref, rel=1e-3)
 
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_shared_node_weights_match_per_evaluation_form(self, masked):
+        # the node weights are built once per solve; the energy is the
+        # float of the form that rebuilt them at every evaluation
+        rng = np.random.default_rng(9)
+        g = cw.GridSpec.from_domain(cw.Rect(-1.0, -1.0, 1.0, 1.0), 33, 33)
+        shape = (33, 33)
+        values = np.where(rng.random(shape) < 0.4, 0.0,
+                          rng.normal(size=shape))
+        w = rng.uniform(0.0, 3.0, shape)
+        w[rng.random(shape) < 0.1] = 0.0
+        mask = rng.random(shape) < 0.7 if masked else None
+        qw = np.full(shape, g.spacing ** 2)
+        qw[[0, -1], :] *= 0.5
+        qw[:, [0, -1]] *= 0.5
+        dx, dy = np.diff(values, axis=1), np.diff(values, axis=0)
+        ex, ey = dx * dx, dy * dy
+        ex[[0, -1], :] *= 0.5
+        ey[:, [0, -1]] *= 0.5
+        if masked:
+            m = mask.astype(float)
+            ex *= 0.5 * (m[:, 1:] + m[:, :-1])
+            ey *= 0.5 * (m[1:, :] + m[:-1, :])
+            qw = qw * m
+        ref = float(np.sum(ex) + np.sum(ey)
+                    + np.sum(w * (values > 0.0) * qw))
+        spec = stokes_spec()
+        assert cw.energy(spec, cw.ScalarField(g, values), mask=mask,
+                         weight=w) == ref
+
 
 class TestHarmonicResidual:
     def test_linear_field_exact_zero(self):
@@ -229,6 +259,20 @@ class TestMinimize:
         assert result.iterations > energy_module.BLOCK_SIZE
         assert len(calls) == 9
 
+    def test_rest_test_depends_on_the_block_length(self, monkeypatch):
+        # the flow rests in a cycle of period two, so its rest test fires
+        # only on blocks of even length: with 11 sweeps a block it never
+        # fires, unless the last block, cut short at the cap, is even
+        spec, grid, bd, params = kernel_case("type3", 33, 33)
+        result = cw.minimize_energy(spec, grid, bd, params)
+        assert (result.iterations, result.converged) == (100, True)
+        monkeypatch.setattr(energy_module, "BLOCK_SIZE", 11)
+        for max_iters, converged in ((220, False), (200, True)):
+            params = cw.SolverParams(max_iters=max_iters)
+            result = cw.minimize_energy(spec, grid, bd, params)
+            assert (result.iterations, result.converged) \
+                == (max_iters, converged)
+
     @pytest.mark.parametrize("case, source", [
         ("stokes_case", "flow"), ("beta2_case", "start"),
         ("alpha2_case", "start"), ("type3_case", "start"),
@@ -314,16 +358,19 @@ def masked_flow(air, zaps):
 
 
 def lattice_sor_block(u, free, eps, pull, envelope, zapped, sweeps):
-    """``_sor_block`` on a lattice from the shared builder, laid out as the
-    flow lays it out, with the arguments of ``masked_sor_block``: the zap
-    memory of each cut is seeded from ``zapped`` and written back to it."""
-    planes, lattice = energy_module._lattice(u, free, eps, pull, free,
-                                             envelope, zapped)
+    """``_sor_block`` on the flow's lattice (``_flow_lattice``) with the
+    arguments of ``masked_sor_block``: the zap memory of each cut is
+    seeded from ``zapped`` and written back to it."""
+    planes, lattice = energy_module._flow_lattice(u, free, eps, pull,
+                                                  envelope)
+    index = np.arange(u.size).reshape(u.shape)
+    _, cuts = energy_module._lattice(index, free)
+    if zapped is not None:
+        for (nodes, _), (*_, zap) in zip(cuts, lattice):
+            zap[...] = zapped.flat[nodes]
     energy_module._sor_block(lattice, sweeps)
     energy_module._unplane(u, planes)
     if zapped is not None:
-        index = np.arange(u.size).reshape(u.shape)
-        _, cuts = energy_module._lattice(index, free)
         for (nodes, _), (*_, zap) in zip(cuts, lattice):
             np.put(zapped, nodes, zap)
 
@@ -363,7 +410,10 @@ def kernel_case(kind, nx, ny, **params):
                                       y0 + (ny - 1) * h))
         profile = blowup_limit(spec)
     else:                  # type 3: no envelope, air above the seed cone
-        spec = cw.ProblemSpec(2.0, 1.0, cw.Type3(),
+        # "type3-tilted" turns the air half-plane 0.4 rad off the grid
+        # axes, which still leaves the cone on the fluid side
+        theta_star = -math.pi / 2.0 + (0.4 if kind == "type3-tilted" else 0.0)
+        spec = cw.ProblemSpec(2.0, 1.0, cw.Type3(theta_star=theta_star),
                               cw.Rect(-1.0, -1.0, -1.0 + (nx - 1) * h,
                                       -1.0 + (ny - 1) * h))
         profile = blowup_limit(spec, angle_pair(2.0, 1.0))
@@ -388,6 +438,10 @@ KERNEL_CASES = {
     "type2-alpha2-49x49": ("alpha2", 49, 49, {}),
     "type3-33x33": ("type3", 33, 33, {}),
     "type3-34x31": ("type3", 34, 31, {}),
+    # the only case whose cuts hold pinned nodes: an air half-plane at an
+    # angle to the grid crosses the free box, so the kernel writes those
+    # cuts back through their free masks
+    "type3-tilted-33x33": ("type3-tilted", 33, 33, {}),
 }
 
 
@@ -403,6 +457,11 @@ class TestStridedKernel:
         air = support_mask(spec, grid) if params.enforce_support \
             else np.zeros((ny, nx), dtype=bool)
         assert air.any() == params.enforce_support
+        free = ~(boundary_ring(grid) | air)
+        _, lattice = energy_module._flow_lattice(bd.copy(), free, bd, bd,
+                                                 None)
+        masked = [free_s is not True for _, _, _, _, free_s, _, _ in lattice]
+        assert any(masked) == (kind == "type3-tilted")
         fast = cw.minimize_energy(spec, grid, bd, params)
         zaps = []
         monkeypatch.setattr(energy_module, "_flow", masked_flow(air, zaps))
@@ -414,8 +473,8 @@ class TestStridedKernel:
         assert fast.iterations == ref.iterations <= params.max_iters
         assert fast.converged == ref.converged == ("capped" not in case)
         assert fast.energy == ref.energy
-        # the envelope is on for type 1 only, and zaps nodes there
-        assert bool(zaps) == (kind != "type3")
+        # the envelope is on for types 1 and 2 only, and zaps nodes there
+        assert bool(zaps) == (not kind.startswith("type3"))
         if zaps:
             assert max(end for _, end in zaps) > 0
             # the first block starts with an empty memory and its zaps
