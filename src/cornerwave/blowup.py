@@ -263,6 +263,8 @@ def check_schedule(radii, grid: GridSpec, center) -> list[float]:
     if np.ndim(radii) != 1 or len(radii) == 0:
         raise ValueError(
             f"blow-up radii must be a nonempty list, not {radii!r}")
+    if any(isinstance(r, (bool, np.bool_)) for r in radii):  # True is 1.0
+        raise ValueError(f"blow-up radii must be numbers, not {radii!r}")
     try:
         radii = [float(r) for r in radii]
     except (TypeError, ValueError):

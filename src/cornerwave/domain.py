@@ -534,15 +534,16 @@ def save_field(field: ScalarField, path, spec: ProblemSpec | None = None) -> Non
 
 
 def load_field(path) -> tuple[ScalarField, dict]:
-    """Load a persisted field; returns (field, header)."""
-    text = Path(path).read_text(encoding="ascii").splitlines()
-    header = json.loads(text[0])
+    """Load a persisted field; returns (field, header).  The file must hold
+    exactly nx * ny value lines after its header."""
+    header, *lines = Path(path).read_text(encoding="ascii").splitlines()
+    header = json.loads(header)
     nx, ny = header["nx"], header["ny"]
     grid = GridSpec(nx=nx, ny=ny, origin=tuple(header["origin"]),
                     spacing=header["spacing"])
-    vals = np.array([float(t) for t in text[1:1 + nx * ny]], dtype=float)
-    if vals.size != nx * ny:
-        raise InvalidSpec(f"expected {nx * ny} values, found {vals.size}")
+    if len(lines) != nx * ny:
+        raise InvalidSpec(f"expected {nx * ny} values, found {len(lines)}")
+    vals = np.array([float(t) for t in lines], dtype=float)
     return ScalarField(grid, vals.reshape(ny, nx)), header
 
 

@@ -29,12 +29,13 @@ energy.  The first lowest of the nine is returned, flagged
 
 The sweeps are most of a solve, so they make as few array passes as the
 same floats allow: they update only the bounding box of the free nodes,
-on contiguous parity planes laid out once per flow (``_lattice``), and
-write a cut of free nodes only, as every cut of the bundled solves is,
-back without a mask (``_sor_block``).  The nine energy evaluations share
-one array of node weights (``_node_weights``).  None of this changes a
-float: fields, energies and sweep counts are those of the whole-grid
-masked kernel the tests keep as the reference.
+laid out once per flow as one flat lattice (``_lattice``) in which every
+cut of a parity class and its four neighbours are contiguous slices of
+flat parity planes, and write each cut back through its free mask
+(``_sor_block``).  The nine energy evaluations share one array of node
+weights (``_node_weights``).  None of this changes a float: fields,
+energies and sweep counts are those of the whole-grid masked kernel the
+tests keep as the reference.
 
 The start is a discrete harmonic extension (``harmonic_extension``),
 solved by conjugate gradients preconditioned with one symmetric multigrid
@@ -268,6 +269,8 @@ def minimize_energy(spec: ProblemSpec, grid: GridSpec, boundary_data,
     if bd.shape != (grid.ny, grid.nx):
         raise InvalidSpec("boundary data shape does not match the grid")
     ring = boundary_ring(grid)
+    if not np.all(np.isfinite(bd[ring])):
+        raise InvalidBoundary("boundary data must be finite")
     if np.any(bd[ring] < 0):
         raise InvalidBoundary("negative boundary data")
     air = support_mask(spec, grid) if params.enforce_support \
@@ -348,10 +351,11 @@ def _flow(u: np.ndarray, grid: GridSpec, pinned: np.ndarray, eps: np.ndarray,
     over the bundled configs' (or the test suite's) solves beat the start.
 
     The lattice is laid out once per flow: every block sweeps the same
-    ``_lattice`` cuts of ``u`` and its constants, and ``u`` is written back
-    once, at the end.  The stop test reads the cuts alone: a node outside
-    them never changes, so their largest change is the same float as the
-    whole grid's.
+    ``_flow_lattice`` cuts of ``u`` and its constants, and ``u`` is written
+    back once, at the end.  The stop test reads the cuts alone: a node
+    outside them, or a halo, padding or pinned entry inside them, never
+    changes, so their largest change is the same float as the whole
+    grid's.
 
     The rest state is a cycle of period two, not a fixed point: on type 3
     at 257^2, 19.6k nodes switch between 0 and a small positive value
@@ -380,7 +384,7 @@ def _flow(u: np.ndarray, grid: GridSpec, pinned: np.ndarray, eps: np.ndarray,
     pull = np.divide(w, eps, out=np.zeros_like(eps), where=eps > 0)
     pull *= grid.spacing * grid.spacing / 8.0
     scale = max(float(np.max(u)), 1e-300)
-    planes, lattice = _flow_lattice(u, free, eps, pull, envelope)
+    layout, lattice = _flow_lattice(u, free, eps, pull, envelope)
     sweeps, converged = 0, False
     while sweeps < max_iters and not converged:
         before = [node.copy() for node, *_ in lattice]
@@ -394,7 +398,7 @@ def _flow(u: np.ndarray, grid: GridSpec, pinned: np.ndarray, eps: np.ndarray,
                       for (node, *_), old in zip(lattice, before)),
                      default=0.0)
         converged = change < TOL_FIELD * scale
-    _unplane(u, planes)
+    _unplane(u, layout)
     return sweeps, converged
 
 
@@ -431,59 +435,6 @@ def _candidates(grid: GridSpec, fixed: np.ndarray, pinned: np.ndarray,
 _PARITIES = ((1, 1), (0, 0), (1, 0), (0, 1))
 
 
-def _planes(a: np.ndarray) -> dict:
-    """Contiguous copies of the four parity planes ``a[p::2, q::2]``."""
-    return {(p, q): np.ascontiguousarray(a[p::2, q::2])
-            for p in (0, 1) for q in (0, 1)}
-
-
-def _unplane(a: np.ndarray, planes: dict) -> None:
-    for (p, q), plane in planes.items():
-        a[p::2, q::2] = plane
-
-
-def _span(lo: int, hi: int, parity: int, shift: int = 0) -> slice:
-    """The plane indices of the nodes ``k + shift`` for the nodes k of
-    parity ``parity`` in [lo, hi]; a node k + shift sits at index
-    (k + shift) // 2 of its own plane."""
-    first = lo + (lo - parity) % 2
-    last = hi - (hi - parity) % 2
-    if first > last:
-        return slice(0, 0)
-    return slice((first + shift) // 2, (last + shift) // 2 + 1)
-
-
-def _sublattices(mask: np.ndarray) -> list[tuple]:
-    """The interior nodes a kernel may update, in red-black order, as four
-    rectangular cuts of the parity planes (see ``_planes``).
-
-    The cuts cover the bounding box of ``mask`` clipped to the interior,
-    and nothing else: outside the box no node may change, so no work is
-    spent there, and an empty mask gives no cut.  Each entry is the plane
-    of the cut, its index in that plane, and the plane and index of its
-    east, west, north and south neighbours, all of the cut's shape.  The
-    four neighbours of a node have the other colour, so the two cuts of a
-    colour do not see each other: updating them one after the other is the
-    simultaneous colour update of the red-black sweep, node for node and
-    in the same floating-point operations."""
-    inner = mask[1:-1, 1:-1]
-    rows = np.flatnonzero(inner.any(axis=1))
-    if rows.size == 0:
-        return []
-    cols = np.flatnonzero(inner.any(axis=0))
-    j0, j1 = int(rows[0]) + 1, int(rows[-1]) + 1
-    i0, i1 = int(cols[0]) + 1, int(cols[-1]) + 1
-    out = []
-    for p, q in _PARITIES:
-        rows_, cols_ = _span(j0, j1, p), _span(i0, i1, q)
-        out.append(((p, q), (rows_, cols_),
-                    (((p, 1 - q), (rows_, _span(i0, i1, q, 1))),
-                     ((p, 1 - q), (rows_, _span(i0, i1, q, -1))),
-                     ((1 - p, q), (_span(j0, j1, p, 1), cols_)),
-                     ((1 - p, q), (_span(j0, j1, p, -1), cols_)))))
-    return out
-
-
 def _neighbour_sum(nbrs) -> np.ndarray:
     e, w, n, s = nbrs
     nb = e + w
@@ -492,35 +443,79 @@ def _neighbour_sum(nbrs) -> np.ndarray:
     return nb
 
 
-def _lattice(u: np.ndarray, mask: np.ndarray, *consts) -> tuple[dict, list]:
-    """The parity planes of ``u`` and the cuts of ``_sublattices(mask)``
-    as entries (node, neighbours, *constants): views of a cut and of its
-    four neighbours in the planes, then a contiguous copy of the cut of
-    each array in ``consts`` (None stays None).  A kernel updates the
-    views in place; ``_unplane(u, planes)`` writes its work back."""
-    planes = _planes(u)
-    cuts = [(planes[key][idx], tuple(planes[k][i] for k, i in nbrs),
-             *(None if c is None else c[key[0]::2, key[1]::2][idx].copy()
-               for c in consts))
-            for key, idx, nbrs in _sublattices(mask)]
-    return planes, cuts
+def _lattice(u: np.ndarray, mask: np.ndarray, *consts) -> tuple:
+    """The flat lattice of ``u`` on the nodes of ``mask`` (False on the
+    grid ring): its layout and its four cuts in red-black order, each an
+    entry (node, neighbours, mask, *constants) of 1-D contiguous slices.
+
+    The layout is the bounding box of ``mask`` with a one-node halo, cut
+    from ``u`` at an even row and an even column and padded with zeros to
+    2*mr by 2*mc nodes, its four parity planes each raveled into one row
+    of mr * mc entries; ``mask`` and every array in ``consts`` get the
+    same layout (None stays None).  Plane (p, q) holds its box nodes in
+    the slice [(1-p)*mc + 1-q, (mr-p)*mc - q), and their east, west, north
+    and south neighbours are the same slice of the plane (p, 1-q) shifted
+    by q and q-1 and of the plane (1-p, q) shifted by p*mc and (p-1)*mc.
+    The halo and padding entries inside a slice, whose shifted neighbours
+    wrap to the next plane row, are computed and thrown away: a kernel
+    writes a cut back through its mask.  The four neighbours of a node
+    have the other colour, so the two cuts of a colour do not see each
+    other: updating them one after the other is the simultaneous colour
+    update of the red-black sweep, node for node and in the same
+    floating-point operations.  ``_unplane(u, layout)`` writes the box
+    back; an empty mask gives no layout and no cut."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    if rows.size == 0:
+        return None, []
+    cols = np.flatnonzero(mask.any(axis=0))
+    r0, c0 = int(rows[0] - 1) & ~1, int(cols[0] - 1) & ~1
+    box = (slice(r0, int(rows[-1]) + 2), slice(c0, int(cols[-1]) + 2))
+    mr, mc = (int(rows[-1]) + 3 - r0) // 2, (int(cols[-1]) + 3 - c0) // 2
+
+    def flat(a):
+        padded = np.zeros((2 * mr, 2 * mc), a.dtype)
+        cut = a[box]
+        padded[:cut.shape[0], :cut.shape[1]] = cut
+        return padded.reshape(mr, 2, mc, 2).transpose(1, 3, 0, 2) \
+            .reshape(2, 2, mr * mc)
+
+    planes = flat(u)
+    arrays = [flat(mask), *(None if c is None else flat(c) for c in consts)]
+    cuts = []
+    for p, q in _PARITIES:
+        lo, hi = (1 - p) * mc + 1 - q, (mr - p) * mc - q
+        across, along = planes[p, 1 - q], planes[1 - p, q]
+        nbrs = (across[lo + q:hi + q], across[lo + q - 1:hi + q - 1],
+                along[lo + p * mc:hi + p * mc],
+                along[lo + (p - 1) * mc:hi + (p - 1) * mc])
+        cuts.append((planes[p, q, lo:hi], nbrs,
+                     *(None if a is None else a[p, q, lo:hi] for a in arrays)))
+    return (planes, box), cuts
+
+
+def _unplane(u: np.ndarray, layout) -> None:
+    """Write the box of a ``_lattice`` layout back into ``u``."""
+    if layout is None:
+        return
+    planes, box = layout
+    cut = u[box]
+    mr, mc = (cut.shape[0] + 1) // 2, (cut.shape[1] + 1) // 2
+    cut[...] = planes.reshape(2, 2, mr, mc).transpose(2, 0, 3, 1) \
+        .reshape(2 * mr, 2 * mc)[:cut.shape[0], :cut.shape[1]]
 
 
 def _flow_lattice(u: np.ndarray, free: np.ndarray, eps: np.ndarray,
                   pull: np.ndarray, envelope: np.ndarray | None
-                  ) -> tuple[dict, list]:
-    """The parity planes of ``u`` and the lattice ``_sor_block`` sweeps:
-    the ``_lattice`` cuts of the free nodes' box with the constants eps,
-    pull, free and envelope, then an empty zap memory per cut (the last
-    two None without an envelope).  The free mask of a cut that holds
-    free nodes only is True, so ``_sor_block`` writes that cut back whole
-    instead of through a mask; every cut of the bundled solves is such a
-    cut, and an air half-plane at an angle to the grid gives the others."""
-    planes, cuts = _lattice(u, free, eps, pull, free, envelope)
-    return planes, [
-        (node, nbrs, eps_s, pull_s, True if free_s.all() else free_s, env,
-         None if env is None else np.zeros(node.shape, dtype=bool))
-        for node, nbrs, eps_s, pull_s, free_s, env in cuts]
+                  ) -> tuple[tuple | None, list]:
+    """The layout of ``u`` and the lattice ``_sor_block`` sweeps: the
+    ``_lattice`` cuts of the free nodes with the constants eps, pull and
+    envelope, then an empty zap memory per cut (the last two None without
+    an envelope).  Every entry is a contiguous slice of a flat parity
+    plane, the free mask's included, so one layout serves every block."""
+    layout, cuts = _lattice(u, free, eps, pull, envelope)
+    return layout, [
+        (*cut, None if cut[-1] is None else np.zeros(cut[0].shape, bool))
+        for cut in cuts]
 
 
 def _sor_block(lattice: list, sweeps: int) -> None:
@@ -537,17 +532,16 @@ def _sor_block(lattice: list, sweeps: int) -> None:
 
     Only updated nodes are clamped and tested: the rest of the field is
     already nonnegative and under the envelope (the flow starts from such
-    a state, and the envelope is nonnegative).  The update is worked out
-    in a contiguous temporary, as a cut is in general a row-strided view
-    of its plane, and written back once: whole for a cut of free nodes
-    only, through the free mask for a cut that holds pinned nodes, so
-    those keep their value, selected rather than multiplied away, and no
+    a state, and the envelope is nonnegative).  The update of a cut is
+    worked out in a temporary over its whole slice and written back
+    through the free mask, so the pinned, halo and padding entries of the
+    slice keep their value, selected rather than multiplied away, and no
     -0.0 enters the field.  Every product and sum is the one of the plain
     formula ``keep * u + OMEGA * (0.25 * sum - pull * band)``, in that
     order; the scalings act in place on the target."""
     keep = 1.0 - OMEGA
     for _ in range(sweeps):
-        for node, nbrs, eps_s, pull_s, free_s, env, zap in lattice:
+        for node, nbrs, free_s, eps_s, pull_s, env, zap in lattice:
             target = _neighbour_sum(nbrs)
             target *= 0.25
             target -= pull_s * ((node > 0.0) & (node < eps_s))
@@ -567,16 +561,16 @@ def _relax_on_support(u: np.ndarray, pinned: np.ndarray, sweeps: int) -> None:
     The update target is the nonnegative neighbor mean, so the support
     cannot shrink (over-relaxation would overshoot below zero at the cut
     and eat the support inward sweep by sweep).  As in the flow, the
-    sweeps run on a ``_lattice`` laid out once, inside the bounding box of
-    the support."""
+    sweeps run on a ``_lattice`` laid out once, around the bounding box of
+    the support; ``pinned`` holds the grid ring."""
     support = (u > 0.0) & ~pinned
-    planes, lattice = _lattice(u, support, support)
+    layout, lattice = _lattice(u, support)
     for _ in range(sweeps):
         for node, nbrs, sel in lattice:
             target = _neighbour_sum(nbrs)
             target *= 0.25
             np.copyto(node, target, where=sel)
-    _unplane(u, planes)
+    _unplane(u, layout)
 
 
 def _five_point(u: np.ndarray, free: np.ndarray) -> np.ndarray:

@@ -95,10 +95,13 @@ def _number(mapping: dict, key: str, where: str, default=None, kind=float,
     """``mapping[key]`` as a ``kind`` (float or int), ``default`` when it
     is absent or null (a missing-field error when ``required``);
     ConfigError names the key when the value is not a finite number, or
-    not a whole one for an int."""
+    not a whole one for an int.  A boolean is no number, although Python
+    counts True as 1."""
     value = _need(mapping, key, where) if required else mapping.get(key)
     if value is None:
         return default
+    if isinstance(value, bool):
+        raise ConfigError(f"{where}.{key} must be a number, not {value!r}")
     try:
         number = float(value)
     except (TypeError, ValueError):
@@ -148,6 +151,8 @@ class PipelineConfig:
 def _parse_stag(d: dict) -> Type1 | Type2 | Type3:
     where = "problem.stagnation"
     kind = _need(d, "type", where)
+    if isinstance(kind, bool):   # True == 1 would read as type 1
+        raise ConfigError(f"{where}.type must be 1, 2 or 3, not {kind!r}")
     if kind in (1, "1", "type1"):
         _known(d, ("type", "x0", "theta0"), where)
         return Type1(x0=_number(d, "x0", where, required=True),

@@ -305,3 +305,12 @@ class TestBlowupAnalysis:
             blowup.check_schedule([], u.grid, sp.location)
         with pytest.raises(ValueError, match="nonempty list"):
             cw.blowup_analysis(spec, u, sp, [])
+
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_boolean_radius_refused(self, flag):
+        # True would pass as the radius 1.0, a schedule this grid admits
+        grid = cw.GridSpec.from_domain(cw.Rect(-3.0, -3.0, 3.0, 3.0), 65, 65)
+        assert blowup.check_schedule([1.0, 0.5], grid, (0.0, 0.0)) \
+            == [1.0, 0.5]
+        with pytest.raises(ValueError, match="must be numbers"):
+            blowup.check_schedule([flag, 0.5], grid, (0.0, 0.0))

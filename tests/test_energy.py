@@ -187,6 +187,23 @@ class TestMinimize:
         with pytest.raises(cw.InvalidBoundary):
             cw.minimize_energy(spec, g, bd, cw.SolverParams())
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("node", [(0, 5), (-1, 16)])
+    def test_non_finite_data_rejected(self, monkeypatch, value, node):
+        # refused before the start is built, on the fluid side and on the
+        # air side alike
+        spec = stokes_spec()
+        g = cw.GridSpec.from_domain(spec.domain, 33, 33)
+        bd = np.zeros((33, 33))
+        bd[node] = value
+
+        def no_start(*args):
+            raise AssertionError("the solve started")
+
+        monkeypatch.setattr(energy_module, "_start", no_start)
+        with pytest.raises(cw.InvalidBoundary, match="finite"):
+            cw.minimize_energy(spec, g, bd, cw.SolverParams())
+
     def test_data_on_air_side_rejected(self):
         spec = stokes_spec()
         g = cw.GridSpec.from_domain(spec.domain, 33, 33)
@@ -248,13 +265,13 @@ class TestMinimize:
         kind, nx, ny, params = KERNEL_CASES[case]
         spec, grid, bd, params = kernel_case(kind, nx, ny, **params)
         calls = []
-        layout = energy_module._sublattices
+        layout = energy_module._lattice
 
-        def counting(mask):
+        def counting(u, mask, *consts):
             calls.append(mask.shape)
-            return layout(mask)
+            return layout(u, mask, *consts)
 
-        monkeypatch.setattr(energy_module, "_sublattices", counting)
+        monkeypatch.setattr(energy_module, "_lattice", counting)
         result = cw.minimize_energy(spec, grid, bd, params)
         assert result.iterations > energy_module.BLOCK_SIZE
         assert len(calls) == 9
@@ -360,19 +377,21 @@ def masked_flow(air, zaps):
 def lattice_sor_block(u, free, eps, pull, envelope, zapped, sweeps):
     """``_sor_block`` on the flow's lattice (``_flow_lattice``) with the
     arguments of ``masked_sor_block``: the zap memory of each cut is
-    seeded from ``zapped`` and written back to it."""
-    planes, lattice = energy_module._flow_lattice(u, free, eps, pull,
+    seeded from ``zapped`` and written back to it.  The nodes are numbered
+    from 1, so the padding of a cut, laid out as 0, maps to no node."""
+    layout, lattice = energy_module._flow_lattice(u, free, eps, pull,
                                                   envelope)
-    index = np.arange(u.size).reshape(u.shape)
+    index = np.arange(1, u.size + 1).reshape(u.shape)
     _, cuts = energy_module._lattice(index, free)
+    real = [nodes > 0 for nodes, *_ in cuts]
     if zapped is not None:
-        for (nodes, _), (*_, zap) in zip(cuts, lattice):
-            zap[...] = zapped.flat[nodes]
+        for (nodes, *_), on, (*_, zap) in zip(cuts, real, lattice):
+            zap[on] = zapped.flat[nodes[on] - 1]
     energy_module._sor_block(lattice, sweeps)
-    energy_module._unplane(u, planes)
+    energy_module._unplane(u, layout)
     if zapped is not None:
-        for (nodes, _), (*_, zap) in zip(cuts, lattice):
-            np.put(zapped, nodes, zap)
+        for (nodes, *_), on, (*_, zap) in zip(cuts, real, lattice):
+            zapped.flat[nodes[on] - 1] = zap[on]
 
 
 def masked_relax_on_support(u, pinned, sweeps):
@@ -438,9 +457,9 @@ KERNEL_CASES = {
     "type2-alpha2-49x49": ("alpha2", 49, 49, {}),
     "type3-33x33": ("type3", 33, 33, {}),
     "type3-34x31": ("type3", 34, 31, {}),
-    # the only case whose cuts hold pinned nodes: an air half-plane at an
-    # angle to the grid crosses the free box, so the kernel writes those
-    # cuts back through their free masks
+    # the only case whose free box holds pinned nodes: an air half-plane
+    # at an angle to the grid crosses it, so the free masks of its cuts
+    # hold pinned nodes besides the halo and padding
     "type3-tilted-33x33": ("type3-tilted", 33, 33, {}),
 }
 
@@ -457,11 +476,6 @@ class TestStridedKernel:
         air = support_mask(spec, grid) if params.enforce_support \
             else np.zeros((ny, nx), dtype=bool)
         assert air.any() == params.enforce_support
-        free = ~(boundary_ring(grid) | air)
-        _, lattice = energy_module._flow_lattice(bd.copy(), free, bd, bd,
-                                                 None)
-        masked = [free_s is not True for _, _, _, _, free_s, _, _ in lattice]
-        assert any(masked) == (kind == "type3-tilted")
         fast = cw.minimize_energy(spec, grid, bd, params)
         zaps = []
         monkeypatch.setattr(energy_module, "_flow", masked_flow(air, zaps))
@@ -550,34 +564,51 @@ def box_mask(box, rng):
 
 
 class TestCroppedKernel:
-    """The kernels work only inside the bounding box of the nodes they may
-    update, on contiguous parity planes, and give the masked reference's
-    bytes wherever that box lies."""
+    """The kernels work only around the bounding box of the nodes they may
+    update, on flat parity planes, and give the masked reference's bytes
+    wherever that box lies."""
 
     @pytest.mark.parametrize("case", list(BOX_CASES) + ["whole-array"])
     def test_lattice_covers_the_box(self, case):
-        # every box node once, red before black, with its four neighbours
+        # every masked node once, red before black, with its four
+        # neighbours; the cuts hold every box node once, and beyond the box
+        # only zero padding and its halo, widened by one node to start on
+        # an even row and column
         if case == "whole-array":
-            mask, box = np.ones(BOX_SHAPE, dtype=bool), (1, 29, 1, 32)
+            mask = np.zeros(BOX_SHAPE, dtype=bool)
+            mask[1:-1, 1:-1] = True
+            box = (1, 29, 1, 32)
         else:
             box = BOX_CASES[case]
             mask = box_mask(box, np.random.default_rng(0))
         ny, nx = BOX_SHAPE
-        index = np.arange(ny * nx).reshape(BOX_SHAPE)
-        planes = energy_module._planes(index)
-        covered, colours = [], []
-        for key, idx, nbrs in energy_module._sublattices(mask):
-            nodes = planes[key][idx]
-            covered.extend(nodes.ravel().tolist())
-            colours.extend(((nodes // nx + nodes % nx) % 2).ravel().tolist())
-            for (k, i), step in zip(nbrs, (1, -1, nx, -nx)):
-                assert np.array_equal(planes[k][i], nodes + step)
+        index = np.arange(1, ny * nx + 1).reshape(BOX_SHAPE)
+        layout, cuts = energy_module._lattice(index, mask)
+        masked, real, colours = [], [], []
+        for nodes, nbrs, sel in cuts:
+            assert nodes.flags.c_contiguous and sel.flags.c_contiguous
+            assert all(n.flags.c_contiguous for n in nbrs)
+            masked.extend((nodes[sel] - 1).tolist())
+            real.extend((nodes[nodes > 0] - 1).tolist())
+            colours.extend(((nodes[sel] - 1) // nx + (nodes[sel] - 1) % nx)
+                           % 2)
+            for nbr, step in zip(nbrs, (1, -1, nx, -nx)):
+                assert np.array_equal(nbr[sel], nodes[sel] + step)
+        assert sorted(masked) == np.flatnonzero(mask).tolist()
+        assert colours == sorted(colours)
+        assert len(real) == len(set(real))
         expect = np.zeros(BOX_SHAPE, dtype=bool)
+        halo = np.zeros(BOX_SHAPE, dtype=bool)
         if box is not None:
             j0, j1, i0, i1 = box
             expect[j0:j1 + 1, i0:i1 + 1] = True
-        assert sorted(covered) == np.flatnonzero(expect).tolist()
-        assert colours == sorted(colours)
+            halo[(j0 - 1) & ~1:j1 + 2, (i0 - 1) & ~1:i1 + 2] = True
+        assert set(np.flatnonzero(expect)) <= set(real)
+        assert set(real) <= set(np.flatnonzero(halo))
+        # the layout writes back unchanged
+        before = index.copy()
+        energy_module._unplane(index, layout)
+        assert np.array_equal(index, before)
 
     @pytest.mark.parametrize("envelope_on", [True, False])
     @pytest.mark.parametrize("case", list(BOX_CASES))

@@ -494,6 +494,15 @@ MALFORMED = {
     # X0 on the domain edge leaves delta = 0
     "stagnation_on_edge": (("problem", "domain", [-1.0, 0.0, 1.0, 2.0]),
                            "problem.stagnation"),
+    # a YAML boolean is no number, although Python counts True as 1
+    "bool_max_iters": (("solver", "max_iters", True), "solver.max_iters"),
+    "bool_alpha": (("problem", "alpha", True), "problem.alpha"),
+    "bool_domain": (("problem", "domain", [-1.0, -1.0, True, 1.0]),
+                    "problem.domain.2"),
+    "bool_stagnation_type": (("problem", "stagnation", {"type": True}),
+                             "problem.stagnation.type"),
+    "bool_blowup_radius": (("analysis", "blowup_radii", [0.45, True]),
+                           "analysis.blowup_radii"),
     # the output directory and formats
     "number_directory": (("outputs", "directory", 5), "outputs.directory"),
     "scalar_formats": (("outputs", "formats", "csv"), "outputs.formats"),
@@ -515,6 +524,8 @@ CORRUPT_FIELDS = {
     "non_json_header": lambda header, values: ["solution of 33 x 33", *values],
     "header_without_nx": _without("nx"),
     "header_without_alpha": _without("alpha"),
+    # a value line past the nx * ny the header announces
+    "trailing_values": lambda header, values: [header, *values, "0", "abc"],
 }
 
 
