@@ -19,8 +19,11 @@ import sys
 import time
 from pathlib import Path
 
-from cornerwave.cli import STAGES
-from cornerwave.pipeline import load_config, run
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))   # this checkout's cornerwave
+
+from cornerwave.cli import STAGES  # noqa: E402
+from cornerwave.pipeline import load_config, run  # noqa: E402
 
 # (config, CLI verb whose stages it runs)
 CONFIGS = [
@@ -46,11 +49,10 @@ def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--out", default="out", help="output root directory")
     args = parser.parse_args()
-    root = Path(__file__).resolve().parent.parent
     status = 0
     total = 0.0
     for name, verb in CONFIGS:
-        cfg = load_config(root / "configs" / name)
+        cfg = load_config(ROOT / "configs" / name)
         cfg.outputs.directory = str(Path(args.out) / Path(cfg.outputs.directory).name)
         t0 = time.monotonic()
         manifest = run(cfg, stages=STAGES[verb])

@@ -29,9 +29,10 @@ energy.  The first lowest of the nine is returned, flagged
 
 The sweeps are most of a solve, so they make as few array passes as the
 same floats allow: they update only the bounding box of the free nodes,
-laid out once per flow as one flat lattice (``_lattice``) in which every
-cut of a parity class and its four neighbours are contiguous slices of
-flat parity planes, and write each cut back through its free mask
+laid out once per flow as two flat colour planes (``_lattice``), red and
+black, in which each half-sweep is one contiguous cut whose four
+neighbours are contiguous slices of the other plane.  A cut is updated in
+place, and its entries that are no free node get their held values back
 (``_sor_block``).  The nine energy evaluations share one array of node
 weights (``_node_weights``).  None of this changes a float: fields,
 energies and sweep counts are those of the whole-grid masked kernel the
@@ -331,8 +332,12 @@ def _flow(u: np.ndarray, grid: GridSpec, pinned: np.ndarray, eps: np.ndarray,
           w: np.ndarray, envelope: np.ndarray | None,
           max_iters: int) -> tuple[int, bool]:
     """Projected SOR on ``u`` in place, in blocks of BLOCK_SIZE sweeps (the
-    last cut short at ``max_iters``), until a block changes the field by
-    less than TOL_FIELD of the start's largest value: (sweeps, converged).
+    last cut short at ``max_iters``), until a full block changes the field
+    by less than TOL_FIELD of the start's largest value: (sweeps,
+    converged).  A block cut short never reports rest, as a field still
+    on its way changes less over fewer sweeps: type 3 at 33^2 rests at
+    100 sweeps, but the last block of a 92-sweep budget, 2 sweeps long,
+    already changes it by less than the tolerance.
 
     With eps = 2h*sqrt(w) the band criterion u < eps is a slope below
     2*sqrt(w), scale-correct under the degenerate weight, and the
@@ -351,10 +356,12 @@ def _flow(u: np.ndarray, grid: GridSpec, pinned: np.ndarray, eps: np.ndarray,
     over the bundled configs' (or the test suite's) solves beat the start.
 
     The lattice is laid out once per flow: every block sweeps the same
-    ``_flow_lattice`` cuts of ``u`` and its constants, and ``u`` is written
-    back once, at the end.  The stop test reads the cuts alone: a node
-    outside them, or a halo, padding or pinned entry inside them, never
-    changes, so their largest change is the same float as the whole
+    two ``_flow_lattice`` cuts of ``u`` and its constants, and ``u`` is
+    written back once, at the end.  The stop test reads the cuts alone,
+    in place on the copies it saved: a node outside them never changes,
+    and a halo, padding or pinned entry inside them changes only for a
+    moment inside a cut update and has its value back before anything
+    reads it, so their largest change is the same float as the whole
     grid's.
 
     The rest state is a cycle of period two, not a fixed point: on type 3
@@ -363,10 +370,9 @@ def _flow(u: np.ndarray, grid: GridSpec, pinned: np.ndarray, eps: np.ndarray,
     states an even number of sweeps apart agree, so the stop test, which
     compares states BLOCK_SIZE sweeps apart, fires only for an even
     block.  Type 3 at 257^2 stops after 560 sweeps with blocks of 10 and
-    576 with 12, and runs to the 6000-sweep cap with 5, 9 and 11; with 9
-    it is still reported converged, as its last block, cut short at the
-    cap, is 6 sweeps long.  Beta = 2, whose zap memory also moves, stops
-    with 10 alone of 5, 9, 10, 11 and 12.
+    576 with 12, and runs to the 6000-sweep cap with 5, 9 and 11.  Beta =
+    2, whose zap memory also moves, stops with 10 alone of 5, 9, 10, 11
+    and 12.
 
     With the envelope each cut carries a zap memory, the nodes of the cut
     the envelope zeroed, held at zero for the whole flow.  Without it each
@@ -394,10 +400,12 @@ def _flow(u: np.ndarray, grid: GridSpec, pinned: np.ndarray, eps: np.ndarray,
             for *_, zap in lattice:
                 zap[...] = False
         sweeps += block
-        change = max((float(np.max(np.abs(node - old), initial=0.0))
-                      for (node, *_), old in zip(lattice, before)),
-                     default=0.0)
-        converged = change < TOL_FIELD * scale
+        change = 0.0
+        for (node, *_), old in zip(lattice, before):
+            np.subtract(node, old, out=old)
+            np.abs(old, out=old)
+            change = max(change, float(np.max(old, initial=0.0)))
+        converged = block == BLOCK_SIZE and change < TOL_FIELD * scale
     _unplane(u, layout)
     return sweeps, converged
 
@@ -429,67 +437,66 @@ def _candidates(grid: GridSpec, fixed: np.ndarray, pinned: np.ndarray,
     return scored
 
 
-# The four parity classes (row parity, column parity) of the nodes in
-# red-black order: red (i + j even) is odd rows by odd columns plus even
-# rows by even columns, black the two mixed ones.
-_PARITIES = ((1, 1), (0, 0), (1, 0), (0, 1))
-
-
 def _neighbour_sum(nbrs) -> np.ndarray:
-    e, w, n, s = nbrs
-    nb = e + w
-    nb += n
-    nb += s
+    right, left, below, above = nbrs
+    nb = right + left
+    nb += below
+    nb += above
     return nb
 
 
 def _lattice(u: np.ndarray, mask: np.ndarray, *consts) -> tuple:
-    """The flat lattice of ``u`` on the nodes of ``mask`` (False on the
-    grid ring): its layout and its four cuts in red-black order, each an
+    """The two-colour lattice of ``u`` on the nodes of ``mask`` (False on
+    the grid ring): its layout and its two cuts, red then black, each an
     entry (node, neighbours, mask, *constants) of 1-D contiguous slices.
 
-    The layout is the bounding box of ``mask`` with a one-node halo, cut
-    from ``u`` at an even row and an even column and padded with zeros to
-    2*mr by 2*mc nodes, its four parity planes each raveled into one row
-    of mr * mc entries; ``mask`` and every array in ``consts`` get the
-    same layout (None stays None).  Plane (p, q) holds its box nodes in
-    the slice [(1-p)*mc + 1-q, (mr-p)*mc - q), and their east, west, north
-    and south neighbours are the same slice of the plane (p, 1-q) shifted
-    by q and q-1 and of the plane (1-p, q) shifted by p*mc and (p-1)*mc.
-    The halo and padding entries inside a slice, whose shifted neighbours
-    wrap to the next plane row, are computed and thrown away: a kernel
-    writes a cut back through its mask.  The four neighbours of a node
-    have the other colour, so the two cuts of a colour do not see each
-    other: updating them one after the other is the simultaneous colour
-    update of the red-black sweep, node for node and in the same
-    floating-point operations.  ``_unplane(u, layout)`` writes the box
-    back; an empty mask gives no layout and no cut."""
+    The layout is the bounding box of ``mask`` with a one-node halo,
+    padded with zero columns to an odd row length n, raveled row by row,
+    padded to an even length 2 * half and split by the parity of the flat
+    index k into two planes of ``half`` entries: plane p holds the nodes
+    k = 2e + p.  As n is odd, the parity of k is the colour of its node,
+    so the four neighbours k + 1, k - 1, k + n and k - n of a node lie in
+    the other plane, at fixed shifts of e.  ``mask`` and every array in
+    ``consts`` get the same layout (None stays None).
+
+    The cut of either plane is its slice [lo, hi), lo = (n + 1) // 2 and
+    hi = half - lo, which holds every node of the box off its halo; the
+    red plane is the one of parity (r0 + c0) % 2, (r0, c0) being the
+    box's first node.  Halo and padding entries inside a cut, whose
+    neighbours wrap to the next row, are not nodes a kernel may change: it
+    keeps their values.  The two cuts do not see each other's nodes, so
+    updating one and then the other is the simultaneous colour update of
+    the red-black sweep, node for node and in the same floating-point
+    operations.  ``_unplane(u, layout)`` writes the box back; an empty
+    mask gives no layout and no cut."""
     rows = np.flatnonzero(mask.any(axis=1))
     if rows.size == 0:
         return None, []
     cols = np.flatnonzero(mask.any(axis=0))
-    r0, c0 = int(rows[0] - 1) & ~1, int(cols[0] - 1) & ~1
+    r0, c0 = int(rows[0]) - 1, int(cols[0]) - 1
     box = (slice(r0, int(rows[-1]) + 2), slice(c0, int(cols[-1]) + 2))
-    mr, mc = (int(rows[-1]) + 3 - r0) // 2, (int(cols[-1]) + 3 - c0) // 2
+    m, w = int(rows[-1]) + 2 - r0, int(cols[-1]) + 2 - c0
+    n = w | 1
+    half = (m * n + 1) // 2
 
     def flat(a):
-        padded = np.zeros((2 * mr, 2 * mc), a.dtype)
-        cut = a[box]
-        padded[:cut.shape[0], :cut.shape[1]] = cut
-        return padded.reshape(mr, 2, mc, 2).transpose(1, 3, 0, 2) \
-            .reshape(2, 2, mr * mc)
+        padded = np.zeros(2 * half, a.dtype)
+        padded[:m * n].reshape(m, n)[:, :w] = a[box]
+        return padded.reshape(half, 2).T.copy()
 
     planes = flat(u)
     arrays = [flat(mask), *(None if c is None else flat(c) for c in consts)]
+    lo, hi = (n + 1) // 2, half - (n + 1) // 2
+    # the right, left, below and above neighbours of entry e of plane p
+    # are entries e + shift of the other plane
+    shifts = ((0, -1, lo - 1, -lo), (1, 0, lo, 1 - lo))
+    red = (r0 + c0) % 2
     cuts = []
-    for p, q in _PARITIES:
-        lo, hi = (1 - p) * mc + 1 - q, (mr - p) * mc - q
-        across, along = planes[p, 1 - q], planes[1 - p, q]
-        nbrs = (across[lo + q:hi + q], across[lo + q - 1:hi + q - 1],
-                along[lo + p * mc:hi + p * mc],
-                along[lo + (p - 1) * mc:hi + (p - 1) * mc])
-        cuts.append((planes[p, q, lo:hi], nbrs,
-                     *(None if a is None else a[p, q, lo:hi] for a in arrays)))
+    for p in (red, 1 - red):
+        other = planes[1 - p]
+        nbrs = tuple(other[lo + s:hi + s] for s in shifts[p])
+        cuts.append((planes[p, lo:hi], nbrs,
+                     *(None if a is None else a[p, lo:hi] for a in arrays)))
     return (planes, box), cuts
 
 
@@ -499,23 +506,28 @@ def _unplane(u: np.ndarray, layout) -> None:
         return
     planes, box = layout
     cut = u[box]
-    mr, mc = (cut.shape[0] + 1) // 2, (cut.shape[1] + 1) // 2
-    cut[...] = planes.reshape(2, 2, mr, mc).transpose(2, 0, 3, 1) \
-        .reshape(2 * mr, 2 * mc)[:cut.shape[0], :cut.shape[1]]
+    m, w = cut.shape
+    n = w | 1
+    cut[...] = planes.T.reshape(-1)[:m * n].reshape(m, n)[:, :w]
 
 
 def _flow_lattice(u: np.ndarray, free: np.ndarray, eps: np.ndarray,
                   pull: np.ndarray, envelope: np.ndarray | None
                   ) -> tuple[tuple | None, list]:
-    """The layout of ``u`` and the lattice ``_sor_block`` sweeps: the
-    ``_lattice`` cuts of the free nodes with the constants eps, pull and
-    envelope, then an empty zap memory per cut (the last two None without
-    an envelope).  Every entry is a contiguous slice of a flat parity
-    plane, the free mask's included, so one layout serves every block."""
+    """The layout of ``u`` and the lattice ``_sor_block`` sweeps: per
+    ``_lattice`` cut of the free nodes the node slice, its neighbours, the
+    indices of its entries that are no free node (halo, padding and pinned
+    nodes) with their values, the constants eps, pull and envelope, and an
+    empty zap memory (the last two None without an envelope).  Every
+    entry is a slice of a flat colour plane or is fixed for the flow, so
+    one layout serves every block."""
     layout, cuts = _lattice(u, free, eps, pull, envelope)
-    return layout, [
-        (*cut, None if cut[-1] is None else np.zeros(cut[0].shape, bool))
-        for cut in cuts]
+    lattice = []
+    for node, nbrs, free_s, *consts in cuts:
+        held = np.flatnonzero(~free_s)
+        zap = None if consts[-1] is None else np.zeros(node.shape, bool)
+        lattice.append((node, nbrs, held, node[held], *consts, zap))
+    return layout, lattice
 
 
 def _sor_block(lattice: list, sweeps: int) -> None:
@@ -532,27 +544,26 @@ def _sor_block(lattice: list, sweeps: int) -> None:
 
     Only updated nodes are clamped and tested: the rest of the field is
     already nonnegative and under the envelope (the flow starts from such
-    a state, and the envelope is nonnegative).  The update of a cut is
-    worked out in a temporary over its whole slice and written back
-    through the free mask, so the pinned, halo and padding entries of the
-    slice keep their value, selected rather than multiplied away, and no
-    -0.0 enters the field.  Every product and sum is the one of the plain
-    formula ``keep * u + OMEGA * (0.25 * sum - pull * band)``, in that
-    order; the scalings act in place on the target."""
+    a state, and the envelope is nonnegative).  A cut is updated in place
+    over its whole slice, and then its halo, padding and pinned entries
+    get their held values back, before the other cut reads them; so they
+    keep their value and no -0.0 enters the field.  Every product and sum
+    is the one of the plain formula ``keep * u + OMEGA * (0.25 * sum -
+    pull * band)``, in that order; the scalings act in place."""
     keep = 1.0 - OMEGA
     for _ in range(sweeps):
-        for node, nbrs, free_s, eps_s, pull_s, env, zap in lattice:
+        for node, nbrs, held, values, eps_s, pull_s, env, zap in lattice:
             target = _neighbour_sum(nbrs)
             target *= 0.25
             target -= pull_s * ((node > 0.0) & (node < eps_s))
             target *= OMEGA
-            new = keep * node
-            new += target
-            np.maximum(new, 0.0, out=new)
+            node *= keep
+            node += target
+            np.maximum(node, 0.0, out=node)
             if env is not None:
-                zap |= new > env
-                np.copyto(new, 0.0, where=zap)
-            np.copyto(node, new, where=free_s)
+                zap |= node > env
+                np.copyto(node, 0.0, where=zap)
+            node[held] = values
 
 
 def _relax_on_support(u: np.ndarray, pinned: np.ndarray, sweeps: int) -> None:
@@ -561,8 +572,10 @@ def _relax_on_support(u: np.ndarray, pinned: np.ndarray, sweeps: int) -> None:
     The update target is the nonnegative neighbor mean, so the support
     cannot shrink (over-relaxation would overshoot below zero at the cut
     and eat the support inward sweep by sweep).  As in the flow, the
-    sweeps run on a ``_lattice`` laid out once, around the bounding box of
-    the support; ``pinned`` holds the grid ring."""
+    sweeps run on the two cuts of a ``_lattice`` laid out once, around the
+    bounding box of the support; ``pinned`` holds the grid ring.  Each cut
+    is written through its support mask rather than updated in place and
+    restored, as many nodes of the box lie off the support."""
     support = (u > 0.0) & ~pinned
     layout, lattice = _lattice(u, support)
     for _ in range(sweeps):
@@ -585,6 +598,12 @@ def _five_point(u: np.ndarray, free: np.ndarray) -> np.ndarray:
     c -= u[1:-1, 2:]
     c *= free
     return out
+
+
+# The four parity classes (row parity, column parity) of the nodes in
+# red-black order: red (i + j even) is odd rows by odd columns plus even
+# rows by even columns, black the two mixed ones.
+_PARITIES = ((1, 1), (0, 0), (1, 0), (0, 1))
 
 
 def _colours(free: np.ndarray) -> tuple[list, list]:

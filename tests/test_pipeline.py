@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from cornerwave.pipeline import (AnalysisError, ConfigError,
                                  write_table1)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = CONFIGS.parent / "src"
 # the bundled configs that solve
 SOLVED = ["stokes", "corner_beta2", "corner_alpha2", "corner_type3",
           "blowup_convergence"]
@@ -529,6 +531,16 @@ CORRUPT_FIELDS = {
 }
 
 
+def child_env():
+    """This process's environment with the checkout's ``src`` first on
+    PYTHONPATH, for a child interpreter: pytest's ``pythonpath`` setting
+    does not reach it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
+
+
 class TestCli:
     """The CLI called in-process, its output read back with ``capsys``; the
     ``python -m cornerwave`` entry point runs as a subprocess once, in
@@ -618,7 +630,7 @@ class TestCli:
         cfgp.write_text(yaml.safe_dump(data))
         r = subprocess.run([sys.executable, "-m", "cornerwave", "solve",
                             "--config", str(cfgp)],
-                           capture_output=True, text=True)
+                           capture_output=True, text=True, env=child_env())
         assert r.returncode == 0, r.stderr
         assert ("solver: converged=False iterations=20 "
                 "message=max_iters hit before the flow settled") in r.stdout
@@ -636,7 +648,7 @@ class TestCli:
         script = ("import sys\n" + code + "\nprint(sorted(m for m in "
                   "sys.modules if m.split('.')[0] == 'scipy'))\n")
         r = subprocess.run([sys.executable, "-c", script, *argv],
-                           capture_output=True, text=True)
+                           capture_output=True, text=True, env=child_env())
         assert r.returncode == 0, r.stderr
         return r.stdout.splitlines()[-1]
 
