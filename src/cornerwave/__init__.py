@@ -12,8 +12,10 @@ from .domain import (DegenerateDenominator, EmptyPositivity, GridSpec,
                      RadiusOutOfRange, Rect, ScalarField, StagnationPoint,
                      Type1, Type2, Type3, kappa_for, load_field, save_field,
                      stagnation_point, weight_at)
+# the function ``energy`` stays ``cornerwave.energy.energy``: re-exported,
+# it would shadow its own submodule
 from .energy import (SolverParams, SolveResult, TestVectorField,
-                     bump_vector_field, domain_variation_residual, energy,
+                     bump_vector_field, domain_variation_residual,
                      harmonic_residual, minimize_energy)
 from .frequency import FrequencyProfile, check_frequency_bound, frequency_profile
 from .oracle import (AnglePair, ClosedFormProfile, angle_condition,

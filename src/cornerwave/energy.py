@@ -42,8 +42,10 @@ The start is a discrete harmonic extension (``harmonic_extension``),
 solved by conjugate gradients preconditioned with one symmetric multigrid
 V-cycle (``_Multigrid``: red-black Gauss-Seidel smoothing, a dense solve on
 the coarsest level) to a relative residual of CG_TOL, in 15-16 steps on
-the bundled starts.  A solve that has not converged after CG_MAX_ITERS
-steps raises ArithmeticError rather than return an unsolved start.
+the bundled starts.  The smoother sweeps the same colour cuts as the flow
+(``_colour_cuts``), on stride-2 views of each level instead of copied
+planes.  A solve that has not converged after CG_MAX_ITERS steps raises
+ArithmeticError rather than return an unsolved start.
 
 From the star-hull start the result is a state of the corner basin, not
 always the lowest discrete-energy state.  Without the one-layer dilation
@@ -261,10 +263,11 @@ def minimize_energy(spec: ProblemSpec, grid: GridSpec, boundary_data,
     lowest-energy candidate; the stages are named in the module docstring.
 
     ``boundary_data`` is a ScalarField or (ny, nx) array whose outer ring
-    supplies the data (interior values ignored).  ``weight`` overrides the
-    spec weight nodewise (diagnostic hook, e.g. frozen to 1 for plane
-    smoke tests) and switches the envelope off.  ``params`` sets the sweep
-    budget and the two switches; all else is a module constant."""
+    supplies the data (interior values ignored).  ``weight``, a finite,
+    nonnegative (ny, nx) array, overrides the spec weight nodewise
+    (diagnostic hook, e.g. frozen to 1 for plane smoke tests) and switches
+    the envelope off.  ``params`` sets the sweep budget and the two
+    switches; all else is a module constant."""
     params = params or SolverParams()
     bd = boundary_data.values if isinstance(boundary_data, ScalarField) else np.asarray(boundary_data, float)
     if bd.shape != (grid.ny, grid.nx):
@@ -281,8 +284,14 @@ def minimize_energy(spec: ProblemSpec, grid: GridSpec, boundary_data,
             "boundary data positive on the non-fluid half-plane")
     pinned = ring | air
     fixed = np.where(ring & ~air, bd, 0.0)   # the values of pinned nodes
-    w = np.asarray(weight_at(spec, *grid.mesh())) if weight is None \
-        else np.asarray(weight, float)
+    if weight is None:
+        w = np.asarray(weight_at(spec, *grid.mesh()))
+    else:
+        w = np.asarray(weight, float)
+        if w.shape != (grid.ny, grid.nx):
+            raise InvalidSpec("weight shape does not match the grid")
+        if not (np.all(np.isfinite(w)) and np.all(w >= 0.0)):
+            raise InvalidSpec("weight must be finite and nonnegative")
     eps = 2.0 * grid.spacing * np.sqrt(w)   # band width, see _flow
 
     start, envelope = _start(spec, grid, fixed, pinned,
@@ -445,6 +454,32 @@ def _neighbour_sum(nbrs) -> np.ndarray:
     return nb
 
 
+def _colour_cuts(planes, n: int, red: int) -> list:
+    """The colour cuts of a row-major array of odd row length ``n`` split
+    by the parity of the flat index k into two planes, plane p holding
+    the entries k = 2e + p: per colour, plane ``red`` first, the entry
+    (p, cut, neighbours).  ``cut`` is the slice [lo, hi) of plane p, lo =
+    (n + 1) // 2 and hi = len(planes[0]) - lo, which holds every entry of
+    the array off its first and last rows; the neighbours are the right,
+    left, below and above neighbours k + 1, k - 1, k + n and k - n of the
+    cut's entries, as slices of the other plane.
+
+    As n is odd, the parity of k is the colour (i + j) % 2 of its node, so
+    nodes of one cut do not neighbour each other.  The cut also holds the
+    first and last columns of the inner rows, whose neighbours wrap to the
+    next row: a kernel must not change what is there.  Plane 1 may be one
+    entry shorter than plane 0 (an odd flat length); no slice runs past
+    it."""
+    lo = (n + 1) // 2
+    hi = len(planes[0]) - lo
+    # the right, left, below and above neighbours of entry e of plane p
+    # are entries e + shift of the other plane
+    shifts = ((0, -1, lo - 1, -lo), (1, 0, lo, 1 - lo))
+    return [(p, slice(lo, hi),
+             tuple(planes[1 - p][lo + s:hi + s] for s in shifts[p]))
+            for p in (red, 1 - red)]
+
+
 def _lattice(u: np.ndarray, mask: np.ndarray, *consts) -> tuple:
     """The two-colour lattice of ``u`` on the nodes of ``mask`` (False on
     the grid ring): its layout and its two cuts, red then black, each an
@@ -452,23 +487,19 @@ def _lattice(u: np.ndarray, mask: np.ndarray, *consts) -> tuple:
 
     The layout is the bounding box of ``mask`` with a one-node halo,
     padded with zero columns to an odd row length n, raveled row by row,
-    padded to an even length 2 * half and split by the parity of the flat
-    index k into two planes of ``half`` entries: plane p holds the nodes
-    k = 2e + p.  As n is odd, the parity of k is the colour of its node,
-    so the four neighbours k + 1, k - 1, k + n and k - n of a node lie in
-    the other plane, at fixed shifts of e.  ``mask`` and every array in
-    ``consts`` get the same layout (None stays None).
+    padded to an even length 2 * half and copied into two planes of
+    ``half`` entries, whose cuts are those of ``_colour_cuts``: each holds
+    every node of the box off its halo of one colour.  The red plane is
+    the one of parity (r0 + c0) % 2, (r0, c0) being the box's first node.
+    ``mask`` and every array in ``consts`` get the same layout (None stays
+    None).
 
-    The cut of either plane is its slice [lo, hi), lo = (n + 1) // 2 and
-    hi = half - lo, which holds every node of the box off its halo; the
-    red plane is the one of parity (r0 + c0) % 2, (r0, c0) being the
-    box's first node.  Halo and padding entries inside a cut, whose
-    neighbours wrap to the next row, are not nodes a kernel may change: it
-    keeps their values.  The two cuts do not see each other's nodes, so
-    updating one and then the other is the simultaneous colour update of
-    the red-black sweep, node for node and in the same floating-point
-    operations.  ``_unplane(u, layout)`` writes the box back; an empty
-    mask gives no layout and no cut."""
+    Halo and padding entries inside a cut are not nodes a kernel may
+    change: it keeps their values.  The two cuts do not see each other's
+    nodes, so updating one and then the other is the simultaneous colour
+    update of the red-black sweep, node for node and in the same
+    floating-point operations.  ``_unplane(u, layout)`` writes the box
+    back; an empty mask gives no layout and no cut."""
     rows = np.flatnonzero(mask.any(axis=1))
     if rows.size == 0:
         return None, []
@@ -486,17 +517,9 @@ def _lattice(u: np.ndarray, mask: np.ndarray, *consts) -> tuple:
 
     planes = flat(u)
     arrays = [flat(mask), *(None if c is None else flat(c) for c in consts)]
-    lo, hi = (n + 1) // 2, half - (n + 1) // 2
-    # the right, left, below and above neighbours of entry e of plane p
-    # are entries e + shift of the other plane
-    shifts = ((0, -1, lo - 1, -lo), (1, 0, lo, 1 - lo))
-    red = (r0 + c0) % 2
-    cuts = []
-    for p in (red, 1 - red):
-        other = planes[1 - p]
-        nbrs = tuple(other[lo + s:hi + s] for s in shifts[p])
-        cuts.append((planes[p, lo:hi], nbrs,
-                     *(None if a is None else a[p, lo:hi] for a in arrays)))
+    cuts = [(planes[p, cut], nbrs,
+             *(None if a is None else a[p, cut] for a in arrays))
+            for p, cut, nbrs in _colour_cuts(planes, n, (r0 + c0) % 2)]
     return (planes, box), cuts
 
 
@@ -600,40 +623,21 @@ def _five_point(u: np.ndarray, free: np.ndarray) -> np.ndarray:
     return out
 
 
-# The four parity classes (row parity, column parity) of the nodes in
-# red-black order: red (i + j even) is odd rows by odd columns plus even
-# rows by even columns, black the two mixed ones.
-_PARITIES = ((1, 1), (0, 0), (1, 0), (0, 1))
-
-
-def _colours(free: np.ndarray) -> tuple[list, list]:
-    """The red and the black nodes of the interior as strided slices, two
-    parity classes a colour (``_PARITIES``): per class the slice of its
-    nodes, the slices of their east, west, north and south neighbours, and
-    a quarter of ``free`` on the class."""
-    m, n = free.shape
-    classes = []
-    for p, q in _PARITIES:
-        rows, cols = slice(2 - p, m - 1, 2), slice(2 - q, n - 1, 2)
-        classes.append(((rows, cols),
-                        ((rows, slice(3 - q, n, 2)),
-                         (rows, slice(1 - q, n - 2, 2)),
-                         (slice(3 - p, m, 2), cols),
-                         (slice(1 - p, m - 2, 2), cols)),
-                        0.25 * free[rows, cols]))
-    return classes[:2], classes[2:]
-
-
-def _gauss_seidel(e: np.ndarray, r: np.ndarray, colour: list) -> None:
-    """Solve the equations of one colour's nodes for them in place; nodes
-    of one colour do not neighbour each other."""
-    for node, (east, west, north, south), quarter in colour:
-        t = e[east] + e[west]
-        t += e[north]
-        t += e[south]
-        t += r[node]
-        t *= quarter
-        e[node] = t
+def _gauss_seidel(e: np.ndarray, r: np.ndarray, quarter: np.ndarray,
+                  order: int) -> None:
+    """One red-black Gauss-Seidel sweep of ``_five_point(e) = r`` in place,
+    red first for ``order`` 0 and black first for 1, on the
+    ``_colour_cuts`` of the stride-2 views of ``e`` (no copy): each
+    colour's nodes are solved for at once, ``quarter`` being a quarter of
+    the free mask.  The row length of ``e`` must be odd; the halo columns
+    inside a cut get 0 times their sum, a signed zero."""
+    e_p, r_p, q_p = ([a.reshape(-1)[p::2] for p in (0, 1)]
+                     for a in (e, r, quarter))
+    for p, cut, nbrs in _colour_cuts(e_p, e.shape[1], order):
+        t = _neighbour_sum(nbrs)
+        t += r_p[p][cut]
+        t *= q_p[p][cut]
+        e_p[p][cut] = t
 
 
 class _Multigrid:
@@ -645,16 +649,19 @@ class _Multigrid:
     injection) and the same unscaled operator.  The residual goes down by
     full weighting (weights 1, 1/2, 1/4, the transpose of bilinear
     prolongation) and the correction comes up bilinearly, both masked.
-    Red-black Gauss-Seidel smooths red then black before the coarse
-    correction and black then red after it, so the cycle is a symmetric
-    positive definite operator.  The coarsest level is solved with a dense
-    inverse."""
+    Red-black Gauss-Seidel (``_gauss_seidel``) smooths red then black
+    before the coarse correction and black then red after it, so the cycle
+    is a symmetric positive definite operator.  The smoother sweeps the
+    flow's colour cuts on the flat array, where flat-index parity is colour
+    only at an odd row length: every smoothed level has k * 2^l + 1 nodes
+    a side with l >= 1, so it holds.  The coarsest level, not smoothed, is
+    solved with a dense inverse."""
 
     def __init__(self, free: np.ndarray, levels: int):
         self.levels = []
         for _ in range(levels + 1):
             mask = free.astype(float)
-            self.levels.append((mask, mask[1:-1, 1:-1], _colours(free)))
+            self.levels.append((mask, mask[1:-1, 1:-1], 0.25 * mask))
             free = free[::2, ::2]
         mask, inner, _ = self.levels[-1]
         self.coarse = np.flatnonzero(mask)
@@ -699,9 +706,8 @@ class _Multigrid:
         if level == len(self.levels) - 1:
             e.flat[self.coarse] = self.inverse @ r.flat[self.coarse]
             return e
-        mask, inner, (red, black) = self.levels[level]
-        _gauss_seidel(e, r, red)
-        _gauss_seidel(e, r, black)
+        mask, inner, quarter = self.levels[level]
+        _gauss_seidel(e, r, quarter, 0)
         res = r - _five_point(e, inner)
         coarse_mask = self.levels[level + 1][0]
         t = res[2:-2:2] + 0.5 * (res[1:-3:2] + res[3:-1:2])
@@ -715,8 +721,7 @@ class _Multigrid:
         e[:, ::2] += t
         e[:, 1::2] += 0.5 * (t[:, :-1] + t[:, 1:])
         e *= mask
-        _gauss_seidel(e, r, black)
-        _gauss_seidel(e, r, red)
+        _gauss_seidel(e, r, quarter, 1)
         return e
 
 

@@ -1,26 +1,25 @@
-import importlib
 import math
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import spsolve
 
 import cornerwave as cw
+import cornerwave.energy as energy_module
 from cornerwave.energy import (boundary_ring, bump_vector_field,
-                               domain_variation_residual, harmonic_extension,
-                               support_mask)
+                               domain_variation_residual, energy,
+                               harmonic_extension, support_mask)
 from cornerwave.oracle import (angle_pair, blowup_limit, evaluate_at_points,
                                profile_field)
 from cornerwave.pipeline import build_boundary, parse_config
-
-# the module itself; the package exports its function ``energy``
-energy_module = importlib.import_module("cornerwave.energy")
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -31,10 +30,17 @@ def stokes_spec():
 
 
 class TestEnergy:
+    def test_package_keeps_the_submodule(self):
+        # ``import cornerwave.energy as E`` reads the package attribute, so
+        # it must be the module, not the function of the same name
+        assert isinstance(cw.energy, types.ModuleType)
+        assert cw.energy is sys.modules["cornerwave.energy"]
+        assert cw.energy.energy is energy
+
     def test_zero_field(self):
         spec = stokes_spec()
         g = cw.GridSpec.from_domain(spec.domain, 33, 33)
-        assert cw.energy(spec, cw.ScalarField(g, np.zeros((33, 33)))) == 0.0
+        assert energy(spec, cw.ScalarField(g, np.zeros((33, 33)))) == 0.0
 
     def test_plane_profile(self):
         # u = (-y)_+ on [-1,1]^2 with the (-y) weight on the lower half:
@@ -44,7 +50,7 @@ class TestEnergy:
         g = cw.GridSpec.from_domain(spec.domain, 129, 129)
         _, Y = g.mesh()
         u = cw.ScalarField(g, np.maximum(-Y, 0.0))
-        assert cw.energy(spec, u) == pytest.approx(3.0, abs=8 * g.spacing)
+        assert energy(spec, u) == pytest.approx(3.0, abs=8 * g.spacing)
 
     def test_dirichlet_part_is_the_five_point_form(self):
         # the form the red-black sweeps relax: exact for a linear field, and
@@ -54,11 +60,11 @@ class TestEnergy:
         g = cw.GridSpec.from_domain(cw.Rect(-1.0, -1.0, 1.0, 1.0), 17, 17)
         X, _ = g.mesh()
         no_weight = np.zeros_like(X)
-        assert cw.energy(spec, cw.ScalarField(g, X), weight=no_weight) \
+        assert energy(spec, cw.ScalarField(g, X), weight=no_weight) \
             == pytest.approx(4.0, rel=1e-12)
         jj, ii = np.indices(X.shape)
         checker = 1.0 + 0.1 * (-1.0) ** (ii + jj)
-        assert cw.energy(spec, cw.ScalarField(g, checker), weight=no_weight) \
+        assert energy(spec, cw.ScalarField(g, checker), weight=no_weight) \
             == pytest.approx(2 * 16 ** 2 * 0.2 ** 2, rel=1e-12)
 
     def test_matches_oracle_quadrature_on_annulus(self):
@@ -71,7 +77,7 @@ class TestEnergy:
         X, Y = g.mesh()
         rho = np.hypot(X + 1.0, Y)
         mask = rho > 0.1
-        val = cw.energy(spec, u, mask=mask)
+        val = energy(spec, u, mask=mask)
 
         deg, c0 = prof.degree, prof.C0
         amp2 = (deg * c0) ** 2  # |grad u0|^2 = amp2 * rho^(2 deg - 2)
@@ -121,8 +127,8 @@ class TestEnergy:
         ref = float(np.sum(ex) + np.sum(ey)
                     + np.sum(w * (values > 0.0) * qw))
         spec = stokes_spec()
-        assert cw.energy(spec, cw.ScalarField(g, values), mask=mask,
-                         weight=w) == ref
+        assert energy(spec, cw.ScalarField(g, values), mask=mask,
+                      weight=w) == ref
 
 
 class TestHarmonicResidual:
@@ -204,6 +210,25 @@ class TestMinimize:
         with pytest.raises(cw.InvalidBoundary, match="finite"):
             cw.minimize_energy(spec, g, bd, cw.SolverParams())
 
+    @pytest.mark.parametrize("shape, node, value", [
+        ((1, 33), None, 1.0), ((33,), None, 1.0),
+        ((33, 33), (8, 16), np.nan), ((33, 33), (8, 16), -1.0)],
+        ids=["row", "flat", "nan", "negative"])
+    def test_bad_weight_rejected(self, shape, node, value):
+        # refused like bad boundary data: not broadcast, crashed on, or
+        # solved into a nan or negative energy
+        spec = stokes_spec()
+        g = cw.GridSpec.from_domain(spec.domain, 33, 33)
+        X, Y = g.mesh()
+        bd = np.asarray(evaluate_at_points(blowup_limit(spec), X, Y,
+                                           spec.stagnation_location))
+        weight = np.full(shape, value)
+        if node is not None:
+            weight[...] = 1.0
+            weight[node] = value
+        with pytest.raises(cw.InvalidSpec, match="weight"):
+            cw.minimize_energy(spec, g, bd, cw.SolverParams(), weight=weight)
+
     def test_data_on_air_side_rejected(self):
         spec = stokes_spec()
         g = cw.GridSpec.from_domain(spec.domain, 33, 33)
@@ -256,7 +281,7 @@ class TestMinimize:
         first_lowest = result.candidates[energies.index(min(energies))]
         assert result.winner == first_lowest
         assert result.energy == min(energies)
-        assert result.energy == cw.energy(spec, result.field)
+        assert result.energy == energy(spec, result.field)
 
     @pytest.mark.parametrize("case", ["type1-33x33", "type1-33x33-capped-15"])
     def test_lattice_laid_out_once_per_flow(self, monkeypatch, case):
@@ -636,6 +661,34 @@ class TestCroppedKernel:
         energy_module._unplane(index, layout)
         assert np.array_equal(index, before)
 
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 5), (5, 3), (5, 9),
+                                       (17, 9), (13, 21), (33, 65)])
+    def test_colour_cuts_on_strided_views(self, shape):
+        # the multigrid's layout: the stride-2 views of an array of odd
+        # flat length, no copy and no padding, plane 1 one entry shorter;
+        # every interior node lies in the cut of its colour, once, with
+        # its four neighbours, and no slice runs short of its cut
+        m, n = shape
+        index = np.arange(m * n).reshape(shape)
+        planes = [index.reshape(-1)[p::2] for p in (0, 1)]
+        assert planes[1].size == planes[0].size - 1
+        cuts = energy_module._colour_cuts(planes, n, 0)
+        assert [p for p, *_ in energy_module._colour_cuts(planes, n, 1)] \
+            == [1, 0]
+        inner = []
+        for colour, (p, cut, nbrs) in enumerate(cuts):
+            assert p == colour
+            nodes = planes[p][cut]
+            assert np.shares_memory(nodes, index)
+            assert all(nbr.size == nodes.size for nbr in nbrs)
+            for nbr, step in zip(nbrs, (1, -1, n, -n)):
+                assert np.array_equal(nbr, nodes + step)
+            i, j = np.divmod(nodes, n)
+            assert np.all((i + j) % 2 == colour)
+            assert np.all((i > 0) & (i < m - 1))
+            inner.extend(nodes[(j > 0) & (j < n - 1)].tolist())
+        assert sorted(inner) == index[1:-1, 1:-1].ravel().tolist()
+
     @pytest.mark.parametrize("envelope_on", [True, False])
     @pytest.mark.parametrize("case", list(BOX_CASES))
     def test_sor_block_matches_masked_reference(self, case, envelope_on):
@@ -763,30 +816,96 @@ class _Captured(Exception):
     pass
 
 
-class TestHarmonicExtension:
-    """The multigrid-preconditioned CG solve against a sparse direct solve."""
+SOLVING_CONFIGS = ["stokes", "corner_beta2", "corner_alpha2", "corner_type3",
+                   "blowup_convergence"]
 
-    @pytest.mark.parametrize("name", ["stokes", "corner_beta2",
-                                      "corner_alpha2", "corner_type3",
-                                      "blowup_convergence"])
-    def test_bundled_starts(self, name, monkeypatch):
-        # the start solve of each solving config, at 129^2
-        raw = yaml.safe_load((CONFIGS / f"{name}.yaml").read_text())
-        raw["grid"] = {"nx": 129, "ny": 129}
-        cfg = parse_config(raw)
-        seen = []
 
-        def capture(grid, data, pinned=None):
-            seen.append((grid, data, pinned))
-            raise _Captured
+def bundled_start(name, n=None):
+    """The arguments (grid, data, pinned) of the start solve of config
+    ``name``, on an n x n grid or the config's own."""
+    raw = yaml.safe_load((CONFIGS / f"{name}.yaml").read_text())
+    if n is not None:
+        raw["grid"] = {"nx": n, "ny": n}
+    cfg = parse_config(raw)
+    seen = []
 
-        monkeypatch.setattr(energy_module, "harmonic_extension", capture)
+    def capture(grid, data, pinned=None):
+        seen.append((grid, data, pinned))
+        raise _Captured
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(energy_module, "harmonic_extension", capture)
         with pytest.raises(_Captured):
             cw.minimize_energy(cfg.problem, cfg.grid, build_boundary(cfg)[0],
                                cfg.solver)
-        grid, fixed, pinned = seen[0]
+    return seen[0]
+
+
+# The multigrid smoother as four strided parity classes (row parity, column
+# parity) of the interior, two a colour, in red-black order: red (i + j
+# even) is odd rows by odd columns plus even rows by even columns, black
+# the two mixed ones.
+_PARITIES = ((1, 1), (0, 0), (1, 0), (0, 1))
+
+
+def strided_gauss_seidel(e, r, quarter, order):
+    """``_gauss_seidel`` on strided 2-D slices of the interior: each
+    parity class in turn, red first for ``order`` 0 and black first for 1,
+    its east, west, north and south neighbours summed in that order."""
+    m, n = e.shape
+    for p, q in _PARITIES[2 * order:] + _PARITIES[:2 * order]:
+        rows, cols = slice(2 - p, m - 1, 2), slice(2 - q, n - 1, 2)
+        t = e[rows, 3 - q:n:2] + e[rows, 1 - q:n - 2:2]
+        t += e[3 - p:m:2, cols]
+        t += e[1 - p:m - 2:2, cols]
+        t += r[rows, cols]
+        t *= quarter[rows, cols]
+        e[rows, cols] = t
+
+
+def strided(fn, *args):
+    """``fn(*args)`` with the strided reference smoother."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(energy_module, "_gauss_seidel", strided_gauss_seidel)
+        return fn(*args)
+
+
+class TestHarmonicExtension:
+    """The multigrid-preconditioned CG solve against a sparse direct solve."""
+
+    @pytest.mark.parametrize("name", SOLVING_CONFIGS)
+    def test_bundled_starts(self, name):
+        # the start solve of each solving config, at 129^2
+        grid, fixed, pinned = bundled_start(name, 129)
         assert np.any(fixed > 0) and not np.all(pinned)
         assert_matches_spsolve(grid, fixed, pinned)
+
+    @pytest.mark.parametrize("name", SOLVING_CONFIGS)
+    def test_bundled_starts_match_the_strided_smoother(self, name):
+        # the start of each solving config, on its own grid, to the byte
+        args = bundled_start(name)
+        assert harmonic_extension(*args).tobytes() \
+            == strided(harmonic_extension, *args).tobytes()
+
+    @given(km=st.integers(1, 8), kn=st.integers(1, 8),
+           levels=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_cycle_matches_the_strided_smoother(self, km, kn, levels, seed):
+        # the flow's colour cuts smooth as the strided classes did, to the
+        # byte, on every node off the ring; on the ring, which the classes
+        # never touched, they may leave a zero of the other sign, and the
+        # CG solve that reads the cycle is unchanged to the byte
+        assume(km != kn)
+        m, n = km * 2 ** levels + 1, kn * 2 ** levels + 1
+        rng = np.random.default_rng(seed)
+        free = np.zeros((m, n), dtype=bool)
+        free[1:-1, 1:-1] = rng.random((m - 2, n - 2)) < rng.uniform(0.2, 1.0)
+        r = rng.standard_normal((m, n)) * free
+        mg = energy_module._Multigrid(free, levels)
+        fast, ref = mg.cycle(r), strided(mg.cycle, r)
+        assert fast[1:-1, 1:-1].tobytes() == ref[1:-1, 1:-1].tobytes()
+        assert np.array_equal(fast, ref)
+        assert mg.solve(r).tobytes() == strided(mg.solve, r).tobytes()
 
     @pytest.mark.parametrize("kind", ["empty", "single", "components",
                                       "edge", "odd", "random"])
