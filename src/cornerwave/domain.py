@@ -22,7 +22,9 @@ These conventions are derived once per spec, in its SubcaseModel
 (``ProblemSpec.model``), and every module reads them from there.
 
 Everything here is immutable value data shared by the solver and the
-analysis modules.
+analysis modules; every value type refuses a non-finite number.  A field
+is persisted here (``save_field`` writes the problem into its header);
+``pipeline`` reads that header back with the config's own parser.
 """
 
 from __future__ import annotations
@@ -75,6 +77,11 @@ def wrap_angle(theta):
     return float(out) if np.isscalar(theta) or out.ndim == 0 else out
 
 
+def _require_finite(what: str, *values) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise InvalidSpec(f"{what} must be finite")
+
+
 def _clip(v, lo, hi):
     # np.clip without its Python-level wrapper: the same integers and the
     # same finite floats
@@ -91,6 +98,8 @@ class Rect:
     y_max: float
 
     def __post_init__(self):
+        _require_finite("rectangle corners", self.x_min, self.y_min,
+                        self.x_max, self.y_max)
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise InvalidSpec(f"degenerate rectangle {self}")
 
@@ -117,6 +126,7 @@ class Type1:
     theta0: float = THETA_DOWN
 
     def __post_init__(self):
+        _require_finite("type-1 x0", self.x0)
         if self.x0 == 0.0:
             raise InvalidSpec("type-1 stagnation point needs x0 != 0")
         if not (_close(self.theta0, THETA_UP) or _close(self.theta0, THETA_DOWN)):
@@ -131,6 +141,7 @@ class Type2:
     theta0: float = THETA_RIGHT
 
     def __post_init__(self):
+        _require_finite("type-2 y0", self.y0)
         if self.y0 == 0.0:
             raise InvalidSpec("type-2 stagnation point needs y0 != 0")
         if not (_close(self.theta0, THETA_RIGHT) or _close(self.theta0, THETA_LEFT)):
@@ -142,6 +153,9 @@ class Type3:
     """Stagnation point at the origin; theta_star orients the fluid cone."""
 
     theta_star: float = -math.pi / 2.0
+
+    def __post_init__(self):
+        _require_finite("type-3 theta_star", self.theta_star)
 
 
 StagnationType = Type1 | Type2 | Type3
@@ -246,6 +260,8 @@ class ProblemSpec:
     weight_constant: float = 1.0
 
     def __post_init__(self):
+        _require_finite("alpha, beta and the weight constant", self.alpha,
+                        self.beta, self.weight_constant)
         if self.alpha < 0 or self.beta < 0:
             raise InvalidSpec("exponents must be nonnegative")
         if self.alpha + self.beta <= 0:
@@ -357,6 +373,7 @@ class GridSpec:
 
     def __post_init__(self):
         _require_nodes(self.nx, self.ny)
+        _require_finite("grid origin and spacing", *self.origin, self.spacing)
         if self.spacing <= 0:
             raise InvalidSpec("grid spacing must be positive")
 
@@ -471,27 +488,12 @@ def stagnation_point(spec: ProblemSpec) -> StagnationPoint:
 _FLOAT = "%.17g"
 
 
-def _fmt(v: float) -> str:
-    return _FLOAT % v
-
-
 def _stag_to_json(stag: StagnationType) -> dict:
     if isinstance(stag, Type1):
         return {"type": "type1", "x0": stag.x0, "theta0": stag.theta0}
     if isinstance(stag, Type2):
         return {"type": "type2", "y0": stag.y0, "theta0": stag.theta0}
     return {"type": "type3", "theta_star": stag.theta_star}
-
-
-def _stag_from_json(d: dict) -> StagnationType:
-    kind = d["type"]
-    if kind == "type1":
-        return Type1(x0=d["x0"], theta0=d["theta0"])
-    if kind == "type2":
-        return Type2(y0=d["y0"], theta0=d["theta0"])
-    if kind == "type3":
-        return Type3(theta_star=d["theta_star"])
-    raise InvalidSpec(f"unknown stagnation type {kind!r}")
 
 
 def save_field(field: ScalarField, path, spec: ProblemSpec | None = None) -> None:
@@ -546,12 +548,3 @@ def load_field(path) -> tuple[ScalarField, dict]:
     vals = np.array([float(t) for t in lines], dtype=float)
     return ScalarField(grid, vals.reshape(ny, nx)), header
 
-
-def spec_from_header(header: dict) -> ProblemSpec:
-    return ProblemSpec(
-        alpha=header["alpha"],
-        beta=header["beta"],
-        stag=_stag_from_json(header["stag_type"]),
-        domain=Rect(*header["domain"]),
-        weight_constant=header.get("weight_constant", 1.0),
-    )

@@ -122,10 +122,28 @@ class SolveResult:
 
 def energy(spec: ProblemSpec, u: ScalarField, mask: np.ndarray | None = None,
            weight: np.ndarray | None = None) -> float:
-    """Exact-indicator energy of a field; optional node mask restricts the
-    quadrature region, optional weight overrides the spec's weight."""
-    w = np.asarray(weight_at(spec, *u.grid.mesh())) if weight is None else weight
-    return _energy_raw(u.values, u.grid, _node_weights(u.grid, w, mask), mask)
+    """Exact-indicator energy of a field; optional (ny, nx) node mask
+    restricts the quadrature region, optional weight overrides the spec's
+    weight as in ``minimize_energy``."""
+    g = u.grid
+    if mask is not None and np.shape(mask) != (g.ny, g.nx):
+        raise InvalidSpec("mask shape does not match the grid")
+    w = _weight(spec, g, weight)
+    return _energy_raw(u.values, g, _node_weights(g, w, mask), mask)
+
+
+def _weight(spec: ProblemSpec, grid: GridSpec,
+            weight: np.ndarray | None) -> np.ndarray:
+    """The spec's weight at the nodes, or ``weight`` once it is checked to
+    be a finite, nonnegative (ny, nx) array."""
+    if weight is None:
+        return np.asarray(weight_at(spec, *grid.mesh()))
+    w = np.asarray(weight, float)
+    if w.shape != (grid.ny, grid.nx):
+        raise InvalidSpec("weight shape does not match the grid")
+    if not (np.all(np.isfinite(w)) and np.all(w >= 0.0)):
+        raise InvalidSpec("weight must be finite and nonnegative")
+    return w
 
 
 def _node_weights(grid: GridSpec, w: np.ndarray,
@@ -284,14 +302,7 @@ def minimize_energy(spec: ProblemSpec, grid: GridSpec, boundary_data,
             "boundary data positive on the non-fluid half-plane")
     pinned = ring | air
     fixed = np.where(ring & ~air, bd, 0.0)   # the values of pinned nodes
-    if weight is None:
-        w = np.asarray(weight_at(spec, *grid.mesh()))
-    else:
-        w = np.asarray(weight, float)
-        if w.shape != (grid.ny, grid.nx):
-            raise InvalidSpec("weight shape does not match the grid")
-        if not (np.all(np.isfinite(w)) and np.all(w >= 0.0)):
-            raise InvalidSpec("weight must be finite and nonnegative")
+    w = _weight(spec, grid, weight)
     eps = 2.0 * grid.spacing * np.sqrt(w)   # band width, see _flow
 
     start, envelope = _start(spec, grid, fixed, pinned,

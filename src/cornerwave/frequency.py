@@ -22,16 +22,16 @@ the lower bound H(r) >= beta/2 + 1, which ``check_frequency_bound``
 verifies radius by radius.  The remainder term enters V2 exactly as
 printed above.  Its share r^{1 - 2 kappa} * integral_0^r h / ring is the
 Weiss profile's ``remainder_integral / J1`` from the same radial sweep.
+The module does no file I/O; ``pipeline`` writes the profile as CSV.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .domain import DegenerateDenominator, _fmt
+from .domain import DegenerateDenominator
 from .weiss import RadialSweep, cumulative_remainder
 
 
@@ -49,14 +49,6 @@ class FrequencyProfile:
         for name in ("D", "V1", "V2", "V", "H"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"profile column {name} has wrong length")
-
-    def to_csv(self, path) -> None:
-        lines = ["r,D,V1,V2,V,H"]
-        for k in range(len(self.radii)):
-            lines.append(",".join(_fmt(v) for v in (
-                self.radii[k], self.D[k], self.V1[k], self.V2[k],
-                self.V[k], self.H[k])))
-        Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def frequency_profile(sweep: RadialSweep) -> FrequencyProfile:

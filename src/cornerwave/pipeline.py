@@ -16,12 +16,14 @@ superset) and produces, inside the output directory:
 
 All floating-point output is written with 17 significant digits and no
 timestamps, so identical configs reproduce byte-identical artifacts.  The
-resolved config is embedded in every JSON report and can itself be fed
-back as a config (provenance round-trip).
+three CSV files are written by ``write_csv``, the one place that knows
+their format.  The resolved config is embedded in every JSON report and
+can itself be fed back as a config (provenance round-trip).
 
 ``parse_config`` checks every setting, naming its key, before any stage
-runs, and a saved solution.field is analysed only for the problem and
-grid it was solved for.
+runs.  A saved solution.field is analysed only for the problem and grid
+it was solved for: its header's problem is read by ``_parse_problem``,
+the parser of the config's ``problem:`` block.
 
 The analysis works on balls B_r(X0) shrinking toward the stagnation point
 X0 inside a fixed neighbourhood of radius delta, half the distance from X0
@@ -41,7 +43,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -49,10 +51,9 @@ import yaml
 
 from . import blowup as bw
 from . import oracle
-from .domain import (DegenerateDenominator, GridSpec, ProblemSpec, Rect,
-                     ScalarField, StagnationPoint, Type1, Type2, Type3, _fmt,
-                     load_field, save_field, spec_from_header,
-                     stagnation_point)
+from .domain import (_FLOAT, DegenerateDenominator, GridSpec, ProblemSpec,
+                     Rect, ScalarField, StagnationPoint, Type1, Type2, Type3,
+                     load_field, save_field, stagnation_point)
 from .energy import SolverParams, SolveResult, minimize_energy
 from .frequency import frequency_profile
 from .weiss import radial_sweep, weiss_profile
@@ -177,6 +178,22 @@ def _parse_domain(prob: dict) -> Rect:
                   for i in range(4)))
 
 
+def _parse_problem(mapping) -> ProblemSpec:
+    """The ``problem:`` block of a config, or the problem of a saved
+    field's header, as a ProblemSpec."""
+    prob = _known(mapping, ("alpha", "beta", "domain", "stagnation",
+                            "weight_constant"), "problem")
+    spec = ProblemSpec(
+        alpha=_number(prob, "alpha", "problem", required=True),
+        beta=_number(prob, "beta", "problem", required=True),
+        stag=_parse_stag(_need(prob, "stagnation", "problem")),
+        domain=_parse_domain(prob),
+        weight_constant=_number(prob, "weight_constant", "problem", 1.0))
+    # every analysis scale is a fraction of delta, which must be positive
+    _check("problem.stagnation", stagnation_point, spec)
+    return spec
+
+
 def parse_config(data: dict) -> PipelineConfig:
     """The config as typed settings.  Every mapping is checked against the
     keys read from it, so a mistyped or retired key is a ConfigError."""
@@ -185,17 +202,7 @@ def parse_config(data: dict) -> PipelineConfig:
     try:
         _known(data, ("problem", "grid", "solver", "boundary", "analysis",
                       "outputs"), "config")
-        prob = _known(_need(data, "problem", "config"),
-                      ("alpha", "beta", "domain", "stagnation",
-                       "weight_constant"), "problem")
-        spec = ProblemSpec(
-            alpha=_number(prob, "alpha", "problem", required=True),
-            beta=_number(prob, "beta", "problem", required=True),
-            stag=_parse_stag(_need(prob, "stagnation", "problem")),
-            domain=_parse_domain(prob),
-            weight_constant=_number(prob, "weight_constant", "problem", 1.0))
-        # every analysis scale is a fraction of delta, which must be positive
-        _check("problem.stagnation", stagnation_point, spec)
+        spec = _parse_problem(_need(data, "problem", "config"))
         grid_cfg = _known(_need(data, "grid", "config"), ("nx", "ny"), "grid")
         grid = GridSpec.from_domain(
             spec.domain, _number(grid_cfg, "nx", "grid", kind=int, required=True),
@@ -336,19 +343,26 @@ def _json_dump(obj, path) -> None:
                           encoding="utf-8")
 
 
+def write_csv(path, header: str, rows) -> None:
+    """Write ``header`` and then one comma-separated line per row: a
+    ``str`` cell as it is, any other cell as ``%.17g``.  The file ends
+    with a newline and is ASCII."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(c if isinstance(c, str) else _FLOAT % c
+                              for c in row))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
 def write_table1(alpha: float, beta: float, path,
                  pair_theta1: float | None = None) -> None:
     rows = oracle.conclusion_table(alpha, beta,
                                    pair=oracle.angle_pair(alpha, beta, pair_theta1))
-    lines = ["type,subcase,x0,y0,theta0,opening,theta1,theta2,density"]
-    for r in rows:
-        lines.append(",".join([
-            str(r.stag_type), r.subcase,
-            _fmt(r.x0) if r.x0 is not None else "",
-            _fmt(r.y0) if r.y0 is not None else "",
-            _fmt(r.theta0) if r.theta0 is not None else "N/A",
-            _fmt(r.opening), _fmt(r.theta1), _fmt(r.theta2), _fmt(r.density)]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_csv(path, "type,subcase,x0,y0,theta0,opening,theta1,theta2,density",
+              [(r.stag_type, r.subcase, "" if r.x0 is None else r.x0,
+                "" if r.y0 is None else r.y0,
+                "N/A" if r.theta0 is None else r.theta0,
+                r.opening, r.theta1, r.theta2, r.density) for r in rows])
 
 
 def _marching_segments(values: np.ndarray, grid: GridSpec, level: float):
@@ -471,11 +485,14 @@ def run(cfg: PipelineConfig,
             raise AnalysisError("no solution field available; run solve first")
         try:
             solution, header = load_field(p)
+            saved = {k: header[k] for k in ("alpha", "beta", "domain",
+                                             "weight_constant") if k in header}
+            if "stag_type" in header:
+                saved["stagnation"] = header["stag_type"]
             # the saved solve must be of the config's problem on its grid
-            fits = "stag_type" in header \
-                and spec_from_header(header) == spec \
-                and solution.grid == cfg.grid
-        except (LookupError, OSError, TypeError, ValueError) as exc:
+            fits = _parse_problem(saved) == spec and solution.grid == cfg.grid
+        except (ConfigError, LookupError, OSError, TypeError,
+                ValueError) as exc:
             raise AnalysisError("cannot read solution.field: "
                                 f"{type(exc).__name__}: {exc}") from exc
         if not fits:
@@ -486,9 +503,12 @@ def run(cfg: PipelineConfig,
     if "analyze" in stages:
         wp, fp, br = run_analysis(cfg, solution, sp)
         if "csv" in fmts:
-            wp.to_csv(output("weiss", "weiss.csv"))
+            write_csv(output("weiss", "weiss.csv"),
+                      "r,M,dM_numeric,remainder,remainder_integral,J1",
+                      zip(*astuple(wp)))
             if fp is not None:
-                fp.to_csv(output("frequency", "frequency.csv"))
+                write_csv(output("frequency", "frequency.csv"),
+                          "r,D,V1,V2,V,H", zip(*astuple(fp)))
         if br is not None:
             rescale_names = [f"rescale_{k}.field"
                              for k in range(len(br.rescaled_fields))]

@@ -26,7 +26,8 @@ and J1 are constant, which the checks treat as the equality case.
 frequency profile need, one disk stencil and one circle integral per
 radius, each kind built for all radii in one batch; ``weiss_profile``
 and ``frequency.frequency_profile`` only turn those integrals into
-columns.
+columns.  Neither module does file I/O: ``pipeline`` writes both
+profiles as CSV.
 
 The limiting weighted density M(0+) is estimated by rescaling the
 positivity set of u to the unit ball at a small radius and integrating the
@@ -36,12 +37,11 @@ frozen weight over it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .domain import (GridSpec, ProblemSpec, ScalarField, StagnationPoint,
-                     RadiusOutOfRange, _fmt, reference_grid, weight_at,
+                     RadiusOutOfRange, reference_grid, weight_at,
                      weight_gradient_at)
 from .quadrature import (DiskStencil, circle_integrals_u2, disk_stencils,
                          grad_central, require_circle_inside)
@@ -65,14 +65,6 @@ class WeissProfile:
                 raise ValueError(f"profile column {name} has wrong length")
         if np.any(np.diff(self.radii) <= 0):
             raise ValueError("radii must be strictly increasing")
-
-    def to_csv(self, path) -> None:
-        lines = ["r,M,dM_numeric,remainder,remainder_integral,J1"]
-        for k in range(len(self.radii)):
-            lines.append(",".join(_fmt(v) for v in (
-                self.radii[k], self.M[k], self.dM_numeric[k],
-                self.remainder[k], self.remainder_integral[k], self.J1[k])))
-        Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def check_radii(sp: StagnationPoint, grid: GridSpec, radii) -> np.ndarray:

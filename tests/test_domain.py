@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cornerwave as cw
-from cornerwave.domain import (Rect, _stag_from_json, _stag_to_json, bilinear,
-                               spec_from_header, value_envelope_monomial,
-                               wrap_angle)
+from cornerwave.domain import (Rect, _stag_to_json, bilinear,
+                               value_envelope_monomial, wrap_angle)
+from cornerwave.pipeline import _parse_problem, _parse_stag
 
 BIG = Rect(-4.0, -4.0, 4.0, 4.0)
 
@@ -123,6 +123,24 @@ class TestSpecValidation:
         assert make_spec(1, 0, cw.Type2(1.0, math.pi)).subcase == "2.4"
         assert make_spec(1, 1, cw.Type3()).subcase == "3"
 
+    @pytest.mark.parametrize("build", [
+        lambda: make_spec(math.nan, 1.0, cw.Type1(x0=-1.0)),
+        lambda: make_spec(0.0, math.nan, cw.Type1(x0=-1.0)),
+        lambda: cw.ProblemSpec(0.0, 1.0, cw.Type1(x0=-1.0), BIG,
+                               weight_constant=math.nan),
+        lambda: cw.ProblemSpec(0.0, 1.0, cw.Type1(x0=-1.0), BIG,
+                               weight_constant=math.inf),
+        lambda: cw.Type1(x0=math.nan),
+        lambda: cw.Type2(y0=math.inf),
+        lambda: cw.Type3(theta_star=math.nan),
+        lambda: cw.Rect(-math.inf, -1.0, 0.0, 1.0)],
+        ids=["nan-alpha", "nan-beta", "nan-weight-constant",
+             "inf-weight-constant", "nan-x0", "inf-y0", "nan-theta-star",
+             "inf-rect"])
+    def test_non_finite_rejected(self, build):
+        with pytest.raises(cw.InvalidSpec, match="finite"):
+            build()
+
 
 class TestStagnationPoint:
     def test_default_delta_is_half_distance(self):
@@ -148,6 +166,14 @@ class TestGridAndField:
     def test_minimum_size(self):
         with pytest.raises(cw.InvalidSpec):
             cw.GridSpec(nx=8, ny=33, origin=(0, 0), spacing=0.1)
+
+    @pytest.mark.parametrize("origin, spacing", [
+        ((math.nan, 0.0), 0.1), ((0.0, math.nan), 0.1), ((0.0, 0.0), math.inf),
+        ((0.0, 0.0), math.nan)],
+        ids=["nan-origin-x", "nan-origin-y", "inf-spacing", "nan-spacing"])
+    def test_non_finite_rejected(self, origin, spacing):
+        with pytest.raises(cw.InvalidSpec, match="finite"):
+            cw.GridSpec(nx=16, ny=16, origin=origin, spacing=spacing)
 
     def test_field_shape_and_finite(self):
         g = cw.GridSpec(nx=16, ny=16, origin=(0, 0), spacing=0.1)
@@ -242,8 +268,11 @@ class TestPersistence:
         cw.save_field(f, p, spec=spec)
         loaded, header = cw.load_field(p)
         assert np.array_equal(loaded.values, f.values)
-        spec2 = spec_from_header(header)
-        assert spec2 == spec
+        # read back as the pipeline reads a saved field's problem
+        problem = {k: header[k] for k in ("alpha", "beta", "domain",
+                                          "weight_constant")}
+        problem["stagnation"] = header["stag_type"]
+        assert _parse_problem(problem) == spec
 
     @pytest.mark.parametrize("case", ["signed-zeros", "subnormal-and-huge",
                                       "all-zero", "no-zero"])
@@ -275,7 +304,7 @@ class TestPersistence:
     def test_stag_json_roundtrip(self):
         for stag in (cw.Type1(x0=-1.0), cw.Type2(y0=2.0, theta0=math.pi),
                      cw.Type3(theta_star=0.3)):
-            assert _stag_from_json(_stag_to_json(stag)) == stag
+            assert _parse_stag(_stag_to_json(stag)) == stag
 
 
 class TestHelpers:

@@ -210,24 +210,35 @@ class TestMinimize:
         with pytest.raises(cw.InvalidBoundary, match="finite"):
             cw.minimize_energy(spec, g, bd, cw.SolverParams())
 
-    @pytest.mark.parametrize("shape, node, value", [
-        ((1, 33), None, 1.0), ((33,), None, 1.0),
-        ((33, 33), (8, 16), np.nan), ((33, 33), (8, 16), -1.0)],
-        ids=["row", "flat", "nan", "negative"])
-    def test_bad_weight_rejected(self, shape, node, value):
+    BAD_WEIGHTS = [((1, 33), None, 1.0), ((33,), None, 1.0),
+                   ((33, 33), (8, 16), np.nan), ((33, 33), (8, 16), -1.0)]
+
+    @pytest.mark.parametrize("call, arg, shape, node, value", [
+        *(("minimize_energy", "weight", *case) for case in BAD_WEIGHTS),
+        *(("energy", "weight", *case) for case in BAD_WEIGHTS),
+        ("energy", "mask", (1, 33), None, 1.0),
+        ("energy", "mask", (33,), None, 1.0)],
+        ids=["row", "flat", "nan", "negative", "energy-row", "energy-flat",
+             "energy-nan", "energy-negative", "energy-mask-row",
+             "energy-mask-flat"])
+    def test_bad_weight_rejected(self, call, arg, shape, node, value):
         # refused like bad boundary data: not broadcast, crashed on, or
-        # solved into a nan or negative energy
+        # solved or scored into a nan or negative energy; ``energy`` also
+        # refuses a mask of another shape than the grid
         spec = stokes_spec()
         g = cw.GridSpec.from_domain(spec.domain, 33, 33)
         X, Y = g.mesh()
         bd = np.asarray(evaluate_at_points(blowup_limit(spec), X, Y,
                                            spec.stagnation_location))
-        weight = np.full(shape, value)
+        bad = np.full(shape, value)
         if node is not None:
-            weight[...] = 1.0
-            weight[node] = value
-        with pytest.raises(cw.InvalidSpec, match="weight"):
-            cw.minimize_energy(spec, g, bd, cw.SolverParams(), weight=weight)
+            bad[...] = 1.0
+            bad[node] = value
+        with pytest.raises(cw.InvalidSpec, match=arg):
+            if call == "energy":
+                energy(spec, cw.ScalarField(g, bd), **{arg: bad})
+            else:
+                cw.minimize_energy(spec, g, bd, cw.SolverParams(), weight=bad)
 
     def test_data_on_air_side_rejected(self):
         spec = stokes_spec()

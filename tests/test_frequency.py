@@ -1,10 +1,12 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 import cornerwave as cw
 from cornerwave.oracle import blowup_limit, profile_field
+from cornerwave.pipeline import write_csv
 from cornerwave.quadrature import DiskStencil, circle_integral_u2
 
 RADII = np.geomspace(0.3, 0.8, 8)
@@ -157,9 +159,15 @@ class TestFrequencyBound:
             cw.frequency_profile(cw.radial_sweep(spec, u, sp, RADII))
 
     def test_csv_columns(self, tmp_path):
+        # written as the pipeline writes frequency.csv, one column per field
         radii = np.array([0.1, 0.2])
-        fp = cw.FrequencyProfile(radii=radii, D=np.ones(2), V1=np.zeros(2),
-                                 V2=np.zeros(2), V=np.zeros(2), H=np.ones(2))
+        fp = cw.FrequencyProfile(radii=radii, D=np.ones(2),
+                                 V1=np.array([-0.0, 1e-300]),
+                                 V2=np.zeros(2), V=np.array([-0.0, 1e-300]),
+                                 H=np.array([1.0, 1.0 / 3.0]))
         p = tmp_path / "f.csv"
-        fp.to_csv(p)
-        assert p.read_text().splitlines()[0] == "r,D,V1,V2,V,H"
+        write_csv(p, "r,D,V1,V2,V,H", zip(*astuple(fp)))
+        assert p.read_text(encoding="ascii") == (
+            "r,D,V1,V2,V,H\n"
+            "0.10000000000000001,1,-0,0,-0,1\n"
+            "0.20000000000000001,1,1e-300,0,1e-300,0.33333333333333331\n")

@@ -374,12 +374,28 @@ class TestClassifyPairs:
 
 class TestTable1Writer:
     def test_table_csv(self, tmp_path):
+        # every number in 17 digits; no x0 (y0) on a type-2 (type-1) row,
+        # and no force direction on the type-3 row
         p = tmp_path / "t.csv"
         write_table1(1.0, 1.0, p)
-        lines = p.read_text().splitlines()
-        assert lines[0] == "type,subcase,x0,y0,theta0,opening,theta1,theta2,density"
-        assert len(lines) == 10
-        assert lines[-1].split(",")[4] == "N/A"
+
+        def cell(v, absent):
+            return absent if v is None else "%.17g" % v
+
+        rows = [",".join([str(r.stag_type), r.subcase, cell(r.x0, ""),
+                          cell(r.y0, ""), cell(r.theta0, "N/A"),
+                          *("%.17g" % v for v in (r.opening, r.theta1,
+                                                  r.theta2, r.density))])
+                for r in oracle.conclusion_table(1.0, 1.0)]
+        text = p.read_text(encoding="ascii")
+        assert text == "\n".join(
+            ["type,subcase,x0,y0,theta0,opening,theta1,theta2,density",
+             *rows]) + "\n"
+        assert "\n1,1.1,-1,,4.7123889803846897,2.0943951023931953," in text
+        assert "\n2,2.2,,1,0," in text
+        assert text.endswith("\n3,3,,,N/A,1.5707963267948966,"
+                             "-2.3561944901923448,-0.78539816339744828,"
+                             "0.12499999999999999\n")
 
 
 class TestReproduceAll:
@@ -520,6 +536,15 @@ def _without(key):
     return edit
 
 
+def _with(key, value):
+    """A header and values edit that sets the header's ``key``."""
+    def edit(header, values):
+        fields = json.loads(header)
+        fields[key] = value
+        return [json.dumps(fields), *values]
+    return edit
+
+
 # a saved solution.field (header line, value lines) made unreadable
 CORRUPT_FIELDS = {
     "truncated": lambda header, values: [header, values[0]],
@@ -528,6 +553,10 @@ CORRUPT_FIELDS = {
     "header_without_alpha": _without("alpha"),
     # a value line past the nx * ny the header announces
     "trailing_values": lambda header, values: [header, *values, "0", "abc"],
+    # problem values the config parser refuses; the config's alpha is 0.0
+    "bool_alpha": _with("alpha", False),
+    "unknown_stag_type": _with("stag_type", {"type": "type4"}),
+    "nan_weight_constant": _with("weight_constant", math.nan),
 }
 
 

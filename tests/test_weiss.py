@@ -1,10 +1,12 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 import cornerwave as cw
 from cornerwave import quadrature, weiss
+from cornerwave.pipeline import write_csv
 from cornerwave.oracle import (AnglePair, blowup_limit, corner_density,
                                profile_field)
 from cornerwave.quadrature import DiskStencil, circle_integral_u2
@@ -207,15 +209,22 @@ class TestProfileAndMonotonicity:
         assert rep.worst_radius == pytest.approx(0.2)
 
     def test_csv_roundtrip_format(self, tmp_path):
+        # written as the pipeline writes weiss.csv: 17 digits, -0 kept
         radii = np.array([0.1, 0.2])
-        wp = cw.WeissProfile(radii=radii, M=np.array([1.0, 2.0]),
-                             dM_numeric=np.zeros(2), remainder=np.zeros(2),
+        wp = cw.WeissProfile(radii=radii, M=np.array([1.0, 2.0 / 3.0]),
+                             dM_numeric=np.array([0.0, -0.0]),
+                             remainder=np.zeros(2),
                              remainder_integral=np.zeros(2), J1=np.ones(2))
         p = tmp_path / "w.csv"
-        wp.to_csv(p)
-        lines = p.read_text().splitlines()
-        assert lines[0] == "r,M,dM_numeric,remainder,remainder_integral,J1"
-        assert len(lines) == 3
+        write_csv(p, "r,M,dM_numeric,remainder,remainder_integral,J1",
+                  zip(*astuple(wp)))
+        text = p.read_text(encoding="ascii")
+        assert text == ("r,M,dM_numeric,remainder,remainder_integral,J1\n"
+                        "0.10000000000000001,1,0,0,0,1\n"
+                        "0.20000000000000001,0.66666666666666663,-0,0,0,1\n")
+        back = np.array([[float(c) for c in line.split(",")]
+                         for line in text.splitlines()[1:]])
+        assert back.T.tobytes() == np.array(astuple(wp)).tobytes()
 
 
 class TestLimitDensity:
