@@ -10,7 +10,8 @@ directories wrote the same artifacts exactly when their digests agree.
 Usage: python scripts/reproduce_all.py [--out DIR]
 
 Exits 1 when a config run with the ``run`` verb is not classified as a
-corner, 0 otherwise.
+corner, or when a solve stops at its sweep budget before the flow
+settled (``converged=False``); 0 otherwise.
 """
 
 import argparse
@@ -67,7 +68,8 @@ def main() -> int:
               f"winner={solver.get('winner', '-')}  "
               f"files={len(manifest['outputs'])}  "
               f"sha256={digest(Path(cfg.outputs.directory))}")
-        if verb == "run" and verdict != "corner":
+        if (verb == "run" and verdict != "corner") \
+                or solver.get("converged") is False:
             status = 1
     print(f"total={total:.1f}s")
     return status

@@ -16,14 +16,12 @@ from .domain import (DegenerateDenominator, EmptyPositivity, GridSpec,
 # it would shadow its own submodule
 from .energy import (SolverParams, SolveResult, TestVectorField,
                      bump_vector_field, domain_variation_residual,
-                     harmonic_residual, minimize_energy)
+                     minimize_energy)
 from .frequency import FrequencyProfile, check_frequency_bound, frequency_profile
-from .oracle import (AnglePair, ClosedFormProfile, angle_condition,
-                     blowup_limit, chebyshev_coefficients, conclusion_table,
-                     corner_density, evaluate_blowup_limit, full_ball_density,
-                     profile_field, solve_angle_pairs)
+from .oracle import (AnglePair, ClosedFormProfile, blowup_limit,
+                     conclusion_table, corner_density, evaluate_blowup_limit,
+                     full_ball_density, solve_angle_pairs)
 from .weiss import (RadialSweep, WeissProfile, check_monotonicity,
-                    limit_density, radial_sweep, remainder_term, weiss_energy,
-                    weiss_profile)
+                    limit_density, radial_sweep, weiss_profile)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -6,6 +6,9 @@
     cornerwave classify --config cfg.yaml ...
     cornerwave table1   --config cfg.yaml ...
 
+``--out`` and ``--format`` override the config's ``outputs`` block, in the
+config embedded in the JSON reports too.
+
 Exit codes: 0 success, 2 configuration error, 3 solver error, 4 analysis
 error.  Failures leave a machine-readable error.json in the output
 directory naming the failing stage.  Verbs that solve print one
@@ -50,12 +53,18 @@ def main(argv=None) -> int:
     outdir = args.out or "out"
     try:
         cfg = load_config(args.config)
+        overrides = {}
         if args.out:
-            cfg.outputs.directory = args.out
+            overrides["directory"] = cfg.outputs.directory = args.out
+        outdir = cfg.outputs.directory
         if args.format:
             cfg.outputs.formats = check_formats(
                 f.strip() for f in args.format.split(",") if f.strip())
-        outdir = cfg.outputs.directory
+            overrides["formats"] = list(cfg.outputs.formats)
+        if overrides:
+            # the config embedded in the JSON reports is the one this run
+            # used, so it reads back with the same outputs
+            cfg.raw["outputs"] = {**(cfg.raw.get("outputs") or {}), **overrides}
         manifest = run(cfg, stages=STAGES[args.verb])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

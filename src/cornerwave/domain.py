@@ -432,10 +432,6 @@ class ScalarField:
     def copy(self) -> "ScalarField":
         return ScalarField(self.grid, self.values.copy())
 
-    def interp(self, px, py):
-        """Bilinear interpolation; raises RadiusOutOfRange off the grid."""
-        return bilinear(self.values, self.grid, px, py)
-
 
 def bilinear(values: np.ndarray, grid: GridSpec, px, py):
     px = np.asarray(px, dtype=float)

@@ -72,7 +72,7 @@ import numpy as np
 from .domain import (GridSpec, InvalidBoundary, InvalidSpec, ProblemSpec,
                      ScalarField, value_envelope_monomial, weight_at,
                      weight_gradient_at)
-from .quadrature import grad_central, laplacian5
+from .quadrature import grad_central
 
 
 OMEGA = 1.85            # SOR relaxation factor
@@ -179,19 +179,6 @@ def _energy_raw(values: np.ndarray, grid: GridSpec, wq: np.ndarray,
         ex *= 0.5 * (m[:, 1:] + m[:, :-1])
         ey *= 0.5 * (m[1:, :] + m[:-1, :])
     return float(np.sum(ex) + np.sum(ey) + np.sum(wq * (values > 0.0)))
-
-
-def harmonic_residual(u: ScalarField, threshold: float) -> float:
-    """Max magnitude of the five-point Laplacian over interior nodes with
-    u > threshold; 0 for a linear field, 4 for u = |X|^2."""
-    if threshold < 0:
-        raise InvalidSpec("threshold must be nonnegative")
-    lap = laplacian5(u.values, u.grid.spacing)
-    sel = np.zeros_like(u.values, dtype=bool)
-    sel[1:-1, 1:-1] = u.values[1:-1, 1:-1] > threshold
-    if not np.any(sel):
-        return 0.0
-    return float(np.max(np.abs(lap[sel])))
 
 
 def boundary_ring(grid: GridSpec) -> np.ndarray:

@@ -17,11 +17,7 @@ solutions of
     |cos theta1|^alpha |sin theta1|^beta = |cos theta2|^alpha |sin theta2|^beta,
     theta2 = theta1 + 2 pi / (alpha + beta + 2),
 
-found here by dense sampling plus bisection in the angle variable (the
-tangent-chart form of the same condition is kept as a cross-check
-evaluator).  The angular part of the associated velocity potential solves
-the Chebyshev equation (1-z^2) g'' - z g' + d^2 g = 0, whose coefficients
-are also computed.
+found here by dense sampling plus bisection in the angle variable.
 
 Weighted densities are one-dimensional angular quadratures: the radial part
 of each density integral is exact, r^(p+1) integrating to 1/(p+2).  The
@@ -41,12 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (THETA_DOWN, THETA_LEFT, THETA_RIGHT, THETA_UP, TWO_PI,
-                     GridSpec, InvalidPair, InvalidSpec, ProblemSpec, Rect,
-                     ScalarField, Type1, Type2, Type3, wrap_angle)
-
-
-class DomainError(ValueError):
-    """Argument outside the domain of a closed-form evaluator."""
+                     InvalidPair, InvalidSpec, ProblemSpec, Rect, Type1, Type2,
+                     Type3, wrap_angle)
 
 
 def _edge_tolerance(w1: float, w2: float) -> float:
@@ -147,25 +139,6 @@ def evaluate_at_points(profile: ClosedFormProfile, x, y, center=(0.0, 0.0)):
     return evaluate_blowup_limit(profile, np.hypot(dx, dy), np.arctan2(dy, dx))
 
 
-def profile_gradient_sq(profile: ClosedFormProfile, r, theta):
-    """|grad u0|^2 = (degree * prefactor * C0)^2 * r^(2 degree - 2) inside
-    the cone, 0 outside (the angular dependence cancels exactly)."""
-    r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    dtheta = np.mod(theta - profile.theta1, TWO_PI)
-    inside = dtheta <= profile.opening
-    d = profile.degree
-    amp = (d * profile.prefactor * profile.C0) ** 2
-    out = np.where(inside, amp * r ** (2.0 * d - 2.0), 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def profile_field(profile: ClosedFormProfile, grid: GridSpec, center) -> ScalarField:
-    """Sample a profile centered at ``center`` onto a grid."""
-    X, Y = grid.mesh()
-    return ScalarField(grid, evaluate_at_points(profile, X, Y, center))
-
-
 def _tanh_sinh_rule(step: float, levels: int):
     """Nodes and weights of the tanh-sinh rule on [-1, 1]: x = tanh(pi/2
     sinh(t)) at t = k * step, |k| <= levels, keeping the nodes that round
@@ -215,21 +188,6 @@ def full_ball_density(spec: ProblemSpec) -> float:
 def _density(spec: ProblemSpec, angular: float) -> float:
     m = spec.model
     return spec.weight_constant * m.frozen * angular / (m.power + 2.0)
-
-
-def angle_condition(s: float, alpha: float, beta: float) -> float:
-    """Tangent-chart form of the type-3 edge condition:
-
-        |cos A - s sin A|^alpha |cos A + sin A / s|^beta - 1,
-
-    with A = 2 pi/(alpha+beta+2) and s = tan(theta1); zeros correspond to
-    admissible pairs.  Kept as a cross-check; the production solver works
-    in the angle variable to avoid the s = 0 and s = inf chart artifacts."""
-    if s == 0:
-        raise DomainError("angle condition undefined at s = 0")
-    A = TWO_PI / (alpha + beta + 2.0)
-    return (abs(math.cos(A) - s * math.sin(A)) ** alpha
-            * abs(math.cos(A) + math.sin(A) / s) ** beta - 1.0)
 
 
 def _type3_weight(alpha: float, beta: float, theta):
@@ -376,37 +334,6 @@ def _merge_circular(roots: list[float], tol: float) -> list[float]:
     if len(merged) > 1 and abs((merged[0] + TWO_PI) - merged[-1]) <= tol:
         merged.pop()
     return merged
-
-
-def expected_pair_count(alpha: float, beta: float) -> int:
-    """8 or 12 admissible pairs, keyed on tan A vs 2 sqrt(ab)/|a - b| (the
-    threshold is +inf at alpha = beta, so the 8-pair regime applies)."""
-    A = TWO_PI / (alpha + beta + 2.0)
-    if alpha == beta:
-        return 8
-    threshold = 2.0 * math.sqrt(alpha * beta) / abs(alpha - beta)
-    return 12 if math.tan(A) > threshold else 8
-
-
-def chebyshev_coefficients(theta1: float, alpha: float, beta: float):
-    """Angular coefficients of the type-3 velocity potential.
-
-    The potential's angular part g(theta) = a cos(k theta) + b sin(k theta)
-    solves the Chebyshev equation with k = (alpha+beta+2)/2 and satisfies
-    g'(theta_i) = 0 on both edges; the edge-weight equality pins
-    k^2 (a^2 + b^2) and the stream function's positivity inside the cone
-    fixes the remaining sign.  Returns (a, b, C0, phi0)."""
-    k = (alpha + beta + 2.0) / 2.0
-    A = TWO_PI / (alpha + beta + 2.0)
-    w1 = float(_type3_weight(alpha, beta, theta1))
-    w2 = float(_type3_weight(alpha, beta, theta1 + A))
-    if abs(w1 - w2) > 1e-8 * max(1.0, w1, w2):
-        raise InvalidPair(f"edge weights differ by {abs(w1 - w2):g}")
-    M = math.sqrt(w1) / k
-    a = -M * math.cos(k * theta1)
-    b = -M * math.sin(k * theta1)
-    phi0 = wrap_angle(-math.pi / 2.0 - k * theta1)
-    return a, b, M, phi0
 
 
 # ---------------------------------------------------------------------------

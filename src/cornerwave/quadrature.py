@@ -7,13 +7,13 @@ smooth integrands.  Circle integrals sample the field at
 max(64, ceil(2 pi r / h)) equispaced angles with bilinear interpolation and
 apply the periodic trapezoid rule.
 
-Both come in batched forms for many radii about one center:
-``disk_stencils`` evaluates the rim cells of every disk in one
-``cell_disk_overlap`` call (one radius per cell, the four cell corners
-in one ``_corner_area`` call), and ``circle_integrals_u2`` samples every
-circle in one ``bilinear`` call and sums each circle's own samples.  They
-give the same floats as one radius at a time; ``DiskStencil`` and
-``circle_integral_u2`` are the batches of one radius.
+Both are batched over many radii about one center: ``disk_stencils``
+evaluates the rim cells of every disk in one ``cell_disk_overlap`` call
+(one radius per cell, the four cell corners in one ``_corner_area``
+call), and ``circle_integrals_u2`` samples every circle in one
+``bilinear`` call and sums each circle's own samples.  Each radius gets
+the same floats as a batch of that radius alone; ``DiskStencil`` is the
+disk batch of one radius.
 """
 
 from __future__ import annotations
@@ -37,15 +37,6 @@ def grad_central(values: np.ndarray, spacing: float):
     uy[0, :] = (values[1, :] - values[0, :]) / spacing
     uy[-1, :] = (values[-1, :] - values[-2, :]) / spacing
     return ux, uy
-
-
-def laplacian5(values: np.ndarray, spacing: float) -> np.ndarray:
-    """Five-point Laplacian on interior nodes; boundary rows are zero."""
-    lap = np.zeros_like(values)
-    lap[1:-1, 1:-1] = (values[1:-1, 2:] + values[1:-1, :-2]
-                       + values[2:, 1:-1] + values[:-2, 1:-1]
-                       - 4.0 * values[1:-1, 1:-1]) / spacing ** 2
-    return lap
 
 
 def _sqrt_arc_antiderivative(u: np.ndarray, r) -> np.ndarray:
@@ -187,17 +178,12 @@ def require_circle_inside(grid: GridSpec, center, r: float, factor: float = 1.0)
             f"ball of radius {factor * r:g} exceeds grid reach {room:g}")
 
 
-def circle_integral_u2(values: np.ndarray, grid: GridSpec, center, r: float) -> float:
-    """Integral of u^2 over the circle of radius r about ``center``, from
-    bilinear samples at max(64, ceil(2 pi r / h)) equispaced angles."""
-    return float(circle_integrals_u2(values, grid, center, [r])[0])
-
-
 def circle_integrals_u2(values: np.ndarray, grid: GridSpec, center,
                         radii) -> np.ndarray:
-    """``circle_integral_u2`` at each radius: the samples of all circles
-    go through one ``bilinear`` call, and each circle's trapezoid sum runs
-    over its own samples."""
+    """Integral of u^2 over the circle of each radius about ``center``,
+    from bilinear samples at max(64, ceil(2 pi r / h)) equispaced angles.
+    The samples of all circles go through one ``bilinear`` call, and each
+    circle's trapezoid sum runs over its own samples."""
     radii = np.asarray(radii, dtype=float)
     counts = []
     for r in radii:

@@ -145,18 +145,6 @@ def _weiss_energy_at(sweep: RadialSweep, i: int) -> float:
     return r ** (2 * k) * sweep.bulk[i] + k * r ** (2 * k - 1) * sweep.ring[i]
 
 
-def weiss_energy(spec: ProblemSpec, u: ScalarField, sp: StagnationPoint,
-                 r: float) -> float:
-    return float(_weiss_energy_at(radial_sweep(spec, u, sp, [r]), 0))
-
-
-def remainder_term(spec: ProblemSpec, u: ScalarField, sp: StagnationPoint,
-                   r: float) -> float:
-    """Remainder h(r); exactly 0 when the frozen factor is constant (type 3,
-    type 1 with alpha = 0, type 2 with beta = 0)."""
-    return float(radial_sweep(spec, u, sp, [r]).remainder[0])
-
-
 def cumulative_remainder(radii: np.ndarray, h_values: np.ndarray) -> np.ndarray:
     """Cumulative integral of h from 0 to each radius.  The stretch below
     the first sampled radius contributes h(r_min) * r_min (quadrature

@@ -1,0 +1,124 @@
+"""Closed-form reference evaluators that the tests check the package
+against.
+
+The package does not run any of these: a solve, an analysis, a
+classification or the conclusion table reaches none of them.  They are
+independent cross-checks (the five-point Laplacian, the gradient and the
+grid samples of an exact corner profile, the tangent-chart form of the
+type-3 edge condition, the pair-count rule, the Chebyshev coefficients of
+the velocity potential, and the Weiss energy at one radius), so they live
+with the tests.  The module name does not start with ``test_``, so pytest
+does not collect it.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from cornerwave.domain import (TWO_PI, GridSpec, InvalidPair, InvalidSpec,
+                               ProblemSpec, ScalarField, StagnationPoint,
+                               wrap_angle)
+from cornerwave.oracle import (ClosedFormProfile, _type3_weight,
+                               evaluate_at_points)
+from cornerwave.weiss import _weiss_energy_at, radial_sweep
+
+
+class DomainError(ValueError):
+    """Argument outside the domain of a closed-form evaluator."""
+
+
+def laplacian5(values: np.ndarray, spacing: float) -> np.ndarray:
+    """Five-point Laplacian on interior nodes; boundary rows are zero."""
+    lap = np.zeros_like(values)
+    lap[1:-1, 1:-1] = (values[1:-1, 2:] + values[1:-1, :-2]
+                       + values[2:, 1:-1] + values[:-2, 1:-1]
+                       - 4.0 * values[1:-1, 1:-1]) / spacing ** 2
+    return lap
+
+
+def harmonic_residual(u: ScalarField, threshold: float) -> float:
+    """Max magnitude of the five-point Laplacian over interior nodes with
+    u > threshold; 0 for a linear field, 4 for u = |X|^2."""
+    if threshold < 0:
+        raise InvalidSpec("threshold must be nonnegative")
+    lap = laplacian5(u.values, u.grid.spacing)
+    sel = np.zeros_like(u.values, dtype=bool)
+    sel[1:-1, 1:-1] = u.values[1:-1, 1:-1] > threshold
+    if not np.any(sel):
+        return 0.0
+    return float(np.max(np.abs(lap[sel])))
+
+
+def profile_gradient_sq(profile: ClosedFormProfile, r, theta):
+    """|grad u0|^2 = (degree * prefactor * C0)^2 * r^(2 degree - 2) inside
+    the cone, 0 outside (the angular dependence cancels exactly)."""
+    r = np.asarray(r, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    dtheta = np.mod(theta - profile.theta1, TWO_PI)
+    inside = dtheta <= profile.opening
+    d = profile.degree
+    amp = (d * profile.prefactor * profile.C0) ** 2
+    out = np.where(inside, amp * r ** (2.0 * d - 2.0), 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def profile_field(profile: ClosedFormProfile, grid: GridSpec, center) -> ScalarField:
+    """Sample a profile centered at ``center`` onto a grid."""
+    X, Y = grid.mesh()
+    return ScalarField(grid, evaluate_at_points(profile, X, Y, center))
+
+
+def angle_condition(s: float, alpha: float, beta: float) -> float:
+    """Tangent-chart form of the type-3 edge condition:
+
+        |cos A - s sin A|^alpha |cos A + sin A / s|^beta - 1,
+
+    with A = 2 pi/(alpha+beta+2) and s = tan(theta1); zeros correspond to
+    admissible pairs.  ``oracle.solve_angle_pairs`` works in the angle
+    variable instead, which has no s = 0 or s = inf chart artifacts."""
+    if s == 0:
+        raise DomainError("angle condition undefined at s = 0")
+    A = TWO_PI / (alpha + beta + 2.0)
+    return (abs(math.cos(A) - s * math.sin(A)) ** alpha
+            * abs(math.cos(A) + math.sin(A) / s) ** beta - 1.0)
+
+
+def expected_pair_count(alpha: float, beta: float) -> int:
+    """8 or 12 admissible pairs, keyed on tan A vs 2 sqrt(ab)/|a - b| (the
+    threshold is +inf at alpha = beta, so the 8-pair regime applies)."""
+    A = TWO_PI / (alpha + beta + 2.0)
+    if alpha == beta:
+        return 8
+    threshold = 2.0 * math.sqrt(alpha * beta) / abs(alpha - beta)
+    return 12 if math.tan(A) > threshold else 8
+
+
+def chebyshev_coefficients(theta1: float, alpha: float, beta: float):
+    """Angular coefficients of the type-3 velocity potential.
+
+    The potential's angular part g(theta) = a cos(k theta) + b sin(k theta)
+    solves the Chebyshev equation (1-z^2) g'' - z g' + k^2 g = 0 with
+    k = (alpha+beta+2)/2 and satisfies g'(theta_i) = 0 on both edges; the
+    edge-weight equality pins k^2 (a^2 + b^2) and the stream function's
+    positivity inside the cone fixes the remaining sign.  Returns
+    (a, b, C0, phi0)."""
+    k = (alpha + beta + 2.0) / 2.0
+    A = TWO_PI / (alpha + beta + 2.0)
+    w1 = float(_type3_weight(alpha, beta, theta1))
+    w2 = float(_type3_weight(alpha, beta, theta1 + A))
+    if abs(w1 - w2) > 1e-8 * max(1.0, w1, w2):
+        raise InvalidPair(f"edge weights differ by {abs(w1 - w2):g}")
+    M = math.sqrt(w1) / k
+    a = -M * math.cos(k * theta1)
+    b = -M * math.sin(k * theta1)
+    phi0 = wrap_angle(-math.pi / 2.0 - k * theta1)
+    return a, b, M, phi0
+
+
+def weiss_energy(spec: ProblemSpec, u: ScalarField, sp: StagnationPoint,
+                 r: float) -> float:
+    """The adjusted boundary energy M(r) at one radius, from a radial
+    sweep of that radius alone."""
+    return float(_weiss_energy_at(radial_sweep(spec, u, sp, [r]), 0))

@@ -15,9 +15,9 @@ import pytest
 
 import cornerwave as cw
 from cornerwave.oracle import (blowup_limit, conclusion_table, corner_density,
-                               full_ball_density, profile_field,
-                               solve_angle_pairs, expected_pair_count)
+                               full_ball_density, solve_angle_pairs)
 from cornerwave.pipeline import parse_config, run
+from references import expected_pair_count, profile_field
 
 SQRT3_3 = math.sqrt(3.0) / 3.0
 

@@ -7,7 +7,8 @@ import cornerwave as cw
 from cornerwave import blowup
 from cornerwave.blowup import ANNULI, N_THETA, _positivity_arcs, reference_grid
 from cornerwave.domain import TWO_PI
-from cornerwave.oracle import blowup_limit, evaluate_at_points, profile_field
+from cornerwave.oracle import blowup_limit, evaluate_at_points
+from references import profile_field
 
 
 def stokes_spec():

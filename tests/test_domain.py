@@ -186,7 +186,7 @@ class TestGridAndField:
         g = cw.GridSpec(nx=16, ny=16, origin=(0, 0), spacing=0.1)
         f = cw.ScalarField(g, np.ones((16, 16)))
         with pytest.raises(cw.RadiusOutOfRange):
-            f.interp(5.0, 0.5)
+            bilinear(f.values, f.grid, 5.0, 0.5)
 
 
 def bilinear_np_clip(values, grid, px, py):

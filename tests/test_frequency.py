@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import cornerwave as cw
-from cornerwave.oracle import blowup_limit, profile_field
+from cornerwave.oracle import blowup_limit
 from cornerwave.pipeline import write_csv
-from cornerwave.quadrature import DiskStencil, circle_integral_u2
+from cornerwave.quadrature import DiskStencil, circle_integrals_u2
+from references import profile_field, weiss_energy
 
 RADII = np.geomspace(0.3, 0.8, 8)
 
@@ -110,11 +111,11 @@ class TestVolumeTerm:
         chi = (u.values > 0.0).astype(float)
         for i, r in enumerate(radii):
             disk = DiskStencil(g, sp.location, r)
-            ring = circle_integral_u2(u.values, g, sp.location, r)
+            ring = circle_integrals_u2(u.values, g, sp.location, [r])[0]
             gap = r * disk.integrate((lw - w) * chi) / ring
             assert fp.V2[i] - share[i] == pytest.approx(gap, rel=1e-12, abs=0.0)
-            assert cw.weiss_energy(spec, u, sp, r) == wp.M[i]
-            assert cw.remainder_term(spec, u, sp, r) == wp.remainder[i]
+            assert weiss_energy(spec, u, sp, r) == wp.M[i]
+            assert cw.radial_sweep(spec, u, sp, [r]).remainder[0] == wp.remainder[i]
 
 
 class TestFrequencyBound:

@@ -399,9 +399,10 @@ class TestTable1Writer:
 
 
 class TestReproduceAll:
-    @pytest.mark.parametrize("verdict, status", [("corner", 0), ("cusp", 1)])
-    def test_exit_status_follows_verdicts(self, monkeypatch, capsys, tmp_path,
-                                          verdict, status):
+    @staticmethod
+    def script_with_run(monkeypatch, tmp_path, verdict, converged):
+        """scripts/reproduce_all.py loaded as a module, with ``run`` patched
+        to write two files and report ``verdict`` and ``converged``."""
         path = CONFIGS.parent / "scripts" / "reproduce_all.py"
         spec = importlib.util.spec_from_file_location("reproduce_all", path)
         script = importlib.util.module_from_spec(spec)
@@ -415,13 +416,19 @@ class TestReproduceAll:
             (outdir / "a.csv").write_bytes(b"1\n")
             if "classify" in stages:
                 return {"outputs": {}, "classification": verdict,
-                        "solver": {"iterations": 910, "converged": False,
+                        "solver": {"iterations": 910, "converged": converged,
                                    "final_energy": 0.8311472280658553,
                                    "winner": "start@0.5"}}
             return {"outputs": {}}
 
         monkeypatch.setattr(script, "run", fake_run)
         monkeypatch.setattr(sys, "argv", ["reproduce_all", "--out", str(tmp_path)])
+        return script
+
+    @pytest.mark.parametrize("verdict, status", [("corner", 0), ("cusp", 1)])
+    def test_exit_status_follows_verdicts(self, monkeypatch, capsys, tmp_path,
+                                          verdict, status):
+        script = self.script_with_run(monkeypatch, tmp_path, verdict, True)
         assert script.main() == status
         # one line per config; the solver status only where it solves; the
         # digest of the files written, in name order; then the total time
@@ -434,12 +441,19 @@ class TestReproduceAll:
                                     + Path(name).stem.encode()).hexdigest()
             assert line.endswith(f"  sha256={digest}")
             if verb == "run":
-                assert ("sweeps=910  converged=False  "
+                assert ("sweeps=910  converged=True  "
                         "final_energy=0.8311472280658553  ") in line
                 assert "  winner=start@0.5  " in line
             else:
                 assert "sweeps=-  converged=-  final_energy=-  " in line
                 assert "  winner=-  " in line
+
+    def test_unconverged_solve_exits_1(self, monkeypatch, capsys, tmp_path):
+        # every verdict a corner, but the solves hit their sweep budget
+        script = self.script_with_run(monkeypatch, tmp_path, "corner", False)
+        assert script.main() == 1
+        out = capsys.readouterr().out
+        assert "verdict=corner  sweeps=910  converged=False  " in out
 
 
 # corner_type3.yaml with one (section, key, value) set, or None for a
@@ -641,6 +655,34 @@ class TestCli:
         assert r.returncode == 2, r.stderr
         assert "unknown output format 'pdf'" in r.stderr
         assert json.loads((out / "error.json").read_text())["stage"] == "config"
+
+    def test_unknown_format_without_out_exit_2(self, run_cli, tmp_path,
+                                               monkeypatch):
+        # the error record goes to the config's output directory, not to
+        # ./out
+        monkeypatch.chdir(tmp_path)
+        data = small_config(tmp_path)
+        data["outputs"]["directory"] = str(tmp_path / "from_config")
+        cfgp = tmp_path / "c.yaml"
+        cfgp.write_text(yaml.safe_dump(data))
+        r = run_cli("table1", "--config", str(cfgp), "--format", "csv,pdf")
+        assert r.returncode == 2, r.stderr
+        rec = json.loads((tmp_path / "from_config" / "error.json").read_text())
+        assert rec["stage"] == "config"
+        assert not (tmp_path / "out").exists()
+
+    def test_overrides_reach_the_embedded_config(self, run_cli, tmp_path):
+        # the config embedded in the JSON reports reads back with the
+        # --out and --format of the run
+        out = tmp_path / "o"
+        r = run_cli("run", "--config", str(CONFIGS / "corner_type3.yaml"),
+                    "--out", str(out), "--format", "json,csv")
+        assert r.returncode == 0, r.stderr
+        for name in ("blowup.json", "classification.json"):
+            embedded = json.loads((out / name).read_text())["config"]
+            outputs = parse_config(embedded).outputs
+            assert outputs.directory == str(out)
+            assert outputs.formats == ("json", "csv")
 
     def test_analyze_without_solution_exit_4(self, run_cli, tmp_path):
         cfgp = tmp_path / "c.yaml"

@@ -193,8 +193,9 @@ class TestSubcaseMaps:
         np.testing.assert_array_equal(
             field_map(support_mask(spec, grid)), support_mask(image, grid))
         for r in (0.2, 0.35):
-            assert cw.remainder_term(image, ui, spi, r) == pytest.approx(
-                cw.remainder_term(spec, u, sp, r), rel=1e-10, abs=1e-14)
+            assert cw.radial_sweep(image, ui, spi, [r]).remainder[0] \
+                == pytest.approx(cw.radial_sweep(spec, u, sp, [r]).remainder[0],
+                                 rel=1e-10, abs=1e-14)
             assert cw.limit_density(image, ui, spi, r, reference_n=65) \
                 == pytest.approx(cw.limit_density(spec, u, sp, r, reference_n=65),
                                  rel=1e-10, abs=1e-14)

@@ -7,9 +7,9 @@ import pytest
 import cornerwave as cw
 from cornerwave import quadrature, weiss
 from cornerwave.pipeline import write_csv
-from cornerwave.oracle import (AnglePair, blowup_limit, corner_density,
-                               profile_field)
-from cornerwave.quadrature import DiskStencil, circle_integral_u2
+from cornerwave.oracle import AnglePair, blowup_limit, corner_density
+from cornerwave.quadrature import DiskStencil, circle_integrals_u2
+from references import profile_field, weiss_energy
 
 SQRT3_3 = math.sqrt(3.0) / 3.0
 
@@ -33,7 +33,7 @@ class TestWeissEnergy:
         u = cw.ScalarField(g, np.zeros((65, 65)))
         sp = cw.stagnation_point(spec)
         for r in (0.1, 0.3):
-            assert cw.weiss_energy(spec, u, sp, r) == 0.0
+            assert weiss_energy(spec, u, sp, r) == 0.0
 
     def test_constant_on_stokes_profile(self):
         # exact corner profile: the adjusted energy sits at the corner
@@ -41,7 +41,7 @@ class TestWeissEnergy:
         spec, prof, u = stokes_field()
         sp = cw.stagnation_point(spec)
         for r in (0.07, 0.12, 0.2, 0.35, 0.45):
-            assert cw.weiss_energy(spec, u, sp, r) == pytest.approx(SQRT3_3, abs=1e-2)
+            assert weiss_energy(spec, u, sp, r) == pytest.approx(SQRT3_3, abs=1e-2)
 
     def test_constant_on_type3_profile(self):
         spec = cw.ProblemSpec(1.0, 1.0, cw.Type3(), cw.Rect(-1, -1, 1, 1))
@@ -55,29 +55,29 @@ class TestWeissEnergy:
         target = corner_density(spec, pair.theta1, pair.theta2)
         assert target == pytest.approx(1.0 / 8.0, abs=1e-10)
         for r in (0.1, 0.25, 0.45):
-            assert cw.weiss_energy(spec, u, sp, r) == pytest.approx(target, abs=1e-2)
+            assert weiss_energy(spec, u, sp, r) == pytest.approx(target, abs=1e-2)
 
     def test_radius_out_of_range(self):
         spec, _, u = stokes_field(n=129)
         sp = cw.stagnation_point(spec)
         with pytest.raises(cw.RadiusOutOfRange):
-            cw.weiss_energy(spec, u, sp, 0.6)
+            weiss_energy(spec, u, sp, 0.6)
         with pytest.raises(cw.RadiusOutOfRange):
-            cw.weiss_energy(spec, u, sp, -0.1)
+            weiss_energy(spec, u, sp, -0.1)
 
 
 class TestRemainder:
     def test_zero_for_alpha0_type1(self):
         spec, _, u = stokes_field(n=129)
         sp = cw.stagnation_point(spec)
-        assert cw.remainder_term(spec, u, sp, 0.3) == 0.0
+        assert cw.radial_sweep(spec, u, sp, [0.3]).remainder[0] == 0.0
 
     def test_zero_for_type3(self):
         spec = cw.ProblemSpec(1.0, 1.0, cw.Type3(), cw.Rect(-1, -1, 1, 1))
         g = cw.GridSpec.from_domain(spec.domain, 65, 65)
         u = cw.ScalarField(g, np.ones((65, 65)))
         sp = cw.stagnation_point(spec)
-        assert cw.remainder_term(spec, u, sp, 0.3) == 0.0
+        assert cw.radial_sweep(spec, u, sp, [0.3]).remainder[0] == 0.0
 
     def test_halfdisk_indicator_against_analytic(self):
         # u = indicator of {y < 0, x > x0}: for alpha = beta = 1 the
@@ -90,7 +90,8 @@ class TestRemainder:
         u = cw.ScalarField(g, ((Y < 0) & (X > -1.0)).astype(float))
         sp = cw.stagnation_point(spec)
         for r in (0.2, 0.35):
-            assert cw.remainder_term(spec, u, sp, r) == pytest.approx(-0.125, abs=1e-6)
+            h = cw.radial_sweep(spec, u, sp, [r]).remainder[0]
+            assert h == pytest.approx(-0.125, abs=1e-6)
 
     def test_symmetric_indicator_cancels(self):
         # the full lower half-disk is symmetric about x0: exact zero
@@ -100,7 +101,8 @@ class TestRemainder:
         _, Y = g.mesh()
         u = cw.ScalarField(g, (Y < 0).astype(float))
         sp = cw.stagnation_point(spec)
-        assert cw.remainder_term(spec, u, sp, 0.3) == pytest.approx(0.0, abs=1e-9)
+        h = cw.radial_sweep(spec, u, sp, [0.3]).remainder[0]
+        assert h == pytest.approx(0.0, abs=1e-9)
 
 
 class TestCumulativeRemainder:
@@ -278,6 +280,6 @@ class TestOracleEquivalence:
         spec, prof, u = stokes_field()
         sp = cw.stagnation_point(spec)
         r = 0.4
-        val = circle_integral_u2(u.values, u.grid, sp.location, r)
+        val = circle_integrals_u2(u.values, u.grid, sp.location, [r])[0]
         exact = r ** 4 * prof.C0 ** 2 * (prof.opening / 2.0)
         assert val == pytest.approx(exact, abs=1e-4)
