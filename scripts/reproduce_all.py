@@ -3,9 +3,11 @@
 wall time, verdict, solver sweeps, convergence, final energy and winning
 candidate ("-" for a config that does not solve), the number of files
 written and a sha256 digest of the config's output directory, then the
-total wall time of all configs.  The digest covers the name and bytes of
-every file in that directory, in name order, so two runs into fresh
-directories wrote the same artifacts exactly when their digests agree.
+total wall time of all configs and the peak resident set size of the
+process (``ru_maxrss``, in KiB as Linux reports it).  The digest covers
+the name and bytes of every file in that directory, in name order, so two
+runs into fresh directories wrote the same artifacts exactly when their
+digests agree.
 
 Usage: python scripts/reproduce_all.py [--out DIR]
 
@@ -16,6 +18,7 @@ settled (``converged=False``); 0 otherwise.
 
 import argparse
 import hashlib
+import resource
 import sys
 import time
 from pathlib import Path
@@ -71,7 +74,8 @@ def main() -> int:
         if (verb == "run" and verdict != "corner") \
                 or solver.get("converged") is False:
             status = 1
-    print(f"total={total:.1f}s")
+    print(f"total={total:.1f}s  "
+          f"maxrss={resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}KiB")
     return status
 
 

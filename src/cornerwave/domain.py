@@ -496,10 +496,11 @@ def save_field(field: ScalarField, path, spec: ProblemSpec | None = None) -> Non
     """Write ``field`` as a JSON header line and one ``%.17g`` line per
     node, row-major.
 
-    Most nodes of a solved field are +0.0, printed "0": the body is built
-    run by run, a run of +0.0 as repeated "0" lines and a run of other
-    values (-0.0 included) formatted together, so the bytes are those of
-    formatting every value and only the nonzero ones pay for it."""
+    Most nodes of a solved field are +0.0, printed "0": the body is
+    written run by run as each is formatted, a run of +0.0 as repeated
+    "0" lines and a run of other values (-0.0 included) formatted
+    together, so the bytes are those of formatting every value, only the
+    nonzero ones pay for it, and no copy of the whole body is held."""
     g = field.grid
     header = {
         "nx": g.nx,
@@ -519,16 +520,14 @@ def save_field(field: ScalarField, path, spec: ProblemSpec | None = None) -> Non
     values = field.values.ravel()
     zero = (values == 0.0) & ~np.signbit(values)
     bounds = [0, *(np.flatnonzero(np.diff(zero)) + 1).tolist(), values.size]
-    runs = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        if zero[a]:
-            runs.append("0\n" * (b - a))
-        else:
-            runs.append(((_FLOAT + "\n") * (b - a))
-                        % tuple(values[a:b].tolist()))
-    body = "".join(runs)
-    Path(path).write_text(json.dumps(header, sort_keys=True) + "\n" + body,
-                          encoding="ascii")
+    with open(path, "w", encoding="ascii") as out:
+        out.write(json.dumps(header, sort_keys=True) + "\n")
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            if zero[a]:
+                out.write("0\n" * (b - a))
+            else:
+                out.write(((_FLOAT + "\n") * (b - a))
+                          % tuple(values[a:b].tolist()))
 
 
 def load_field(path) -> tuple[ScalarField, dict]:

@@ -83,6 +83,7 @@ TRIMS = (0.25, 0.5, 0.75, 1.0)  # candidate cut levels, in units of eps
 CG_TOL = 1e-13          # relative residual at which the harmonic start stops
 CG_MAX_ITERS = 100      # CG steps before the harmonic start is refused
 COARSEST_CELLS = 8      # cells a side, at most, on the coarsest level
+HULL_CHUNK = 1 << 14    # ray samples star_hull_mask rasterises at once
 
 
 @dataclass
@@ -163,22 +164,31 @@ def _energy_raw(values: np.ndarray, grid: GridSpec, wq: np.ndarray,
     """The exact-indicator energy of ``values`` with the node weights
     ``wq = _node_weights(grid, w, mask)``, which a solve builds once for
     its nine evaluations.  The weight term sums ``wq * chi``: as chi is 0
-    or 1, that is ``(w * chi) * areas`` to the bit."""
-    # Dirichlet part over grid edges, the five-point form the sweeps relax
-    # (central differences miss the odd-even mode, and relaxation can raise
-    # them).  An edge on the boundary ring carries half weight, a masked
-    # edge the mean of its endpoints' mask.
-    ex = np.diff(values, axis=1)
-    ey = np.diff(values, axis=0)
-    ex *= ex
-    ey *= ey
-    ex[[0, -1], :] *= 0.5
-    ey[:, [0, -1]] *= 0.5
-    if mask is not None:
-        m = np.asarray(mask, dtype=float)
-        ex *= 0.5 * (m[:, 1:] + m[:, :-1])
-        ey *= 0.5 * (m[1:, :] + m[:-1, :])
-    return float(np.sum(ex) + np.sum(ey) + np.sum(wq * (values > 0.0)))
+    or 1, that is ``(w * chi) * areas`` to the bit.  The three sums are
+    taken one after the other, so one edge or node array is alive at a
+    time."""
+    m = None if mask is None else np.asarray(mask, dtype=float)
+    return float(_edge_energy(values, m, 1) + _edge_energy(values, m, 0)
+                 + np.sum(wq * (values > 0.0)))
+
+
+def _edge_energy(values: np.ndarray, m: np.ndarray | None,
+                 axis: int) -> float:
+    """The Dirichlet part over the grid edges along ``axis`` (1: x, 0: y),
+    the five-point form the sweeps relax (central differences miss the
+    odd-even mode, and relaxation can raise them): the sum of squared
+    differences, an edge on the boundary ring at half weight and, with
+    the float node mask ``m``, each edge times the mean of its endpoints'
+    mask."""
+    e = np.diff(values, axis=axis)
+    e *= e
+    # the edges as rows along x: the first and last rows lie on the ring
+    rows = e if axis == 1 else e.T
+    rows[[0, -1], :] *= 0.5
+    if m is not None:
+        m = m if axis == 1 else m.T
+        rows *= 0.5 * (m[:, 1:] + m[:, :-1])
+    return np.sum(e)
 
 
 def boundary_ring(grid: GridSpec) -> np.ndarray:
@@ -240,19 +250,24 @@ def star_hull_mask(grid: GridSpec, center, ring_positive: np.ndarray) -> np.ndar
     """Nodes swept by segments from ``center`` to every ring node flagged
     positive, dilated by one layer.  For data tracing a cone profile this
     is the cone itself, so a harmonic start restricted to it sits in the
-    corner basin of the energy landscape."""
+    corner basin of the energy landscape.
+
+    Each segment is sampled at 3 * max(nx, ny) points, rounded to their
+    nearest nodes.  The segments are rasterised a chunk of ring nodes at a
+    time, at most HULL_CHUNK points (or one segment) a chunk, so beyond
+    the two boolean masks a call holds O(HULL_CHUNK) bytes whatever the
+    grid: on a 1025^2 Stokes ring, well under the field's own bytes."""
     ny, nx = ring_positive.shape
     mask = np.zeros((ny, nx), dtype=bool)
     J, I = np.nonzero(ring_positive)
-    if len(J) == 0:
-        return mask
     px = grid.origin[0] + grid.spacing * I
     py = grid.origin[1] + grid.spacing * J
-    t = np.linspace(0.0, 1.0, 3 * max(nx, ny))[None, :]
-    sx = center[0] + (px[:, None] - center[0]) * t
-    sy = center[1] + (py[:, None] - center[1]) * t
-    jj, ii = grid.nearest_node(sx, sy)
-    mask[jj.ravel(), ii.ravel()] = True
+    t = np.linspace(0.0, 1.0, 3 * max(nx, ny))
+    step = max(1, HULL_CHUNK // t.size)
+    for a in range(0, len(J), step):
+        sx = center[0] + (px[a:a + step, None] - center[0]) * t
+        sy = center[1] + (py[a:a + step, None] - center[1]) * t
+        mask[grid.nearest_node(sx, sy)] = True
     out = mask.copy()
     out[1:, :] |= mask[:-1, :]
     out[:-1, :] |= mask[1:, :]
@@ -297,11 +312,10 @@ def minimize_energy(spec: ProblemSpec, grid: GridSpec, boundary_data,
     end = start.copy()
     sweeps, converged = _flow(end, grid, pinned, eps, w, envelope,
                               params.max_iters)
-    scored = _candidates(grid, fixed, pinned, eps, w, envelope, start, end)
-    # min keeps the first of equal energies, so an earlier candidate wins
-    winner, values = min(scored, key=lambda c: c[0].energy)
+    records, winner, values = _candidates(grid, fixed, pinned, eps, w,
+                                          envelope, start, end)
     return SolveResult(ScalarField(grid, values), winner, sweeps, converged,
-                       [c for c, _ in scored])
+                       records)
 
 
 def _start(spec: ProblemSpec, grid: GridSpec, fixed: np.ndarray,
@@ -419,9 +433,11 @@ def _flow(u: np.ndarray, grid: GridSpec, pinned: np.ndarray, eps: np.ndarray,
 
 def _candidates(grid: GridSpec, fixed: np.ndarray, pinned: np.ndarray,
                 eps: np.ndarray, w: np.ndarray, envelope: np.ndarray | None,
-                start: np.ndarray, end: np.ndarray) -> list[tuple]:
-    """The scored states as (Candidate, values), in scoring order: the
-    start, then the flow end and the start each cut at every trim.
+                start: np.ndarray, end: np.ndarray
+                ) -> tuple[list[Candidate], Candidate, np.ndarray]:
+    """Every scored state's Candidate, in scoring order (the start, then
+    the flow end and the start each cut at every trim), and the first
+    lowest of them with its values.
 
     The stationary state of the mollified flow carries a quadratic skirt
     of width ~eps/sqrt(w) beyond the sharp free boundary (the smeared
@@ -429,9 +445,15 @@ def _candidates(grid: GridSpec, fixed: np.ndarray, pinned: np.ndarray,
     relaxed on its frozen support and zapped by the envelope.  The sharp
     minimizer's edge sits near the eps/4 level of the skirt, and the
     energy comparison selects it without measurement-side tuning.  The
-    uncut flow end is no candidate: it never scored below the start."""
+    uncut flow end is no candidate: it never scored below the start.
+
+    Only the running winner's values are kept: a cut replaces it when
+    its energy is strictly lower, which is ``min``'s first-lowest rule.
+    So besides ``start`` and ``end`` at most two candidate arrays are
+    alive at once, the winner and the cut being scored."""
     wq = _node_weights(grid, w)
-    scored = [(Candidate("start", 0.0, _energy_raw(start, grid, wq)), start)]
+    best = Candidate("start", 0.0, _energy_raw(start, grid, wq))
+    records, values = [best], start
     for source, state in (("flow", end), ("start", start)):
         for trim in TRIMS:
             cand = np.where(state >= trim * eps, state, 0.0)
@@ -439,9 +461,12 @@ def _candidates(grid: GridSpec, fixed: np.ndarray, pinned: np.ndarray,
             _relax_on_support(cand, pinned, sweeps=60)
             if envelope is not None:
                 cand[cand > envelope] = 0.0
-            scored.append(
-                (Candidate(source, trim, _energy_raw(cand, grid, wq)), cand))
-    return scored
+            scored = Candidate(source, trim, _energy_raw(cand, grid, wq))
+            records.append(scored)
+            if scored.energy < best.energy:
+                best, values = scored, cand
+            del cand   # a losing cut is freed before the next is built
+    return records, best, values
 
 
 def _neighbour_sum(nbrs) -> np.ndarray:

@@ -96,21 +96,6 @@ class RadialSweep:
     weight_gap: np.ndarray    # integral over B_r of (lw - w) chi
 
 
-def _analysis_arrays(spec: ProblemSpec, u: ScalarField):
-    """Nodewise integrands of the sweep: |grad u|^2 + w chi, |grad u|^2,
-    the remainder integrand, lw (1 - chi) and (lw - w) chi."""
-    g = u.grid
-    ux, uy = grad_central(u.values, g.spacing)
-    gradsq = ux * ux + uy * uy
-    X, Y = g.mesh()
-    w = np.asarray(weight_at(spec, X, Y))
-    m = spec.model
-    lw = m.monomial(X, Y, scale=spec.weight_constant * m.frozen)
-    chi = (u.values > 0.0).astype(float)
-    rem = _remainder_integrand(spec, X, Y) * chi
-    return gradsq + w * chi, gradsq, rem, lw * (1.0 - chi), (lw - w) * chi
-
-
 def _remainder_integrand(spec: ProblemSpec, X, Y) -> np.ndarray:
     # (X - X0) . grad w along the non-degenerate axis, whose factor the
     # frozen weight holds at its X0 value
@@ -124,20 +109,44 @@ def _remainder_integrand(spec: ProblemSpec, X, Y) -> np.ndarray:
 def radial_sweep(spec: ProblemSpec, u: ScalarField, sp: StagnationPoint,
                  radii) -> RadialSweep:
     """The integrals of both profiles from one batch of disk stencils and
-    one batch of circle integrals, one disk and one circle per radius."""
+    one batch of circle integrals, one disk and one circle per radius.
+
+    The nodewise integrands |grad u|^2 + w chi, |grad u|^2, the remainder
+    integrand, lw (1 - chi) and (lw - w) chi are built one at a time, each
+    integrated over every disk and freed before the next is built.  So
+    besides the disks one integrand is alive at a time, with the factors
+    still to come (the mesh, w and chi, |grad u|^2 for the first two, lw
+    for the last two): at most about nine full-grid arrays, where building
+    the five together held about thirteen."""
     radii = check_radii(sp, u.grid, radii)
-    bulk_f, gradsq, rem, free_f, gap_f = _analysis_arrays(spec, u)
     k = sp.kappa
-    cols = np.empty((6, len(radii)))
-    cols[0] = circle_integrals_u2(u.values, u.grid, sp.location, radii)
-    disks = disk_stencils(u.grid, sp.location, radii)
-    for i, (r, disk) in enumerate(zip(radii, disks)):
-        # rem is +0.0 everywhere when the frozen factor is constant, so h
-        # is then exactly 0
-        cols[1:, i] = (disk.integrate(bulk_f), disk.integrate(gradsq),
-                       r ** (2 * k - 1) * disk.integrate(rem),
-                       disk.integrate(free_f), disk.integrate(gap_f))
-    return RadialSweep(radii, k, *cols)
+    g = u.grid
+    disks = disk_stencils(g, sp.location, radii)
+
+    def integrals(nodewise):
+        return [disk.integrate(nodewise) for disk in disks]
+
+    ring = circle_integrals_u2(u.values, g, sp.location, radii)
+    ux, uy = grad_central(u.values, g.spacing)
+    gradsq = ux * ux + uy * uy
+    del ux, uy
+    X, Y = g.mesh()
+    w = np.asarray(weight_at(spec, X, Y))
+    chi = (u.values > 0.0).astype(float)
+    bulk = integrals(gradsq + w * chi)
+    dirichlet = integrals(gradsq)
+    del gradsq
+    # the remainder integrand is +0.0 everywhere when the frozen factor is
+    # constant, so h is then exactly 0
+    remainder = [r ** (2 * k - 1) * v for r, v in zip(
+        radii, integrals(_remainder_integrand(spec, X, Y) * chi))]
+    m = spec.model
+    lw = m.monomial(X, Y, scale=spec.weight_constant * m.frozen)
+    del X, Y
+    free_weight = integrals(lw * (1.0 - chi))
+    weight_gap = integrals((lw - w) * chi)
+    return RadialSweep(radii, k, *np.array(
+        [ring, bulk, dirichlet, remainder, free_weight, weight_gap]))
 
 
 def _weiss_energy_at(sweep: RadialSweep, i: int) -> float:

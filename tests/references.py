@@ -7,8 +7,11 @@ independent cross-checks (the five-point Laplacian, the gradient and the
 grid samples of an exact corner profile, the tangent-chart form of the
 type-3 edge condition, the pair-count rule, the Chebyshev coefficients of
 the velocity potential, and the Weiss energy at one radius), so they live
-with the tests.  The module name does not start with ``test_``, so pytest
-does not collect it.
+with the tests.  So do the earlier all-at-once forms of three package
+functions that now bound their working set (the star hull, the solve's
+energy, the radial sweep): the package must give their floats and bits
+exactly.  The module name does not start with ``test_``, so pytest does
+not collect it.
 """
 
 from __future__ import annotations
@@ -19,10 +22,13 @@ import numpy as np
 
 from cornerwave.domain import (TWO_PI, GridSpec, InvalidPair, InvalidSpec,
                                ProblemSpec, ScalarField, StagnationPoint,
-                               wrap_angle)
+                               weight_at, wrap_angle)
 from cornerwave.oracle import (ClosedFormProfile, _type3_weight,
                                evaluate_at_points)
-from cornerwave.weiss import _weiss_energy_at, radial_sweep
+from cornerwave.quadrature import (circle_integrals_u2, disk_stencils,
+                                   grad_central)
+from cornerwave.weiss import (RadialSweep, _remainder_integrand,
+                              _weiss_energy_at, check_radii, radial_sweep)
 
 
 class DomainError(ValueError):
@@ -122,3 +128,73 @@ def weiss_energy(spec: ProblemSpec, u: ScalarField, sp: StagnationPoint,
     """The adjusted boundary energy M(r) at one radius, from a radial
     sweep of that radius alone."""
     return float(_weiss_energy_at(radial_sweep(spec, u, sp, [r]), 0))
+
+
+def star_hull_mask_one_shot(grid: GridSpec, center,
+                            ring_positive: np.ndarray) -> np.ndarray:
+    """``energy.star_hull_mask`` with every segment rasterised at once:
+    the sample coordinates and nearest nodes of all positive ring nodes
+    held together."""
+    ny, nx = ring_positive.shape
+    mask = np.zeros((ny, nx), dtype=bool)
+    J, I = np.nonzero(ring_positive)
+    if len(J) == 0:
+        return mask
+    px = grid.origin[0] + grid.spacing * I
+    py = grid.origin[1] + grid.spacing * J
+    t = np.linspace(0.0, 1.0, 3 * max(nx, ny))[None, :]
+    sx = center[0] + (px[:, None] - center[0]) * t
+    sy = center[1] + (py[:, None] - center[1]) * t
+    jj, ii = grid.nearest_node(sx, sy)
+    mask[jj.ravel(), ii.ravel()] = True
+    out = mask.copy()
+    out[1:, :] |= mask[:-1, :]
+    out[:-1, :] |= mask[1:, :]
+    out[:, 1:] |= mask[:, :-1]
+    out[:, :-1] |= mask[:, 1:]
+    return out
+
+
+def energy_raw_one_expression(values: np.ndarray, grid: GridSpec,
+                              wq: np.ndarray,
+                              mask: np.ndarray | None = None) -> float:
+    """``energy._energy_raw`` with both edge arrays and the weight term
+    alive together, summed in one expression."""
+    ex = np.diff(values, axis=1)
+    ey = np.diff(values, axis=0)
+    ex *= ex
+    ey *= ey
+    ex[[0, -1], :] *= 0.5
+    ey[:, [0, -1]] *= 0.5
+    if mask is not None:
+        m = np.asarray(mask, dtype=float)
+        ex *= 0.5 * (m[:, 1:] + m[:, :-1])
+        ey *= 0.5 * (m[1:, :] + m[:-1, :])
+    return float(np.sum(ex) + np.sum(ey) + np.sum(wq * (values > 0.0)))
+
+
+def radial_sweep_all_at_once(spec: ProblemSpec, u: ScalarField,
+                             sp: StagnationPoint, radii) -> RadialSweep:
+    """``weiss.radial_sweep`` with the five nodewise integrands built
+    together before any is integrated, each disk integrating all five in
+    turn."""
+    radii = check_radii(sp, u.grid, radii)
+    g = u.grid
+    ux, uy = grad_central(u.values, g.spacing)
+    gradsq = ux * ux + uy * uy
+    X, Y = g.mesh()
+    w = np.asarray(weight_at(spec, X, Y))
+    m = spec.model
+    lw = m.monomial(X, Y, scale=spec.weight_constant * m.frozen)
+    chi = (u.values > 0.0).astype(float)
+    rem = _remainder_integrand(spec, X, Y) * chi
+    bulk_f, free_f, gap_f = gradsq + w * chi, lw * (1.0 - chi), (lw - w) * chi
+    k = sp.kappa
+    cols = np.empty((6, len(radii)))
+    cols[0] = circle_integrals_u2(u.values, g, sp.location, radii)
+    disks = disk_stencils(g, sp.location, radii)
+    for i, (r, disk) in enumerate(zip(radii, disks)):
+        cols[1:, i] = (disk.integrate(bulk_f), disk.integrate(gradsq),
+                       r ** (2 * k - 1) * disk.integrate(rem),
+                       disk.integrate(free_f), disk.integrate(gap_f))
+    return RadialSweep(radii, k, *cols)

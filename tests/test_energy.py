@@ -1,6 +1,8 @@
 import math
 import sys
+import tracemalloc
 import types
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,8 @@ from cornerwave.energy import (boundary_ring, bump_vector_field,
                                harmonic_extension, support_mask)
 from cornerwave.oracle import angle_pair, blowup_limit, evaluate_at_points
 from cornerwave.pipeline import build_boundary, parse_config
-from references import harmonic_residual, profile_field
+from references import (energy_raw_one_expression, harmonic_residual,
+                        profile_field, star_hull_mask_one_shot)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -831,25 +834,32 @@ SOLVING_CONFIGS = ["stokes", "corner_beta2", "corner_alpha2", "corner_type3",
                    "blowup_convergence"]
 
 
-def bundled_start(name, n=None):
-    """The arguments (grid, data, pinned) of the start solve of config
-    ``name``, on an n x n grid or the config's own."""
+def bundled_call(attr, name, n=None):
+    """The arguments of the first call to ``energy.<attr>`` in the solve of
+    config ``name``, on an n x n grid or the config's own, positional ones
+    first; the solve stops there."""
     raw = yaml.safe_load((CONFIGS / f"{name}.yaml").read_text())
     if n is not None:
         raw["grid"] = {"nx": n, "ny": n}
     cfg = parse_config(raw)
     seen = []
 
-    def capture(grid, data, pinned=None):
-        seen.append((grid, data, pinned))
+    def capture(*args, **kwargs):
+        seen.append((*args, *kwargs.values()))
         raise _Captured
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(energy_module, "harmonic_extension", capture)
+        mp.setattr(energy_module, attr, capture)
         with pytest.raises(_Captured):
             cw.minimize_energy(cfg.problem, cfg.grid, build_boundary(cfg)[0],
                                cfg.solver)
     return seen[0]
+
+
+def bundled_start(name, n=None):
+    """The arguments (grid, data, pinned) of the start solve of config
+    ``name``, on an n x n grid or the config's own."""
+    return bundled_call("harmonic_extension", name, n)
 
 
 # The multigrid smoother as four strided parity classes (row parity, column
@@ -972,6 +982,178 @@ class TestHarmonicExtension:
         xMy, yMx = np.vdot(x, mg.cycle(y)), np.vdot(y, mg.cycle(x))
         assert abs(xMy - yMx) <= 1e-12 * abs(xMy)
         assert np.vdot(x, mg.cycle(x)) > 0
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the most bytes tracemalloc saw it hold above what
+    was allocated at its entry."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        entry = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestStarHull:
+    """The hull is rasterised a chunk of ring nodes at a time; the one-shot
+    form in ``references`` is the reference, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def stokes_1025(self):
+        return bundled_call("star_hull_mask", "stokes", 1025)
+
+    @pytest.mark.parametrize("name", SOLVING_CONFIGS)
+    def test_bundled_starts(self, name):
+        args = bundled_call("star_hull_mask", name)
+        hull = energy_module.star_hull_mask(*args)
+        assert np.any(hull)
+        assert np.array_equal(hull, star_hull_mask_one_shot(*args))
+
+    def test_stokes_ring_at_1025(self, stokes_1025):
+        hull = energy_module.star_hull_mask(*stokes_1025)
+        assert np.array_equal(hull, star_hull_mask_one_shot(*stokes_1025))
+
+    def test_memory_at_1025(self, stokes_1025):
+        # beyond its two boolean masks (1/4 of the field's bytes) a call
+        # holds O(HULL_CHUNK) samples; the one-shot form held 26 times the
+        # field's bytes
+        grid = stokes_1025[0]
+        hull, peak = traced_peak(energy_module.star_hull_mask, *stokes_1025)
+        assert hull.shape == (1025, 1025)
+        assert peak < 2 * grid.nx * grid.ny * 8
+
+    @staticmethod
+    def ring_case(count, n=33):
+        """A grid, centre and ring mask with ``count`` positive nodes along
+        the bottom edge."""
+        grid = cw.GridSpec(nx=n, ny=n, origin=(-1.0, -1.0),
+                           spacing=2.0 / (n - 1))
+        ring = np.zeros((n, n), dtype=bool)
+        ring[0, :count] = True
+        return grid, (0.1, 0.3), ring
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_no_or_one_positive_node(self, count):
+        args = self.ring_case(count)
+        hull = energy_module.star_hull_mask(*args)
+        assert np.array_equal(hull, star_hull_mask_one_shot(*args))
+        assert np.any(hull) == (count > 0)
+
+    @pytest.mark.parametrize("chunk, count, chunks", [
+        # four segments of 99 samples a chunk: the positive nodes fill one
+        # chunk less one node, one chunk, one chunk and one node, two
+        # chunks and two chunks and one node
+        (4 * 99 + 1, 3, 1), (4 * 99 + 1, 4, 1), (4 * 99 + 1, 5, 2),
+        (4 * 99 + 1, 8, 2), (4 * 99 + 1, 9, 3),
+        # a chunk below one segment still takes one
+        (1, 7, 7)])
+    def test_chunk_edges(self, monkeypatch, chunk, count, chunks):
+        monkeypatch.setattr(energy_module, "HULL_CHUNK", chunk)
+        calls = []
+        nearest = cw.GridSpec.nearest_node
+
+        def counting(grid, px, py):
+            calls.append(np.size(px))
+            return nearest(grid, px, py)
+
+        args = self.ring_case(count)
+        expected = star_hull_mask_one_shot(*args)
+        monkeypatch.setattr(cw.GridSpec, "nearest_node", counting)
+        assert np.array_equal(energy_module.star_hull_mask(*args), expected)
+        assert len(calls) == chunks and sum(calls) == count * 99
+        assert max(calls) <= max(chunk, 99)
+
+
+class TestCandidates:
+    """A solve keeps the running winner of its nine scored states only."""
+
+    @staticmethod
+    def small_solve():
+        spec = stokes_spec()
+        g = cw.GridSpec.from_domain(spec.domain, 33, 33)
+        X, Y = g.mesh()
+        bd = np.asarray(evaluate_at_points(blowup_limit(spec), X, Y,
+                                           spec.stagnation_location))
+        return cw.minimize_energy(spec, g, bd, cw.SolverParams())
+
+    @pytest.mark.parametrize("energies", [
+        [1.0] * 9,                                    # all equal
+        [9.0 - i for i in range(9)],                  # strictly decreasing
+        [5.0, 3.0, 4.0, 3.0, 2.0, 2.0, 7.0, 2.0, 9.0],   # tied lowest
+        [2.0, 3.0, 2.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0],   # the start ties
+    ], ids=["equal", "decreasing", "tied-lowest", "start-ties"])
+    def test_winner_is_the_first_lowest(self, monkeypatch, energies):
+        # the first lowest, as ``min`` picks it, with its own values
+        scored = []
+        feed = iter(energies)
+
+        def fake_energy(values, grid, wq, mask=None):
+            scored.append(values)
+            return next(feed)
+
+        monkeypatch.setattr(energy_module, "_energy_raw", fake_energy)
+        result = self.small_solve()
+        first = min(range(9), key=energies.__getitem__)
+        assert [c.energy for c in result.candidates] == energies
+        assert result.winner == result.candidates[first]
+        assert result.field.values is scored[first]
+
+    @pytest.mark.parametrize("name, winner", [("stokes", "flow@0.5"),
+                                              ("corner_beta2", "start@0.5")])
+    def test_at_most_two_candidate_arrays_alive(self, monkeypatch, name,
+                                                winner):
+        # the winner and the cut being scored; the start, scored first, is
+        # the flow's own start and alive throughout.  Stokes wins with a
+        # flow cut, so the count reaches two while the start cuts score.
+        # In bytes the scoring holds under 6 fields above its entry (4.5
+        # measured at 257^2, with the node weights, the sharpening lattice
+        # and the energy's temporaries); holding all cuts took 12.3.
+        cfg = parse_config(yaml.safe_load(
+            (CONFIGS / f"{name}.yaml").read_text()))
+        real_energy = energy_module._energy_raw
+        real_candidates = energy_module._candidates
+        seen, most, peaks = [], [], []
+
+        def counting(values, grid, wq, mask=None):
+            seen.append(weakref.ref(values))
+            most.append(sum(ref() is not None for ref in seen[1:]))
+            return real_energy(values, grid, wq, mask)
+
+        def traced(*args):
+            out, peak = traced_peak(real_candidates, *args)
+            peaks.append(peak)
+            return out
+
+        monkeypatch.setattr(energy_module, "_energy_raw", counting)
+        monkeypatch.setattr(energy_module, "_candidates", traced)
+        result = cw.minimize_energy(cfg.problem, cfg.grid,
+                                    build_boundary(cfg)[0], cfg.solver)
+        assert f"{result.winner.source}@{result.winner.trim:g}" == winner
+        assert len(seen) == 9 and max(most) == 2
+        assert peaks[0] < 6 * result.field.values.nbytes
+
+    @pytest.mark.parametrize("case", ["stokes_case", "beta2_case",
+                                      "alpha2_case", "type3_case",
+                                      "blowup_case"])
+    def test_energy_matches_the_one_expression_form(self, request, case):
+        # the three sums one after the other, each with its arrays alone,
+        # give the float of the one expression, with and without a mask
+        solved = request.getfixturevalue(case)
+        g, u = solved.grid, solved.result.field.values
+        w = energy_module._weight(solved.spec, g, None)
+        mask = np.random.default_rng(5).random(u.shape) < 0.7
+        for m in (None, mask):
+            wq = energy_module._node_weights(g, w, m)
+            assert (energy_module._energy_raw(u, g, wq, m)
+                    == energy_raw_one_expression(u, g, wq, m))
+        assert solved.result.energy == energy_raw_one_expression(
+            u, g, energy_module._node_weights(g, w))
 
 
 class TestDomainVariation:

@@ -432,9 +432,10 @@ class TestReproduceAll:
         assert script.main() == status
         # one line per config; the solver status only where it solves; the
         # digest of the files written, in name order; then the total time
+        # and the peak RSS
         *lines, total = capsys.readouterr().out.splitlines()
         assert len(lines) == len(script.CONFIGS)
-        assert total.startswith("total=") and total.endswith("s")
+        assert re.fullmatch(r"total=\d+\.\ds  maxrss=\d+KiB", total)
         for line, (name, verb) in zip(lines, script.CONFIGS):
             assert line.startswith(name)
             digest = hashlib.sha256(b"a.csv\0" + b"1\n" + b"b.csv\0"

@@ -9,7 +9,8 @@ from cornerwave import quadrature, weiss
 from cornerwave.pipeline import write_csv
 from cornerwave.oracle import AnglePair, blowup_limit, corner_density
 from cornerwave.quadrature import DiskStencil, circle_integrals_u2
-from references import profile_field, weiss_energy
+from cornerwave.blowup import profile_radii
+from references import profile_field, radial_sweep_all_at_once, weiss_energy
 
 SQRT3_3 = math.sqrt(3.0) / 3.0
 
@@ -167,6 +168,23 @@ class TestRadialSweep:
         monkeypatch.setattr(quadrature, "cell_disk_overlap", counting_overlap)
         cw.radial_sweep(spec, u, sp, np.geomspace(0.1, 0.4, count))
         assert len(calls) == 1 and calls[0] > 0
+
+
+    @pytest.mark.parametrize("case", ["stokes_case", "beta2_case",
+                                      "alpha2_case", "type3_case",
+                                      "blowup_case"])
+    def test_matches_the_all_at_once_form(self, request, case):
+        # one integrand at a time gives the columns of all five built
+        # together, bit for bit, on the pipeline's profile radii
+        solved = request.getfixturevalue(case)
+        args = (solved.spec, solved.result.field, solved.sp,
+                profile_radii(solved.sp))
+        got, want = cw.radial_sweep(*args), radial_sweep_all_at_once(*args)
+        for name in ("radii", "ring", "bulk", "dirichlet", "remainder",
+                     "free_weight", "weight_gap"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert got.kappa == want.kappa
 
 
 class TestProfileAndMonotonicity:
