@@ -23,17 +23,18 @@ These conventions are derived once per spec, in its SubcaseModel
 
 Everything here is immutable value data shared by the solver and the
 analysis modules; every value type refuses a non-finite number.  A field
-is persisted here (``save_field`` writes the problem into its header);
-``pipeline`` reads that header back with the config's own parser.
+is persisted here as a JSON header line and its raw float64 values
+(``save_field`` writes the problem into the header); ``pipeline`` reads
+that header back with the config's own parser.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -477,11 +478,11 @@ def stagnation_point(spec: ProblemSpec) -> StagnationPoint:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: JSON header line + newline-separated node values, row-major.
-# Values are written with 17 significant digits, which round-trips float64
-# bit-exactly.
+# Persistence: a JSON header line, then the node values as raw little-endian
+# float64, row-major, exactly nx * ny * 8 bytes.  The header's "body" tag
+# names that encoding; the values round-trip bit-exactly by construction.
 
-_FLOAT = "%.17g"
+_BODY = "<f8"
 
 
 def _stag_to_json(stag: StagnationType) -> dict:
@@ -493,16 +494,14 @@ def _stag_to_json(stag: StagnationType) -> dict:
 
 
 def save_field(field: ScalarField, path, spec: ProblemSpec | None = None) -> None:
-    """Write ``field`` as a JSON header line and one ``%.17g`` line per
-    node, row-major.
+    """Write ``field`` as a JSON header line (with ``spec``'s problem, if
+    given) and then its values as raw little-endian float64, row-major.
 
-    Most nodes of a solved field are +0.0, printed "0": the body is
-    written run by run as each is formatted, a run of +0.0 as repeated
-    "0" lines and a run of other values (-0.0 included) formatted
-    together, so the bytes are those of formatting every value, only the
-    nonzero ones pay for it, and no copy of the whole body is held."""
+    The body is written straight from the array's buffer: no value is
+    formatted and a C-contiguous float64 array is not copied."""
     g = field.grid
     header = {
+        "body": _BODY,
         "nx": g.nx,
         "ny": g.ny,
         "origin": [g.origin[0], g.origin[1]],
@@ -517,29 +516,30 @@ def save_field(field: ScalarField, path, spec: ProblemSpec | None = None) -> Non
             "domain": [spec.domain.x_min, spec.domain.y_min,
                        spec.domain.x_max, spec.domain.y_max],
         })
-    values = field.values.ravel()
-    zero = (values == 0.0) & ~np.signbit(values)
-    bounds = [0, *(np.flatnonzero(np.diff(zero)) + 1).tolist(), values.size]
-    with open(path, "w", encoding="ascii") as out:
-        out.write(json.dumps(header, sort_keys=True) + "\n")
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            if zero[a]:
-                out.write("0\n" * (b - a))
-            else:
-                out.write(((_FLOAT + "\n") * (b - a))
-                          % tuple(values[a:b].tolist()))
+    values = np.ascontiguousarray(field.values, dtype=_BODY)
+    with open(path, "wb") as out:
+        out.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
+        out.write(values.data)
 
 
 def load_field(path) -> tuple[ScalarField, dict]:
-    """Load a persisted field; returns (field, header).  The file must hold
-    exactly nx * ny value lines after its header."""
-    header, *lines = Path(path).read_text(encoding="ascii").splitlines()
-    header = json.loads(header)
-    nx, ny = header["nx"], header["ny"]
-    grid = GridSpec(nx=nx, ny=ny, origin=tuple(header["origin"]),
-                    spacing=header["spacing"])
-    if len(lines) != nx * ny:
-        raise InvalidSpec(f"expected {nx * ny} values, found {len(lines)}")
-    vals = np.array([float(t) for t in lines], dtype=float)
-    return ScalarField(grid, vals.reshape(ny, nx)), header
+    """Load a field written by ``save_field``; returns (field, header).
 
+    The header must carry the ``"body": "<f8"`` tag and the body must be
+    exactly nx * ny * 8 bytes; the body is read straight into the array
+    that the field holds."""
+    with open(path, "rb") as f:
+        header = json.loads(f.readline())
+        if not isinstance(header, dict) or header.get("body") != _BODY:
+            raise InvalidSpec(f"header does not name a {_BODY!r} body")
+        grid = GridSpec(nx=header["nx"], ny=header["ny"],
+                        origin=tuple(header["origin"]),
+                        spacing=header["spacing"])
+        size = os.fstat(f.fileno()).st_size - f.tell()
+        nbytes = grid.nx * grid.ny * 8
+        if size != nbytes:
+            raise InvalidSpec(f"expected a body of {nbytes} bytes, found {size}")
+        values = np.empty((grid.ny, grid.nx), dtype=_BODY)
+        if f.readinto(values) != nbytes:
+            raise InvalidSpec(f"body shorter than {nbytes} bytes")
+    return ScalarField(grid, values), header

@@ -4,21 +4,26 @@ and emit deterministic reports.
 A run consumes one YAML config (JSON is accepted too, YAML being a
 superset) and produces, inside the output directory:
 
-    solution.field        persisted solver output (JSON header + values)
+    solution.field        persisted solver output (JSON header line +
+                          raw little-endian float64 values, row-major)
     weiss.csv             r, M, dM_numeric, remainder, remainder_integral, J1
     frequency.csv         r, D, V1, V2, V, H
     blowup.json           radii, successive distances, homogeneity residual,
                           density, directions (+ the resolved config)
-    rescale_<k>.field     the rescaled fields of the blow-up schedule
+    rescale_<k>.field     the rescaled fields of the blow-up schedule, in
+                          the same format
     classification.json   corner/cusp/flat verdict with distances
     table1.csv            per-subcase openings, cone edges, densities
     solution.svg          contour plot + free boundary + predicted cone edges
 
-All floating-point output is written with 17 significant digits and no
-timestamps, so identical configs reproduce byte-identical artifacts.  The
-three CSV files are written by ``write_csv``, the one place that knows
-their format.  The resolved config is embedded in every JSON report and
-can itself be fed back as a config (provenance round-trip).
+The .field files hold the float64 values themselves, so they round-trip
+bit-exactly.  The CSV, JSON and SVG artifacts are text with no
+timestamps: CSV floats carry 17 significant digits, JSON floats their
+round-trip repr and SVG pixel coordinates two decimals, so identical
+configs reproduce byte-identical artifacts.  The three CSV files are
+written by ``write_csv``, the one place that knows their format.  The
+resolved config is embedded in every JSON report and can itself be fed
+back as a config (provenance round-trip).
 
 ``parse_config`` checks every setting, naming its key, before any stage
 runs.  A saved solution.field is analysed only for the problem and grid
@@ -51,8 +56,8 @@ import yaml
 
 from . import blowup as bw
 from . import oracle
-from .domain import (_FLOAT, DegenerateDenominator, GridSpec, ProblemSpec,
-                     Rect, ScalarField, StagnationPoint, Type1, Type2, Type3,
+from .domain import (DegenerateDenominator, GridSpec, ProblemSpec, Rect,
+                     ScalarField, StagnationPoint, Type1, Type2, Type3,
                      load_field, save_field, stagnation_point)
 from .energy import SolverParams, SolveResult, minimize_energy
 from .frequency import frequency_profile
@@ -341,6 +346,9 @@ def run_classify(cfg: PipelineConfig, sp: StagnationPoint, density: float):
 def _json_dump(obj, path) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n",
                           encoding="utf-8")
+
+
+_FLOAT = "%.17g"   # round-trips float64 bit-exactly
 
 
 def write_csv(path, header: str, rows) -> None:

@@ -10,13 +10,16 @@ the velocity potential, and the Weiss energy at one radius), so they live
 with the tests.  So do the earlier all-at-once forms of three package
 functions that now bound their working set (the star hull, the solve's
 energy, the radial sweep): the package must give their floats and bits
-exactly.  The module name does not start with ``test_``, so pytest does
-not collect it.
+exactly.  ``traced_peak`` is the tracemalloc measure that the
+working-set bounds of those functions and of ``load_field`` are checked
+with.  The module name does not start with ``test_``, so pytest does not
+collect it.
 """
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -198,3 +201,19 @@ def radial_sweep_all_at_once(spec: ProblemSpec, u: ScalarField,
                        r ** (2 * k - 1) * disk.integrate(rem),
                        disk.integrate(free_f), disk.integrate(gap_f))
     return RadialSweep(radii, k, *cols)
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the most bytes tracemalloc saw it hold above what
+    was allocated at its entry."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        entry = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        if started:
+            tracemalloc.stop()

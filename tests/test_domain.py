@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import cornerwave as cw
 from cornerwave.domain import (Rect, _stag_to_json, bilinear,
                                value_envelope_monomial, wrap_angle)
 from cornerwave.pipeline import _parse_problem, _parse_stag
+from references import traced_peak
 
 BIG = Rect(-4.0, -4.0, 4.0, 4.0)
 
@@ -275,10 +277,10 @@ class TestPersistence:
         assert _parse_problem(problem) == spec
 
     @pytest.mark.parametrize("case", ["signed-zeros", "subnormal-and-huge",
-                                      "all-zero", "no-zero"])
-    def test_body_is_every_value_formatted(self, case, tmp_path):
-        # +0.0 is written as "0" without formatting; the bytes are those
-        # of formatting every value, and they load back bit for bit
+                                      "all-zero", "no-zero", "transposed"])
+    def test_body_is_the_raw_values(self, case, tmp_path):
+        # after the header line the body is the values as little-endian
+        # float64, row-major, and they load back bit for bit
         rng = np.random.default_rng(5)
         vals = np.where(rng.random((16, 17)) < 0.7, 0.0,
                         rng.normal(size=(16, 17)))
@@ -290,16 +292,33 @@ class TestPersistence:
             vals[7, 3], vals[-1, -1] = -1e300, 5e-324
         elif case == "all-zero":
             vals[...] = 0.0
-        else:
+        elif case == "no-zero":
             vals = rng.normal(size=(16, 17))
+        else:
+            # a view in column-major order is written row-major all the same
+            vals = rng.normal(size=(17, 16)).T
         g = cw.GridSpec(nx=17, ny=16, origin=(0.0, 0.0), spacing=0.25)
         p = tmp_path / "f.field"
         cw.save_field(cw.ScalarField(g, vals), p)
-        body = p.read_text(encoding="ascii").split("\n", 1)[1]
-        flat = vals.ravel().tolist()
-        assert body == ("%.17g\n" * len(flat)) % tuple(flat)
+        header, body = p.read_bytes().split(b"\n", 1)
+        assert json.loads(header)["body"] == "<f8"
+        assert body == vals.astype("<f8").tobytes()
         loaded, _ = cw.load_field(p)
         assert loaded.values.tobytes() == vals.tobytes()
+        assert loaded.values.flags.writeable
+
+    def test_load_memory_at_513(self, tmp_path):
+        # the body is read into the field's own array, so the reader holds
+        # 1.13 times the values
+        rng = np.random.default_rng(9)
+        g = cw.GridSpec(nx=513, ny=513, origin=(0.0, 0.0), spacing=0.25)
+        vals = np.where(rng.random((513, 513)) < 0.7, 0.0,
+                        rng.normal(size=(513, 513)))
+        p = tmp_path / "f.field"
+        cw.save_field(cw.ScalarField(g, vals), p)
+        (loaded, _), peak = traced_peak(cw.load_field, p)
+        assert loaded.values.tobytes() == vals.tobytes()
+        assert peak <= 1.5 * vals.nbytes
 
     def test_stag_json_roundtrip(self):
         for stag in (cw.Type1(x0=-1.0), cw.Type2(y0=2.0, theta0=math.pi),

@@ -1,6 +1,5 @@
 import math
 import sys
-import tracemalloc
 import types
 import weakref
 from pathlib import Path
@@ -22,7 +21,7 @@ from cornerwave.energy import (boundary_ring, bump_vector_field,
 from cornerwave.oracle import angle_pair, blowup_limit, evaluate_at_points
 from cornerwave.pipeline import build_boundary, parse_config
 from references import (energy_raw_one_expression, harmonic_residual,
-                        profile_field, star_hull_mask_one_shot)
+                        profile_field, star_hull_mask_one_shot, traced_peak)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -982,22 +981,6 @@ class TestHarmonicExtension:
         xMy, yMx = np.vdot(x, mg.cycle(y)), np.vdot(y, mg.cycle(x))
         assert abs(xMy - yMx) <= 1e-12 * abs(xMy)
         assert np.vdot(x, mg.cycle(x)) > 0
-
-
-def traced_peak(fn, *args):
-    """``fn(*args)`` and the most bytes tracemalloc saw it hold above what
-    was allocated at its entry."""
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        entry = tracemalloc.get_traced_memory()[0]
-        out = fn(*args)
-        return out, tracemalloc.get_traced_memory()[1] - entry
-    finally:
-        if started:
-            tracemalloc.stop()
 
 
 class TestStarHull:

@@ -543,35 +543,56 @@ MALFORMED = {
 
 
 def _without(key):
-    """A header and values edit that drops ``key`` from the header."""
-    def edit(header, values):
+    """A header edit that drops ``key``; the body bytes are kept."""
+    def edit(header, body):
         fields = json.loads(header)
         del fields[key]
-        return [json.dumps(fields), *values]
+        return json.dumps(fields).encode(), body
     return edit
 
 
 def _with(key, value):
-    """A header and values edit that sets the header's ``key``."""
-    def edit(header, values):
+    """A header edit that sets ``key``; the body bytes are kept."""
+    def edit(header, body):
         fields = json.loads(header)
         fields[key] = value
-        return [json.dumps(fields), *values]
+        return json.dumps(fields).encode(), body
     return edit
 
 
-# a saved solution.field (header line, value lines) made unreadable
+def _as_text(header, body):
+    """The field in the text format of earlier versions: a header without
+    the "body" tag and one ``%.17g`` line per value."""
+    fields = json.loads(header)
+    del fields["body"]
+    values = np.frombuffer(body, dtype="<f8").tolist()
+    return (json.dumps(fields, sort_keys=True).encode(),
+            (("%.17g\n" * len(values)) % tuple(values)).encode("ascii"))
+
+
+# a saved solution.field (header line, raw float64 body) made unreadable,
+# and what the refusal names; each edit takes and returns the header line
+# and the body as bytes
 CORRUPT_FIELDS = {
-    "truncated": lambda header, values: [header, values[0]],
-    "non_json_header": lambda header, values: ["solution of 33 x 33", *values],
-    "header_without_nx": _without("nx"),
-    "header_without_alpha": _without("alpha"),
-    # a value line past the nx * ny the header announces
-    "trailing_values": lambda header, values: [header, *values, "0", "abc"],
+    # the body one value short, one value long, one stray byte long
+    "truncated": (lambda header, body: (header, body[:-8]),
+                  "expected a body of 8712 bytes, found 8704"),
+    "trailing_values": (lambda header, body: (header, body + body[-8:]),
+                        "expected a body of 8712 bytes, found 8720"),
+    "stray_byte": (lambda header, body: (header, body + b"\n"),
+                   "expected a body of 8712 bytes, found 8713"),
+    "non_json_header": (lambda header, body: (b"solution of 33 x 33", body),
+                        "JSONDecodeError"),
+    "header_without_body_tag": (_without("body"), "does not name a '<f8' body"),
+    "big_endian_body_tag": (_with("body", ">f8"), "does not name a '<f8' body"),
+    "header_without_nx": (_without("nx"), "KeyError: 'nx'"),
+    "header_without_alpha": (_without("alpha"), "alpha"),
     # problem values the config parser refuses; the config's alpha is 0.0
-    "bool_alpha": _with("alpha", False),
-    "unknown_stag_type": _with("stag_type", {"type": "type4"}),
-    "nan_weight_constant": _with("weight_constant", math.nan),
+    "bool_alpha": (_with("alpha", False), "problem.alpha"),
+    "unknown_stag_type": (_with("stag_type", {"type": "type4"}), "type4"),
+    "nan_weight_constant": (_with("weight_constant", math.nan),
+                            "problem.weight_constant"),
+    "text_format": (_as_text, "does not name a '<f8' body"),
 }
 
 
@@ -753,30 +774,45 @@ class TestCli:
                 assert json.loads((out / "error.json").read_text())["stage"] \
                     == "analysis"
 
+    def saved_field_edited(self, tmp_path, edit):
+        """A config's output directory holding its 33 x 33 solve's
+        solution.field split at the header line, edited by ``edit`` and
+        joined again; returns the config's path and the directory."""
+        data = small_config(tmp_path, grid={"nx": 33, "ny": 33})
+        run(parse_config(data), stages=("solve",))
+        out = Path(data["outputs"]["directory"])
+        path = out / "solution.field"
+        header, body = edit(*path.read_bytes().split(b"\n", 1))
+        path.write_bytes(header + b"\n" + body)
+        cfgp = tmp_path / "c.yaml"
+        cfgp.write_text(yaml.safe_dump(data))
+        return cfgp, out
+
     @pytest.mark.parametrize("verb", ["analyze", "classify"])
     @pytest.mark.parametrize("corrupt", list(CORRUPT_FIELDS))
     def test_corrupt_solution_field_exit_4(self, run_cli, tmp_path, corrupt,
                                            verb):
         # a saved field that cannot be read is an analysis error with its
         # record, not a traceback
-        data = small_config(tmp_path, grid={"nx": 33, "ny": 33})
-        cfg = parse_config(data)
-        out = Path(cfg.outputs.directory)
-        out.mkdir()
-        path = out / "solution.field"
-        cw.save_field(cw.ScalarField(cfg.grid, np.zeros((33, 33))), path,
-                      spec=cfg.problem)
-        header, *values = path.read_text().splitlines()
-        path.write_text("\n".join(CORRUPT_FIELDS[corrupt](header, values))
-                        + "\n")
-        cfgp = tmp_path / "c.yaml"
-        cfgp.write_text(yaml.safe_dump(data))
+        edit, named = CORRUPT_FIELDS[corrupt]
+        cfgp, out = self.saved_field_edited(tmp_path, edit)
         r = run_cli(verb, "--config", str(cfgp))
         assert r.returncode == 4, r.stderr
         assert "analysis error: cannot read solution.field" in r.stderr
+        assert named in r.stderr
         rec = json.loads((out / "error.json").read_text())
         assert rec["stage"] == "analysis"
         assert rec["message"].startswith("cannot read solution.field")
+
+    @pytest.mark.parametrize("verb", ["analyze", "classify"])
+    def test_unedited_solution_field_read(self, run_cli, tmp_path, verb):
+        # the control of the corrupt fields: split and joined unedited, the
+        # saved field is read and analysed
+        cfgp, out = self.saved_field_edited(tmp_path,
+                                            lambda header, body: (header, body))
+        r = run_cli(verb, "--config", str(cfgp))
+        assert r.returncode == 0, r.stderr
+        assert not (out / "error.json").exists()
 
     def test_solve_then_analyze_then_classify(self, run_cli, tmp_path):
         data = small_config(tmp_path)
