@@ -31,7 +31,8 @@ from .domain import (TWO_PI, EmptyPositivity, GridSpec, ProblemSpec,
                      RadiusOutOfRange, ScalarField, StagnationPoint, bilinear,
                      reference_grid, value_envelope_monomial, weight_at,
                      wrap_angle)
-from .quadrature import DiskStencil, grad_central, require_circle_inside
+from .quadrature import (DiskStencil, disk_stencils, grad_central,
+                         require_circle_inside)
 from .weiss import limit_density
 
 EXCLUSION_NOTE = ("cusp and flat profiles are excluded for exact weak "
@@ -79,7 +80,7 @@ def l2_disk_distance(f1: ScalarField, f2: ScalarField,
         raise ValueError("fields live on different grids")
     d = f1.values - f2.values
     if disk is None:
-        disk = DiskStencil(f1.grid, (0.0, 0.0), 1.0)
+        disk = disk_stencils(f1.grid, (0.0, 0.0), [1.0])[0]
     return math.sqrt(disk.integrate(d * d))
 
 
@@ -93,7 +94,7 @@ def homogeneity_residual(u0: ScalarField, degree: float,
     Zx, Zy = g.mesh()
     resid = ux * Zx + uy * Zy - degree * u0.values
     if disk is None:
-        disk = DiskStencil(g, (0.0, 0.0), 1.0)
+        disk = disk_stencils(g, (0.0, 0.0), [1.0])[0]
     return math.sqrt(disk.integrate(resid * resid))
 
 
@@ -300,7 +301,7 @@ def blowup_analysis(spec: ProblemSpec, u: ScalarField, sp: StagnationPoint,
     radii = check_schedule(radii, u.grid, sp.location)
     fields = [rescale(u, sp, r) for r in radii]
     # every rescaled field lives on the reference grid: one B_1 stencil
-    disk = DiskStencil(fields[0].grid, (0.0, 0.0), 1.0)
+    disk = disk_stencils(fields[0].grid, (0.0, 0.0), [1.0])[0]
     dists = [l2_disk_distance(fields[i], fields[i + 1], disk)
              for i in range(len(fields) - 1)]
     resid = homogeneity_residual(fields[-1], -sp.kappa, disk)

@@ -1,13 +1,14 @@
 """Command-line interface.
 
-    cornerwave run      --config cfg.yaml [--out DIR] [--format csv,json,svg]
+    cornerwave run      --config cfg.yaml [--out DIR]
     cornerwave solve    --config cfg.yaml ...
     cornerwave analyze  --config cfg.yaml ...
     cornerwave classify --config cfg.yaml ...
     cornerwave table1   --config cfg.yaml ...
 
-``--out`` and ``--format`` override the config's ``outputs`` block, in the
-config embedded in the JSON reports too.
+Each verb runs its stages, and each stage writes all of its artifacts.
+``--out`` overrides the config's ``outputs.directory``, in the config
+embedded in the JSON reports too.
 
 Exit codes: 0 success, 2 configuration error, 3 solver error, 4 analysis
 error.  Failures leave a machine-readable error.json in the output
@@ -22,8 +23,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .pipeline import (AnalysisError, ConfigError, SolverError, check_formats,
-                       load_config, run, write_error_record)
+from .pipeline import (AnalysisError, ConfigError, SolverError, load_config,
+                       run, write_error_record)
 
 STAGES = {
     "run": ("solve", "analyze", "classify", "table1"),
@@ -43,8 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(verb)
         p.add_argument("--config", required=True, help="YAML/JSON config file")
         p.add_argument("--out", default=None, help="override output directory")
-        p.add_argument("--format", default=None,
-                       help="comma-separated subset of csv,json,svg")
     return parser
 
 
@@ -53,18 +52,13 @@ def main(argv=None) -> int:
     outdir = args.out or "out"
     try:
         cfg = load_config(args.config)
-        overrides = {}
         if args.out:
-            overrides["directory"] = cfg.outputs.directory = args.out
-        outdir = cfg.outputs.directory
-        if args.format:
-            cfg.outputs.formats = check_formats(
-                f.strip() for f in args.format.split(",") if f.strip())
-            overrides["formats"] = list(cfg.outputs.formats)
-        if overrides:
             # the config embedded in the JSON reports is the one this run
             # used, so it reads back with the same outputs
-            cfg.raw["outputs"] = {**(cfg.raw.get("outputs") or {}), **overrides}
+            cfg.outputs.directory = args.out
+            cfg.raw["outputs"] = {**(cfg.raw.get("outputs") or {}),
+                                  "directory": args.out}
+        outdir = cfg.outputs.directory
         manifest = run(cfg, stages=STAGES[args.verb])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

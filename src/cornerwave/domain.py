@@ -23,9 +23,10 @@ These conventions are derived once per spec, in its SubcaseModel
 
 Everything here is immutable value data shared by the solver and the
 analysis modules; every value type refuses a non-finite number.  A field
-is persisted here as a JSON header line and its raw float64 values
-(``save_field`` writes the problem into the header); ``pipeline`` reads
-that header back with the config's own parser.
+is persisted here as a JSON header line and its raw float64 values.
+``save_field`` writes a config's ``problem:`` mapping into the header as
+it is, and ``pipeline`` reads it back with that block's own parser, so
+the problem has one serialised form.
 """
 
 from __future__ import annotations
@@ -485,17 +486,10 @@ def stagnation_point(spec: ProblemSpec) -> StagnationPoint:
 _BODY = "<f8"
 
 
-def _stag_to_json(stag: StagnationType) -> dict:
-    if isinstance(stag, Type1):
-        return {"type": "type1", "x0": stag.x0, "theta0": stag.theta0}
-    if isinstance(stag, Type2):
-        return {"type": "type2", "y0": stag.y0, "theta0": stag.theta0}
-    return {"type": "type3", "theta_star": stag.theta_star}
-
-
-def save_field(field: ScalarField, path, spec: ProblemSpec | None = None) -> None:
-    """Write ``field`` as a JSON header line (with ``spec``'s problem, if
-    given) and then its values as raw little-endian float64, row-major.
+def save_field(field: ScalarField, path, problem: dict | None = None) -> None:
+    """Write ``field`` as a JSON header line (with ``problem``, a config's
+    ``problem:`` mapping, if given) and then its values as raw
+    little-endian float64, row-major.
 
     The body is written straight from the array's buffer: no value is
     formatted and a C-contiguous float64 array is not copied."""
@@ -507,15 +501,8 @@ def save_field(field: ScalarField, path, spec: ProblemSpec | None = None) -> Non
         "origin": [g.origin[0], g.origin[1]],
         "spacing": g.spacing,
     }
-    if spec is not None:
-        header.update({
-            "alpha": spec.alpha,
-            "beta": spec.beta,
-            "weight_constant": spec.weight_constant,
-            "stag_type": _stag_to_json(spec.stag),
-            "domain": [spec.domain.x_min, spec.domain.y_min,
-                       spec.domain.x_max, spec.domain.y_max],
-        })
+    if problem is not None:
+        header["problem"] = problem
     values = np.ascontiguousarray(field.values, dtype=_BODY)
     with open(path, "wb") as out:
         out.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")

@@ -372,14 +372,12 @@ def _subcase_specs(alpha: float, beta: float, x0_mag: float, y0_mag: float):
     return out
 
 
-def conclusion_table(alpha: float, beta: float,
-                     pair: AnglePair | None = None) -> list[ConclusionRow]:
+def conclusion_table(alpha: float, beta: float) -> list[ConclusionRow]:
     """Openings, cone edges, force directions, and densities for all nine
     subcases at the given exponents, the stagnation point at unit distance
-    from its axis.  The type-3 row uses the supplied pair or defaults to
-    the downward axis-symmetric one."""
-    if pair is None:
-        pair = angle_pair(alpha, beta)
+    from its axis.  The type-3 row uses the downward axis-symmetric
+    pair."""
+    pair = angle_pair(alpha, beta)
     rows = []
     for spec in _subcase_specs(alpha, beta, 1.0, 1.0):
         m = spec.model

@@ -2,7 +2,8 @@
 and emit deterministic reports.
 
 A run consumes one YAML config (JSON is accepted too, YAML being a
-superset) and produces, inside the output directory:
+superset) and each stage it runs writes all of its artifacts, inside the
+output directory:
 
     solution.field        persisted solver output (JSON header line +
                           raw little-endian float64 values, row-major)
@@ -26,9 +27,13 @@ resolved config is embedded in every JSON report and can itself be fed
 back as a config (provenance round-trip).
 
 ``parse_config`` checks every setting, naming its key, before any stage
-runs.  A saved solution.field is analysed only for the problem and grid
-it was solved for: its header's problem is read by ``_parse_problem``,
-the parser of the config's ``problem:`` block.
+runs.  Outside ``problem:`` and ``grid:`` three values are settable:
+``solver.max_iters``, ``analysis.blowup_radii`` and
+``outputs.directory``.  The solver's ring data is always the oracle's
+blow-up profile.  A saved solution.field is analysed only for the
+problem and grid it was solved for: its header carries the config's
+``problem:`` mapping as written, read back by ``_parse_problem``, the
+parser of that block.
 
 The analysis works on balls B_r(X0) shrinking toward the stagnation point
 X0 inside a fixed neighbourhood of radius delta, half the distance from X0
@@ -48,7 +53,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -62,8 +67,6 @@ from .domain import (DegenerateDenominator, GridSpec, ProblemSpec, Rect,
 from .energy import SolverParams, SolveResult, minimize_energy
 from .frequency import frequency_profile
 from .weiss import radial_sweep, weiss_profile
-
-FORMATS = ("csv", "json", "svg")
 
 log = logging.getLogger(__name__)
 
@@ -132,15 +135,8 @@ def _check(key: str, validate, *args):
 
 
 @dataclass
-class BoundaryConfig:
-    perturbation: float = 0.0       # amplitude of the decaying same-cone mode
-    pair_theta1: float | None = None  # type-3 seed pair
-
-
-@dataclass
 class OutputConfig:
     directory: str = "out"
-    formats: tuple[str, ...] = FORMATS
 
 
 @dataclass
@@ -148,10 +144,9 @@ class PipelineConfig:
     problem: ProblemSpec
     grid: GridSpec
     solver: SolverParams
-    boundary: BoundaryConfig
     blowup_radii: list[float]
     outputs: OutputConfig
-    raw: dict = field(default_factory=dict)
+    raw: dict
 
 
 def _parse_stag(d: dict) -> Type1 | Type2 | Type3:
@@ -205,8 +200,8 @@ def parse_config(data: dict) -> PipelineConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
     try:
-        _known(data, ("problem", "grid", "solver", "boundary", "analysis",
-                      "outputs"), "config")
+        _known(data, ("problem", "grid", "solver", "analysis", "outputs"),
+               "config")
         spec = _parse_problem(_need(data, "problem", "config"))
         grid_cfg = _known(_need(data, "grid", "config"), ("nx", "ny"), "grid")
         grid = GridSpec.from_domain(
@@ -218,50 +213,24 @@ def parse_config(data: dict) -> PipelineConfig:
         if solver.max_iters < 1:
             raise ConfigError("solver.max_iters must be at least 1, "
                               f"not {solver.max_iters}")
-        # the boundary data is always the oracle's blow-up profile
-        bnd = _known(data.get("boundary") or {},
-                     ("perturbation", "pair_theta1"), "boundary")
-        boundary = BoundaryConfig(
-            perturbation=_number(bnd, "perturbation", "boundary", 0.0),
-            pair_theta1=_number(bnd, "pair_theta1", "boundary"))
-        if boundary.pair_theta1 is not None:
-            # the pair seeds type-3 boundary data and the table's type-3 row
-            _check("boundary.pair_theta1", oracle.angle_pair, spec.alpha,
-                   spec.beta, boundary.pair_theta1)
         ana = _known(data.get("analysis") or {}, ("blowup_radii",), "analysis")
         # checked here, not when the blow-up runs after the solve
         blowup_radii = ana.get("blowup_radii")
         blowup_radii = [] if blowup_radii is None else _check(
             "analysis.blowup_radii", bw.check_schedule, blowup_radii, grid,
             spec.stagnation_location)
-        out = _known(data.get("outputs") or {}, ("directory", "formats"),
-                     "outputs")
+        out = _known(data.get("outputs") or {}, ("directory",), "outputs")
         directory = out.get("directory", "out")
         if not isinstance(directory, str):
             raise ConfigError(
                 f"outputs.directory must be a string, not {directory!r}")
-        formats = out.get("formats", list(FORMATS))
-        if not isinstance(formats, list):
-            raise ConfigError(
-                f"outputs.formats must be a list, not {formats!r}")
-        outputs = OutputConfig(directory=directory,
-                               formats=check_formats(formats))
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     return PipelineConfig(problem=spec, grid=grid, solver=solver,
-                          boundary=boundary, blowup_radii=blowup_radii,
-                          outputs=outputs, raw=data)
-
-
-def check_formats(formats) -> tuple[str, ...]:
-    """The output formats as a tuple; ConfigError names an unknown one."""
-    formats = tuple(formats)
-    for f in formats:
-        if f not in FORMATS:
-            raise ConfigError(f"unknown output format {f!r}")
-    return formats
+                          blowup_radii=blowup_radii,
+                          outputs=OutputConfig(directory), raw=data)
 
 
 def load_config(path) -> PipelineConfig:
@@ -278,20 +247,13 @@ def load_config(path) -> PipelineConfig:
 # stage: boundary data
 
 def build_boundary(cfg: PipelineConfig):
-    """Full-grid array whose ring supplies the Dirichlet data (the blow-up
-    profile, plus the optional perturbation mode), and that profile."""
+    """Full-grid array whose ring supplies the Dirichlet data, the oracle's
+    blow-up profile (on type 3, that of the downward axis-symmetric
+    pair), and that profile."""
     spec = cfg.problem
-    # the seed pair is read for type 3 only
-    pair = oracle.angle_pair(spec.alpha, spec.beta, cfg.boundary.pair_theta1)
-    profile = oracle.blowup_limit(spec, pair)
+    profile = oracle.blowup_limit(spec, oracle.angle_pair(spec.alpha, spec.beta))
     X, Y = cfg.grid.mesh()
-    x0, y0 = spec.stagnation_location
-    vals = oracle.evaluate_at_points(profile, X, Y, (x0, y0))
-    if cfg.boundary.perturbation:
-        # same-cone mode one power of r above the blow-up degree: the
-        # profile times r, decaying linearly under rescaling, which gives
-        # a measurable convergence rate
-        vals = vals + cfg.boundary.perturbation * np.hypot(X - x0, Y - y0) * vals
+    vals = oracle.evaluate_at_points(profile, X, Y, spec.stagnation_location)
     return np.asarray(vals), profile
 
 
@@ -362,10 +324,8 @@ def write_csv(path, header: str, rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def write_table1(alpha: float, beta: float, path,
-                 pair_theta1: float | None = None) -> None:
-    rows = oracle.conclusion_table(alpha, beta,
-                                   pair=oracle.angle_pair(alpha, beta, pair_theta1))
+def write_table1(alpha: float, beta: float, path) -> None:
+    rows = oracle.conclusion_table(alpha, beta)
     write_csv(path, "type,subcase,x0,y0,theta0,opening,theta1,theta2,density",
               [(r.stag_type, r.subcase, "" if r.x0 is None else r.x0,
                 "" if r.y0 is None else r.y0,
@@ -457,7 +417,6 @@ def run(cfg: PipelineConfig,
     outdir = Path(cfg.outputs.directory)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest: dict = {"outputs": {}}
-    fmts = cfg.outputs.formats
     spec = cfg.problem
     sp = stagnation_point(spec)
 
@@ -466,16 +425,16 @@ def run(cfg: PipelineConfig,
         manifest["outputs"][key] = name
         return outdir / name
 
-    if "table1" in stages and "csv" in fmts:
-        write_table1(spec.alpha, spec.beta, output("table1", "table1.csv"),
-                     pair_theta1=cfg.boundary.pair_theta1)
+    if "table1" in stages:
+        write_table1(spec.alpha, spec.beta, output("table1", "table1.csv"))
 
     solution = None
     profile = None
     if "solve" in stages:
         result, profile = run_solve(cfg)
         solution = result.field
-        save_field(solution, output("solution", "solution.field"), spec=spec)
+        save_field(solution, output("solution", "solution.field"),
+                   problem=cfg.raw["problem"])
         manifest["solver"] = {
             "converged": result.converged,
             "iterations": result.iterations,
@@ -493,12 +452,9 @@ def run(cfg: PipelineConfig,
             raise AnalysisError("no solution field available; run solve first")
         try:
             solution, header = load_field(p)
-            saved = {k: header[k] for k in ("alpha", "beta", "domain",
-                                             "weight_constant") if k in header}
-            if "stag_type" in header:
-                saved["stagnation"] = header["stag_type"]
             # the saved solve must be of the config's problem on its grid
-            fits = _parse_problem(saved) == spec and solution.grid == cfg.grid
+            fits = _parse_problem(header["problem"]) == spec \
+                and solution.grid == cfg.grid
         except (ConfigError, LookupError, OSError, TypeError,
                 ValueError) as exc:
             raise AnalysisError("cannot read solution.field: "
@@ -510,32 +466,30 @@ def run(cfg: PipelineConfig,
     br = None
     if "analyze" in stages:
         wp, fp, br = run_analysis(cfg, solution, sp)
-        if "csv" in fmts:
-            write_csv(output("weiss", "weiss.csv"),
-                      "r,M,dM_numeric,remainder,remainder_integral,J1",
-                      zip(*astuple(wp)))
-            if fp is not None:
-                write_csv(output("frequency", "frequency.csv"),
-                          "r,D,V1,V2,V,H", zip(*astuple(fp)))
+        write_csv(output("weiss", "weiss.csv"),
+                  "r,M,dM_numeric,remainder,remainder_integral,J1",
+                  zip(*astuple(wp)))
+        if fp is not None:
+            write_csv(output("frequency", "frequency.csv"),
+                      "r,D,V1,V2,V,H", zip(*astuple(fp)))
         if br is not None:
             rescale_names = [f"rescale_{k}.field"
                              for k in range(len(br.rescaled_fields))]
             for name, f in zip(rescale_names, br.rescaled_fields):
                 save_field(f, outdir / name)
-            if "json" in fmts:
-                _json_dump({
-                    "config": cfg.raw,
-                    "radii_used": br.radii_used,
-                    "successive_distance": br.successive_distance,
-                    "homogeneity_residual": br.homogeneity_residual,
-                    "density_estimate": br.density_estimate,
-                    "directions": list(br.directions) if br.directions else None,
-                    "opening": (br.directions[1] - br.directions[0])
-                    if br.directions else None,
-                    "disconnected": br.direction_report.disconnected
-                    if br.direction_report else None,
-                    "rescaled_fields": rescale_names,
-                }, output("blowup", "blowup.json"))
+            _json_dump({
+                "config": cfg.raw,
+                "radii_used": br.radii_used,
+                "successive_distance": br.successive_distance,
+                "homogeneity_residual": br.homogeneity_residual,
+                "density_estimate": br.density_estimate,
+                "directions": list(br.directions) if br.directions else None,
+                "opening": (br.directions[1] - br.directions[0])
+                if br.directions else None,
+                "disconnected": br.direction_report.disconnected
+                if br.direction_report else None,
+                "rescaled_fields": rescale_names,
+            }, output("blowup", "blowup.json"))
     if "classify" in stages:
         try:  # the blow-up analysis reads the same density
             density = br.density_estimate if br is not None \
@@ -543,11 +497,10 @@ def run(cfg: PipelineConfig,
         except Exception as exc:
             raise AnalysisError(f"analysis stage failed: {exc}") from exc
         report = run_classify(cfg, sp, density)
-        if "json" in fmts:
-            _json_dump({"config": cfg.raw, **asdict(report)},
-                       output("classification", "classification.json"))
+        _json_dump({"config": cfg.raw, **asdict(report)},
+                   output("classification", "classification.json"))
         manifest["classification"] = report.verdict
-    if "solve" in stages and "svg" in fmts:
+    if "solve" in stages:
         write_svg(solution, spec, sp, output("svg", "solution.svg"),
                   profile=profile)
     return manifest

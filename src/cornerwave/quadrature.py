@@ -12,13 +12,14 @@ evaluates the rim cells of every disk in one ``cell_disk_overlap`` call
 (one radius per cell, the four cell corners in one ``_corner_area``
 call), and ``circle_integrals_u2`` samples every circle in one
 ``bilinear`` call and sums each circle's own samples.  Each radius gets
-the same floats as a batch of that radius alone; ``DiskStencil`` is the
-disk batch of one radius.
+the same floats as a batch of that radius alone, so the stencil of one
+radius is ``disk_stencils(grid, center, [r])[0]``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,22 +137,17 @@ def _disk_weights(grid: GridSpec, center, radii) -> list:
     return [(box, weights) for box, weights, _ in parts]
 
 
+@dataclass(frozen=True, eq=False)
 class DiskStencil:
-    """Node indices and exact cell-overlap weights for one disk.
+    """Node indices (a box of the parent grid) and exact cell-overlap
+    weights for one disk, as built by ``disk_stencils``.
 
     ``integrate(f)`` sums f over the disk for any nodewise array f on the
-    parent grid.  ``disk_stencils`` builds the stencils of many radii
-    about one center at once, with the same boxes and weights.
+    parent grid.
     """
 
-    def __init__(self, grid: GridSpec, center, r: float):
-        (self.box, self.weights), = _disk_weights(grid, center, [r])
-
-    @classmethod
-    def _from_parts(cls, box, weights) -> "DiskStencil":
-        stencil = cls.__new__(cls)
-        stencil.box, stencil.weights = box, weights
-        return stencil
+    box: tuple[slice, slice]
+    weights: np.ndarray
 
     def integrate(self, nodewise: np.ndarray) -> float:
         return float(np.sum(nodewise[self.box] * self.weights))
@@ -164,7 +160,7 @@ class DiskStencil:
 def disk_stencils(grid: GridSpec, center, radii) -> list[DiskStencil]:
     """The ``DiskStencil`` of each radius about ``center``, their rim cells
     evaluated in one batch."""
-    return [DiskStencil._from_parts(box, weights)
+    return [DiskStencil(box, weights)
             for box, weights in _disk_weights(grid, center, radii)]
 
 

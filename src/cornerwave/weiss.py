@@ -43,8 +43,8 @@ import numpy as np
 from .domain import (GridSpec, ProblemSpec, ScalarField, StagnationPoint,
                      RadiusOutOfRange, reference_grid, weight_at,
                      weight_gradient_at)
-from .quadrature import (DiskStencil, circle_integrals_u2, disk_stencils,
-                         grad_central, require_circle_inside)
+from .quadrature import (circle_integrals_u2, disk_stencils, grad_central,
+                         require_circle_inside)
 
 
 @dataclass
@@ -236,6 +236,6 @@ def limit_density(spec: ProblemSpec, u: ScalarField, sp: StagnationPoint,
     # reference-square corners poking past B_1 are clamped and carry zero
     # disk weight anyway
     chi = (u.values[u.grid.nearest_node(px, py)] > 0.0).astype(float)
-    disk = DiskStencil(ref, (0.0, 0.0), 1.0)
+    disk = disk_stencils(ref, (0.0, 0.0), [1.0])[0]
     val = disk.integrate(spec.model.monomial(Zx, Zy) * chi)
     return spec.weight_constant * spec.model.frozen * val

@@ -314,7 +314,7 @@ def test_criterion_10_determinism(tmp_path):
         "grid": {"nx": 257, "ny": 257},
         "solver": {"max_iters": 2500},
         "analysis": {"blowup_radii": [0.4, 0.3, 0.22]},
-        "outputs": {"directory": "", "formats": ["csv", "json", "svg"]},
+        "outputs": {"directory": ""},
     }
     outs = []
     for sub in ("a", "b"):

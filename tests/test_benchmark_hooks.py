@@ -69,3 +69,16 @@ def test_traced_solve_fills_the_solver_spans(tracing):
     assert metrics["energy.sharpen_sweeps"] == 8 * 60
     assert metrics["energy.sweeps"] == result.iterations
     assert metrics["energy.converged"] == 1.0
+
+
+def test_traced_stencils_are_every_stencil(tracing):
+    # every disk stencil is built by its record's constructor, the target
+    # of the quadrature span, so the count is one per radius
+    quadrature = importlib.import_module("cornerwave.quadrature")
+    grid = cw.GridSpec(nx=65, ny=65, origin=(-1.0, -1.0), spacing=2.0 / 64)
+    radii = [0.1, 0.2, 0.3, 0.45]
+    with tracing.Tracer() as tracer:
+        disks = quadrature.disk_stencils(grid, (0.0, 0.0), radii)
+    assert tracer.absent == {}
+    metrics = tracing.layer_metrics(tracer.take())
+    assert metrics["quadrature.disk_stencils"] == len(disks) == len(radii)

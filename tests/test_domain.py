@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cornerwave as cw
-from cornerwave.domain import (Rect, _stag_to_json, bilinear,
-                               value_envelope_monomial, wrap_angle)
-from cornerwave.pipeline import _parse_problem, _parse_stag
+from cornerwave.domain import (Rect, bilinear, value_envelope_monomial,
+                               wrap_angle)
+from cornerwave.pipeline import _parse_problem
 from references import traced_peak
 
 BIG = Rect(-4.0, -4.0, 4.0, 4.0)
@@ -264,17 +264,18 @@ class TestPersistence:
     def test_roundtrip_with_spec_header(self, tmp_path):
         spec = cw.ProblemSpec(0.0, 1.0, cw.Type1(x0=-1.0),
                               cw.Rect(-2.0, -1.0, 0.0, 1.0))
+        problem = {"alpha": 0.0, "beta": 1.0, "domain": [-2.0, -1.0, 0.0, 1.0],
+                   "stagnation": {"type": 1, "x0": -1.0}}
         g = cw.GridSpec.from_domain(spec.domain, 17, 17)
         f = cw.ScalarField(g, np.arange(17 * 17, dtype=float).reshape(17, 17) / 7)
         p = tmp_path / "u.field"
-        cw.save_field(f, p, spec=spec)
+        cw.save_field(f, p, problem=problem)
         loaded, header = cw.load_field(p)
         assert np.array_equal(loaded.values, f.values)
-        # read back as the pipeline reads a saved field's problem
-        problem = {k: header[k] for k in ("alpha", "beta", "domain",
-                                          "weight_constant")}
-        problem["stagnation"] = header["stag_type"]
-        assert _parse_problem(problem) == spec
+        # the config's problem mapping as written, read back as the
+        # pipeline reads a saved field's problem
+        assert header["problem"] == problem
+        assert _parse_problem(header["problem"]) == spec
 
     @pytest.mark.parametrize("case", ["signed-zeros", "subnormal-and-huge",
                                       "all-zero", "no-zero", "transposed"])
@@ -320,10 +321,22 @@ class TestPersistence:
         assert loaded.values.tobytes() == vals.tobytes()
         assert peak <= 1.5 * vals.nbytes
 
-    def test_stag_json_roundtrip(self):
-        for stag in (cw.Type1(x0=-1.0), cw.Type2(y0=2.0, theta0=math.pi),
-                     cw.Type3(theta_star=0.3)):
-            assert _parse_stag(_stag_to_json(stag)) == stag
+    def test_problem_roundtrip_every_stagnation_type(self, tmp_path):
+        g = cw.GridSpec(nx=17, ny=16, origin=(0.0, 0.0), spacing=0.25)
+        p = tmp_path / "f.field"
+        for stagnation, stag in (
+                ({"type": 1, "x0": -1.0}, cw.Type1(x0=-1.0)),
+                ({"type": "type2", "y0": 2.0, "theta0": math.pi},
+                 cw.Type2(y0=2.0, theta0=math.pi)),
+                ({"type": "3", "theta_star": 0.3}, cw.Type3(theta_star=0.3))):
+            problem = {"alpha": 1.0, "beta": 1.0, "domain": [-4, -4, 4, 4],
+                       "weight_constant": 0.37, "stagnation": stagnation}
+            cw.save_field(cw.ScalarField(g, np.zeros((16, 17))), p,
+                          problem=problem)
+            _, header = cw.load_field(p)
+            assert header["problem"] == problem
+            assert _parse_problem(header["problem"]) \
+                == cw.ProblemSpec(1.0, 1.0, stag, BIG, weight_constant=0.37)
 
 
 class TestHelpers:

@@ -7,7 +7,7 @@ import pytest
 import cornerwave as cw
 from cornerwave.oracle import blowup_limit
 from cornerwave.pipeline import write_csv
-from cornerwave.quadrature import DiskStencil, circle_integrals_u2
+from cornerwave.quadrature import circle_integrals_u2, disk_stencils
 from references import profile_field, weiss_energy
 
 RADII = np.geomspace(0.3, 0.8, 8)
@@ -110,7 +110,7 @@ class TestVolumeTerm:
         lw = cw.weight_at(spec, np.full_like(X, -1.0), Y)
         chi = (u.values > 0.0).astype(float)
         for i, r in enumerate(radii):
-            disk = DiskStencil(g, sp.location, r)
+            disk = disk_stencils(g, sp.location, [r])[0]
             ring = circle_integrals_u2(u.values, g, sp.location, [r])[0]
             gap = r * disk.integrate((lw - w) * chi) / ring
             assert fp.V2[i] - share[i] == pytest.approx(gap, rel=1e-12, abs=0.0)

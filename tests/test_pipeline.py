@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib.util
 import json
@@ -28,6 +29,14 @@ SRC = CONFIGS.parent / "src"
 # the bundled configs that solve
 SOLVED = ["stokes", "corner_beta2", "corner_alpha2", "corner_type3",
           "blowup_convergence"]
+# the settable values outside problem: and grid:
+SETTABLE = ("solver.max_iters", "analysis.blowup_radii", "outputs.directory")
+# settable values that may take one value across the bundled configs, and
+# why each is a key all the same
+ONE_VALUE_ALLOWED = {
+    "solver.max_iters": "the tests drive the unconverged path through it",
+    "outputs.directory": "a deployment path, one per config",
+}
 
 SMALL_CONFIG = {
     "problem": {
@@ -38,8 +47,16 @@ SMALL_CONFIG = {
     "grid": {"nx": 257, "ny": 257},
     "solver": {"max_iters": 3000},
     "analysis": {"blowup_radii": [0.4, 0.3, 0.22]},
-    "outputs": {"directory": "out", "formats": ["csv", "json", "svg"]},
+    "outputs": {"directory": "out"},
 }
+# a section the parser no longer reads, refused by its own name whatever
+# it holds
+RETIRED_SECTIONS = ("boundary",)
+
+
+def refused_name(section, key):
+    """The name a refusal of ``key`` set in ``section`` carries."""
+    return section if section in RETIRED_SECTIONS else key
 
 
 def small_config(tmp_path, **overrides):
@@ -62,15 +79,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="x0"):
             parse_config(data)
 
-    def test_unknown_format_rejected(self):
-        data = json.loads(json.dumps(SMALL_CONFIG))
-        data["outputs"]["formats"] = ["csv", "pdf"]
-        with pytest.raises(ConfigError, match="pdf"):
-            parse_config(data)
-
     # the solver, boundary and analysis settings that are constants now,
-    # the boundary settings with one value in use, and the analysis scales
-    # now derived from delta
+    # the boundary settings with one value in use, the analysis scales now
+    # derived from delta, and the boundary section and output formats,
+    # each with the one value every config used
     @pytest.mark.parametrize("section, key, value", [
         ("solver", "smoothing_eps", 0.01),
         ("solver", "step_size", 1.85),
@@ -89,11 +101,15 @@ class TestConfigParsing:
         ("analysis", "density_radius", 0.3),
         ("analysis", "direction_radius", 0.45),
         ("analysis", "reference_n", 129),
+        ("boundary", "perturbation", 0.0),
+        ("boundary", "pair_theta1", -2.199114857512855),
+        ("outputs", "formats", ["csv", "json", "svg"]),
     ])
     def test_retired_key_rejected(self, section, key, value):
         data = json.loads(json.dumps(SMALL_CONFIG))
         data.setdefault(section, {})[key] = value
-        with pytest.raises(ConfigError, match=f"unknown field '{key}'"):
+        with pytest.raises(ConfigError, match=f"unknown field "
+                           f"'{refused_name(section, key)}'"):
             parse_config(data)
 
     @pytest.mark.parametrize("path, key", [
@@ -110,11 +126,12 @@ class TestConfigParsing:
         for name in path:
             mapping = mapping.setdefault(name, {})
         mapping[key] = 0.1
-        with pytest.raises(ConfigError, match=f"unknown field '{key}'"):
+        with pytest.raises(ConfigError, match=f"unknown field "
+                           f"'{refused_name(path[0], key) if path else key}'"):
             parse_config(data)
 
     @pytest.mark.parametrize("section, key", [
-        ("boundary", "pair_theta1"), ("grid", "nx"), ("grid", "ny"),
+        ("grid", "nx"), ("grid", "ny"), ("problem", "weight_constant"),
         ("problem", "alpha"), ("solver", "max_iters"),
         ("problem.stagnation", "x0"), ("problem.stagnation", "theta0")])
     def test_text_number_rejected_by_key(self, section, key):
@@ -145,6 +162,41 @@ class TestConfigParsing:
         u = cw.ScalarField(cfg.grid, np.zeros((cfg.grid.ny, cfg.grid.nx)))
         assert bw.REFERENCE_N == 129
         assert cw.rescale(u, sp, 0.2).grid == reference_grid(129)
+
+    def test_seed_pair_equals_the_retired_setting(self):
+        # the boundary.pair_theta1 that corner_type3.yaml set: the
+        # downward axis-symmetric pair to the bit, so the seed is unchanged
+        assert angle_pair(2.0, 1.0).theta1 == -2.199114857512855
+
+    def test_settable_keys_outside_problem_and_grid(self):
+        # every key the parser accepts outside problem: and grid:, read
+        # from the key lists of its ``_known`` calls; only the stagnation
+        # parser names its mapping by a variable
+        tree = ast.parse(Path(pipeline.__file__).read_text(encoding="utf-8"))
+        accepted = {}
+        for fn in tree.body:
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) \
+                        and getattr(node.func, "id", "") == "_known":
+                    keys, where = node.args[1:]
+                    if not isinstance(where, ast.Constant):
+                        assert fn.name == "_parse_stag"
+                        continue
+                    accepted[where.value] = set(ast.literal_eval(keys))
+        assert accepted.pop("config") == {"problem", "grid", "solver",
+                                          "analysis", "outputs"}
+        settable = {f"{where}.{key}" for where, keys in accepted.items()
+                    if where.split(".")[0] not in ("problem", "grid")
+                    for key in keys}
+        assert settable == set(SETTABLE)
+        # a setting with one value in use is a constant, not a key: each
+        # key not allowed below takes two values across the bundled configs
+        configs = [yaml.safe_load(p.read_text()) for p in CONFIGS.glob("*.yaml")]
+        for name in set(SETTABLE) - set(ONE_VALUE_ALLOWED):
+            section, key = name.split(".")
+            values = {json.dumps(data[section][key]) for data in configs
+                      if key in (data.get(section) or {})}
+            assert len(values) >= 2, (name, values)
 
     def test_yaml_and_json_both_load(self, tmp_path):
         data = small_config(tmp_path)
@@ -199,7 +251,7 @@ class TestRun:
         field, header = cw.load_field(outdir / "solution.field")
         assert field.grid.nx == 257
         assert np.all(field.values >= 0)
-        assert header["alpha"] == 0.0
+        assert header["problem"] == SMALL_CONFIG["problem"]
 
     def test_svg_is_wellformed(self, run_dir):
         outdir, _ = run_dir
@@ -215,23 +267,24 @@ class TestRun:
 
 class TestBuildBoundary:
     @pytest.mark.parametrize("name", SOLVED)
-    def test_perturbation_is_the_profile_times_r(self, name):
+    def test_seed_is_the_oracle_profile(self, name):
+        # the blow-up profile of the downward axis-symmetric pair, written
+        # out from the cone edges and degree, nonzero inside the cone only
         cfg = load_config(CONFIGS / f"{name}.yaml")
-        cfg.boundary.perturbation = 0.5
         vals, profile = build_boundary(cfg)
-        # the same-cone mode one power of r above the degree, written out
+        spec = cfg.problem
+        assert profile == blowup_limit(spec, angle_pair(spec.alpha, spec.beta))
         X, Y = cfg.grid.mesh()
-        x0, y0 = cfg.problem.stagnation_location
+        x0, y0 = spec.stagnation_location
         d = profile.degree
         rr = np.hypot(X - x0, Y - y0)
         dth = np.mod(np.arctan2(Y - y0, X - x0) - profile.theta1, 2 * math.pi)
         mode = np.where(dth <= profile.opening, np.maximum(
             np.cos(d * (profile.theta1 + dth) + profile.phi0), 0.0), 0.0)
-        plain = evaluate_at_points(profile, X, Y, (x0, y0))
-        expected = plain + 0.5 * profile.prefactor * profile.C0 \
-            * rr ** (d + 1.0) * mode
+        expected = profile.prefactor * profile.C0 * rr ** d * mode
         np.testing.assert_allclose(vals, expected, rtol=1e-13, atol=0.0)
-        assert np.any(vals > plain)
+        assert np.array_equal(vals, evaluate_at_points(profile, X, Y, (x0, y0)))
+        assert np.any(vals > 0) and np.any(vals == 0)
 
 
 def cell_loop_segments(values, grid, level):
@@ -461,8 +514,12 @@ class TestReproduceAll:
 # config that has only problem.alpha; and the name its error must carry
 MALFORMED = {
     "missing_field": (None, "'beta'"),
-    # a type-3 seed pair whose edge weights differ
-    "bad_pair": (("boundary", "pair_theta1", 0.3), "boundary.pair_theta1"),
+    # a type-3 seed pair whose edge weights differ, in the retired
+    # boundary section, which is refused by name whatever it holds
+    "bad_pair": (("boundary", "pair_theta1", 0.3), "unknown field 'boundary'"),
+    # the retired boundary section, with the one value every config used
+    "retired_perturbation": (("boundary", "perturbation", 0.0),
+                             "unknown field 'boundary'"),
     # a misspelt max_iters
     "unknown_key": (("solver", "max_iter", 100), "'max_iter'"),
     # retired analysis keys, refused by name whatever their value
@@ -536,28 +593,35 @@ MALFORMED = {
                              "problem.stagnation.type"),
     "bool_blowup_radius": (("analysis", "blowup_radii", [0.45, True]),
                            "analysis.blowup_radii"),
-    # the output directory and formats
+    # the output directory, and the retired formats key whatever its value
     "number_directory": (("outputs", "directory", 5), "outputs.directory"),
-    "scalar_formats": (("outputs", "formats", "csv"), "outputs.formats"),
+    "scalar_formats": (("outputs", "formats", "csv"), "unknown field 'formats'"),
 }
 
 
-def _without(key):
-    """A header edit that drops ``key``; the body bytes are kept."""
+def _edit(path, change):
+    """A header edit that calls ``change(mapping, key)`` on the key at
+    ``path`` of the header; the body bytes are kept."""
+    *outer, key = path
+
     def edit(header, body):
         fields = json.loads(header)
-        del fields[key]
+        mapping = fields
+        for name in outer:
+            mapping = mapping[name]
+        change(mapping, key)
         return json.dumps(fields).encode(), body
     return edit
 
 
-def _with(key, value):
-    """A header edit that sets ``key``; the body bytes are kept."""
-    def edit(header, body):
-        fields = json.loads(header)
-        fields[key] = value
-        return json.dumps(fields).encode(), body
-    return edit
+def _without(*path):
+    """A header edit that drops the key at ``path``."""
+    return _edit(path, lambda mapping, key: mapping.pop(key))
+
+
+def _with(*path, value):
+    """A header edit that sets the key at ``path`` to ``value``."""
+    return _edit(path, lambda mapping, key: mapping.__setitem__(key, value))
 
 
 def _as_text(header, body):
@@ -584,13 +648,16 @@ CORRUPT_FIELDS = {
     "non_json_header": (lambda header, body: (b"solution of 33 x 33", body),
                         "JSONDecodeError"),
     "header_without_body_tag": (_without("body"), "does not name a '<f8' body"),
-    "big_endian_body_tag": (_with("body", ">f8"), "does not name a '<f8' body"),
+    "big_endian_body_tag": (_with("body", value=">f8"),
+                            "does not name a '<f8' body"),
     "header_without_nx": (_without("nx"), "KeyError: 'nx'"),
-    "header_without_alpha": (_without("alpha"), "alpha"),
+    "header_without_problem": (_without("problem"), "KeyError: 'problem'"),
+    "header_without_alpha": (_without("problem", "alpha"), "alpha"),
     # problem values the config parser refuses; the config's alpha is 0.0
-    "bool_alpha": (_with("alpha", False), "problem.alpha"),
-    "unknown_stag_type": (_with("stag_type", {"type": "type4"}), "type4"),
-    "nan_weight_constant": (_with("weight_constant", math.nan),
+    "bool_alpha": (_with("problem", "alpha", value=False), "problem.alpha"),
+    "unknown_stag_type": (_with("problem", "stagnation",
+                                value={"type": "type4"}), "type4"),
+    "nan_weight_constant": (_with("problem", "weight_constant", value=math.nan),
                             "problem.weight_constant"),
     "text_format": (_as_text, "does not name a '<f8' body"),
 }
@@ -668,43 +735,25 @@ class TestCli:
         assert r.returncode == 0, r.stderr
         assert "verdict: cusp" in r.stdout
 
-    def test_unknown_format_exit_2(self, run_cli, tmp_path):
-        cfgp = tmp_path / "c.yaml"
-        cfgp.write_text(yaml.safe_dump(small_config(tmp_path)))
-        out = tmp_path / "f"
-        r = run_cli("table1", "--config", str(cfgp), "--out", str(out),
-                    "--format", "csv,pdf")
-        assert r.returncode == 2, r.stderr
-        assert "unknown output format 'pdf'" in r.stderr
-        assert json.loads((out / "error.json").read_text())["stage"] == "config"
-
-    def test_unknown_format_without_out_exit_2(self, run_cli, tmp_path,
-                                               monkeypatch):
-        # the error record goes to the config's output directory, not to
-        # ./out
-        monkeypatch.chdir(tmp_path)
-        data = small_config(tmp_path)
-        data["outputs"]["directory"] = str(tmp_path / "from_config")
-        cfgp = tmp_path / "c.yaml"
-        cfgp.write_text(yaml.safe_dump(data))
-        r = run_cli("table1", "--config", str(cfgp), "--format", "csv,pdf")
-        assert r.returncode == 2, r.stderr
-        rec = json.loads((tmp_path / "from_config" / "error.json").read_text())
-        assert rec["stage"] == "config"
-        assert not (tmp_path / "out").exists()
+    def test_format_option_gone(self, run_cli, tmp_path, capsys):
+        # every stage writes all of its artifacts; there is no --format
+        with pytest.raises(SystemExit) as exc:
+            run_cli("table1", "--config", str(CONFIGS / "table1.yaml"),
+                    "--out", str(tmp_path / "f"), "--format", "csv")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+        assert not (tmp_path / "f").exists()
 
     def test_overrides_reach_the_embedded_config(self, run_cli, tmp_path):
         # the config embedded in the JSON reports reads back with the
-        # --out and --format of the run
+        # --out of the run
         out = tmp_path / "o"
         r = run_cli("run", "--config", str(CONFIGS / "corner_type3.yaml"),
-                    "--out", str(out), "--format", "json,csv")
+                    "--out", str(out))
         assert r.returncode == 0, r.stderr
         for name in ("blowup.json", "classification.json"):
             embedded = json.loads((out / name).read_text())["config"]
-            outputs = parse_config(embedded).outputs
-            assert outputs.directory == str(out)
-            assert outputs.formats == ("json", "csv")
+            assert parse_config(embedded).outputs.directory == str(out)
 
     def test_analyze_without_solution_exit_4(self, run_cli, tmp_path):
         cfgp = tmp_path / "c.yaml"

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import cornerwave as cw
 from cornerwave.domain import TWO_PI, bilinear
-from cornerwave.quadrature import (DiskStencil, cell_disk_overlap,
-                                   circle_integrals_u2, disk_stencils,
-                                   grad_central, require_circle_inside)
+from cornerwave.quadrature import (cell_disk_overlap, circle_integrals_u2,
+                                   disk_stencils, grad_central,
+                                   require_circle_inside)
 from references import laplacian5
 
 
@@ -112,14 +112,14 @@ class TestCellOverlap:
 class TestDiskStencil:
     @pytest.mark.parametrize("r", [0.1, 1.0 / 3.0, 0.77])
     def test_total_weight_is_disk_area(self, r):
-        d = DiskStencil(unit_grid(), (0.05, -0.02), r)
+        d = disk_stencils(unit_grid(), (0.05, -0.02), [r])[0]
         assert d.area == pytest.approx(math.pi * r * r, abs=1e-12)
 
     def test_polynomial_integral(self):
         # integral of x^2 over B_r(0) = pi r^4 / 4
         g = unit_grid(513)
         X, Y = g.mesh()
-        d = DiskStencil(g, (0.0, 0.0), 0.6)
+        d = disk_stencils(g, (0.0, 0.0), [0.6])[0]
         exact = math.pi * 0.6 ** 4 / 4
         # midpoint rule: O(h^2) with h = 1/256
         assert d.integrate(X * X) == pytest.approx(exact, rel=5e-5)
@@ -128,7 +128,7 @@ class TestDiskStencil:
         # integral of (y_-) over the lower half of B_r: r^3 * 2/3
         g = unit_grid(513)
         _, Y = g.mesh()
-        d = DiskStencil(g, (0.0, 0.0), 0.5)
+        d = disk_stencils(g, (0.0, 0.0), [0.5])[0]
         exact = 2.0 / 3.0 * 0.5 ** 3
         assert d.integrate(np.maximum(-Y, 0.0)) == pytest.approx(exact, rel=1e-5)
 
@@ -148,7 +148,7 @@ class TestBatchedStencils:
         assert len(batch) == len(self.RADII)
         for r, disk in zip(self.RADII, batch):
             box, weights = scalar_disk_stencil(self.GRID, center, r)
-            for d in (disk, DiskStencil(self.GRID, center, r)):
+            for d in (disk, disk_stencils(self.GRID, center, [r])[0]):
                 assert d.box == box
                 assert np.array_equal(d.weights, weights)
 

@@ -8,7 +8,7 @@ import cornerwave as cw
 from cornerwave import quadrature, weiss
 from cornerwave.pipeline import write_csv
 from cornerwave.oracle import AnglePair, blowup_limit, corner_density
-from cornerwave.quadrature import DiskStencil, circle_integrals_u2
+from cornerwave.quadrature import circle_integrals_u2, disk_stencils
 from cornerwave.blowup import profile_radii
 from references import profile_field, radial_sweep_all_at_once, weiss_energy
 
@@ -289,7 +289,7 @@ class TestOracleEquivalence:
         chi = dth <= prof.opening
         integrand = np.maximum(-Y, 0.0) * chi
         r = 0.4
-        disk = DiskStencil(g, (-1.0, 0.0), r)
+        disk = disk_stencils(g, (-1.0, 0.0), [r])[0]
         exact = SQRT3_3 * r ** 3
         assert disk.integrate(integrand) == pytest.approx(exact, abs=1e-4)
 
