@@ -73,28 +73,24 @@ def rescale(u: ScalarField, sp: StagnationPoint, r: float) -> ScalarField:
 
 
 def l2_disk_distance(f1: ScalarField, f2: ScalarField,
-                     disk: DiskStencil | None = None) -> float:
+                     disk: DiskStencil) -> float:
     """L^2(B_1) distance of two fields on the reference square; ``disk``
-    is the B_1 stencil of their grid, built here when not given."""
+    is the B_1 stencil of their grid."""
     if f1.grid != f2.grid:
         raise ValueError("fields live on different grids")
     d = f1.values - f2.values
-    if disk is None:
-        disk = disk_stencils(f1.grid, (0.0, 0.0), [1.0])[0]
     return math.sqrt(disk.integrate(d * d))
 
 
 def homogeneity_residual(u0: ScalarField, degree: float,
-                         disk: DiskStencil | None = None) -> float:
+                         disk: DiskStencil) -> float:
     """L^2(B_1) norm of grad(u) . Z - degree * u on the reference square;
     zero exactly on homogeneous functions of the given degree.  ``disk``
-    is the B_1 stencil of the grid, built here when not given."""
+    is the B_1 stencil of the grid."""
     g = u0.grid
     ux, uy = grad_central(u0.values, g.spacing)
     Zx, Zy = g.mesh()
     resid = ux * Zx + uy * Zy - degree * u0.values
-    if disk is None:
-        disk = disk_stencils(g, (0.0, 0.0), [1.0])[0]
     return math.sqrt(disk.integrate(resid * resid))
 
 

@@ -8,12 +8,18 @@ from cornerwave import blowup
 from cornerwave.blowup import ANNULI, N_THETA, _positivity_arcs, reference_grid
 from cornerwave.domain import TWO_PI
 from cornerwave.oracle import blowup_limit, evaluate_at_points
+from cornerwave.quadrature import disk_stencils
 from references import profile_field
 
 
 def stokes_spec():
     return cw.ProblemSpec(alpha=0.0, beta=1.0, stag=cw.Type1(x0=-1.0),
                           domain=cw.Rect(-2.0, -1.0, 0.0, 1.0))
+
+
+def unit_disk(grid):
+    """The B_1 stencil of a reference-square grid."""
+    return disk_stencils(grid, (0.0, 0.0), [1.0])[0]
 
 
 def stokes_profile_field(n=513):
@@ -30,7 +36,7 @@ class TestRescale:
         f1 = cw.rescale(u, sp, 0.4)
         f2 = cw.rescale(u, sp, 0.2)
         from cornerwave.blowup import l2_disk_distance
-        assert l2_disk_distance(f1, f2) <= 5e-3
+        assert l2_disk_distance(f1, f2, unit_disk(f1.grid)) <= 5e-3
 
     def test_perturbation_converges_at_linear_rate(self):
         # field = profile + same-cone mode one power higher: rescalings
@@ -53,8 +59,9 @@ class TestRescale:
         u0_ref = cw.ScalarField(ref, np.asarray(
             evaluate_at_points(prof, RX, RY, (0.0, 0.0))))
         from cornerwave.blowup import l2_disk_distance
-        d_04 = l2_disk_distance(cw.rescale(u, sp, 0.4), u0_ref)
-        d_02 = l2_disk_distance(cw.rescale(u, sp, 0.2), u0_ref)
+        disk = unit_disk(ref)
+        d_04 = l2_disk_distance(cw.rescale(u, sp, 0.4), u0_ref, disk)
+        d_02 = l2_disk_distance(cw.rescale(u, sp, 0.2), u0_ref, disk)
         assert d_02 == pytest.approx(0.5 * d_04, rel=0.15)
 
     def test_radius_out_of_range(self):
@@ -73,13 +80,13 @@ class TestHomogeneityResidual:
         X, Y = ref.mesh()
         u0 = cw.ScalarField(ref, np.asarray(
             evaluate_at_points(prof, X, Y, (0.0, 0.0))))
-        assert cw.homogeneity_residual(u0, 1.5) <= 0.02
+        assert cw.homogeneity_residual(u0, 1.5, unit_disk(ref)) <= 0.02
 
     def test_constant_field(self):
         ref = reference_grid(257)
         u = cw.ScalarField(ref, np.ones((257, 257)))
         # gradient term vanishes: residual = 1.5 * sqrt(pi)
-        assert cw.homogeneity_residual(u, 1.5) \
+        assert cw.homogeneity_residual(u, 1.5, unit_disk(ref)) \
             == pytest.approx(1.5 * math.sqrt(math.pi), rel=1e-3)
 
     def test_wrong_degree_detected(self):
@@ -88,7 +95,7 @@ class TestHomogeneityResidual:
         X, Y = ref.mesh()
         u0 = cw.ScalarField(ref, np.asarray(
             evaluate_at_points(prof, X, Y, (0.0, 0.0))))
-        assert cw.homogeneity_residual(u0, 2.5) > 0.1
+        assert cw.homogeneity_residual(u0, 2.5, unit_disk(ref)) > 0.1
 
 
 class TestBernstein:

@@ -705,45 +705,137 @@ class TestCroppedKernel:
     @pytest.mark.parametrize("envelope_on", [True, False])
     @pytest.mark.parametrize("case", list(BOX_CASES))
     def test_sor_block_matches_masked_reference(self, case, envelope_on):
-        # the caller's state: nonnegative, under the envelope, zero on the
-        # zap memory, and an infinite envelope off the free nodes
-        rng = np.random.default_rng(11)
-        free = box_mask(BOX_CASES[case], rng)
-        u = np.maximum(rng.normal(0.3, 0.4, BOX_SHAPE), 0.0)
-        eps = rng.uniform(0.05, 0.3, BOX_SHAPE)
-        pull = rng.uniform(0.0, 0.02, BOX_SHAPE)
-        envelope = zapped = None
-        if envelope_on:
-            envelope = np.where(free, rng.uniform(0.4, 0.8, BOX_SHAPE), np.inf)
-            zapped = free & (rng.random(BOX_SHAPE) < 0.1)
-            np.minimum(u, envelope, out=u)
-            u[zapped] = 0.0
-        fast, ref = u.copy(), u.copy()
-        fast_zaps = None if zapped is None else zapped.copy()
-        ref_zaps = None if zapped is None else zapped.copy()
-        lattice_sor_block(fast, free, eps, pull, envelope, fast_zaps,
-                          sweeps=6)
-        masked_sor_block(np.zeros(BOX_SHAPE, dtype=bool), [])(
-            ref, free, eps, pull, envelope, ref_zaps, sweeps=6)
-        assert fast.tobytes() == ref.tobytes()
-        if zapped is not None:
-            assert np.array_equal(fast_zaps, ref_zaps)
-        assert np.array_equal(fast, u) == (case == "empty")
-        assert np.array_equal(fast[~free], u[~free])
+        check_sor_block(case, envelope_on, scale=1.0)
 
     @pytest.mark.parametrize("case", list(BOX_CASES))
     def test_relax_matches_masked_reference(self, case):
-        # the support {u > 0} off the pinned nodes is the case's mask
-        rng = np.random.default_rng(12)
-        support = box_mask(BOX_CASES[case], rng)
-        u = np.maximum(rng.standard_normal(BOX_SHAPE), 0.0)
-        u[support] = rng.uniform(0.1, 1.0, int(support.sum()))
-        pinned = ~support
-        fast, ref = u.copy(), u.copy()
-        energy_module._relax_on_support(fast, pinned, sweeps=5)
-        masked_relax_on_support(ref, pinned, sweeps=5)
-        assert fast.tobytes() == ref.tobytes()
-        assert np.array_equal(fast, u) == (case == "empty")
+        check_relax(case, scale=1.0)
+
+    @pytest.mark.parametrize("envelope_on", [True, False])
+    @pytest.mark.parametrize("case", list(BOX_CASES))
+    def test_subnormal_start_matches_masked_reference(self, case,
+                                                      envelope_on):
+        # every value below the smallest normal float, 2.2e-308, where
+        # 0.25 * x rounds: the kernels must keep the reference's order of
+        # scalings.  Folding 0.25 into OMEGA and pull * 4 into pull gives
+        # the same bytes on every normal start, not on this one (the
+        # blowup flow reaches neighbour sums of 5e-308)
+        for start in (check_sor_block(case, envelope_on, scale=SUBNORMAL),
+                      check_relax(case, scale=SUBNORMAL)):
+            assert 0.0 < np.max(start) < np.finfo(float).tiny
+
+    @pytest.mark.parametrize("case", list(BOX_CASES))
+    def test_every_kernel_array_starts_on_a_line(self, monkeypatch, case):
+        # the flow's node cuts, constant cuts, scratch and zap memory, and
+        # the sharpening's node cuts, masks and targets, each at a cache
+        # line, whatever the box's offset in the grid
+        rng = np.random.default_rng(13)
+        free = box_mask(BOX_CASES[case], rng)
+        u = rng.uniform(0.0, 1.0, BOX_SHAPE)
+        consts = [rng.uniform(0.1, 1.0, BOX_SHAPE) for _ in range(3)]
+        _, lattice = energy_module._flow_lattice(u, free, *consts)
+        assert len(lattice) == (0 if BOX_CASES[case] is None else 2)
+        for node, _, _, _, *arrays, work, zap in lattice:
+            for a in (node, *arrays, *work, zap):
+                assert a.ctypes.data % energy_module.LINE == 0
+                assert a.size == node.size and a.flags.c_contiguous
+        streamed = []
+        real_lattice = energy_module._lattice
+        real_sum = energy_module._neighbour_sum
+
+        def lattice_seen(*args):
+            layout, cuts = real_lattice(*args)
+            streamed.extend(a for node, _, sel in cuts for a in (node, sel))
+            return layout, cuts
+
+        def sum_seen(nbrs, out=None):
+            streamed.append(out)
+            return real_sum(nbrs, out)
+
+        monkeypatch.setattr(energy_module, "_lattice", lattice_seen)
+        monkeypatch.setattr(energy_module, "_neighbour_sum", sum_seen)
+        energy_module._relax_on_support(u, ~free, sweeps=2)
+        assert len(streamed) == (0 if BOX_CASES[case] is None else 4 + 4)
+        assert all(a.ctypes.data % energy_module.LINE == 0 for a in streamed)
+
+    def test_sweeps_allocate_no_array(self, monkeypatch):
+        # 20 sweeps of the beta = 2 flow at 257^2 hold less than one cut's
+        # floats: every intermediate goes into the lattice's scratch.  What
+        # is left is NumPy's cast buffer for the boolean band times the
+        # float pull (8192 entries); one temporary per intermediate held
+        # 344 kB
+        spec = cw.ProblemSpec(alpha=0.0, beta=2.0, stag=cw.Type1(x0=-1.0),
+                              domain=cw.Rect(-2.0, -1.0, 0.0, 1.0))
+        grid = cw.GridSpec.from_domain(spec.domain, 257, 257)
+        X, Y = grid.mesh()
+        bd = np.asarray(evaluate_at_points(blowup_limit(spec), X, Y,
+                                           spec.stagnation_location))
+        lattices = []
+        real = energy_module._flow_lattice
+
+        def kept(*args):
+            layout, lattice = real(*args)
+            lattices.append(lattice)
+            return layout, lattice
+
+        monkeypatch.setattr(energy_module, "_flow_lattice", kept)
+        cw.minimize_energy(spec, grid, bd, cw.SolverParams(max_iters=20))
+        (lattice,) = lattices
+        assert all(zap is not None for *_, zap in lattice)   # envelope on
+        _, peak = traced_peak(energy_module._sor_block, lattice, 20)
+        assert peak < lattice[0][0].nbytes
+
+
+SUBNORMAL = 1e-309   # the scale of the subnormal starts
+
+
+def check_sor_block(case, envelope_on, scale):
+    """``_sor_block`` against the masked reference from the caller's state
+    on the box of ``case``: nonnegative, under the envelope, zero on the
+    zap memory, and an infinite envelope off the free nodes; the values,
+    band widths, pulls and envelope times ``scale``.  Returns the start."""
+    rng = np.random.default_rng(11)
+    free = box_mask(BOX_CASES[case], rng)
+    u = np.maximum(rng.normal(0.3, 0.4, BOX_SHAPE), 0.0) * scale
+    eps = rng.uniform(0.05, 0.3, BOX_SHAPE) * scale
+    pull = rng.uniform(0.0, 0.02, BOX_SHAPE) * scale
+    envelope = zapped = None
+    if envelope_on:
+        envelope = np.where(free, rng.uniform(0.4, 0.8, BOX_SHAPE) * scale,
+                            np.inf)
+        zapped = free & (rng.random(BOX_SHAPE) < 0.1)
+        np.minimum(u, envelope, out=u)
+        u[zapped] = 0.0
+    fast, ref = u.copy(), u.copy()
+    fast_zaps = None if zapped is None else zapped.copy()
+    ref_zaps = None if zapped is None else zapped.copy()
+    lattice_sor_block(fast, free, eps, pull, envelope, fast_zaps, sweeps=6)
+    masked_sor_block(np.zeros(BOX_SHAPE, dtype=bool), [])(
+        ref, free, eps, pull, envelope, ref_zaps, sweeps=6)
+    assert fast.tobytes() == ref.tobytes()
+    if zapped is not None:
+        assert np.array_equal(fast_zaps, ref_zaps)
+    assert np.array_equal(fast, u) == (case == "empty")
+    assert np.array_equal(fast[~free], u[~free])
+    return u
+
+
+def check_relax(case, scale):
+    """``_relax_on_support`` against the masked reference on a support
+    {u > 0} off the pinned nodes that is the mask of ``case``, the values
+    times ``scale``.  Returns the start."""
+    rng = np.random.default_rng(12)
+    support = box_mask(BOX_CASES[case], rng)
+    u = np.maximum(rng.standard_normal(BOX_SHAPE), 0.0)
+    u[support] = rng.uniform(0.1, 1.0, int(support.sum()))
+    u *= scale
+    pinned = ~support
+    fast, ref = u.copy(), u.copy()
+    energy_module._relax_on_support(fast, pinned, sweeps=5)
+    masked_relax_on_support(ref, pinned, sweeps=5)
+    assert fast.tobytes() == ref.tobytes()
+    assert np.array_equal(fast, u) == (case == "empty")
+    return u
 
 
 class TestSupportHelpers:
