@@ -143,9 +143,16 @@ def check_bernstein(spec: ProblemSpec, u: ScalarField, sp: StagnationPoint,
 class DirectionEstimate:
     theta1: float
     theta2: float
-    opening: float
     disconnected: bool
     per_annulus: list[tuple[float, float, float, int]]  # (rho, lo, hi, n_arcs)
+
+    def __post_init__(self):
+        if not self.theta1 < self.theta2:
+            raise ValueError("directions must satisfy theta1 < theta2")
+
+    @property
+    def opening(self) -> float:
+        return self.theta2 - self.theta1
 
 
 # angular samples per circle, and the annuli of the direction estimate
@@ -211,17 +218,16 @@ def _positivity_arcs(values: np.ndarray, grid: GridSpec, rhos,
     return arcs
 
 
-def estimate_asymptotic_directions(u0: ScalarField, center=(0.0, 0.0),
-                                   radius: float = 1.0) -> DirectionEstimate:
-    """Median angular extent of {u0 > 0} over the 8 ANNULI.
-
-    Defaults measure a blow-up-frame field on annuli of the reference
-    square; passing ``center`` and ``radius`` measures the source field
-    directly on circles of physical radius ``radius * annulus`` (avoiding
-    the support dilation a rescaling interpolation would add).  The arcs
-    of all annuli are found together by ``_positivity_arcs``.  Raises
-    EmptyPositivity when no annulus meets the set; more than one angular
-    component is reported, not fatal."""
+def estimate_asymptotic_directions(u0: ScalarField, center,
+                                   radius: float) -> DirectionEstimate:
+    """Median angular extent of {u0 > 0} over the 8 ANNULI, on circles of
+    physical radius ``radius * annulus`` about ``center`` of the source
+    field itself (a rescaled field would add the support dilation of its
+    interpolation).  The arcs of all annuli are found together by
+    ``_positivity_arcs``.  The edges are centred on the wrapped bisector,
+    and ``opening`` is their difference.  Raises EmptyPositivity when no
+    annulus meets the set; more than one angular component is reported,
+    not fatal."""
     vals = u0.values.astype(float)
     per = []
     disconnected = False
@@ -248,8 +254,7 @@ def estimate_asymptotic_directions(u0: ScalarField, center=(0.0, 0.0),
     mid = wrap_angle(0.5 * (t1 + t2))
     half = 0.5 * (t2 - t1)
     return DirectionEstimate(theta1=mid - half, theta2=mid + half,
-                             opening=t2 - t1, disconnected=disconnected,
-                             per_annulus=per)
+                             disconnected=disconnected, per_annulus=per)
 
 
 def check_schedule(radii, grid: GridSpec, center) -> list[float]:
@@ -281,12 +286,7 @@ class BlowupResult:
     successive_distance: list[float]
     homogeneity_residual: float
     density_estimate: float
-    directions: tuple[float, float] | None
-    direction_report: DirectionEstimate | None = None
-
-    def __post_init__(self):
-        if self.directions is not None and not (self.directions[0] < self.directions[1]):
-            raise ValueError("directions must satisfy theta1 < theta2")
+    direction_report: DirectionEstimate | None   # None: no annulus meets u > 0
 
 
 def blowup_analysis(spec: ProblemSpec, u: ScalarField, sp: StagnationPoint,
@@ -304,14 +304,12 @@ def blowup_analysis(spec: ProblemSpec, u: ScalarField, sp: StagnationPoint,
     dens = stagnation_density(spec, u, sp)
     try:
         est = estimate_asymptotic_directions(
-            u, center=sp.location, radius=DIRECTION_FRACTION * sp.delta)
-        directions = (est.theta1, est.theta2)
+            u, sp.location, DIRECTION_FRACTION * sp.delta)
     except EmptyPositivity:
-        est, directions = None, None
+        est = None
     return BlowupResult(rescaled_fields=fields, radii_used=radii,
                         successive_distance=dists, homogeneity_residual=resid,
-                        density_estimate=dens, directions=directions,
-                        direction_report=est)
+                        density_estimate=dens, direction_report=est)
 
 
 @dataclass
@@ -326,8 +324,8 @@ class ClassificationReport:
     best_pair_index: int | None = None
 
 
-def classify(spec: ProblemSpec, density_estimate: float, sp: StagnationPoint,
-             corner_densities, full_density: float) -> ClassificationReport:
+def classify(density_estimate: float, corner_densities,
+             full_density: float) -> ClassificationReport:
     """Nearest-of-three verdict; ``corner_densities`` is a scalar or, for
     type 3, one density per admissible angle pair (the distance is
     minimized over them)."""

@@ -308,16 +308,13 @@ def kappa_for(spec: ProblemSpec) -> float:
     return -(spec.model.power + 2.0) / 2.0
 
 
-def weight_at(spec: ProblemSpec, x, y=None):
-    """Evaluate the one-sided weight C |x|^alpha |y|^beta at a point.
-
-    Accepts a point pair or broadcastable coordinate arrays.  The sign
-    conventions of the active subcase are applied exactly, e.g. subcase 1.1
-    evaluates C (-x)_+^alpha (-y)_+^beta; the weight vanishes on every
-    degeneracy axis and no smoothing is applied.
+def weight_at(spec: ProblemSpec, x, y):
+    """Evaluate the one-sided weight C |x|^alpha |y|^beta at coordinates
+    x and y, numbers or broadcastable arrays.  The sign conventions of
+    the active subcase are applied exactly, e.g. subcase 1.1 evaluates
+    C (-x)_+^alpha (-y)_+^beta; the weight vanishes on every degeneracy
+    axis and no smoothing is applied.
     """
-    if y is None:
-        x, y = x
     xb, yb = spec.model.bases(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     out = spec.weight_constant * xb ** spec.alpha * yb ** spec.beta
     return float(out) if out.ndim == 0 else out
@@ -411,7 +408,7 @@ class GridSpec:
         return jj, ii
 
 
-def reference_grid(n: int = 129) -> GridSpec:
+def reference_grid(n: int) -> GridSpec:
     """The n x n grid on the reference square [-1, 1]^2."""
     return GridSpec(nx=n, ny=n, origin=(-1.0, -1.0), spacing=2.0 / (n - 1))
 

@@ -128,16 +128,12 @@ class SolveResult:
                 else "max_iters hit before the flow settled")
 
 
-def energy(spec: ProblemSpec, u: ScalarField, mask: np.ndarray | None = None,
+def energy(spec: ProblemSpec, u: ScalarField,
            weight: np.ndarray | None = None) -> float:
-    """Exact-indicator energy of a field; optional (ny, nx) node mask
-    restricts the quadrature region, optional weight overrides the spec's
-    weight as in ``minimize_energy``."""
+    """Exact-indicator energy of a field over the whole grid; optional
+    weight overrides the spec's weight as in ``minimize_energy``."""
     g = u.grid
-    if mask is not None and np.shape(mask) != (g.ny, g.nx):
-        raise InvalidSpec("mask shape does not match the grid")
-    w = _weight(spec, g, weight)
-    return _energy_raw(u.values, g, _node_weights(g, w, mask), mask)
+    return _energy_raw(u.values, _node_weights(g, _weight(spec, g, weight)))
 
 
 def _weight(spec: ProblemSpec, grid: GridSpec,
@@ -154,47 +150,35 @@ def _weight(spec: ProblemSpec, grid: GridSpec,
     return w
 
 
-def _node_weights(grid: GridSpec, w: np.ndarray,
-                  mask: np.ndarray | None = None) -> np.ndarray:
+def _node_weights(grid: GridSpec, w: np.ndarray) -> np.ndarray:
     """The weight term's quadrature: ``w`` times the node cell areas (half
-    cells on the boundary ring), times the optional node mask."""
+    cells on the boundary ring)."""
     qw = np.full((grid.ny, grid.nx), grid.spacing ** 2)
     qw[[0, -1], :] *= 0.5
     qw[:, [0, -1]] *= 0.5
-    if mask is not None:
-        qw *= np.asarray(mask, dtype=float)
     return w * qw
 
 
-def _energy_raw(values: np.ndarray, grid: GridSpec, wq: np.ndarray,
-                mask: np.ndarray | None = None) -> float:
+def _energy_raw(values: np.ndarray, wq: np.ndarray) -> float:
     """The exact-indicator energy of ``values`` with the node weights
-    ``wq = _node_weights(grid, w, mask)``, which a solve builds once for
-    its nine evaluations.  The weight term sums ``wq * chi``: as chi is 0
-    or 1, that is ``(w * chi) * areas`` to the bit.  The three sums are
-    taken one after the other, so one edge or node array is alive at a
-    time."""
-    m = None if mask is None else np.asarray(mask, dtype=float)
-    return float(_edge_energy(values, m, 1) + _edge_energy(values, m, 0)
+    ``wq = _node_weights(grid, w)``, which a solve builds once for its
+    nine evaluations.  The weight term sums ``wq * chi``: as chi is 0 or
+    1, that is ``(w * chi) * areas`` to the bit.  The three sums are taken
+    one after the other, so one edge or node array is alive at a time."""
+    return float(_edge_energy(values, 1) + _edge_energy(values, 0)
                  + np.sum(wq * (values > 0.0)))
 
 
-def _edge_energy(values: np.ndarray, m: np.ndarray | None,
-                 axis: int) -> float:
+def _edge_energy(values: np.ndarray, axis: int) -> float:
     """The Dirichlet part over the grid edges along ``axis`` (1: x, 0: y),
     the five-point form the sweeps relax (central differences miss the
     odd-even mode, and relaxation can raise them): the sum of squared
-    differences, an edge on the boundary ring at half weight and, with
-    the float node mask ``m``, each edge times the mean of its endpoints'
-    mask."""
+    differences, an edge on the boundary ring at half weight."""
     e = np.diff(values, axis=axis)
     e *= e
     # the edges as rows along x: the first and last rows lie on the ring
     rows = e if axis == 1 else e.T
     rows[[0, -1], :] *= 0.5
-    if m is not None:
-        m = m if axis == 1 else m.T
-        rows *= 0.5 * (m[:, 1:] + m[:, :-1])
     return np.sum(e)
 
 
@@ -216,22 +200,18 @@ def support_mask(spec: ProblemSpec, grid: GridSpec) -> np.ndarray:
 
 
 def harmonic_extension(grid: GridSpec, data: np.ndarray,
-                       pinned: np.ndarray | None = None) -> np.ndarray:
+                       pinned: np.ndarray) -> np.ndarray:
     """Solve the five-point Laplace equation with Dirichlet values ``data``
-    on ``pinned`` nodes (default: the grid ring).
+    on the ``pinned`` nodes and the grid ring.
 
-    The bounding box of the free nodes, with a one-node halo, is padded
-    with pinned nodes to k * 2^L + 1 nodes a side, the largest k at most
-    COARSEST_CELLS, and solved there by ``_Multigrid``.  Raises
-    ArithmeticError if the solve does not converge."""
-    ring = boundary_ring(grid)
-    pinned = ring if pinned is None else (pinned | ring)
-    free = ~pinned
-    rows = np.flatnonzero(free.any(axis=1))
-    if rows.size == 0:
+    The free box (``_halo_box``) is padded with pinned nodes to k * 2^L +
+    1 nodes a side, the largest k at most COARSEST_CELLS, and solved there
+    by ``_Multigrid``.  Raises ArithmeticError if the solve does not
+    converge."""
+    free = ~(pinned | boundary_ring(grid))
+    box = _halo_box(free)
+    if box is None:
         return data.copy()
-    cols = np.flatnonzero(free.any(axis=0))
-    box = (slice(rows[0] - 1, rows[-1] + 2), slice(cols[0] - 1, cols[-1] + 2))
     inside = free[box]
     m, n = inside.shape
     levels = 0
@@ -251,6 +231,17 @@ def harmonic_extension(grid: GridSpec, data: np.ndarray,
     out = data.copy()
     out[box][inside] = u[:m, :n][inside]
     return out
+
+
+def _halo_box(mask: np.ndarray) -> tuple[slice, slice] | None:
+    """The bounding box of ``mask``, False on the grid ring, with a
+    one-node halo, as (row, column) slices; None for an empty mask."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    if rows.size == 0:
+        return None
+    cols = np.flatnonzero(mask.any(axis=0))
+    return (slice(int(rows[0]) - 1, int(rows[-1]) + 2),
+            slice(int(cols[0]) - 1, int(cols[-1]) + 2))
 
 
 def star_hull_mask(grid: GridSpec, center, ring_positive: np.ndarray) -> np.ndarray:
@@ -284,19 +275,18 @@ def star_hull_mask(grid: GridSpec, center, ring_positive: np.ndarray) -> np.ndar
 
 
 def minimize_energy(spec: ProblemSpec, grid: GridSpec, boundary_data,
-                    params: SolverParams | None = None,
+                    params: SolverParams,
                     weight: np.ndarray | None = None) -> SolveResult:
     """Relax J with Dirichlet data on the grid ring and return the first
     lowest-energy candidate; the stages are named in the module docstring.
 
-    ``boundary_data`` is a ScalarField or (ny, nx) array whose outer ring
-    supplies the data (interior values ignored).  ``weight``, a finite,
-    nonnegative (ny, nx) array, overrides the spec weight nodewise
-    (diagnostic hook, e.g. frozen to 1 for plane smoke tests) and switches
-    the envelope off.  ``params`` sets the sweep budget and the two
-    switches; all else is a module constant."""
-    params = params or SolverParams()
-    bd = boundary_data.values if isinstance(boundary_data, ScalarField) else np.asarray(boundary_data, float)
+    ``boundary_data`` is an (ny, nx) array whose outer ring supplies the
+    data (interior values ignored).  ``weight``, a finite, nonnegative
+    (ny, nx) array, overrides the spec weight nodewise (diagnostic hook,
+    e.g. frozen to 1 for plane smoke tests) and switches the envelope
+    off.  ``params`` sets the sweep budget and the two switches; all else
+    is a module constant."""
+    bd = np.asarray(boundary_data, float)
     if bd.shape != (grid.ny, grid.nx):
         raise InvalidSpec("boundary data shape does not match the grid")
     ring = boundary_ring(grid)
@@ -400,7 +390,7 @@ def _flow(u: np.ndarray, grid: GridSpec, pinned: np.ndarray, eps: np.ndarray,
     block.  Type 3 at 257^2 stops after 560 sweeps with blocks of 10 and
     576 with 12, and runs to the 6000-sweep cap with 5, 9 and 11.  Beta =
     2, whose zap memory also moves, stops with 10 alone of 5, 9, 10, 11
-    and 12.
+    and 12.  ``test_only_an_even_block_rests`` pins the rule at 33^2.
 
     With the envelope each cut carries a zap memory, the nodes of the cut
     the envelope zeroed, held at zero for the whole flow.  Without it each
@@ -461,7 +451,7 @@ def _candidates(grid: GridSpec, fixed: np.ndarray, pinned: np.ndarray,
     So besides ``start`` and ``end`` at most two candidate arrays are
     alive at once, the winner and the cut being scored."""
     wq = _node_weights(grid, w)
-    best = Candidate("start", 0.0, _energy_raw(start, grid, wq))
+    best = Candidate("start", 0.0, _energy_raw(start, wq))
     records, values = [best], start
     for source, state in (("flow", end), ("start", start)):
         for trim in TRIMS:
@@ -470,7 +460,7 @@ def _candidates(grid: GridSpec, fixed: np.ndarray, pinned: np.ndarray,
             _relax_on_support(cand, pinned, sweeps=60)
             if envelope is not None:
                 cand[cand > envelope] = 0.0
-            scored = Candidate(source, trim, _energy_raw(cand, grid, wq))
+            scored = Candidate(source, trim, _energy_raw(cand, wq))
             records.append(scored)
             if scored.energy < best.energy:
                 best, values = scored, cand
@@ -519,12 +509,12 @@ def _lattice(u: np.ndarray, mask: np.ndarray, *consts) -> tuple:
     the grid ring): its layout and its two cuts, red then black, each an
     entry (node, neighbours, mask, *constants) of 1-D contiguous slices.
 
-    The layout is the bounding box of ``mask`` with a one-node halo,
-    padded with zero columns to an odd row length n, raveled row by row,
-    padded to an even length 2 * half and copied into two planes of
-    ``half`` entries, whose cuts are those of ``_colour_cuts``: each holds
-    every node of the box off its halo of one colour.  The red plane is
-    the one of parity (r0 + c0) % 2, (r0, c0) being the box's first node.
+    The layout is the box of ``mask`` (``_halo_box``), padded with zero
+    columns to an odd row length n, raveled row by row, padded to an even
+    length 2 * half and copied into two planes of ``half`` entries, whose
+    cuts are those of ``_colour_cuts``: each holds every node of the box
+    off its halo of one colour.  The red plane is the one of parity (r0 +
+    c0) % 2, (r0, c0) being the box's first node.
     ``mask`` and every array in ``consts`` get the same layout (None stays
     None).  The planes of each array are the rows of one ``_aligned``
     buffer, so every cut starts on a cache line.
@@ -535,13 +525,11 @@ def _lattice(u: np.ndarray, mask: np.ndarray, *consts) -> tuple:
     update of the red-black sweep, node for node and in the same
     floating-point operations.  ``_unplane(u, layout)`` writes the box
     back; an empty mask gives no layout and no cut."""
-    rows = np.flatnonzero(mask.any(axis=1))
-    if rows.size == 0:
+    box = _halo_box(mask)
+    if box is None:
         return None, []
-    cols = np.flatnonzero(mask.any(axis=0))
-    r0, c0 = int(rows[0]) - 1, int(cols[0]) - 1
-    box = (slice(r0, int(rows[-1]) + 2), slice(c0, int(cols[-1]) + 2))
-    m, w = int(rows[-1]) + 2 - r0, int(cols[-1]) + 2 - c0
+    r0, c0 = box[0].start, box[1].start
+    m, w = mask[box].shape
     n = w | 1
     half = (m * n + 1) // 2
     lo = (n + 1) // 2   # the first entry of each colour cut

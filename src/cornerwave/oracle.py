@@ -78,7 +78,6 @@ class AnglePair:
 
     theta1: float
     theta2: float
-    symmetric: bool
 
 
 def angular_weight(spec: ProblemSpec, theta):
@@ -133,7 +132,7 @@ def evaluate_blowup_limit(profile: ClosedFormProfile, r, theta):
     return float(out) if out.ndim == 0 else out
 
 
-def evaluate_at_points(profile: ClosedFormProfile, x, y, center=(0.0, 0.0)):
+def evaluate_at_points(profile: ClosedFormProfile, x, y, center):
     dx = np.asarray(x, dtype=float) - center[0]
     dy = np.asarray(y, dtype=float) - center[1]
     return evaluate_blowup_limit(profile, np.hypot(dx, dy), np.arctan2(dy, dx))
@@ -225,17 +224,6 @@ def snap_symmetric_root(alpha: float, beta: float, theta1: float) -> float:
     return theta1
 
 
-def pair_symmetric(alpha: float, beta: float, theta1: float) -> bool:
-    """A pair is tagged symmetric when reflecting its cone across a
-    coordinate axis (or, for alpha == beta, a diagonal) maps it to itself,
-    i.e. the bisector lies within 1e-8 of an axis (or diagonal)."""
-    A = TWO_PI / (alpha + beta + 2.0)
-    m = theta1 + A / 2.0
-    q = math.pi / 2.0
-    return any(abs((m - o) / q - round((m - o) / q)) * q <= 1e-8
-               for o in _symmetry_offsets(alpha, beta))
-
-
 def angle_pair(alpha: float, beta: float, theta1: float | None = None) -> AnglePair:
     """The type-3 pair with edges theta1 and theta1 + 2 pi/(alpha+beta+2);
     theta1 defaults to the downward axis-symmetric pair.  Raises
@@ -248,8 +236,7 @@ def angle_pair(alpha: float, beta: float, theta1: float | None = None) -> AngleP
     if abs(w1 - w2) > tol or w1 <= tol:
         raise InvalidPair(f"theta1={t1:.12g} is no admissible pair: "
                           f"edge weights {w1:.6g} and {w2:.6g}")
-    return AnglePair(theta1=t1, theta2=t1 + A,
-                     symmetric=pair_symmetric(alpha, beta, t1))
+    return AnglePair(theta1=t1, theta2=t1 + A)
 
 
 def _canonical_degenerate_pairs(alpha: float, beta: float) -> list[float]:
@@ -298,9 +285,7 @@ def solve_angle_pairs(alpha: float, beta: float) -> list[AnglePair]:
         roots = th[G == 0.0].tolist() + wrap_angle(0.5 * (lo + hi)).tolist()
         roots = [snap_symmetric_root(alpha, beta, t) for t in roots]
         roots = _merge_circular(sorted(roots), 1e-8)
-    pairs = [AnglePair(theta1=t, theta2=t + A,
-                       symmetric=pair_symmetric(alpha, beta, t))
-             for t in sorted(roots)]
+    pairs = [AnglePair(theta1=t, theta2=t + A) for t in sorted(roots)]
     for p in pairs:
         w1 = float(_type3_weight(alpha, beta, p.theta1))
         w2 = float(_type3_weight(alpha, beta, p.theta2))
@@ -352,16 +337,17 @@ class ConclusionRow:
     density: float
 
 
-def _subcase_specs(alpha: float, beta: float, x0_mag: float, y0_mag: float):
-    """All subcase configurations admissible at these exponents (type 2
-    needs alpha >= 1, type 3 needs both; inadmissible rows are skipped)."""
+def _subcase_specs(alpha: float, beta: float):
+    """All subcase configurations admissible at these exponents, the
+    stagnation point at unit distance from its axis (type 2 needs alpha
+    >= 1, type 3 needs both; inadmissible rows are skipped)."""
     big = Rect(-4.0, -4.0, 4.0, 4.0)
     stags = [Type1(x0=x0, theta0=th)
-             for x0, th in [(-x0_mag, THETA_DOWN), (x0_mag, THETA_UP),
-                            (-x0_mag, THETA_UP), (x0_mag, THETA_DOWN)]]
+             for x0, th in [(-1.0, THETA_DOWN), (1.0, THETA_UP),
+                            (-1.0, THETA_UP), (1.0, THETA_DOWN)]]
     stags += [Type2(y0=y0, theta0=th)
-              for y0, th in [(-y0_mag, THETA_LEFT), (y0_mag, THETA_RIGHT),
-                             (-y0_mag, THETA_RIGHT), (y0_mag, THETA_LEFT)]]
+              for y0, th in [(-1.0, THETA_LEFT), (1.0, THETA_RIGHT),
+                             (-1.0, THETA_RIGHT), (1.0, THETA_LEFT)]]
     stags.append(Type3())
     out = []
     for stag in stags:
@@ -379,7 +365,7 @@ def conclusion_table(alpha: float, beta: float) -> list[ConclusionRow]:
     pair."""
     pair = angle_pair(alpha, beta)
     rows = []
-    for spec in _subcase_specs(alpha, beta, 1.0, 1.0):
+    for spec in _subcase_specs(alpha, beta):
         m = spec.model
         prof = blowup_limit(spec, pair)
         # the stagnation coordinate off the degenerate axes, if any

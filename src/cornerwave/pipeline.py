@@ -287,7 +287,7 @@ def run_analysis(cfg: PipelineConfig, u: ScalarField, sp: StagnationPoint):
     return wp, fp, br
 
 
-def run_classify(cfg: PipelineConfig, sp: StagnationPoint, density: float):
+def run_classify(cfg: PipelineConfig, density: float):
     try:
         spec = cfg.problem
         if spec.model.bisector is None:  # type 3: every corner pair
@@ -297,7 +297,7 @@ def run_classify(cfg: PipelineConfig, sp: StagnationPoint, density: float):
             prof = oracle.blowup_limit(spec)
             corner = oracle.corner_density(spec, prof.theta1, prof.theta2)
         full = oracle.full_ball_density(spec)
-        return bw.classify(spec, density, sp, corner, full)
+        return bw.classify(density, corner, full)
     except Exception as exc:
         raise AnalysisError(f"classification failed: {exc}") from exc
 
@@ -357,10 +357,9 @@ def _marching_segments(values: np.ndarray, grid: GridSpec, level: float):
     return list(zip(pts[0::2], pts[1::2]))
 
 
-def write_svg(u: ScalarField, spec: ProblemSpec, sp: StagnationPoint, path,
-              profile=None) -> None:
+def write_svg(u: ScalarField, sp: StagnationPoint, path, profile) -> None:
     """Grayscale contour of u on a 640-pixel square, the free-boundary
-    polyline, and (when a profile is given) the predicted cone edges."""
+    polyline, and the predicted cone edges of ``profile``."""
     size = 640
     g = u.grid
     # at most 128 shaded cells per side
@@ -395,15 +394,14 @@ def write_svg(u: ScalarField, spec: ProblemSpec, sp: StagnationPoint, path,
         a, b = to_px(*p1), to_px(*p2)
         parts.append(f'<line x1="{a[0]:.2f}" y1="{a[1]:.2f}" x2="{b[0]:.2f}" '
                      f'y2="{b[1]:.2f}" stroke="black" stroke-width="1"/>')
-    if profile is not None:
-        x0, y0 = sp.location
-        L = 0.9 * sp.delta * 2
-        for th in (profile.theta1, profile.theta2):
-            a = to_px(x0, y0)
-            b = to_px(x0 + L * math.cos(th), y0 + L * math.sin(th))
-            parts.append(f'<line x1="{a[0]:.2f}" y1="{a[1]:.2f}" x2="{b[0]:.2f}" '
-                         f'y2="{b[1]:.2f}" stroke="red" stroke-width="1.5" '
-                         f'stroke-dasharray="6,4"/>')
+    x0, y0 = sp.location
+    L = 0.9 * sp.delta * 2
+    for th in (profile.theta1, profile.theta2):
+        a = to_px(x0, y0)
+        b = to_px(x0 + L * math.cos(th), y0 + L * math.sin(th))
+        parts.append(f'<line x1="{a[0]:.2f}" y1="{a[1]:.2f}" x2="{b[0]:.2f}" '
+                     f'y2="{b[1]:.2f}" stroke="red" stroke-width="1.5" '
+                     f'stroke-dasharray="6,4"/>')
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n", encoding="ascii")
 
@@ -429,7 +427,6 @@ def run(cfg: PipelineConfig,
         write_table1(spec.alpha, spec.beta, output("table1", "table1.csv"))
 
     solution = None
-    profile = None
     if "solve" in stages:
         result, profile = run_solve(cfg)
         solution = result.field
@@ -477,17 +474,16 @@ def run(cfg: PipelineConfig,
                              for k in range(len(br.rescaled_fields))]
             for name, f in zip(rescale_names, br.rescaled_fields):
                 save_field(f, outdir / name)
+            est = br.direction_report
             _json_dump({
                 "config": cfg.raw,
                 "radii_used": br.radii_used,
                 "successive_distance": br.successive_distance,
                 "homogeneity_residual": br.homogeneity_residual,
                 "density_estimate": br.density_estimate,
-                "directions": list(br.directions) if br.directions else None,
-                "opening": (br.directions[1] - br.directions[0])
-                if br.directions else None,
-                "disconnected": br.direction_report.disconnected
-                if br.direction_report else None,
+                "directions": [est.theta1, est.theta2] if est else None,
+                "opening": est.opening if est else None,
+                "disconnected": est.disconnected if est else None,
                 "rescaled_fields": rescale_names,
             }, output("blowup", "blowup.json"))
     if "classify" in stages:
@@ -496,13 +492,12 @@ def run(cfg: PipelineConfig,
                 else bw.stagnation_density(spec, solution, sp)
         except Exception as exc:
             raise AnalysisError(f"analysis stage failed: {exc}") from exc
-        report = run_classify(cfg, sp, density)
+        report = run_classify(cfg, density)
         _json_dump({"config": cfg.raw, **asdict(report)},
                    output("classification", "classification.json"))
         manifest["classification"] = report.verdict
     if "solve" in stages:
-        write_svg(solution, spec, sp, output("svg", "solution.svg"),
-                  profile=profile)
+        write_svg(solution, sp, output("svg", "solution.svg"), profile)
     return manifest
 
 

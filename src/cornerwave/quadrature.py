@@ -152,10 +152,6 @@ class DiskStencil:
     def integrate(self, nodewise: np.ndarray) -> float:
         return float(np.sum(nodewise[self.box] * self.weights))
 
-    @property
-    def area(self) -> float:
-        return float(self.weights.sum())
-
 
 def disk_stencils(grid: GridSpec, center, radii) -> list[DiskStencil]:
     """The ``DiskStencil`` of each radius about ``center``, their rim cells

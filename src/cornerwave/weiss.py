@@ -46,6 +46,9 @@ from .domain import (GridSpec, ProblemSpec, ScalarField, StagnationPoint,
 from .quadrature import (circle_integrals_u2, disk_stencils, grad_central,
                          require_circle_inside)
 
+# nodes per side of the reference grid of the density estimate
+DENSITY_REFERENCE_N = 257
+
 
 @dataclass
 class WeissProfile:
@@ -218,7 +221,7 @@ def check_monotonicity(profile: WeissProfile, tol: float) -> MonotonicityReport:
 
 
 def limit_density(spec: ProblemSpec, u: ScalarField, sp: StagnationPoint,
-                  r_small: float, reference_n: int = 257) -> float:
+                  r_small: float) -> float:
     """Weighted density estimate at scale r_small:
 
         C * prefactor * integral over B_1 of m(Z) * chi_{u(X0 + r Z) > 0},
@@ -227,7 +230,7 @@ def limit_density(spec: ProblemSpec, u: ScalarField, sp: StagnationPoint,
     (sx z1)_+^alpha for type 2, |z1|^alpha |z2|^beta for type 3) and the
     prefactor carries the non-degenerate factor at X0."""
     check_radii(sp, u.grid, [r_small])
-    ref = reference_grid(reference_n)
+    ref = reference_grid(DENSITY_REFERENCE_N)
     Zx, Zy = ref.mesh()
     px = sp.location[0] + r_small * Zx
     py = sp.location[1] + r_small * Zy

@@ -5,15 +5,15 @@ The package does not run any of these: a solve, an analysis, a
 classification or the conclusion table reaches none of them.  They are
 independent cross-checks (the five-point Laplacian, the gradient and the
 grid samples of an exact corner profile, the tangent-chart form of the
-type-3 edge condition, the pair-count rule, the Chebyshev coefficients of
-the velocity potential, and the Weiss energy at one radius), so they live
-with the tests.  So do the earlier all-at-once forms of three package
-functions that now bound their working set (the star hull, the solve's
-energy, the radial sweep): the package must give their floats and bits
-exactly.  ``traced_peak`` is the tracemalloc measure that the
-working-set bounds of those functions and of ``load_field`` are checked
-with.  The module name does not start with ``test_``, so pytest does not
-collect it.
+type-3 edge condition, the pair-count rule, which type-3 pairs are
+symmetric, the Chebyshev coefficients of the velocity potential, and the
+Weiss energy at one radius), so they live with the tests.  So do the
+earlier all-at-once forms of three package functions that now bound
+their working set (the star hull, the solve's energy, the radial sweep):
+the package must give their floats and bits exactly.  ``traced_peak`` is
+the tracemalloc measure that the working-set bounds of those functions
+and of ``load_field`` are checked with.  The module name does not start
+with ``test_``, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import numpy as np
 from cornerwave.domain import (TWO_PI, GridSpec, InvalidPair, InvalidSpec,
                                ProblemSpec, ScalarField, StagnationPoint,
                                weight_at, wrap_angle)
-from cornerwave.oracle import (ClosedFormProfile, _type3_weight,
-                               evaluate_at_points)
+from cornerwave.oracle import (ClosedFormProfile, _symmetry_offsets,
+                               _type3_weight, evaluate_at_points)
 from cornerwave.quadrature import (circle_integrals_u2, disk_stencils,
                                    grad_central)
 from cornerwave.weiss import (RadialSweep, _remainder_integrand,
@@ -71,6 +71,18 @@ def profile_gradient_sq(profile: ClosedFormProfile, r, theta):
     amp = (d * profile.prefactor * profile.C0) ** 2
     out = np.where(inside, amp * r ** (2.0 * d - 2.0), 0.0)
     return float(out) if out.ndim == 0 else out
+
+
+def pair_symmetric(alpha: float, beta: float, theta1: float) -> bool:
+    """Whether reflecting the type-3 cone of edge ``theta1`` across a
+    coordinate axis (or, for alpha == beta, a diagonal) maps it to
+    itself, i.e. its bisector lies within 1e-8 of an axis (or
+    diagonal)."""
+    A = TWO_PI / (alpha + beta + 2.0)
+    m = theta1 + A / 2.0
+    q = math.pi / 2.0
+    return any(abs((m - o) / q - round((m - o) / q)) * q <= 1e-8
+               for o in _symmetry_offsets(alpha, beta))
 
 
 def profile_field(profile: ClosedFormProfile, grid: GridSpec, center) -> ScalarField:
@@ -158,9 +170,7 @@ def star_hull_mask_one_shot(grid: GridSpec, center,
     return out
 
 
-def energy_raw_one_expression(values: np.ndarray, grid: GridSpec,
-                              wq: np.ndarray,
-                              mask: np.ndarray | None = None) -> float:
+def energy_raw_one_expression(values: np.ndarray, wq: np.ndarray) -> float:
     """``energy._energy_raw`` with both edge arrays and the weight term
     alive together, summed in one expression."""
     ex = np.diff(values, axis=1)
@@ -169,10 +179,6 @@ def energy_raw_one_expression(values: np.ndarray, grid: GridSpec,
     ey *= ey
     ex[[0, -1], :] *= 0.5
     ey[:, [0, -1]] *= 0.5
-    if mask is not None:
-        m = np.asarray(mask, dtype=float)
-        ex *= 0.5 * (m[:, 1:] + m[:, :-1])
-        ey *= 0.5 * (m[1:, :] + m[:-1, :])
     return float(np.sum(ex) + np.sum(ey) + np.sum(wq * (values > 0.0)))
 
 

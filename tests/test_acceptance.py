@@ -70,7 +70,7 @@ def test_criterion_02_stokes_corner(stokes_case):
     assert abs(opening_deg - 120.0) <= 3.0
     dens = cw.limit_density(case.spec, case.result.field, case.sp, 0.3)
     assert abs(dens - SQRT3_3) <= 0.05 * SQRT3_3
-    verdict = cw.classify(case.spec, dens, case.sp, SQRT3_3, 2.0 / 3.0)
+    verdict = cw.classify(dens, SQRT3_3, 2.0 / 3.0)
     assert verdict.verdict == "corner"
     report("02 stokes-corner",
            f"opening {opening_deg:.2f} deg, density {dens:.4f}, "
@@ -263,17 +263,17 @@ def test_criterion_09_classifier_trichotomy():
         # oracle cone
         u_cone = profile_field(prof, grid, spec.stagnation_location)
         d_cone = cw.limit_density(spec, u_cone, sp, 0.3)
-        assert cw.classify(spec, d_cone, sp, corner, full).verdict == "corner"
+        assert cw.classify(d_cone, corner, full).verdict == "corner"
         # zero field
         u_zero = cw.ScalarField(grid, np.zeros((257, 257)))
         d_zero = cw.limit_density(spec, u_zero, sp, 0.3)
-        rep_cusp = cw.classify(spec, d_zero, sp, corner, full)
+        rep_cusp = cw.classify(d_zero, corner, full)
         assert rep_cusp.verdict == "cusp"
         assert "excluded" in rep_cusp.theoretical_note
         # everywhere positive
         u_full = cw.ScalarField(grid, np.ones((257, 257)))
         d_full = cw.limit_density(spec, u_full, sp, 0.3)
-        rep_flat = cw.classify(spec, d_full, sp, corner, full)
+        rep_flat = cw.classify(d_full, corner, full)
         assert rep_flat.verdict == "flat"
         assert "excluded" in rep_flat.theoretical_note
         n_checked += 1
@@ -285,7 +285,7 @@ def test_criterion_09_classifier_trichotomy():
 
 def _all_subcase_specs():
     from cornerwave.oracle import _subcase_specs
-    return _subcase_specs(1.0, 1.0, 1.0, 1.0)
+    return _subcase_specs(1.0, 1.0)
 
 
 def _window_around(spec):

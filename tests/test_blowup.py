@@ -241,7 +241,7 @@ class TestDirections:
     def test_full_ball_positive(self):
         ref = reference_grid(129)
         u = cw.ScalarField(ref, np.ones((129, 129)))
-        est = cw.estimate_asymptotic_directions(u)
+        est = cw.estimate_asymptotic_directions(u, (0.0, 0.0), 1.0)
         assert not est.disconnected
         assert est.opening == pytest.approx(2 * math.pi, abs=1e-9)
 
@@ -249,44 +249,40 @@ class TestDirections:
         ref = reference_grid(129)
         u = cw.ScalarField(ref, np.zeros((129, 129)))
         with pytest.raises(cw.EmptyPositivity):
-            cw.estimate_asymptotic_directions(u)
+            cw.estimate_asymptotic_directions(u, (0.0, 0.0), 1.0)
 
     def test_two_cones_reported_disconnected(self):
-        est = cw.estimate_asymptotic_directions(two_cones())
+        est = cw.estimate_asymptotic_directions(two_cones(), (0.0, 0.0), 1.0)
         assert est.disconnected
 
 
 class TestClassify:
     def setup_method(self):
-        self.spec = stokes_spec()
-        self.sp = cw.stagnation_point(self.spec)
         self.corner = math.sqrt(3.0) / 3.0
         self.full = 2.0 / 3.0
 
     def test_corner_verdict(self):
-        rep = cw.classify(self.spec, 0.577, self.sp, self.corner, self.full)
+        rep = cw.classify(0.577, self.corner, self.full)
         assert rep.verdict == "corner"
         assert rep.theoretical_note == ""
         assert rep.distance_to_corner_density <= min(rep.distance_to_zero,
                                                      rep.distance_to_full_density)
 
     def test_cusp_verdict_carries_note(self):
-        rep = cw.classify(self.spec, 0.0, self.sp, self.corner, self.full)
+        rep = cw.classify(0.0, self.corner, self.full)
         assert rep.verdict == "cusp"
         assert "excluded" in rep.theoretical_note
 
     def test_flat_verdict_carries_note(self):
-        rep = cw.classify(self.spec, 0.667, self.sp, self.corner, self.full)
+        rep = cw.classify(0.667, self.corner, self.full)
         assert rep.verdict == "flat"
         assert "excluded" in rep.theoretical_note
 
     def test_type3_minimizes_over_pairs(self):
         spec = cw.ProblemSpec(2.0, 1.0, cw.Type3(), cw.Rect(-1, -1, 1, 1))
-        sp = cw.stagnation_point(spec)
         pairs = cw.solve_angle_pairs(2.0, 1.0)
         dens = [cw.corner_density(spec, p.theta1, p.theta2) for p in pairs]
-        rep = cw.classify(spec, dens[3] + 1e-4, sp, dens,
-                          cw.full_ball_density(spec))
+        rep = cw.classify(dens[3] + 1e-4, dens, cw.full_ball_density(spec))
         assert rep.verdict == "corner"
         assert rep.best_pair_index is not None
         assert dens[rep.best_pair_index] == pytest.approx(dens[3], abs=1e-12)
@@ -300,9 +296,9 @@ class TestBlowupAnalysis:
         assert len(br.rescaled_fields) == 3
         assert len(br.successive_distance) == 2
         assert br.density_estimate == pytest.approx(math.sqrt(3) / 3, abs=1e-2)
-        assert br.directions is not None
-        t1, t2 = br.directions
-        assert t2 - t1 == pytest.approx(2 * math.pi / 3, abs=0.04)
+        est = br.direction_report
+        assert est is not None
+        assert est.theta2 - est.theta1 == pytest.approx(2 * math.pi / 3, abs=0.04)
         assert br.homogeneity_residual <= 0.05
 
     def test_empty_schedule_refused(self):

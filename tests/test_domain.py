@@ -22,38 +22,38 @@ def make_spec(alpha, beta, stag):
 class TestWeight:
     def test_subcase_11_hand_value(self):
         spec = make_spec(0.0, 1.0, cw.Type1(x0=-1.0))
-        assert cw.weight_at(spec, (-1.0, -0.5)) == pytest.approx(0.5, abs=0)
+        assert cw.weight_at(spec, -1.0, -0.5) == pytest.approx(0.5, abs=0)
 
     def test_vanishes_on_axis(self):
         spec = make_spec(1.0, 1.0, cw.Type3())
-        assert cw.weight_at(spec, (0.0, 0.7)) == 0.0
-        assert cw.weight_at(spec, (0.7, 0.0)) == 0.0
+        assert cw.weight_at(spec, 0.0, 0.7) == 0.0
+        assert cw.weight_at(spec, 0.7, 0.0) == 0.0
 
     def test_type3_hand_value(self):
         spec = make_spec(2.0, 1.0, cw.Type3())
         # |0.5|^2 * |-0.5| = 0.125 by direct evaluation
-        assert cw.weight_at(spec, (0.5, -0.5)) == pytest.approx(0.125, rel=1e-15)
+        assert cw.weight_at(spec, 0.5, -0.5) == pytest.approx(0.125, rel=1e-15)
 
     def test_one_sided(self):
         spec = make_spec(1.0, 1.0, cw.Type1(x0=-1.0))  # subcase 1.1
-        assert cw.weight_at(spec, (-1.0, 0.5)) == 0.0       # wrong y side
-        assert cw.weight_at(spec, (1.0, -0.5)) == 0.0       # wrong x side
-        assert cw.weight_at(spec, (-1.0, -0.5)) == pytest.approx(0.5)
+        assert cw.weight_at(spec, -1.0, 0.5) == 0.0       # wrong y side
+        assert cw.weight_at(spec, 1.0, -0.5) == 0.0       # wrong x side
+        assert cw.weight_at(spec, -1.0, -0.5) == pytest.approx(0.5)
 
     def test_weight_constant_scales(self):
         s1 = cw.ProblemSpec(1.0, 1.0, cw.Type3(), BIG, weight_constant=1.0)
         s2 = cw.ProblemSpec(1.0, 1.0, cw.Type3(), BIG, weight_constant=2.0)
-        assert cw.weight_at(s2, (0.3, -0.4)) == pytest.approx(
-            2 * cw.weight_at(s1, (0.3, -0.4)))
+        assert cw.weight_at(s2, 0.3, -0.4) == pytest.approx(
+            2 * cw.weight_at(s1, 0.3, -0.4))
 
     @given(x=st.floats(-3, 3), y=st.floats(-3, 3),
            a=st.floats(1, 3), b=st.floats(1, 3))
     @settings(max_examples=100)
     def test_type3_reflection_even(self, x, y, a, b):
         spec = make_spec(a, b, cw.Type3())
-        w = cw.weight_at(spec, (x, y))
-        assert cw.weight_at(spec, (-x, y)) == pytest.approx(w, rel=1e-12, abs=1e-300)
-        assert cw.weight_at(spec, (x, -y)) == pytest.approx(w, rel=1e-12, abs=1e-300)
+        w = cw.weight_at(spec, x, y)
+        assert cw.weight_at(spec, -x, y) == pytest.approx(w, rel=1e-12, abs=1e-300)
+        assert cw.weight_at(spec, x, -y) == pytest.approx(w, rel=1e-12, abs=1e-300)
 
     def test_mirror_subcases_agree(self):
         # reflecting the point across the y-axis maps subcase 1.1 onto 1.2-style
@@ -61,21 +61,21 @@ class TestWeight:
         right = make_spec(1.0, 1.0, cw.Type1(x0=1.0, theta0=math.pi / 2))
         # 1.2 also mirrors y (upward force); compose both reflections
         for (x, y) in [(-0.5, -0.25), (-1.5, -0.8), (-0.1, -0.9)]:
-            assert cw.weight_at(left, (x, y)) == pytest.approx(
-                cw.weight_at(right, (-x, -y)), rel=1e-12)
+            assert cw.weight_at(left, x, y) == pytest.approx(
+                cw.weight_at(right, -x, -y), rel=1e-12)
 
     @given(y1=st.floats(0.05, 1.0), y2=st.floats(0.05, 1.0))
     @settings(max_examples=60)
     def test_monotone_in_each_axis(self, y1, y2):
         spec = make_spec(1.0, 2.0, cw.Type1(x0=-1.0))
         lo, hi = sorted([y1, y2])
-        assert cw.weight_at(spec, (-1.0, -hi)) >= cw.weight_at(spec, (-1.0, -lo))
+        assert cw.weight_at(spec, -1.0, -hi) >= cw.weight_at(spec, -1.0, -lo)
 
     def test_zero_at_stagnation_point(self):
         for spec in (make_spec(0.0, 1.0, cw.Type1(x0=-1.0)),
                      make_spec(2.0, 0.0, cw.Type2(y0=1.0)),
                      make_spec(1.0, 1.0, cw.Type3())):
-            assert cw.weight_at(spec, spec.stagnation_location) == 0.0
+            assert cw.weight_at(spec, *spec.stagnation_location) == 0.0
 
 
 class TestKappa:

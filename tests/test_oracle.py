@@ -13,10 +13,10 @@ from cornerwave.oracle import (AnglePair, _angular_integral, _merge_circular,
                                angular_weight, blowup_limit, conclusion_table,
                                corner_density, edge_weight_mismatch,
                                evaluate_blowup_limit, full_ball_density,
-                               pair_symmetric, snap_symmetric_root,
-                               solve_angle_pairs)
+                               snap_symmetric_root, solve_angle_pairs)
 from references import (DomainError, angle_condition, chebyshev_coefficients,
-                        expected_pair_count, profile_gradient_sq)
+                        expected_pair_count, pair_symmetric,
+                        profile_gradient_sq)
 
 BIG = cw.Rect(-4.0, -4.0, 4.0, 4.0)
 
@@ -32,7 +32,7 @@ def spec_3(alpha=1.0, beta=1.0, c=1.0):
 def sym_pair(alpha, beta):
     A = 2 * math.pi / (alpha + beta + 2)
     t1 = -math.pi / 2 - A / 2
-    return AnglePair(theta1=t1, theta2=t1 + A, symmetric=True)
+    return AnglePair(theta1=t1, theta2=t1 + A)
 
 
 class TestBlowupLimit:
@@ -342,8 +342,9 @@ class TestAnglePairs:
             pairs = solve_angle_pairs(a, b)
             assert len(pairs) == len(ref) == expected_pair_count(a, b)
             for p, t in zip(pairs, ref):
-                assert p.symmetric == pair_symmetric(a, b, t)
-                if p.symmetric:
+                symmetric = pair_symmetric(a, b, p.theta1)
+                assert symmetric == pair_symmetric(a, b, t)
+                if symmetric:
                     assert p.theta1 == t
                 else:
                     assert abs(p.theta1 - t) <= tol
@@ -389,7 +390,7 @@ class TestAnglePairs:
 
     def test_symmetry_tags(self):
         pairs = solve_angle_pairs(2.0, 1.0)
-        sym = [p for p in pairs if p.symmetric]
+        sym = [p for p in pairs if pair_symmetric(2.0, 1.0, p.theta1)]
         # four pairs reflect across a coordinate axis
         assert len(sym) == 4
 

@@ -349,9 +349,8 @@ def cell_loop_rects(u):
 class TestSvg:
     def test_rect_layer_matches_cell_loop(self, type3_case, tmp_path):
         u = type3_case.result.field
-        spec = type3_case.spec
         path = tmp_path / "solution.svg"
-        pipeline.write_svg(u, spec, type3_case.sp, path)
+        pipeline.write_svg(u, type3_case.sp, path, type3_case.profile)
         lines = path.read_text().splitlines()
         rects = [ln for ln in lines if ln.startswith("<rect x=")]
         assert rects
@@ -412,12 +411,12 @@ class TestClassifyPairs:
         scored_pairs = []
 
         def recording(spec, theta1, theta2):
-            scored_pairs.append(AnglePair(theta1, theta2, False))
+            scored_pairs.append(AnglePair(theta1, theta2))
             return corner_density(spec, theta1, theta2)
 
         monkeypatch.setattr(oracle, "corner_density", recording)
         seed = angle_pair(alpha, beta)
-        report = run_classify(parse_config(data), cw.stagnation_point(spec),
+        report = run_classify(parse_config(data),
                               corner_density(spec, seed.theta1, seed.theta2))
         assert report.verdict == "corner"
         assert len(scored_pairs) == scored

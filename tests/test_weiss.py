@@ -47,8 +47,7 @@ class TestWeissEnergy:
     def test_constant_on_type3_profile(self):
         spec = cw.ProblemSpec(1.0, 1.0, cw.Type3(), cw.Rect(-1, -1, 1, 1))
         A = math.pi / 2
-        pair = AnglePair(theta1=-3 * math.pi / 4, theta2=-3 * math.pi / 4 + A,
-                         symmetric=True)
+        pair = AnglePair(theta1=-3 * math.pi / 4, theta2=-3 * math.pi / 4 + A)
         prof = blowup_limit(spec, pair)
         grid = cw.GridSpec.from_domain(spec.domain, 513, 513)
         u = profile_field(prof, grid, (0.0, 0.0))
