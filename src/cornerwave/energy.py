@@ -33,24 +33,28 @@ laid out once per flow as two flat colour planes (``_lattice``), red and
 black, in which each half-sweep is one contiguous cut whose four
 neighbours are contiguous slices of the other plane.  A cut is updated in
 place, and its entries that are no free node get their held values back
-(``_sor_block``).  Every cut of the field, its masks and its constants
-starts on a 64-byte cache line (``_aligned``), and the kernel's scratch
-is allocated once per layout, so a sweep allocates no array.  The line
-matters: the beta = 2 flow at 257^2 takes 82 ms with its cuts on lines
-and 104 ms with them 8 or 16 bytes off, where NumPy's allocator may put
-them (2-core Xeon).  The nine energy
-evaluations share one array of node weights (``_node_weights``).  None
-of this changes a float: fields, energies and sweep counts are those of
-the whole-grid masked kernel the tests keep as the reference.
+(``_sor_block``); the sharpening of each candidate sweeps the same way,
+each cut one neighbour sum times a constant cut of 0.25 on the support
+and 0.0 off it (``_relax_block``).  Every cut of the field, its masks and
+its constants starts on a 64-byte cache line (``_aligned``), and the
+kernels' scratch is allocated once per layout, so a sweep allocates no
+array.  The line matters: the beta = 2 flow at 257^2 takes 82 ms with
+its cuts on lines and 104 ms with them 8 or 16 bytes off, where NumPy's
+allocator may put them (2-core Xeon).  The nine energy evaluations share
+one array of node weights (``_node_weights``).  None of this changes a
+float: fields, energies and sweep counts are those of the whole-grid
+masked kernel the tests keep as the reference.
 
 The start is a discrete harmonic extension (``harmonic_extension``),
 solved by conjugate gradients preconditioned with one symmetric multigrid
 V-cycle (``_Multigrid``: red-black Gauss-Seidel smoothing, a dense solve on
 the coarsest level) to a relative residual of CG_TOL, in 15-16 steps on
-the bundled starts.  The smoother sweeps the same colour cuts as the flow
-(``_colour_cuts``), on stride-2 views of each level instead of copied
-planes.  A solve that has not converged after CG_MAX_ITERS steps raises
-ArithmeticError rather than return an unsolved start.
+the bundled starts.  The operator (``_five_point``) takes each of its
+five terms as one contiguous slice of the raveled level, and the smoother
+sweeps the same colour cuts as the flow (``_colour_cuts``), on stride-2
+views of each level instead of copied planes.  A solve that has not
+converged after CG_MAX_ITERS steps raises ArithmeticError rather than
+return an unsolved start.
 
 From the star-hull start the result is a state of the corner basin, not
 always the lowest discrete-energy state.  Without the one-layer dilation
@@ -658,36 +662,63 @@ def _relax_on_support(u: np.ndarray, pinned: np.ndarray, sweeps: int) -> None:
     The update target is the nonnegative neighbor mean, so the support
     cannot shrink (over-relaxation would overshoot below zero at the cut
     and eat the support inward sweep by sweep).  As in the flow, the
-    sweeps run on the two cuts of a ``_lattice`` laid out once, around the
-    bounding box of the support; ``pinned`` holds the grid ring.  Each cut
-    is written through its support mask rather than updated in place and
-    restored, as many nodes of the box lie off the support.  The two cuts,
-    of one length, share one target, allocated once on a cache line like
-    the cuts."""
+    sweeps (``_relax_block``) run on the two cuts of a ``_lattice`` laid
+    out once, around the bounding box of the support; ``pinned`` holds
+    the grid ring.  Each cut carries a constant cut of 0.25 on the support
+    and 0.0 elsewhere, built from its mask cut on a cache line, and the
+    indices of its nonzero entries off the support (ring data inside the
+    box) with their values.  ``u`` must be finite and nonnegative, with
+    +0.0 for zero, as every candidate is."""
     support = (u > 0.0) & ~pinned
-    layout, lattice = _lattice(u, support)
-    if not lattice:
-        return
-    target = _aligned(lattice[0][0].shape, float)
-    for _ in range(sweeps):
-        for node, nbrs, sel in lattice:
-            _neighbour_sum(nbrs, target)
-            target *= 0.25
-            np.copyto(node, target, where=sel)
+    layout, cuts = _lattice(u, support)
+    lattice = []
+    for node, nbrs, sel in cuts:
+        quarter = _aligned(sel.shape, float)
+        np.multiply(sel, 0.25, out=quarter)
+        held = np.flatnonzero(~sel & (node != 0.0))
+        lattice.append((node, nbrs, quarter, held, node[held]))
+    _relax_block(lattice, sweeps)
     _unplane(u, layout)
 
 
-def _five_point(u: np.ndarray, free: np.ndarray) -> np.ndarray:
+def _relax_block(lattice: list, sweeps: int) -> None:
+    """The sweeps of ``_relax_on_support`` on its lattice in place.
+
+    A cut is updated over its whole slice as one masked product: the
+    neighbour sum goes straight into the cut (its nodes do not neighbour
+    each other), is multiplied by the constant cut, and the held entries
+    get their values back, as in ``_sor_block``.  That is the masked
+    update ``u[support] = 0.25 * sum[support]`` to the bit: ``sum * 0.25``
+    is ``0.25 * sum``, and a sum of finite nonnegative values times 0.0 is
+    the +0.0 that every other entry off the support holds.  A sweep
+    allocates no array."""
+    for _ in range(sweeps):
+        for node, nbrs, quarter, held, values in lattice:
+            _neighbour_sum(nbrs, node)
+            node *= quarter
+            node[held] = values
+
+
+def _five_point(u: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """4u - (sum of the four neighbours) on the free nodes, 0 elsewhere;
-    ``free`` is the float mask of the interior nodes."""
-    out = np.zeros_like(u)
-    c = out[1:-1, 1:-1]
-    np.multiply(u[1:-1, 1:-1], 4.0, out=c)
-    c -= u[:-2, 1:-1]
-    c -= u[2:, 1:-1]
-    c -= u[1:-1, :-2]
-    c -= u[1:-1, 2:]
-    c *= free
+    ``mask`` is the float free mask, 0 on the outer ring.
+
+    Each term is one flat slice of the raveled ``u``: the entries k, k - n,
+    k + n, k - 1 and k + 1 (n the row length) for k over the rows off the
+    first and last, subtracted in that order and multiplied by ``mask`` at
+    k.  The first and last columns of those rows, whose neighbours k - 1
+    and k + 1 wrap to the next row, get 0 times a finite value, a signed
+    zero."""
+    n = u.shape[1]
+    flat, out = u.reshape(-1), np.zeros_like(u)
+    k = slice(n + 1, u.size - n - 1)
+    c = out.reshape(-1)[k]
+    np.multiply(flat[k], 4.0, out=c)
+    c -= flat[1:-2 * n - 1]
+    c -= flat[2 * n + 1:-1]
+    c -= flat[n:-n - 2]
+    c -= flat[n + 2:-n]
+    c *= mask.reshape(-1)[k]
     return out
 
 
@@ -697,8 +728,10 @@ def _gauss_seidel(e: np.ndarray, r: np.ndarray, quarter: np.ndarray,
     red first for ``order`` 0 and black first for 1, on the
     ``_colour_cuts`` of the stride-2 views of ``e`` (no copy): each
     colour's nodes are solved for at once, ``quarter`` being a quarter of
-    the free mask.  The row length of ``e`` must be odd; the halo columns
-    inside a cut get 0 times their sum, a signed zero."""
+    the free mask.  The row length of ``e`` must be odd.  As in
+    ``_five_point``, the first and last columns inside a cut, whose
+    neighbours wrap to the next row, get 0 times their sum, a signed
+    zero."""
     e_p, r_p, q_p = ([a.reshape(-1)[p::2] for p in (0, 1)]
                      for a in (e, r, quarter))
     for p, cut, nbrs in _colour_cuts(e_p, e.shape[1], order):
@@ -722,20 +755,22 @@ class _Multigrid:
     is a symmetric positive definite operator.  The smoother sweeps the
     flow's colour cuts on the flat array, where flat-index parity is colour
     only at an odd row length: every smoothed level has k * 2^l + 1 nodes
-    a side with l >= 1, so it holds.  The coarsest level, not smoothed, is
-    solved with a dense inverse."""
+    a side with l >= 1, so it holds.  The operator, in the CG steps, the
+    residual and the coarsest matrix alike, is ``_five_point`` on the flat
+    array; each level keeps its float free mask and a quarter of it.  The
+    coarsest level, not smoothed, is solved with a dense inverse."""
 
     def __init__(self, free: np.ndarray, levels: int):
         self.levels = []
         for _ in range(levels + 1):
             mask = free.astype(float)
-            self.levels.append((mask, mask[1:-1, 1:-1], 0.25 * mask))
+            self.levels.append((mask, 0.25 * mask))
             free = free[::2, ::2]
-        mask, inner, _ = self.levels[-1]
+        mask, _ = self.levels[-1]
         self.coarse = np.flatnonzero(mask)
         units = np.zeros((self.coarse.size, mask.size))
         units[np.arange(self.coarse.size), self.coarse] = 1.0
-        matrix = [_five_point(unit.reshape(mask.shape), inner).ravel()
+        matrix = [_five_point(unit.reshape(mask.shape), mask).ravel()
                   for unit in units]
         self.inverse = np.linalg.inv(
             np.reshape(matrix, units.shape)[:, self.coarse])
@@ -745,7 +780,7 @@ class _Multigrid:
         nodes, preconditioned by ``cycle``, from u = 0 until the residual
         is below CG_TOL of ``rhs`` in the 2-norm; ArithmeticError after
         CG_MAX_ITERS steps short of that."""
-        inner = self.levels[0][1]
+        mask = self.levels[0][0]
         u = np.zeros_like(rhs)
         goal = CG_TOL * np.sqrt(np.vdot(rhs, rhs))
         r = rhs.copy()
@@ -761,7 +796,7 @@ class _Multigrid:
             rz, rz_old = np.vdot(r, z), rz
             p *= rz / rz_old
             p += z
-            q = _five_point(p, inner)
+            q = _five_point(p, mask)
             alpha = rz / np.vdot(p, q)
             u += alpha * p
             r -= alpha * q
@@ -774,9 +809,9 @@ class _Multigrid:
         if level == len(self.levels) - 1:
             e.flat[self.coarse] = self.inverse @ r.flat[self.coarse]
             return e
-        mask, inner, quarter = self.levels[level]
+        mask, quarter = self.levels[level]
         _gauss_seidel(e, r, quarter, 0)
-        res = r - _five_point(e, inner)
+        res = r - _five_point(e, mask)
         coarse_mask = self.levels[level + 1][0]
         t = res[2:-2:2] + 0.5 * (res[1:-3:2] + res[3:-1:2])
         down = np.zeros(coarse_mask.shape)

@@ -234,8 +234,11 @@ def parse_config(data: dict) -> PipelineConfig:
 
 
 def load_config(path) -> PipelineConfig:
+    """The config in the YAML file at ``path``, parsed by PyYAML's safe
+    loader, in its libyaml form where PyYAML was built with it."""
     try:
-        data = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        data = yaml.load(Path(path).read_text(encoding="utf-8"),
+                         Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except yaml.YAMLError as exc:

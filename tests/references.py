@@ -9,8 +9,10 @@ type-3 edge condition, the pair-count rule, which type-3 pairs are
 symmetric, the Chebyshev coefficients of the velocity potential, and the
 Weiss energy at one radius), so they live with the tests.  So do the
 earlier all-at-once forms of three package functions that now bound
-their working set (the star hull, the solve's energy, the radial sweep):
-the package must give their floats and bits exactly.  ``traced_peak`` is
+their working set (the star hull, the solve's energy, the radial sweep),
+and the 2-D form of the multigrid's five-point operator, which the
+package now takes in flat slices: the package must give their floats and
+bits exactly.  ``traced_peak`` is
 the tracemalloc measure that the working-set bounds of those functions
 and of ``load_field`` are checked with.  The module name does not start
 with ``test_``, so pytest does not collect it.
@@ -207,6 +209,21 @@ def radial_sweep_all_at_once(spec: ProblemSpec, u: ScalarField,
                        r ** (2 * k - 1) * disk.integrate(rem),
                        disk.integrate(free_f), disk.integrate(gap_f))
     return RadialSweep(radii, k, *cols)
+
+
+def five_point_2d(u: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``energy._five_point`` on 2-D slices of the interior: 4u, minus the
+    rows above and below, minus the columns left and right, times the
+    float free ``mask`` there; 0 (+0.0) on the outer ring."""
+    out = np.zeros_like(u)
+    c = out[1:-1, 1:-1]
+    np.multiply(u[1:-1, 1:-1], 4.0, out=c)
+    c -= u[:-2, 1:-1]
+    c -= u[2:, 1:-1]
+    c -= u[1:-1, :-2]
+    c -= u[1:-1, 2:]
+    c *= mask[1:-1, 1:-1]
+    return out
 
 
 def traced_peak(fn, *args):

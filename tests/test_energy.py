@@ -20,8 +20,9 @@ from cornerwave.energy import (boundary_ring, bump_vector_field,
                                harmonic_extension, support_mask)
 from cornerwave.oracle import angle_pair, blowup_limit, evaluate_at_points
 from cornerwave.pipeline import build_boundary, parse_config
-from references import (energy_raw_one_expression, harmonic_residual,
-                        profile_field, star_hull_mask_one_shot, traced_peak)
+from references import (energy_raw_one_expression, five_point_2d,
+                        harmonic_residual, profile_field,
+                        star_hull_mask_one_shot, traced_peak)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -730,7 +731,8 @@ class TestCroppedKernel:
     @pytest.mark.parametrize("case", list(BOX_CASES))
     def test_every_kernel_array_starts_on_a_line(self, monkeypatch, case):
         # the flow's node cuts, constant cuts, scratch and zap memory, and
-        # the sharpening's node cuts, masks and targets, each at a cache
+        # the sharpening's node cuts, its 0.25-weight cuts and the
+        # neighbour sums it writes (into its node cuts), each at a cache
         # line, whatever the box's offset in the grid
         rng = np.random.default_rng(13)
         free = box_mask(BOX_CASES[case], rng)
@@ -743,19 +745,20 @@ class TestCroppedKernel:
                 assert a.ctypes.data % energy_module.LINE == 0
                 assert a.size == node.size and a.flags.c_contiguous
         streamed = []
-        real_lattice = energy_module._lattice
+        real_block = energy_module._relax_block
         real_sum = energy_module._neighbour_sum
 
-        def lattice_seen(*args):
-            layout, cuts = real_lattice(*args)
-            streamed.extend(a for node, _, sel in cuts for a in (node, sel))
-            return layout, cuts
+        def block_seen(lattice, sweeps):
+            for node, _, quarter, _, _ in lattice:
+                assert set(np.unique(quarter)) <= {0.0, 0.25}
+                streamed.extend((node, quarter))
+            real_block(lattice, sweeps)
 
         def sum_seen(nbrs, out=None):
             streamed.append(out)
             return real_sum(nbrs, out)
 
-        monkeypatch.setattr(energy_module, "_lattice", lattice_seen)
+        monkeypatch.setattr(energy_module, "_relax_block", block_seen)
         monkeypatch.setattr(energy_module, "_neighbour_sum", sum_seen)
         energy_module._relax_on_support(u, ~free, sweeps=2)
         assert len(streamed) == (0 if BOX_CASES[case] is None else 4 + 4)
@@ -787,6 +790,25 @@ class TestCroppedKernel:
         assert all(zap is not None for *_, zap in lattice)   # envelope on
         _, peak = traced_peak(energy_module._sor_block, lattice, 20)
         assert peak < lattice[0][0].nbytes
+
+    def test_sharpening_sweeps_allocate_no_array(self, monkeypatch,
+                                                 type3_case):
+        # 60 sharpening sweeps of the type-3 winner at 257^2 hold less
+        # than one cut's floats: each neighbour sum goes into its cut and
+        # is scaled there.  A target allocated per update held 188 kB
+        c = type3_case
+        u = c.result.field.values.copy()
+        pinned = boundary_ring(c.grid) | support_mask(c.spec, c.grid)
+        lattices, real = [], energy_module._relax_block
+        monkeypatch.setattr(energy_module, "_relax_block",
+                            lambda lattice, sweeps: lattices.append(lattice))
+        energy_module._relax_on_support(u, pinned, sweeps=60)
+        (lattice,) = lattices
+        before = [node.copy() for node, *_ in lattice]
+        _, peak = traced_peak(real, lattice, 60)
+        assert peak < lattice[0][0].nbytes
+        assert any(not np.array_equal(node, old)
+                   for (node, *_), old in zip(lattice, before))
 
 
 SUBNORMAL = 1e-309   # the scale of the subnormal starts
@@ -1019,6 +1041,52 @@ class TestHarmonicExtension:
         assert fast[1:-1, 1:-1].tobytes() == ref[1:-1, 1:-1].tobytes()
         assert np.array_equal(fast, ref)
         assert mg.solve(r).tobytes() == strided(mg.solve, r).tobytes()
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    @given(m=st.integers(3, 40), k=st.integers(1, 20),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_flat_operator_matches_the_2d_form(self, parity, m, k, seed):
+        # even and odd row lengths: every interior node to the byte; the
+        # first and last columns, +0.0 in the 2-D form, get 0 times a
+        # wrapped sum, a zero of either sign
+        n = 2 * k + 1 + parity
+        rng = np.random.default_rng(seed)
+        mask = np.zeros((m, n))
+        mask[1:-1, 1:-1] = rng.random((m - 2, n - 2)) < rng.uniform(0.2, 1.0)
+        u = rng.standard_normal((m, n))
+        fast, ref = energy_module._five_point(u, mask), five_point_2d(u, mask)
+        assert fast[1:-1, 1:-1].tobytes() == ref[1:-1, 1:-1].tobytes()
+        assert np.array_equal(fast, ref)
+
+    @pytest.mark.parametrize("name", SOLVING_CONFIGS)
+    def test_bundled_levels_match_the_2d_operator(self, name):
+        # every operator call of the start solve of each solving config,
+        # on its own grid (the CG steps, each level's residual and the
+        # coarsest matrix), against the 2-D form; and the start itself to
+        # the byte, although the flat form may leave -0.0 off the interior
+        args = bundled_start(name)
+        real, shapes = energy_module._five_point, set()
+
+        def checked(u, mask):
+            out, ref = real(u, mask), five_point_2d(u, mask)
+            assert out[1:-1, 1:-1].tobytes() == ref[1:-1, 1:-1].tobytes()
+            assert np.array_equal(out, ref)
+            shapes.add(u.shape)
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(energy_module, "_five_point", checked)
+            fast = harmonic_extension(*args)
+            mp.setattr(energy_module, "_five_point", five_point_2d)
+            ref = harmonic_extension(*args)
+        assert fast.tobytes() == ref.tobytes()
+        # every level, from the padded box down to the coarsest
+        levels = sorted(shapes, reverse=True)
+        assert len(levels) >= 5
+        for fine, coarse in zip(levels, levels[1:]):
+            assert coarse == ((fine[0] + 1) // 2, (fine[1] + 1) // 2)
+        assert max(levels[-1]) - 1 <= energy_module.COARSEST_CELLS
 
     @pytest.mark.parametrize("kind", ["empty", "single", "components",
                                       "edge", "odd", "random"])

@@ -149,6 +149,25 @@ class TestConfigParsing:
         cfg = load_config(path)
         assert cfg.outputs.directory == f"out/{path.stem}"
 
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                        reason="PyYAML built without libyaml")
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")),
+                             ids=lambda p: p.stem)
+    def test_libyaml_loader_gives_the_same_data(self, path):
+        # load_config parses with libyaml's safe loader where PyYAML has
+        # it: the same data as the pure-Python one, value types included
+        text = path.read_text(encoding="utf-8")
+        fast = yaml.load(text, Loader=yaml.CSafeLoader)
+        slow = yaml.load(text, Loader=yaml.SafeLoader)
+        assert json.dumps(fast) == json.dumps(slow)
+        assert json.dumps(load_config(path).raw) == json.dumps(slow)
+
+    def test_unparsable_config_refused(self, tmp_path):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("problem: [alpha: 0.0\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="cannot parse config"):
+            load_config(bad)
+
     @pytest.mark.parametrize("name", SOLVED)
     def test_derived_scales_equal_the_retired_settings(self, name):
         # what every solving config set before the scales were derived
