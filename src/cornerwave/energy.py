@@ -41,9 +41,19 @@ kernels' scratch is allocated once per layout, so a sweep allocates no
 array.  The line matters: the beta = 2 flow at 257^2 takes 82 ms with
 its cuts on lines and 104 ms with them 8 or 16 bytes off, where NumPy's
 allocator may put them (2-core Xeon).  The nine energy evaluations share
-one array of node weights (``_node_weights``).  None of this changes a
-float: fields, energies and sweep counts are those of the whole-grid
-masked kernel the tests keep as the reference.
+one array of node weights (``_node_weights``).
+
+Three of the five bundled solves (stokes, beta = 2, type 3) are their own
+mirror image about the middle node column: the weight, the air
+half-plane and the envelope to the bit, the ring data and the start up
+to round-off.  ``_mirror_axis`` finds such an axis from the solve's own
+arrays, the ring data and the start are replaced by their average with
+their mirror, and the flow sweeps the columns up to the axis and one
+ghost column refreshed from its mirror (``_flow``), half the nodes, bit
+for bit the whole-grid flow of the averaged data.  The start, the
+candidates and the energy stay whole-grid.  Apart from that averaging,
+none of this changes a float: fields, energies and sweep counts are
+those of the whole-grid masked kernel the tests keep as the reference.
 
 The start is a discrete harmonic extension (``harmonic_extension``),
 solved by conjugate gradients preconditioned with one symmetric multigrid
@@ -52,7 +62,9 @@ the coarsest level) to a relative residual of CG_TOL, in 15-16 steps on
 the bundled starts.  The operator (``_five_point``) takes each of its
 five terms as one contiguous slice of the raveled level, and the smoother
 sweeps the same colour cuts as the flow (``_colour_cuts``), on stride-2
-views of each level instead of copied planes.  A solve that has not
+views of each level instead of copied planes.  The CG dot products are
+summed by NumPy's own loop (``_dot``), not by BLAS, whose threads would
+make the start depend on their number.  A solve that has not
 converged after CG_MAX_ITERS steps raises ArithmeticError rather than
 return an unsolved start.
 
@@ -95,6 +107,7 @@ CG_MAX_ITERS = 100      # CG steps before the harmonic start is refused
 COARSEST_CELLS = 8      # cells a side, at most, on the coarsest level
 HULL_CHUNK = 1 << 14    # ray samples star_hull_mask rasterises at once
 LINE = 64               # bytes of a cache line, where each kernel cut starts
+MIRROR_ULPS = 64        # mirror round-off forgiven, in eps of the largest value
 
 
 @dataclass
@@ -310,9 +323,13 @@ def minimize_energy(spec: ProblemSpec, grid: GridSpec, boundary_data,
 
     start, envelope = _start(spec, grid, fixed, pinned,
                              params.bernstein_trim and weight is None)
+    axis = _mirror_axis(pinned, w, envelope, fixed, start)
+    if axis is not None:
+        _symmetrize(fixed, axis)
+        _symmetrize(start, axis)
     end = start.copy()
     sweeps, converged = _flow(end, grid, pinned, eps, w, envelope,
-                              params.max_iters)
+                              params.max_iters, axis)
     records, winner, values = _candidates(grid, fixed, pinned, eps, w,
                                           envelope, start, end)
     return SolveResult(ScalarField(grid, values), winner, sweeps, converged,
@@ -350,9 +367,50 @@ def _start(spec: ProblemSpec, grid: GridSpec, fixed: np.ndarray,
     return u, envelope
 
 
+def _mirror_axis(pinned: np.ndarray, w: np.ndarray,
+                 envelope: np.ndarray | None, fixed: np.ndarray,
+                 start: np.ndarray) -> int | None:
+    """The column c = nx // 2 about which a solve is mirror-symmetric, or
+    None: nx is odd, some free node lies off column c, ``pinned``, ``w``
+    and the envelope are bitwise their own column mirror about c, and the
+    ring data ``fixed`` and the start match their mirror up to round-off,
+    with the same positive set and no difference above MIRROR_ULPS
+    machine epsilons of their largest value.  Each array is compared a
+    half against the other, so a check holds at most half a grid more."""
+    nx = pinned.shape[1]
+    c = nx // 2
+    if nx % 2 == 0 or not np.any(~pinned[:, :c]):
+        return None
+    exact = [pinned, w.view(np.uint64)]
+    if envelope is not None:
+        exact.append(envelope.view(np.uint64))
+    if not all(np.array_equal(a[:, :c], a[:, :c:-1]) for a in exact):
+        return None
+    for a in (fixed, start):
+        left, right = a[:, :c], a[:, :c:-1]
+        if not np.array_equal(left > 0.0, right > 0.0):
+            return None
+        gap = np.abs(left - right)
+        if np.max(gap) > MIRROR_ULPS * np.finfo(float).eps * np.max(a):
+            return None
+    return c
+
+
+def _symmetrize(a: np.ndarray, c: int) -> None:
+    """Replace ``a`` in place by the average with its column mirror about
+    ``c``, (left + right) * 0.5 on both sides, column c kept: commuting,
+    so both sides get one float, and on mirror-equal data a bitwise no-op
+    (x + x and its half are exact)."""
+    left, right = a[:, :c], a[:, :c:-1]
+    mean = left + right
+    mean *= 0.5
+    left[...] = mean
+    right[...] = mean
+
+
 def _flow(u: np.ndarray, grid: GridSpec, pinned: np.ndarray, eps: np.ndarray,
-          w: np.ndarray, envelope: np.ndarray | None,
-          max_iters: int) -> tuple[int, bool]:
+          w: np.ndarray, envelope: np.ndarray | None, max_iters: int,
+          axis: int | None) -> tuple[int, bool]:
     """Projected SOR on ``u`` in place, in blocks of BLOCK_SIZE sweeps (the
     last cut short at ``max_iters``), until a full block changes the field
     by less than TOL_FIELD of the start's largest value: (sweeps,
@@ -386,6 +444,19 @@ def _flow(u: np.ndarray, grid: GridSpec, pinned: np.ndarray, eps: np.ndarray,
     update and has its value back before anything reads it, so their
     largest change is the same float as the whole grid's.
 
+    With a mirror ``axis`` c (``_mirror_axis``; ``minimize_energy`` has
+    averaged the ring data and the start with their mirror about it) the
+    flow sweeps columns 0..c + 1 alone, laid out with column c + 2 as
+    their halo, so each cut holds about half the entries.  Column c + 1
+    is a ghost: after every cut update its entries are overwritten from
+    column c - 1 by one strided copy (``_flow_lattice``), so the nodes of
+    column c see their right neighbour.  The red-black update is
+    mirror-equivariant: a node has its mirror's colour, the neighbour sum
+    adds right and left, which commute, and every other step is nodewise.
+    So the half flow is the whole-grid flow of the symmetrized data bit
+    for bit, its stop test sees the same largest change, and columns
+    c + 1..nx - 2 are unfolded from c - 1..1 at the end.
+
     The rest state is a cycle of period two, not a fixed point: on type 3
     at 257^2, 19.6k nodes switch between 0 and a small positive value
     every sweep, while 22.8k are positive after any one sweep.  Only
@@ -412,7 +483,17 @@ def _flow(u: np.ndarray, grid: GridSpec, pinned: np.ndarray, eps: np.ndarray,
     pull = np.divide(w, eps, out=np.zeros_like(eps), where=eps > 0)
     pull *= grid.spacing * grid.spacing / 8.0
     scale = max(float(np.max(u)), 1e-300)
-    layout, lattice = _flow_lattice(u, free, eps, pull, envelope)
+    field, ghost = u, None
+    if axis is not None:
+        # columns 0..axis + 1 and a halo column, held like any other
+        half = np.s_[:, :axis + 3]
+        field, free, eps, pull = u[half], free[half], eps[half], pull[half]
+        if envelope is not None:
+            envelope = envelope[half]
+        free[:, -1] = False
+        ghost = np.zeros_like(free)
+        ghost[:, -2] = True
+    layout, lattice = _flow_lattice(field, free, eps, pull, envelope, ghost)
     saved = [_aligned(node.shape, float) for node, *_ in lattice]
     sweeps, converged = 0, False
     while sweeps < max_iters and not converged:
@@ -421,7 +502,7 @@ def _flow(u: np.ndarray, grid: GridSpec, pinned: np.ndarray, eps: np.ndarray,
         block = min(BLOCK_SIZE, max_iters - sweeps)
         _sor_block(lattice, block)
         if sweeps == 0 and envelope is not None:
-            for *_, zap in lattice:
+            for *_, zap, _ in lattice:
                 zap[...] = False
         sweeps += block
         change = 0.0
@@ -430,7 +511,9 @@ def _flow(u: np.ndarray, grid: GridSpec, pinned: np.ndarray, eps: np.ndarray,
             np.abs(old, out=old)
             change = max(change, float(np.max(old, initial=0.0)))
         converged = block == BLOCK_SIZE and change < TOL_FIELD * scale
-    _unplane(u, layout)
+    _unplane(field, layout)
+    if axis is not None:
+        u[:, axis + 1:-1] = u[:, axis - 1:0:-1]
     return sweeps, converged
 
 
@@ -581,28 +664,45 @@ def _unplane(u: np.ndarray, layout) -> None:
 
 
 def _flow_lattice(u: np.ndarray, free: np.ndarray, eps: np.ndarray,
-                  pull: np.ndarray, envelope: np.ndarray | None
-                  ) -> tuple[tuple | None, list]:
+                  pull: np.ndarray, envelope: np.ndarray | None,
+                  ghost: np.ndarray | None) -> tuple[tuple | None, list]:
     """The layout of ``u`` and the lattice ``_sor_block`` sweeps: per
     ``_lattice`` cut of the free nodes the node slice, its neighbours, the
     indices of its entries that are no free node (halo, padding and pinned
     nodes) with their values, the constants eps, pull and envelope, the
-    kernel's scratch (target, band product and two boolean masks) and an
+    kernel's scratch (target, band product and two boolean masks), an
     empty zap memory (the envelope and the memory None without an
-    envelope).  Every entry is a slice of a flat colour plane or is fixed
-    for the flow, so one layout serves every block; every array of a cut
-    starts on a cache line.  Both cuts are the slice [lo, hi) of their
-    plane and are updated in turn, so they share one scratch."""
-    layout, cuts = _lattice(u, free, eps, pull, envelope)
+    envelope) and a ghost link.  Every entry is a slice of a flat colour
+    plane or is fixed for the flow, so one layout serves every block;
+    every array of a cut starts on a cache line.  Both cuts are the slice
+    [lo, hi) of their plane and are updated in turn, so they share one
+    scratch.
+
+    ``ghost`` (None for none) marks a column of ``u``, neither the first
+    nor the last of the box, whose values are those of the column two to
+    its left.  In a cut, that column's entries are every n-th (n the
+    layout's odd row length), each one entry after its source, so the
+    link is the pair of views (ghost entries, source entries) that one
+    strided copy refreshes; None for a cut that holds no ghost entry.
+    The box's last column would not do: at an odd box width its entry in
+    the last inner row lies past the end of the cut."""
+    layout, cuts = _lattice(u, free, eps, pull, envelope, ghost)
     if not cuts:
         return layout, []
     shape = cuts[0][0].shape
     work = tuple(_aligned(shape, t) for t in (float, float, bool, bool))
+    _, box = layout
+    n = (box[1].stop - box[1].start) | 1
     lattice = []
-    for node, nbrs, free_s, *consts in cuts:
+    for node, nbrs, free_s, eps_s, pull_s, env_s, ghost_s in cuts:
         held = np.flatnonzero(~free_s)
-        zap = None if consts[-1] is None else _aligned(shape, bool)
-        lattice.append((node, nbrs, held, node[held], *consts, work, zap))
+        link = None
+        if ghost_s is not None and ghost_s.any():
+            g = int(np.flatnonzero(ghost_s)[0])
+            link = (node[g::n], node[g - 1:-1:n])
+        zap = None if env_s is None else _aligned(shape, bool)
+        lattice.append((node, nbrs, held, node[held], eps_s, pull_s, env_s,
+                        work, zap, link))
     return layout, lattice
 
 
@@ -623,27 +723,34 @@ def _sor_block(lattice: list, sweeps: int) -> None:
     a state, and the envelope is nonnegative).  A cut is updated in place
     over its whole slice, and then its halo, padding and pinned entries
     get their held values back, before the other cut reads them; so they
-    keep their value and no -0.0 enters the field.  Every product and sum
-    is the one of the plain formula ``keep * u + OMEGA * (0.25 * sum -
-    pull * band)``, in that order; the scalings act in place.  They stay
-    separate: folding 0.25 into OMEGA (and pull times 4 into pull) is
-    exact only on normal numbers, and the blowup flow reaches subnormal
-    neighbour sums.
+    keep their value and no -0.0 enters the field.  A ghost entry (a
+    mirror half, ``_flow``) is refreshed from its source after that, by
+    the link's one strided copy.  Every product and sum is the one of the
+    plain formula ``keep * u + OMEGA * (0.25 * sum - pull * band)``, in
+    that order (``band * pull`` is ``pull * band``); the scalings act in
+    place.  They stay separate: folding 0.25 into OMEGA (and pull times 4
+    into pull) is exact only on normal numbers, and the blowup flow
+    reaches subnormal neighbour sums.
 
     Every intermediate is written into the lattice's scratch, so a sweep
-    allocates no array (NumPy's cast buffer for the boolean band times
-    the float pull aside), and every array the sweep streams, the
-    neighbour slices apart, starts on a cache line (module docstring)."""
+    allocates no array, and every array the sweep streams, the neighbour
+    slices apart, starts on a cache line (module docstring).  The band is
+    cast to 0.0 and 1.0 by ``copyto`` into the product scratch, which
+    casts in its loop: ``pull * band`` on the boolean band casts it
+    through NumPy's 64 kB buffer, as large as a cut of the beta = 2 half
+    lattice at 257^2."""
     keep = 1.0 - OMEGA
     for _ in range(sweeps):
-        for node, nbrs, held, values, eps_s, pull_s, env, work, zap in lattice:
+        for (node, nbrs, held, values, eps_s, pull_s, env, work, zap,
+             link) in lattice:
             target, product, band, below = work
             _neighbour_sum(nbrs, target)
             target *= 0.25
             np.greater(node, 0.0, out=band)
             np.less(node, eps_s, out=below)
             band &= below
-            np.multiply(pull_s, band, out=product)
+            np.copyto(product, band)
+            product *= pull_s
             target -= product
             target *= OMEGA
             node *= keep
@@ -654,6 +761,8 @@ def _sor_block(lattice: list, sweeps: int) -> None:
                 zap |= band
                 np.copyto(node, 0.0, where=zap)
             node[held] = values
+            if link is not None:
+                np.copyto(*link)
 
 
 def _relax_on_support(u: np.ndarray, pinned: np.ndarray, sweeps: int) -> None:
@@ -741,6 +850,14 @@ def _gauss_seidel(e: np.ndarray, r: np.ndarray, quarter: np.ndarray,
         e_p[p][cut] = t
 
 
+def _dot(a: np.ndarray, b: np.ndarray):
+    """The sum of ``a * b`` over two arrays of one shape, by NumPy's own
+    loop: a BLAS dot (``np.vdot``) splits a vector of more than 10,000
+    entries across its threads, so its sum, and with it every start,
+    would depend on the thread count."""
+    return np.einsum("i,i->", a.ravel(), b.ravel())
+
+
 class _Multigrid:
     """The system ``_five_point(u) = rhs`` on a free mask of k * 2^levels
     + 1 nodes a side, pinned on the outer ring, solved by CG with one
@@ -782,22 +899,22 @@ class _Multigrid:
         CG_MAX_ITERS steps short of that."""
         mask = self.levels[0][0]
         u = np.zeros_like(rhs)
-        goal = CG_TOL * np.sqrt(np.vdot(rhs, rhs))
+        goal = CG_TOL * np.sqrt(_dot(rhs, rhs))
         r = rhs.copy()
         p = np.zeros_like(rhs)   # so the first direction is z
         rz, steps = 1.0, 0
-        while np.sqrt(np.vdot(r, r)) > goal:
+        while np.sqrt(_dot(r, r)) > goal:
             if steps == CG_MAX_ITERS:
                 raise ArithmeticError(
                     f"harmonic extension: CG above a relative residual of "
                     f"{CG_TOL:g} after {CG_MAX_ITERS} steps")
             steps += 1
             z = self.cycle(r)
-            rz, rz_old = np.vdot(r, z), rz
+            rz, rz_old = _dot(r, z), rz
             p *= rz / rz_old
             p += z
             q = _five_point(p, mask)
-            alpha = rz / np.vdot(p, q)
+            alpha = rz / _dot(p, q)
             u += alpha * p
             r -= alpha * q
         return u

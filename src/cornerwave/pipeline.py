@@ -64,7 +64,8 @@ from . import oracle
 from .domain import (DegenerateDenominator, GridSpec, ProblemSpec, Rect,
                      ScalarField, StagnationPoint, Type1, Type2, Type3,
                      load_field, save_field, stagnation_point)
-from .energy import SolverParams, SolveResult, minimize_energy
+from .energy import (SolverParams, SolveResult, boundary_ring,
+                     minimize_energy)
 from .frequency import frequency_profile
 from .weiss import radial_sweep, weiss_profile
 
@@ -250,14 +251,18 @@ def load_config(path) -> PipelineConfig:
 # stage: boundary data
 
 def build_boundary(cfg: PipelineConfig):
-    """Full-grid array whose ring supplies the Dirichlet data, the oracle's
+    """Full-grid array whose ring holds the Dirichlet data, the oracle's
     blow-up profile (on type 3, that of the downward axis-symmetric
-    pair), and that profile."""
+    pair), and that profile.  The profile is evaluated on the ring alone,
+    the only nodes ``minimize_energy`` reads; the interior is zero."""
     spec = cfg.problem
     profile = oracle.blowup_limit(spec, oracle.angle_pair(spec.alpha, spec.beta))
     X, Y = cfg.grid.mesh()
-    vals = oracle.evaluate_at_points(profile, X, Y, spec.stagnation_location)
-    return np.asarray(vals), profile
+    ring = boundary_ring(cfg.grid)
+    vals = np.zeros(X.shape)
+    vals[ring] = oracle.evaluate_at_points(profile, X[ring], Y[ring],
+                                           spec.stagnation_location)
+    return vals, profile
 
 
 # ---------------------------------------------------------------------------

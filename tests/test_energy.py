@@ -1,4 +1,6 @@
 import math
+import os
+import subprocess
 import sys
 import types
 import weakref
@@ -7,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.sparse import csr_matrix
@@ -398,14 +400,16 @@ def masked_sor_block(air, zaps):
     return sor_block
 
 
-def masked_flow(air, zaps):
+def masked_flow(air, zaps, axes):
     """The flow over the masked kernel: ``_flow`` as it was before the
     lattice was laid out once per flow, every block driving
     ``masked_sor_block`` on the whole grid with a whole-grid zap memory
-    and testing stationarity on a whole-grid copy."""
+    and testing stationarity on a whole-grid copy.  A mirror ``axis`` is
+    recorded in ``axes`` and not used: the flow is whole-grid."""
     sor_block = masked_sor_block(air, zaps)
 
-    def flow(u, grid, pinned, eps, w, envelope, max_iters):
+    def flow(u, grid, pinned, eps, w, envelope, max_iters, axis):
+        axes.append(axis)
         free = ~pinned
         pull = np.divide(w, eps, out=np.zeros_like(eps), where=eps > 0)
         pull *= grid.spacing * grid.spacing / 8.0
@@ -433,17 +437,17 @@ def lattice_sor_block(u, free, eps, pull, envelope, zapped, sweeps):
     seeded from ``zapped`` and written back to it.  The nodes are numbered
     from 1, so the padding of a cut, laid out as 0, maps to no node."""
     layout, lattice = energy_module._flow_lattice(u, free, eps, pull,
-                                                  envelope)
+                                                  envelope, None)
     index = np.arange(1, u.size + 1).reshape(u.shape)
     _, cuts = energy_module._lattice(index, free)
     real = [nodes > 0 for nodes, *_ in cuts]
     if zapped is not None:
-        for (nodes, *_), on, (*_, zap) in zip(cuts, real, lattice):
+        for (nodes, *_), on, (*_, zap, _) in zip(cuts, real, lattice):
             zap[on] = zapped.flat[nodes[on] - 1]
     energy_module._sor_block(lattice, sweeps)
     energy_module._unplane(u, layout)
     if zapped is not None:
-        for (nodes, *_), on, (*_, zap) in zip(cuts, real, lattice):
+        for (nodes, *_), on, (*_, zap, _) in zip(cuts, real, lattice):
             zapped.flat[nodes[on] - 1] = zap[on]
 
 
@@ -515,6 +519,11 @@ KERNEL_CASES = {
     # hold pinned nodes besides the halo and padding
     "type3-tilted-33x33": ("type3-tilted", 33, 33, {}),
 }
+# the cases mirror-symmetric about their middle column, which the solve
+# sweeps as a half lattice: an odd width with the stagnation point on that
+# column, and an air half-plane and a weight that are column mirrors
+MIRRORED = {"type1-33x33", "type1-33x33-capped", "type1-33x33-capped-15",
+            "type1-beta2-49x49", "type3-33x33"}
 
 
 class TestStridedKernel:
@@ -530,8 +539,9 @@ class TestStridedKernel:
             else np.zeros((ny, nx), dtype=bool)
         assert air.any() == params.enforce_support
         fast = cw.minimize_energy(spec, grid, bd, params)
-        zaps = []
-        monkeypatch.setattr(energy_module, "_flow", masked_flow(air, zaps))
+        zaps, axes = [], []
+        monkeypatch.setattr(energy_module, "_flow",
+                            masked_flow(air, zaps, axes))
         monkeypatch.setattr(energy_module, "_relax_on_support",
                             masked_relax_on_support)
         ref = cw.minimize_energy(spec, grid, bd, params)
@@ -540,6 +550,8 @@ class TestStridedKernel:
         assert fast.iterations == ref.iterations <= params.max_iters
         assert fast.converged == ref.converged == ("capped" not in case)
         assert fast.energy == ref.energy
+        # the mirrored solves sweep half the lattice, the others all of it
+        assert axes == [nx // 2 if case in MIRRORED else None]
         # the envelope is on for types 1 and 2 only, and zaps nodes there
         assert bool(zaps) == (not kind.startswith("type3"))
         if zaps:
@@ -738,9 +750,10 @@ class TestCroppedKernel:
         free = box_mask(BOX_CASES[case], rng)
         u = rng.uniform(0.0, 1.0, BOX_SHAPE)
         consts = [rng.uniform(0.1, 1.0, BOX_SHAPE) for _ in range(3)]
-        _, lattice = energy_module._flow_lattice(u, free, *consts)
+        _, lattice = energy_module._flow_lattice(u, free, *consts, None)
         assert len(lattice) == (0 if BOX_CASES[case] is None else 2)
-        for node, _, _, _, *arrays, work, zap in lattice:
+        for node, _, _, _, *arrays, work, zap, link in lattice:
+            assert link is None
             for a in (node, *arrays, *work, zap):
                 assert a.ctypes.data % energy_module.LINE == 0
                 assert a.size == node.size and a.flags.c_contiguous
@@ -765,11 +778,12 @@ class TestCroppedKernel:
         assert all(a.ctypes.data % energy_module.LINE == 0 for a in streamed)
 
     def test_sweeps_allocate_no_array(self, monkeypatch):
-        # 20 sweeps of the beta = 2 flow at 257^2 hold less than one cut's
-        # floats: every intermediate goes into the lattice's scratch.  What
-        # is left is NumPy's cast buffer for the boolean band times the
-        # float pull (8192 entries); one temporary per intermediate held
-        # 344 kB
+        # 20 sweeps of the beta = 2 flow at 257^2, a mirror half with its
+        # ghost copies, hold less than one cut's floats: every intermediate
+        # goes into the lattice's scratch.  One temporary per intermediate
+        # held 344 kB, and a boolean band times the float pull held NumPy's
+        # 64 kB cast buffer and its iterator, 66,688 B against the half
+        # cut's 66,544
         spec = cw.ProblemSpec(alpha=0.0, beta=2.0, stag=cw.Type1(x0=-1.0),
                               domain=cw.Rect(-2.0, -1.0, 0.0, 1.0))
         grid = cw.GridSpec.from_domain(spec.domain, 257, 257)
@@ -787,7 +801,9 @@ class TestCroppedKernel:
         monkeypatch.setattr(energy_module, "_flow_lattice", kept)
         cw.minimize_energy(spec, grid, bd, cw.SolverParams(max_iters=20))
         (lattice,) = lattices
-        assert all(zap is not None for *_, zap in lattice)   # envelope on
+        # the envelope on, and a ghost link in each cut
+        assert all(zap is not None and link is not None
+                   for *_, zap, link in lattice)
         _, peak = traced_peak(energy_module._sor_block, lattice, 20)
         assert peak < lattice[0][0].nbytes
 
@@ -861,6 +877,145 @@ def check_relax(case, scale):
     assert fast.tobytes() == ref.tobytes()
     assert np.array_equal(fast, u) == (case == "empty")
     return u
+
+
+def mirrored(a, c):
+    """``a`` with the columns right of ``c`` made the mirror of those left
+    of it, in place."""
+    a[:, c + 1:] = a[:, c - 1::-1]
+    return a
+
+
+def assert_half_flow_is_full_flow(u, grid, pinned, eps, w, envelope,
+                                  max_iters, axis):
+    """The flow on the mirror half about ``axis`` and the whole-grid flow
+    from the same state give the same bytes, sweeps and rest flag."""
+    half, full = u.copy(), u.copy()
+    got = energy_module._flow(half, grid, pinned, eps, w, envelope,
+                              max_iters, axis)
+    want = energy_module._flow(full, grid, pinned, eps, w, envelope,
+                               max_iters, None)
+    assert got == want
+    assert half.tobytes() == full.tobytes()
+    return got
+
+
+def solve_case(case):
+    """(spec, grid, boundary data, params, weight) of a named solve for
+    the mirror tests, and whether it is mirror-symmetric."""
+    spec, grid, bd, params = kernel_case("stokes", 33, 33)
+    weight = None
+    if case == "even-nx":
+        spec, grid, bd, params = kernel_case("stokes", 34, 31)
+    elif case == "asymmetric-weight":
+        X, _ = grid.mesh()
+        weight = 1.0 + 0.1 * (X - X.min())
+    elif case == "off-centre":
+        # alpha = 0, so the weight and air are still column mirrors, but
+        # the stagnation point, and with it the data, sits 3 cells right
+        spec = cw.ProblemSpec(0.0, 1.0, cw.Type1(x0=-1.0 + 3 / 16),
+                              spec.domain)
+        X, Y = grid.mesh()
+        bd = np.asarray(evaluate_at_points(blowup_limit(spec), X, Y,
+                                           spec.stagnation_location))
+    elif case == "nudged-ring":
+        j = int(np.flatnonzero(bd[0] > 0.0)[0])
+        assert j < grid.nx // 2
+        bd[0, j] += 1e-9
+    return spec, grid, bd, params, weight, case == "symmetric"
+
+
+class TestMirrorFlow:
+    """A mirror-symmetric solve sweeps the columns up to its axis and a
+    ghost column, bit for bit the whole-grid flow of its symmetrized data;
+    any other solve sweeps the whole free width."""
+
+    @pytest.mark.parametrize("name", ["stokes", "corner_beta2",
+                                      "corner_type3"])
+    def test_bundled_half_flow_is_the_full_flow(self, name):
+        u, grid, pinned, eps, w, envelope, max_iters, axis = \
+            bundled_call("_flow", name)
+        assert axis == grid.nx // 2
+        sweeps, converged = assert_half_flow_is_full_flow(
+            u, grid, pinned, eps, w, envelope, max_iters, axis)
+        assert converged and sweeps < max_iters
+
+    @given(c=st.integers(2, 9), ny=st.integers(3, 12),
+           seed=st.integers(0, 2 ** 16), envelope_on=st.booleans(),
+           scale=st.sampled_from([1.0, SUBNORMAL]),
+           max_iters=st.integers(1, 120))
+    @settings(max_examples=40, deadline=None)
+    @example(c=3, ny=4, seed=0, envelope_on=False, scale=1.0, max_iters=1)
+    def test_drawn_half_flow_is_the_full_flow(self, c, ny, seed,
+                                              envelope_on, scale, max_iters):
+        # symmetric drawn states, band widths, pulls and envelopes on odd
+        # widths, normal or subnormal; the spacing makes pull = w / eps *
+        # h^2 / 8 the drawn w / eps times ``scale``.  The example's half
+        # box is 5 columns wide: a ghost in its last column would miss
+        # the refresh of its entry in the last inner row
+        rng = np.random.default_rng(seed)
+        shape = (ny, 2 * c + 1)
+        pinned = rng.random(shape) < 0.2
+        pinned[[0, -1], :] = pinned[:, [0, -1]] = True
+        pinned = mirrored(pinned, c)
+        assume(np.any(~pinned[:, :c]))
+        u = np.maximum(rng.normal(0.3, 0.4, shape), 0.0) * scale
+        eps = rng.uniform(0.05, 0.3, shape) * scale
+        w = rng.uniform(0.0, 0.02, shape) * eps
+        envelope = None
+        if envelope_on:
+            envelope = np.where(pinned, np.inf,
+                                rng.uniform(0.4, 0.8, shape) * scale)
+        arrays = [u, eps, w] + ([envelope] if envelope_on else [])
+        for a in arrays:
+            mirrored(a, c)
+        if envelope_on:
+            np.minimum(u, envelope, out=u)
+        grid = types.SimpleNamespace(spacing=math.sqrt(8.0 * scale))
+        fixed = np.where(pinned, u, 0.0)
+        assert energy_module._mirror_axis(pinned, w, envelope, fixed, u) == c
+        # averaging mirror-equal data with its mirror changes no bit
+        before = u.copy()
+        energy_module._symmetrize(u, c)
+        assert u.tobytes() == before.tobytes()
+        assert_half_flow_is_full_flow(u, grid, pinned, eps, w, envelope,
+                                      max_iters, c)
+
+    @pytest.mark.parametrize("case", [
+        "corner_alpha2", "blowup_convergence", "even-nx",
+        "asymmetric-weight", "off-centre", "nudged-ring", "symmetric"])
+    def test_half_lattice_only_on_a_mirror(self, case):
+        # alpha2 is mirrored about a row and blowup's weight is not
+        # mirrored; the others break one condition of the symmetric case
+        if case in SOLVING_CONFIGS:
+            u, free, *_, ghost = bundled_call("_flow_lattice", case)
+            nx, mirror = free.shape[1], False
+        else:
+            spec, grid, bd, params, weight, mirror = solve_case(case)
+            u, free, *_, ghost = first_call("_flow_lattice", spec, grid, bd,
+                                            params, weight)
+            nx = grid.nx
+        assert u.shape == free.shape
+        if mirror:
+            # the columns up to the axis, the ghost and a halo column
+            assert u.shape[1] == nx // 2 + 3
+            assert np.array_equal(np.flatnonzero(ghost.any(axis=0)), [nx // 2 + 1])
+            assert ghost[:, -2].all() and not free[:, -1].any()
+        else:
+            assert u.shape[1] == nx and ghost is None
+
+    def test_symmetrize_averages_round_off(self):
+        # data off its mirror by round-off become the average on both
+        # sides; the axis column is kept
+        rng = np.random.default_rng(5)
+        a = mirrored(rng.uniform(0.5, 1.0, (5, 9)), 4)
+        a[:, 5:] *= 1.0 + 4 * np.finfo(float).eps
+        left, right, axis = a[:, :4].copy(), a[:, :4:-1].copy(), a[:, 4].copy()
+        energy_module._symmetrize(a, 4)
+        mean = (left + right) * 0.5
+        assert a[:, :4].tobytes() == a[:, :4:-1].copy().tobytes() \
+            == mean.tobytes()
+        assert a[:, 4].tobytes() == axis.tobytes()
 
 
 class TestSupportHelpers:
@@ -948,14 +1103,9 @@ SOLVING_CONFIGS = ["stokes", "corner_beta2", "corner_alpha2", "corner_type3",
                    "blowup_convergence"]
 
 
-def bundled_call(attr, name, n=None):
-    """The arguments of the first call to ``energy.<attr>`` in the solve of
-    config ``name``, on an n x n grid or the config's own, positional ones
-    first; the solve stops there."""
-    raw = yaml.safe_load((CONFIGS / f"{name}.yaml").read_text())
-    if n is not None:
-        raw["grid"] = {"nx": n, "ny": n}
-    cfg = parse_config(raw)
+def first_call(attr, spec, grid, bd, params, weight=None):
+    """The arguments of the first call to ``energy.<attr>`` in a solve,
+    positional ones first; the solve stops there."""
     seen = []
 
     def capture(*args, **kwargs):
@@ -965,9 +1115,19 @@ def bundled_call(attr, name, n=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(energy_module, attr, capture)
         with pytest.raises(_Captured):
-            cw.minimize_energy(cfg.problem, cfg.grid, build_boundary(cfg)[0],
-                               cfg.solver)
+            cw.minimize_energy(spec, grid, bd, params, weight=weight)
     return seen[0]
+
+
+def bundled_call(attr, name, n=None):
+    """``first_call`` in the solve of config ``name``, on an n x n grid or
+    the config's own."""
+    raw = yaml.safe_load((CONFIGS / f"{name}.yaml").read_text())
+    if n is not None:
+        raw["grid"] = {"nx": n, "ny": n}
+    cfg = parse_config(raw)
+    return first_call(attr, cfg.problem, cfg.grid, build_boundary(cfg)[0],
+                      cfg.solver)
 
 
 def bundled_start(name, n=None):
@@ -1142,6 +1302,39 @@ class TestHarmonicExtension:
         xMy, yMx = np.vdot(x, mg.cycle(y)), np.vdot(y, mg.cycle(x))
         assert abs(xMy - yMx) <= 1e-12 * abs(xMy)
         assert np.vdot(x, mg.cycle(x)) > 0
+
+    def test_solve_does_not_depend_on_the_blas_thread_count(self):
+        # a BLAS dot splits a vector of more than 10,000 entries across
+        # its threads, which regroups its sum: with np.vdot in the CG steps
+        # this field differed between 1 and 2 OpenBLAS threads.  Each
+        # child solves the type-3 config, 10 flow sweeps
+        grid, _, pinned = bundled_start("corner_type3")
+        assert np.count_nonzero(~(pinned | boundary_ring(grid))) > 10_000
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(CONFIGS.parent / "src"), env.get("PYTHONPATH"))))
+        fields = []
+        for threads in ("1", "2"):
+            env["OPENBLAS_NUM_THREADS"] = threads
+            r = subprocess.run([sys.executable, "-c", THREAD_CHILD,
+                                str(CONFIGS / "corner_type3.yaml")],
+                               capture_output=True, env=env)
+            assert r.returncode == 0, r.stderr.decode()
+            fields.append(r.stdout)
+        assert len(fields[0]) == 8 * grid.nx * grid.ny
+        assert fields[0] == fields[1]
+
+
+# solves the config named by argv[1] and writes the field's bytes
+THREAD_CHILD = """
+import sys
+import cornerwave as cw
+from cornerwave.pipeline import build_boundary, load_config
+cfg = load_config(sys.argv[1])
+result = cw.minimize_energy(cfg.problem, cfg.grid, build_boundary(cfg)[0],
+                            cw.SolverParams(max_iters=10))
+sys.stdout.buffer.write(result.field.values.tobytes())
+"""
 
 
 class TestStarHull:
