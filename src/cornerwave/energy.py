@@ -50,10 +50,12 @@ to round-off.  ``_mirror_axis`` finds such an axis from the solve's own
 arrays, the ring data and the start are replaced by their average with
 their mirror, and the flow sweeps the columns up to the axis and one
 ghost column refreshed from its mirror (``_flow``), half the nodes, bit
-for bit the whole-grid flow of the averaged data.  The start, the
-candidates and the energy stay whole-grid.  Apart from that averaging,
-none of this changes a float: fields, energies and sweep counts are
-those of the whole-grid masked kernel the tests keep as the reference.
+for bit the whole-grid flow of the averaged data.  Each of the eight
+cuts is then built, sharpened and zapped on the same half lattice
+(``_mirror_lattice``) and unfolded (``_candidates``).  Only the start
+and the energy stay whole-grid.  Apart from that averaging, none of
+this changes a float: fields, energies and sweep counts are those of
+the whole-grid masked kernels the tests keep as the reference.
 
 The start is a discrete harmonic extension (``harmonic_extension``),
 solved by conjugate gradients preconditioned with one symmetric multigrid
@@ -331,7 +333,7 @@ def minimize_energy(spec: ProblemSpec, grid: GridSpec, boundary_data,
     sweeps, converged = _flow(end, grid, pinned, eps, w, envelope,
                               params.max_iters, axis)
     records, winner, values = _candidates(grid, fixed, pinned, eps, w,
-                                          envelope, start, end)
+                                          envelope, start, end, axis)
     return SolveResult(ScalarField(grid, values), winner, sweeps, converged,
                        records)
 
@@ -449,8 +451,8 @@ def _flow(u: np.ndarray, grid: GridSpec, pinned: np.ndarray, eps: np.ndarray,
     flow sweeps columns 0..c + 1 alone, laid out with column c + 2 as
     their halo, so each cut holds about half the entries.  Column c + 1
     is a ghost: after every cut update its entries are overwritten from
-    column c - 1 by one strided copy (``_flow_lattice``), so the nodes of
-    column c see their right neighbour.  The red-black update is
+    column c - 1 by one strided copy (``_mirror_lattice``), so the nodes
+    of column c see their right neighbour.  The red-black update is
     mirror-equivariant: a node has its mirror's colour, the neighbour sum
     adds right and left, which commute, and every other step is nodewise.
     So the half flow is the whole-grid flow of the symmetrized data bit
@@ -483,17 +485,7 @@ def _flow(u: np.ndarray, grid: GridSpec, pinned: np.ndarray, eps: np.ndarray,
     pull = np.divide(w, eps, out=np.zeros_like(eps), where=eps > 0)
     pull *= grid.spacing * grid.spacing / 8.0
     scale = max(float(np.max(u)), 1e-300)
-    field, ghost = u, None
-    if axis is not None:
-        # columns 0..axis + 1 and a halo column, held like any other
-        half = np.s_[:, :axis + 3]
-        field, free, eps, pull = u[half], free[half], eps[half], pull[half]
-        if envelope is not None:
-            envelope = envelope[half]
-        free[:, -1] = False
-        ghost = np.zeros_like(free)
-        ghost[:, -2] = True
-    layout, lattice = _flow_lattice(field, free, eps, pull, envelope, ghost)
+    layout, lattice = _flow_lattice(u, free, eps, pull, envelope, axis)
     saved = [_aligned(node.shape, float) for node, *_ in lattice]
     sweeps, converged = 0, False
     while sweeps < max_iters and not converged:
@@ -511,7 +503,7 @@ def _flow(u: np.ndarray, grid: GridSpec, pinned: np.ndarray, eps: np.ndarray,
             np.abs(old, out=old)
             change = max(change, float(np.max(old, initial=0.0)))
         converged = block == BLOCK_SIZE and change < TOL_FIELD * scale
-    _unplane(field, layout)
+    _unplane(u, layout)
     if axis is not None:
         u[:, axis + 1:-1] = u[:, axis - 1:0:-1]
     return sweeps, converged
@@ -519,7 +511,7 @@ def _flow(u: np.ndarray, grid: GridSpec, pinned: np.ndarray, eps: np.ndarray,
 
 def _candidates(grid: GridSpec, fixed: np.ndarray, pinned: np.ndarray,
                 eps: np.ndarray, w: np.ndarray, envelope: np.ndarray | None,
-                start: np.ndarray, end: np.ndarray
+                start: np.ndarray, end: np.ndarray, axis: int | None
                 ) -> tuple[list[Candidate], Candidate, np.ndarray]:
     """Every scored state's Candidate, in scoring order (the start, then
     the flow end and the start each cut at every trim), and the first
@@ -533,6 +525,13 @@ def _candidates(grid: GridSpec, fixed: np.ndarray, pinned: np.ndarray,
     energy comparison selects it without measurement-side tuning.  The
     uncut flow end is no candidate: it never scored below the start.
 
+    With a mirror ``axis`` c (``_mirror_axis``) the start, the flow end
+    and the data are their own mirror to the bit, and so is every cut:
+    it is built, relaxed (``_relax_on_support`` on the mirror half) and
+    zapped on columns 0..c + 2 of its own array alone (``_half``), and
+    columns c + 1 on are then unfolded from c - 1 down to 0, bit for bit
+    the whole-grid cut.  Every state is scored on the whole grid.
+
     Only the running winner's values are kept: a cut replaces it when
     its energy is strictly lower, which is ``min``'s first-lowest rule.
     So besides ``start`` and ``end`` at most two candidate arrays are
@@ -540,18 +539,27 @@ def _candidates(grid: GridSpec, fixed: np.ndarray, pinned: np.ndarray,
     wq = _node_weights(grid, w)
     best = Candidate("start", 0.0, _energy_raw(start, wq))
     records, values = [best], start
+    half = _half(axis)
+    held, data, band = pinned[half], fixed[half], eps[half]
+    cap = None if envelope is None else envelope[half]
     for source, state in (("flow", end), ("start", start)):
+        kept = state[half]
         for trim in TRIMS:
-            cand = np.where(state >= trim * eps, state, 0.0)
-            cand[pinned] = fixed[pinned]
-            _relax_on_support(cand, pinned, sweeps=60)
-            if envelope is not None:
-                cand[cand > envelope] = 0.0
+            cand = np.empty_like(state)
+            cut = cand[half]
+            cut[...] = 0.0
+            np.copyto(cut, kept, where=kept >= trim * band)
+            np.copyto(cut, data, where=held)
+            _relax_on_support(cand, pinned, sweeps=60, axis=axis)
+            if cap is not None:
+                np.copyto(cut, 0.0, where=cut > cap)
+            if axis is not None:   # columns c + 1 to the ring, unset so far
+                cand[:, axis + 1:] = cand[:, axis - 1::-1]
             scored = Candidate(source, trim, _energy_raw(cand, wq))
             records.append(scored)
             if scored.energy < best.energy:
                 best, values = scored, cand
-            del cand   # a losing cut is freed before the next is built
+            del cand, cut   # a losing cut is freed before the next is built
     return records, best, values
 
 
@@ -663,43 +671,81 @@ def _unplane(u: np.ndarray, layout) -> None:
     cut[...] = planes.T.reshape(-1)[:m * n].reshape(m, n)[:, :w]
 
 
+def _half(axis: int | None) -> tuple[slice, slice]:
+    """The columns a lattice about a mirror ``axis`` c spans, 0..c + 2, as
+    an index of a grid array; every column for None."""
+    return np.s_[:, :None if axis is None else axis + 3]
+
+
+def _mirror_lattice(u: np.ndarray, free: np.ndarray, axis: int | None,
+                    *consts) -> tuple[tuple | None, list]:
+    """The ``_lattice`` of ``u`` on the nodes of ``free`` with ``consts``,
+    each cut with a trailing ghost link: the layout shared by the flow and
+    the sharpening, whole-grid with every link None for no ``axis``.
+
+    With a mirror axis c (``_mirror_axis``) it is the lattice of columns
+    0..c + 2 of ``u``, ``free`` and each constant (``_half``; every array
+    spans at least those columns), about half the entries.  Column c + 2
+    holds no node to update, so it is the box's halo, and column c + 1 is
+    a ghost whose values are those of column c - 1.  In a cut, column c +
+    1's entries are every n-th (n the layout's odd row length), each one
+    entry after its source, so the link is the pair of views (ghost
+    entries, source entries) that one strided copy refreshes after each
+    update of the cut.
+
+    A cut is linked only where its ghost entries hold a node to update;
+    the box then runs to column c + 2, so each inner row has its ghost
+    entry in the cut after its source.  Elsewhere the ghost's values do
+    not change, and it may be the box's halo (a support that reaches the
+    axis only on column c), where the views need not line up: in a box
+    three columns wide a ghost entry can open the cut, its source before
+    it."""
+    if axis is None:
+        layout, cuts = _lattice(u, free, *consts)
+        return layout, [(*cut, None) for cut in cuts]
+    half = _half(axis)
+    free = free[half].copy()
+    free[:, -1] = False
+    ghost = np.zeros_like(free)
+    ghost[:, -2] = free[:, -2]
+    layout, cuts = _lattice(u[half], free,
+                            *(None if c is None else c[half] for c in consts),
+                            ghost)
+    linked = []
+    for *cut, ghost_s in cuts:
+        link = None
+        if ghost_s.any():
+            _, (_, columns) = layout
+            n = (columns.stop - columns.start) | 1
+            node, g = cut[0], int(np.flatnonzero(ghost_s)[0])
+            link = (node[g::n], node[g - 1:-1:n])
+        linked.append((*cut, link))
+    return layout, linked
+
+
 def _flow_lattice(u: np.ndarray, free: np.ndarray, eps: np.ndarray,
                   pull: np.ndarray, envelope: np.ndarray | None,
-                  ghost: np.ndarray | None) -> tuple[tuple | None, list]:
+                  axis: int | None) -> tuple[tuple | None, list]:
     """The layout of ``u`` and the lattice ``_sor_block`` sweeps: per
-    ``_lattice`` cut of the free nodes the node slice, its neighbours, the
+    ``_mirror_lattice`` cut of the free nodes (the mirror half about
+    ``axis``, whole-grid for None) the node slice, its neighbours, the
     indices of its entries that are no free node (halo, padding and pinned
     nodes) with their values, the constants eps, pull and envelope, the
     kernel's scratch (target, band product and two boolean masks), an
     empty zap memory (the envelope and the memory None without an
-    envelope) and a ghost link.  Every entry is a slice of a flat colour
+    envelope) and the ghost link.  Every entry is a slice of a flat colour
     plane or is fixed for the flow, so one layout serves every block;
     every array of a cut starts on a cache line.  Both cuts are the slice
     [lo, hi) of their plane and are updated in turn, so they share one
-    scratch.
-
-    ``ghost`` (None for none) marks a column of ``u``, neither the first
-    nor the last of the box, whose values are those of the column two to
-    its left.  In a cut, that column's entries are every n-th (n the
-    layout's odd row length), each one entry after its source, so the
-    link is the pair of views (ghost entries, source entries) that one
-    strided copy refreshes; None for a cut that holds no ghost entry.
-    The box's last column would not do: at an odd box width its entry in
-    the last inner row lies past the end of the cut."""
-    layout, cuts = _lattice(u, free, eps, pull, envelope, ghost)
+    scratch."""
+    layout, cuts = _mirror_lattice(u, free, axis, eps, pull, envelope)
     if not cuts:
         return layout, []
     shape = cuts[0][0].shape
     work = tuple(_aligned(shape, t) for t in (float, float, bool, bool))
-    _, box = layout
-    n = (box[1].stop - box[1].start) | 1
     lattice = []
-    for node, nbrs, free_s, eps_s, pull_s, env_s, ghost_s in cuts:
+    for node, nbrs, free_s, eps_s, pull_s, env_s, link in cuts:
         held = np.flatnonzero(~free_s)
-        link = None
-        if ghost_s is not None and ghost_s.any():
-            g = int(np.flatnonzero(ghost_s)[0])
-            link = (node[g::n], node[g - 1:-1:n])
         zap = None if env_s is None else _aligned(shape, bool)
         lattice.append((node, nbrs, held, node[held], eps_s, pull_s, env_s,
                         work, zap, link))
@@ -765,27 +811,37 @@ def _sor_block(lattice: list, sweeps: int) -> None:
                 np.copyto(*link)
 
 
-def _relax_on_support(u: np.ndarray, pinned: np.ndarray, sweeps: int) -> None:
+def _relax_on_support(u: np.ndarray, pinned: np.ndarray, sweeps: int,
+                      axis: int | None) -> None:
     """Plain Gauss-Seidel toward harmonicity on the support {u > 0}.
 
     The update target is the nonnegative neighbor mean, so the support
     cannot shrink (over-relaxation would overshoot below zero at the cut
     and eat the support inward sweep by sweep).  As in the flow, the
-    sweeps (``_relax_block``) run on the two cuts of a ``_lattice`` laid
-    out once, around the bounding box of the support; ``pinned`` holds
-    the grid ring.  Each cut carries a constant cut of 0.25 on the support
-    and 0.0 elsewhere, built from its mask cut on a cache line, and the
-    indices of its nonzero entries off the support (ring data inside the
-    box) with their values.  ``u`` must be finite and nonnegative, with
-    +0.0 for zero, as every candidate is."""
-    support = (u > 0.0) & ~pinned
-    layout, cuts = _lattice(u, support)
+    sweeps (``_relax_block``) run on the two cuts of a lattice laid out
+    once, around the bounding box of the support (``_mirror_lattice``);
+    ``pinned`` holds the grid ring.  Each cut carries a constant cut of
+    0.25 on the support and 0.0 elsewhere, built from its mask cut on a
+    cache line, the indices of its nonzero entries off the support (ring
+    data inside the box) with their values, and its ghost link.  ``u``
+    must be finite and nonnegative, with +0.0 for zero, as every
+    candidate is.
+
+    With a mirror ``axis`` c, ``u`` must be its own mirror about c, and
+    only its columns 0..c + 2 are read and written: the support and the
+    sweeps are those of the mirror half, whose ghost column c + 1 follows
+    column c - 1, and column c + 2 is held.  The update is
+    mirror-equivariant (``_flow``), so columns 0..c + 1 end as those of
+    the whole-grid sharpening, bit for bit."""
+    half = _half(axis)
+    support = (u[half] > 0.0) & ~pinned[half]
+    layout, cuts = _mirror_lattice(u, support, axis)
     lattice = []
-    for node, nbrs, sel in cuts:
+    for node, nbrs, sel, link in cuts:
         quarter = _aligned(sel.shape, float)
         np.multiply(sel, 0.25, out=quarter)
         held = np.flatnonzero(~sel & (node != 0.0))
-        lattice.append((node, nbrs, quarter, held, node[held]))
+        lattice.append((node, nbrs, quarter, held, node[held], link))
     _relax_block(lattice, sweeps)
     _unplane(u, layout)
 
@@ -796,16 +852,18 @@ def _relax_block(lattice: list, sweeps: int) -> None:
     A cut is updated over its whole slice as one masked product: the
     neighbour sum goes straight into the cut (its nodes do not neighbour
     each other), is multiplied by the constant cut, and the held entries
-    get their values back, as in ``_sor_block``.  That is the masked
-    update ``u[support] = 0.25 * sum[support]`` to the bit: ``sum * 0.25``
-    is ``0.25 * sum``, and a sum of finite nonnegative values times 0.0 is
-    the +0.0 that every other entry off the support holds.  A sweep
-    allocates no array."""
+    get their values back and the ghost entries their sources' values, as
+    in ``_sor_block``.  That is the masked update ``u[support] = 0.25 *
+    sum[support]`` to the bit: ``sum * 0.25`` is ``0.25 * sum``, and a sum
+    of finite nonnegative values times 0.0 is the +0.0 that every other
+    entry off the support holds.  A sweep allocates no array."""
     for _ in range(sweeps):
-        for node, nbrs, quarter, held, values in lattice:
+        for node, nbrs, quarter, held, values, link in lattice:
             _neighbour_sum(nbrs, node)
             node *= quarter
             node[held] = values
+            if link is not None:
+                np.copyto(*link)
 
 
 def _five_point(u: np.ndarray, mask: np.ndarray) -> np.ndarray:

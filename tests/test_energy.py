@@ -451,7 +451,13 @@ def lattice_sor_block(u, free, eps, pull, envelope, zapped, sweeps):
             zapped.flat[nodes[on] - 1] = zap[on]
 
 
-def masked_relax_on_support(u, pinned, sweeps):
+def masked_relax_on_support(u, pinned, sweeps, axis):
+    """The sharpening as masked colour updates over the whole grid.  A
+    mirror ``axis`` c is not used, but a mirror-half cut sets only its
+    columns 0..c + 2, so the columns right of c are first unfolded from
+    those left of it."""
+    if axis is not None:
+        mirrored(u, axis)
     jj, ii = np.indices(u.shape)
     parity = (jj + ii) % 2 == 0
     support = (u > 0.0) & ~pinned
@@ -539,19 +545,25 @@ class TestStridedKernel:
             else np.zeros((ny, nx), dtype=bool)
         assert air.any() == params.enforce_support
         fast = cw.minimize_energy(spec, grid, bd, params)
-        zaps, axes = [], []
+        zaps, axes, relax_axes = [], [], []
+
+        def relax(u, pinned, sweeps, axis):
+            relax_axes.append(axis)
+            masked_relax_on_support(u, pinned, sweeps, axis)
+
         monkeypatch.setattr(energy_module, "_flow",
                             masked_flow(air, zaps, axes))
-        monkeypatch.setattr(energy_module, "_relax_on_support",
-                            masked_relax_on_support)
+        monkeypatch.setattr(energy_module, "_relax_on_support", relax)
         ref = cw.minimize_energy(spec, grid, bd, params)
         assert np.array_equal(fast.field.values, ref.field.values)
         assert fast.field.values.tobytes() == ref.field.values.tobytes()
         assert fast.iterations == ref.iterations <= params.max_iters
         assert fast.converged == ref.converged == ("capped" not in case)
         assert fast.energy == ref.energy
-        # the mirrored solves sweep half the lattice, the others all of it
-        assert axes == [nx // 2 if case in MIRRORED else None]
+        # the mirrored solves sweep and sharpen half the lattice, the others
+        # all of it
+        axis = nx // 2 if case in MIRRORED else None
+        assert axes == [axis] and relax_axes == [axis] * 8
         # the envelope is on for types 1 and 2 only, and zaps nodes there
         assert bool(zaps) == (not kind.startswith("type3"))
         if zaps:
@@ -598,8 +610,8 @@ class TestStridedKernel:
         pinned[[0, -1], :] = True
         pinned[:, -1] = True
         fast, ref = u.copy(), u.copy()
-        energy_module._relax_on_support(fast, pinned, sweeps=7)
-        masked_relax_on_support(ref, pinned, sweeps=7)
+        energy_module._relax_on_support(fast, pinned, sweeps=7, axis=None)
+        masked_relax_on_support(ref, pinned, sweeps=7, axis=None)
         assert fast.tobytes() == ref.tobytes()
         assert not np.array_equal(fast, u)
 
@@ -762,7 +774,7 @@ class TestCroppedKernel:
         real_sum = energy_module._neighbour_sum
 
         def block_seen(lattice, sweeps):
-            for node, _, quarter, _, _ in lattice:
+            for node, _, quarter, *_ in lattice:
                 assert set(np.unique(quarter)) <= {0.0, 0.25}
                 streamed.extend((node, quarter))
             real_block(lattice, sweeps)
@@ -773,7 +785,7 @@ class TestCroppedKernel:
 
         monkeypatch.setattr(energy_module, "_relax_block", block_seen)
         monkeypatch.setattr(energy_module, "_neighbour_sum", sum_seen)
-        energy_module._relax_on_support(u, ~free, sweeps=2)
+        energy_module._relax_on_support(u, ~free, sweeps=2, axis=None)
         assert len(streamed) == (0 if BOX_CASES[case] is None else 4 + 4)
         assert all(a.ctypes.data % energy_module.LINE == 0 for a in streamed)
 
@@ -809,22 +821,27 @@ class TestCroppedKernel:
 
     def test_sharpening_sweeps_allocate_no_array(self, monkeypatch,
                                                  type3_case):
-        # 60 sharpening sweeps of the type-3 winner at 257^2 hold less
+        # 60 sharpening sweeps of the type-3 winner at 257^2, on the whole
+        # lattice and on the mirror half with its ghost copies, hold less
         # than one cut's floats: each neighbour sum goes into its cut and
         # is scaled there.  A target allocated per update held 188 kB
         c = type3_case
-        u = c.result.field.values.copy()
         pinned = boundary_ring(c.grid) | support_mask(c.spec, c.grid)
         lattices, real = [], energy_module._relax_block
         monkeypatch.setattr(energy_module, "_relax_block",
                             lambda lattice, sweeps: lattices.append(lattice))
-        energy_module._relax_on_support(u, pinned, sweeps=60)
-        (lattice,) = lattices
-        before = [node.copy() for node, *_ in lattice]
-        _, peak = traced_peak(real, lattice, 60)
-        assert peak < lattice[0][0].nbytes
-        assert any(not np.array_equal(node, old)
-                   for (node, *_), old in zip(lattice, before))
+        for axis in (None, c.grid.nx // 2):
+            u = c.result.field.values.copy()
+            energy_module._relax_on_support(u, pinned, sweeps=60, axis=axis)
+        for lattice, axis in zip(lattices, (None, c.grid.nx // 2)):
+            # a ghost link in each cut of the half, none in the whole
+            assert all((link is None) == (axis is None)
+                       for *_, link in lattice)
+            before = [node.copy() for node, *_ in lattice]
+            _, peak = traced_peak(real, lattice, 60)
+            assert peak < lattice[0][0].nbytes
+            assert any(not np.array_equal(node, old)
+                       for (node, *_), old in zip(lattice, before))
 
 
 SUBNORMAL = 1e-309   # the scale of the subnormal starts
@@ -872,8 +889,8 @@ def check_relax(case, scale):
     u *= scale
     pinned = ~support
     fast, ref = u.copy(), u.copy()
-    energy_module._relax_on_support(fast, pinned, sweeps=5)
-    masked_relax_on_support(ref, pinned, sweeps=5)
+    energy_module._relax_on_support(fast, pinned, sweeps=5, axis=None)
+    masked_relax_on_support(ref, pinned, sweeps=5, axis=None)
     assert fast.tobytes() == ref.tobytes()
     assert np.array_equal(fast, u) == (case == "empty")
     return u
@@ -988,21 +1005,21 @@ class TestMirrorFlow:
         # alpha2 is mirrored about a row and blowup's weight is not
         # mirrored; the others break one condition of the symmetric case
         if case in SOLVING_CONFIGS:
-            u, free, *_, ghost = bundled_call("_flow_lattice", case)
-            nx, mirror = free.shape[1], False
+            args = bundled_call("_flow_lattice", case)
+            nx, mirror = args[0].shape[1], False
         else:
             spec, grid, bd, params, weight, mirror = solve_case(case)
-            u, free, *_, ghost = first_call("_flow_lattice", spec, grid, bd,
-                                            params, weight)
+            args = first_call("_flow_lattice", spec, grid, bd, params, weight)
             nx = grid.nx
-        assert u.shape == free.shape
+        assert args[-1] == (nx // 2 if mirror else None)
+        (_, box), lattice = energy_module._flow_lattice(*args)
+        links = [link is not None for *_, link in lattice]
         if mirror:
-            # the columns up to the axis, the ghost and a halo column
-            assert u.shape[1] == nx // 2 + 3
-            assert np.array_equal(np.flatnonzero(ghost.any(axis=0)), [nx // 2 + 1])
-            assert ghost[:, -2].all() and not free[:, -1].any()
+            # the columns up to the axis, the ghost and a halo column, and
+            # a ghost link in each cut
+            assert box[1].stop == nx // 2 + 3 and links == [True, True]
         else:
-            assert u.shape[1] == nx and ghost is None
+            assert box[1].stop == nx and links == [False, False]
 
     def test_symmetrize_averages_round_off(self):
         # data off its mirror by round-off become the average on both
@@ -1016,6 +1033,130 @@ class TestMirrorFlow:
         assert a[:, :4].tobytes() == a[:, :4:-1].copy().tobytes() \
             == mean.tobytes()
         assert a[:, 4].tobytes() == axis.tobytes()
+
+
+def half_and_full_sharpening(u, pinned, sweeps, axis,
+                             relax=energy_module._relax_on_support):
+    """The sharpening ``relax`` of ``u`` on the mirror half about ``axis``,
+    its columns right of column ``axis`` + 2 set to NaN (the half must not
+    read them), and on the whole grid: the same bytes once the half is
+    unfolded, and a mirror image.  Returns the whole one."""
+    full = u.copy()
+    relax(full, pinned, sweeps, None)
+    half = u.copy()
+    half[:, axis + 3:] = np.nan
+    relax(half, pinned, sweeps, axis)
+    assert mirrored(half, axis).tobytes() == full.tobytes()
+    assert mirrored(full.copy(), axis).tobytes() == full.tobytes()
+    return full
+
+
+class TestMirrorSharpening:
+    """A mirror-symmetric solve builds, sharpens and zaps each of its eight
+    cuts on the columns up to its axis, a ghost and a halo column, bit for
+    bit the whole-grid cut; every state is still scored on the whole
+    grid."""
+
+    @pytest.mark.parametrize("name", ["stokes", "corner_beta2",
+                                      "corner_type3"])
+    def test_bundled_half_cuts_are_the_full_cuts(self, monkeypatch, name):
+        args = bundled_call("_candidates", name)
+        grid, axis = args[0], args[-1]
+        assert axis == grid.nx // 2
+        real = energy_module._relax_on_support
+        calls = []
+
+        def both(u, pinned, sweeps, axis):
+            # the cut is built on columns 0..axis + 2 alone
+            calls.append(sweeps)
+            u[...] = half_and_full_sharpening(mirrored(u, axis), pinned,
+                                              sweeps, axis, real)
+
+        monkeypatch.setattr(energy_module, "_relax_on_support", both)
+        checked = energy_module._candidates(*args)
+        assert calls == [60] * 8
+        monkeypatch.setattr(energy_module, "_relax_on_support", real)
+        # records, winner and field bytes of the half cuts and the whole
+        # ones (the axis withheld from the candidates alone: a solve with
+        # no axis would skip the averaging of its start and ring data)
+        half = energy_module._candidates(*args)
+        full = energy_module._candidates(*args[:-1], None)
+        for got in (half, checked):
+            assert got[:2] == full[:2]
+            assert got[2].tobytes() == full[2].tobytes()
+
+    @given(c=st.integers(2, 9), ny=st.integers(3, 12),
+           seed=st.integers(0, 2 ** 16),
+           kind=st.sampled_from(["spike", "off-axis", "random"]),
+           ring_data=st.booleans(), scale=st.sampled_from([1.0, SUBNORMAL]),
+           sweeps=st.integers(1, 60))
+    @settings(max_examples=60, deadline=None)
+    @example(c=3, ny=6, seed=17, kind="spike", ring_data=False, scale=1.0,
+             sweeps=1)
+    def test_drawn_half_sharpening_is_the_full_sharpening(
+            self, c, ny, seed, kind, ring_data, scale, sweeps):
+        # symmetric supports on odd widths: "spike" holds column c and
+        # perhaps nodes left of column c - 1, so the ghost is its box's
+        # halo, "off-axis" holds nodes left of column c - 1 alone,
+        # "random" anything; pinned nodes inside the box carry ring data
+        # or not; normal or subnormal.  The example's support is column c
+        # alone, a box three columns wide whose black cut opens with a
+        # ghost entry: a link there would copy from an empty slice
+        rng = np.random.default_rng(seed)
+        shape = (ny, 2 * c + 1)
+        pinned = rng.random(shape) < 0.2
+        pinned[[0, -1], :] = pinned[:, [0, -1]] = True
+        pinned = mirrored(pinned, c)
+        support = rng.random(shape) < 0.6
+        if kind != "random":
+            support[:, c - 1:] = False
+        if kind == "spike":
+            support[1:-1, c] = rng.random(ny - 2) < 0.7
+        support = mirrored(support, c) & ~pinned
+        u = np.where(support, rng.uniform(0.1, 1.0, shape), 0.0)
+        if ring_data:
+            u[pinned] = rng.uniform(0.0, 1.0, int(pinned.sum()))
+        u = mirrored(u, c) * scale
+        assume(support.any())
+        full = half_and_full_sharpening(u, pinned, sweeps, c)
+        assert np.array_equal(full[~support], u[~support])
+
+    @given(c=st.integers(2, 9), ny=st.integers(3, 12),
+           seed=st.integers(0, 2 ** 16), envelope_on=st.booleans(),
+           scale=st.sampled_from([1.0, SUBNORMAL]))
+    @settings(max_examples=40, deadline=None)
+    def test_drawn_half_candidates_are_the_full_candidates(
+            self, c, ny, seed, envelope_on, scale):
+        # symmetric starts, flow ends, band widths, ring data and
+        # envelopes on odd widths, normal or subnormal: the nine records,
+        # the winner and its bytes are those of the whole-grid cuts
+        rng = np.random.default_rng(seed)
+        shape = (ny, 2 * c + 1)
+        pinned = rng.random(shape) < 0.2
+        pinned[[0, -1], :] = pinned[:, [0, -1]] = True
+        pinned = mirrored(pinned, c)
+        assume(np.any(~pinned[:, :c]))
+        start, end = (np.maximum(rng.normal(0.3, 0.4, shape), 0.0) * scale
+                      for _ in range(2))
+        eps = rng.uniform(0.05, 0.3, shape) * scale
+        w = rng.uniform(0.0, 2.0, shape)
+        fixed = np.where(pinned, rng.uniform(0.0, 1.0, shape) * scale, 0.0)
+        envelope = None
+        if envelope_on:
+            envelope = np.where(pinned, np.inf,
+                                rng.uniform(0.2, 0.6, shape) * scale)
+        arrays = [start, end, eps, w, fixed] + ([envelope] * envelope_on)
+        for a in arrays:
+            mirrored(a, c)
+        start[pinned] = end[pinned] = fixed[pinned]
+        assert energy_module._mirror_axis(pinned, w, envelope, fixed,
+                                          start) == c
+        grid = types.SimpleNamespace(ny=ny, nx=2 * c + 1, spacing=0.1)
+        args = (grid, fixed, pinned, eps, w, envelope, start, end)
+        half = energy_module._candidates(*args, c)
+        full = energy_module._candidates(*args, None)
+        assert half[:2] == full[:2]
+        assert half[2].tobytes() == full[2].tobytes()
 
 
 class TestSupportHelpers:
