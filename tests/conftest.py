@@ -1,5 +1,7 @@
 """Shared fixtures: the heavyweight solver runs are executed once per
-session and reused by the module tests and the acceptance suite."""
+session and reused by the module tests and the acceptance suite.
+``CASES`` names each solve, so ``scripts/golden.py`` can run them outside
+pytest."""
 
 import time
 from dataclasses import dataclass
@@ -34,32 +36,28 @@ def _solve_case(spec, n, pair=None, params=None):
                       result=result, sp=cw.stagnation_point(spec), wall_time=wall)
 
 
-@pytest.fixture(scope="session")
-def stokes_case():
+def stokes():
     """Gravity-type corner: alpha=0, beta=1, subcase 1.1, 257^2 grid."""
     spec = cw.ProblemSpec(alpha=0.0, beta=1.0, stag=cw.Type1(x0=-1.0),
                           domain=cw.Rect(-2.0, -1.0, 0.0, 1.0))
     return _solve_case(spec, 257)
 
 
-@pytest.fixture(scope="session")
-def beta2_case():
+def beta2():
     """90-degree corner in y: alpha=0, beta=2, subcase 1.1."""
     spec = cw.ProblemSpec(alpha=0.0, beta=2.0, stag=cw.Type1(x0=-1.0),
                           domain=cw.Rect(-2.0, -1.0, 0.0, 1.0))
     return _solve_case(spec, 257)
 
 
-@pytest.fixture(scope="session")
-def alpha2_case():
+def alpha2():
     """90-degree corner in x: alpha=2, beta=0, subcase 2.2."""
     spec = cw.ProblemSpec(alpha=2.0, beta=0.0, stag=cw.Type2(y0=1.0, theta0=0.0),
                           domain=cw.Rect(-1.0, 0.0, 1.0, 2.0))
     return _solve_case(spec, 257)
 
 
-@pytest.fixture(scope="session")
-def type3_case():
+def type3():
     """72-degree doubly degenerate corner: alpha=2, beta=1, seeded with the
     downward axis-symmetric angle pair."""
     spec = cw.ProblemSpec(alpha=2.0, beta=1.0, stag=cw.Type3(),
@@ -67,10 +65,39 @@ def type3_case():
     return _solve_case(spec, 257, pair=angle_pair(2.0, 1.0))
 
 
-@pytest.fixture(scope="session")
-def blowup_case():
+def blowup():
     """Blow-up convergence run: alpha=1 makes the weight vary across the
     window, so the minimizer carries genuinely decaying inhomogeneity."""
     spec = cw.ProblemSpec(alpha=1.0, beta=1.0, stag=cw.Type1(x0=-1.0),
                           domain=cw.Rect(-2.0, -1.0, 0.0, 1.0))
     return _solve_case(spec, 385)
+
+
+# each session fixture by name, and the solve it runs once
+CASES = {"stokes_case": stokes, "beta2_case": beta2, "alpha2_case": alpha2,
+         "type3_case": type3, "blowup_case": blowup}
+
+
+@pytest.fixture(scope="session")
+def stokes_case():
+    return stokes()
+
+
+@pytest.fixture(scope="session")
+def beta2_case():
+    return beta2()
+
+
+@pytest.fixture(scope="session")
+def alpha2_case():
+    return alpha2()
+
+
+@pytest.fixture(scope="session")
+def type3_case():
+    return type3()
+
+
+@pytest.fixture(scope="session")
+def blowup_case():
+    return blowup()
