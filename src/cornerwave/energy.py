@@ -45,23 +45,30 @@ one array of node weights (``_node_weights``).
 
 Three of the five bundled solves (stokes, beta = 2, type 3) are their own
 mirror image about the middle node column: the weight, the air
-half-plane and the envelope to the bit, the ring data and the start up
+half-plane, the star hull and the envelope to the bit, the ring data up
 to round-off.  ``_mirror_axis`` finds such an axis from the solve's own
-arrays, the ring data and the start are replaced by their average with
-their mirror, and the flow sweeps the columns up to the axis and one
-ghost column refreshed from its mirror (``_flow``), half the nodes, bit
-for bit the whole-grid flow of the averaged data.  Each of the eight
-cuts is then built, sharpened and zapped on the same half lattice
-(``_mirror_lattice``) and unfolded (``_candidates``).  Only the start
-and the energy stay whole-grid.  Apart from that averaging, none of
-this changes a float: fields, energies and sweep counts are those of
-the whole-grid masked kernels the tests keep as the reference.
+arrays before the start is solved (``_start``), and the ring data are
+replaced by their average with their mirror.  The start is then solved
+on the columns up to the axis, whose right neighbour is its left one
+(``harmonic_extension``), and unfolded, an exact mirror image; the flow
+sweeps the columns up to the axis and one ghost column refreshed from its
+mirror (``_flow``), half the nodes, bit for bit the whole-grid flow of
+the same start.  Each of the eight cuts is then built, sharpened and
+zapped on the same half lattice (``_mirror_lattice``) and unfolded
+(``_candidates``).  Only the energy stays whole-grid.  Apart from the
+averaging and the start's round-off, none of this changes a float:
+fields, energies and sweep counts are those of the whole-grid masked
+kernels the tests keep as the reference.
 
 The start is a discrete harmonic extension (``harmonic_extension``),
 solved by conjugate gradients preconditioned with one symmetric multigrid
 V-cycle (``_Multigrid``: red-black Gauss-Seidel smoothing, a dense solve on
 the coarsest level) to a relative residual of CG_TOL, in 15-16 steps on
-the bundled starts.  The operator (``_five_point``) takes each of its
+the bundled starts.  The free box is padded, each side to its own k * 2^L
++ 1 nodes, with the fewest levels L whose coarsest level is small
+(``_level_count``); a mirrored start solves the columns up to its axis,
+padded on the far side, so the axis is the last column of every level.
+The operator (``_five_point``) takes each of its
 five terms as one contiguous slice of the raveled level, and the smoother
 sweeps the same colour cuts as the flow (``_colour_cuts``), on stride-2
 views of each level instead of copied planes.  The CG dot products are
@@ -218,38 +225,70 @@ def support_mask(spec: ProblemSpec, grid: GridSpec) -> np.ndarray:
     return ((X - x0) * nx_ + (Y - y0) * ny_) <= 1e-12
 
 
-def harmonic_extension(grid: GridSpec, data: np.ndarray,
-                       pinned: np.ndarray) -> np.ndarray:
+def harmonic_extension(grid: GridSpec, data: np.ndarray, pinned: np.ndarray,
+                       axis: int | None) -> np.ndarray:
     """Solve the five-point Laplace equation with Dirichlet values ``data``
     on the ``pinned`` nodes and the grid ring.
 
-    The free box (``_halo_box``) is padded with pinned nodes to k * 2^L +
-    1 nodes a side, the largest k at most COARSEST_CELLS, and solved there
-    by ``_Multigrid``.  Raises ArithmeticError if the solve does not
-    converge."""
+    The free box (``_halo_box``) is padded with pinned nodes, each side to
+    its own k * 2^L + 1 nodes with one level count L (``_level_count``),
+    and solved there by ``_Multigrid``.
+
+    With a mirror ``axis`` c (``_mirror_axis``: the grid is 2c + 1 nodes
+    wide, and ``data`` and ``pinned`` are their own column mirror about c)
+    only columns up to c are solved for.  Their box ends at column c,
+    whose right neighbour is its left one (a reflecting edge), and is
+    padded on the left, so the axis column is the last column of every
+    multigrid level; L is that of the box and its mirror image.  That is
+    the whole-grid solve restricted to mirror-symmetric fields, on about
+    half the nodes, and columns c + 1 on are unfolded from c - 1 down.
+    Raises ArithmeticError if the solve does not converge."""
     free = ~(pinned | boundary_ring(grid))
-    box = _halo_box(free)
+    mirror = axis is not None
+    box = _halo_box(free[:, :None if axis is None else axis + 1])
     if box is None:
         return data.copy()
+    if mirror:
+        box = (box[0], slice(box[1].start, axis + 1))
     inside = free[box]
     m, n = inside.shape
-    levels = 0
-    while max(m, n) - 1 > COARSEST_CELLS << levels:
-        levels += 1
+    levels = _level_count(m - 1, (n - 1) << mirror)
     step = 1 << levels
     shape = (-(-(m - 1) // step) * step + 1, -(-(n - 1) // step) * step + 1)
+    # the box's columns in the padded box: the axis column last
+    cols = slice(shape[1] - n, None) if mirror else slice(0, n)
     mask = np.zeros(shape, dtype=bool)
-    mask[:m, :n] = inside
+    mask[:m, cols] = inside
     known = np.zeros(shape)
-    known[:m, :n] = np.where(inside, 0.0, data[box])
+    known[:m, cols] = np.where(inside, 0.0, data[box])
     rhs = np.zeros(shape)
     rhs[1:-1, 1:-1] = (known[:-2, 1:-1] + known[2:, 1:-1]
                        + known[1:-1, :-2] + known[1:-1, 2:])
+    if mirror:
+        rhs[1:-1, -1] = (known[:-2, -1] + known[2:, -1]
+                         + known[1:-1, -2] + known[1:-1, -2])
     rhs *= mask
-    u = _Multigrid(mask, levels).solve(rhs)
+    u = _Multigrid(mask, levels, mirror).solve(rhs)
     out = data.copy()
-    out[box][inside] = u[:m, :n][inside]
+    out[box][inside] = u[:m, cols][inside]
+    if mirror:
+        out[:, axis + 1:] = out[:, axis - 1::-1]
     return out
+
+
+def _level_count(m_cells: int, n_cells: int) -> int:
+    """The multigrid levels L below the fine one for a box of ``m_cells``
+    by ``n_cells`` cells: the fewest at which the coarsest level, each
+    side padded to whole cells of 2^L, holds at most (COARSEST_CELLS -
+    1)^2 inner nodes, as a square of COARSEST_CELLS cells a side does.
+    Fewer levels pad less, so a long thin box keeps its short side: a
+    fully free 17 x 1025 grid is solved on its own nodes, four levels
+    down to a coarsest level one cell high, not on 129 x 1025."""
+    levels = 0
+    while ((-(-m_cells >> levels) - 1) * (-(-n_cells >> levels) - 1)
+           > (COARSEST_CELLS - 1) ** 2):
+        levels += 1
+    return levels
 
 
 def _halo_box(mask: np.ndarray) -> tuple[slice, slice] | None:
@@ -323,12 +362,8 @@ def minimize_energy(spec: ProblemSpec, grid: GridSpec, boundary_data,
     w = _weight(spec, grid, weight)
     eps = 2.0 * grid.spacing * np.sqrt(w)   # band width, see _flow
 
-    start, envelope = _start(spec, grid, fixed, pinned,
-                             params.bernstein_trim and weight is None)
-    axis = _mirror_axis(pinned, w, envelope, fixed, start)
-    if axis is not None:
-        _symmetrize(fixed, axis)
-        _symmetrize(start, axis)
+    start, envelope, axis = _start(spec, grid, fixed, pinned, w,
+                                   params.bernstein_trim and weight is None)
     end = start.copy()
     sweeps, converged = _flow(end, grid, pinned, eps, w, envelope,
                               params.max_iters, axis)
@@ -339,8 +374,9 @@ def minimize_energy(spec: ProblemSpec, grid: GridSpec, boundary_data,
 
 
 def _start(spec: ProblemSpec, grid: GridSpec, fixed: np.ndarray,
-           pinned: np.ndarray, envelope_on: bool):
-    """The start of the flow and the Bernstein envelope (None when off).
+           pinned: np.ndarray, w: np.ndarray, envelope_on: bool):
+    """The start of the flow, the Bernstein envelope (None when off) and
+    the solve's mirror axis (None when it has none).
 
     The start is the harmonic extension of the ring data restricted to the
     star hull of its positive arcs (an unrestricted harmonic start sits in
@@ -349,52 +385,65 @@ def _start(spec: ProblemSpec, grid: GridSpec, fixed: np.ndarray,
     cone-trace data.  Hair-like spikes along a degeneracy axis carry
     |grad u|^2 > weight inside, are nearly energy-neutral, and are
     excluded by the Bernstein bound rather than by energetics, so the
-    plain descent cannot remove them."""
+    plain descent cannot remove them.
+
+    The envelope is fitted to the ring data as given.  The axis is then
+    found (``_mirror_axis``) before the start is solved; with one, the
+    ring data ``fixed`` are replaced in place by their average with their
+    mirror, and the start is solved from them on the columns up to the
+    axis (``harmonic_extension``), an exact mirror image."""
     hull = star_hull_mask(grid, spec.stagnation_location, fixed > 0)
-    u = harmonic_extension(grid, fixed, pinned=pinned | ~hull)
-    np.maximum(u, 0.0, out=u)
+    held = pinned | ~hull
+    envelope = None
     # No envelope for type 3 (no fixed bisector): a cone containing a
     # coordinate axis (the axis-symmetric pairs) has positive values on a
     # ray where the growth monomial vanishes, so the literal bound would
     # zero the cone interior itself.
-    if not envelope_on or spec.model.bisector is None:
-        return u, None
-    mono = value_envelope_monomial(spec, *grid.mesh())
-    sel = (fixed > 0) & (mono > 0)
-    if not np.any(sel):
-        return u, None
-    envelope = ENVELOPE_MARGIN * float(np.max(fixed[sel] / mono[sel])) * mono
-    envelope[pinned] = np.inf   # so no pinned node enters the zap memory
-    np.minimum(u, envelope, out=u)   # feasible without cratering the support
-    return u, envelope
+    if envelope_on and spec.model.bisector is not None:
+        mono = value_envelope_monomial(spec, *grid.mesh())
+        sel = (fixed > 0) & (mono > 0)
+        if np.any(sel):
+            envelope = (ENVELOPE_MARGIN * float(np.max(fixed[sel] / mono[sel]))
+                        * mono)
+            envelope[pinned] = np.inf   # no pinned node enters the zaps
+    axis = _mirror_axis(pinned, held, w, envelope, fixed)
+    if axis is not None:
+        _symmetrize(fixed, axis)
+    u = harmonic_extension(grid, fixed, held, axis)
+    np.maximum(u, 0.0, out=u)
+    if envelope is not None:   # feasible without cratering the support
+        np.minimum(u, envelope, out=u)
+    return u, envelope, axis
 
 
-def _mirror_axis(pinned: np.ndarray, w: np.ndarray,
-                 envelope: np.ndarray | None, fixed: np.ndarray,
-                 start: np.ndarray) -> int | None:
+def _mirror_axis(pinned: np.ndarray, held: np.ndarray, w: np.ndarray,
+                 envelope: np.ndarray | None,
+                 fixed: np.ndarray) -> int | None:
     """The column c = nx // 2 about which a solve is mirror-symmetric, or
-    None: nx is odd, some free node lies off column c, ``pinned``, ``w``
-    and the envelope are bitwise their own column mirror about c, and the
-    ring data ``fixed`` and the start match their mirror up to round-off,
-    with the same positive set and no difference above MIRROR_ULPS
-    machine epsilons of their largest value.  Each array is compared a
-    half against the other, so a check holds at most half a grid more."""
+    None: nx is odd, some free node lies off column c, ``pinned`` (the
+    flow's held nodes), ``held`` (the start's, ``pinned`` and the nodes
+    off the star hull), ``w`` and the envelope are bitwise their own
+    column mirror about c, and the ring data ``fixed`` match their mirror
+    up to round-off, with the same positive set and no difference above
+    MIRROR_ULPS machine epsilons of their largest value.  The start is
+    not compared: it is solved after this, from the averaged data.  Each
+    array is compared a half against the other, so a check holds at most
+    half a grid more."""
     nx = pinned.shape[1]
     c = nx // 2
     if nx % 2 == 0 or not np.any(~pinned[:, :c]):
         return None
-    exact = [pinned, w.view(np.uint64)]
+    exact = [pinned, held, w.view(np.uint64)]
     if envelope is not None:
         exact.append(envelope.view(np.uint64))
     if not all(np.array_equal(a[:, :c], a[:, :c:-1]) for a in exact):
         return None
-    for a in (fixed, start):
-        left, right = a[:, :c], a[:, :c:-1]
-        if not np.array_equal(left > 0.0, right > 0.0):
-            return None
-        gap = np.abs(left - right)
-        if np.max(gap) > MIRROR_ULPS * np.finfo(float).eps * np.max(a):
-            return None
+    left, right = fixed[:, :c], fixed[:, :c:-1]
+    if not np.array_equal(left > 0.0, right > 0.0):
+        return None
+    gap = np.abs(left - right)
+    if np.max(gap) > MIRROR_ULPS * np.finfo(float).eps * np.max(fixed):
+        return None
     return c
 
 
@@ -446,8 +495,8 @@ def _flow(u: np.ndarray, grid: GridSpec, pinned: np.ndarray, eps: np.ndarray,
     update and has its value back before anything reads it, so their
     largest change is the same float as the whole grid's.
 
-    With a mirror ``axis`` c (``_mirror_axis``; ``minimize_energy`` has
-    averaged the ring data and the start with their mirror about it) the
+    With a mirror ``axis`` c (``_mirror_axis``; the start is its own
+    mirror about it, solved from ring data averaged with theirs) the
     flow sweeps columns 0..c + 1 alone, laid out with column c + 2 as
     their halo, so each cut holds about half the entries.  Column c + 1
     is a ghost: after every cut update its entries are overwritten from
@@ -866,43 +915,55 @@ def _relax_block(lattice: list, sweeps: int) -> None:
                 np.copyto(*link)
 
 
-def _five_point(u: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def _five_point(u: np.ndarray, mask: np.ndarray, mirror: bool) -> np.ndarray:
     """4u - (sum of the four neighbours) on the free nodes, 0 elsewhere;
-    ``mask`` is the float free mask, 0 on the outer ring.
+    ``mask`` is the float free mask, 0 on the outer ring, or on all of it
+    but the last column for a ``mirror`` level, whose last column is a
+    mirror axis: there the right neighbour is the left one.
 
     Each term is one flat slice of the raveled ``u``: the entries k, k - n,
     k + n, k - 1 and k + 1 (n the row length) for k over the rows off the
     first and last, subtracted in that order and multiplied by ``mask`` at
     k.  The first and last columns of those rows, whose neighbours k - 1
     and k + 1 wrap to the next row, get 0 times a finite value, a signed
-    zero."""
+    zero.  On a mirror axis the wrapped right neighbour is a first-column
+    entry, which every vector the multigrid applies this to holds at zero,
+    and the left neighbour is subtracted once more."""
     n = u.shape[1]
     flat, out = u.reshape(-1), np.zeros_like(u)
-    k = slice(n + 1, u.size - n - 1)
-    c = out.reshape(-1)[k]
-    np.multiply(flat[k], 4.0, out=c)
-    c -= flat[1:-2 * n - 1]
-    c -= flat[2 * n + 1:-1]
-    c -= flat[n:-n - 2]
-    c -= flat[n + 2:-n]
-    c *= mask.reshape(-1)[k]
+    end = u.size - n
+    c = out.reshape(-1)[n + 1:end]
+    np.multiply(flat[n + 1:end], 4.0, out=c)
+    c -= flat[1:end - n]
+    c -= flat[2 * n + 1:]
+    left = flat[n:end - 1]
+    c -= left
+    c -= flat[n + 2:end + 1]
+    if mirror:   # the last column, n - 2 entries into each row of c
+        c[n - 2::n] -= left[n - 2::n]
+    c *= mask.reshape(-1)[n + 1:end]
     return out
 
 
 def _gauss_seidel(e: np.ndarray, r: np.ndarray, quarter: np.ndarray,
-                  order: int) -> None:
+                  order: int, mirror: bool) -> None:
     """One red-black Gauss-Seidel sweep of ``_five_point(e) = r`` in place,
     red first for ``order`` 0 and black first for 1, on the
     ``_colour_cuts`` of the stride-2 views of ``e`` (no copy): each
     colour's nodes are solved for at once, ``quarter`` being a quarter of
-    the free mask.  The row length of ``e`` must be odd.  As in
+    the free mask.  The row length n of ``e`` must be odd.  As in
     ``_five_point``, the first and last columns inside a cut, whose
     neighbours wrap to the next row, get 0 times their sum, a signed
-    zero."""
+    zero, and on a ``mirror`` level the last column's entries, every n-th
+    of a cut, add their left neighbour once more."""
+    n = e.shape[1]
     e_p, r_p, q_p = ([a.reshape(-1)[p::2] for p in (0, 1)]
                      for a in (e, r, quarter))
-    for p, cut, nbrs in _colour_cuts(e_p, e.shape[1], order):
+    for p, cut, nbrs in _colour_cuts(e_p, n, order):
         t = _neighbour_sum(nbrs)
+        if mirror:   # the first last-column entry: row 1 or 2 of the level
+            axis = slice((n - 3) // 2 if p else n - 1, None, n)
+            t[axis] += nbrs[1][axis]
         t += r_p[p][cut]
         t *= q_p[p][cut]
         e_p[p][cut] = t
@@ -933,9 +994,20 @@ class _Multigrid:
     a side with l >= 1, so it holds.  The operator, in the CG steps, the
     residual and the coarsest matrix alike, is ``_five_point`` on the flat
     array; each level keeps its float free mask and a quarter of it.  The
-    coarsest level, not smoothed, is solved with a dense inverse."""
+    coarsest level, not smoothed, is solved with a dense inverse.
 
-    def __init__(self, free: np.ndarray, levels: int):
+    With ``mirror`` the last column of the fine level, and so of every
+    level, is a mirror axis that may hold free nodes (``harmonic_extension``):
+    the operator and the smoother read its left neighbour for its right
+    one, the full weighting takes the residual of the mirror column for
+    that of the left one, and every CG inner product weights the axis
+    column by 1/2.  So the solve is the one of the mirror-symmetric
+    fields of the whole grid, each held by its columns up to the axis:
+    the same steps, and the inner products half the whole grid's, in exact
+    arithmetic.  The cycle is symmetric in the weighted inner product."""
+
+    def __init__(self, free: np.ndarray, levels: int, mirror: bool):
+        self.mirror = mirror
         self.levels = []
         for _ in range(levels + 1):
             mask = free.astype(float)
@@ -945,10 +1017,17 @@ class _Multigrid:
         self.coarse = np.flatnonzero(mask)
         units = np.zeros((self.coarse.size, mask.size))
         units[np.arange(self.coarse.size), self.coarse] = 1.0
-        matrix = [_five_point(unit.reshape(mask.shape), mask).ravel()
-                  for unit in units]
+        columns = [_five_point(unit.reshape(mask.shape), mask, mirror).ravel()
+                   for unit in units]
         self.inverse = np.linalg.inv(
-            np.reshape(matrix, units.shape)[:, self.coarse])
+            np.reshape(columns, units.shape).T[self.coarse])
+
+    def dot(self, a: np.ndarray, b: np.ndarray):
+        """The CG inner product: ``_dot``, less half the axis column's
+        share on a mirror."""
+        if not self.mirror:
+            return _dot(a, b)
+        return _dot(a, b) - 0.5 * _dot(a[:, -1], b[:, -1])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Conjugate gradients for ``_five_point(u) = rhs`` on the free
@@ -957,22 +1036,22 @@ class _Multigrid:
         CG_MAX_ITERS steps short of that."""
         mask = self.levels[0][0]
         u = np.zeros_like(rhs)
-        goal = CG_TOL * np.sqrt(_dot(rhs, rhs))
+        goal = CG_TOL * np.sqrt(self.dot(rhs, rhs))
         r = rhs.copy()
         p = np.zeros_like(rhs)   # so the first direction is z
         rz, steps = 1.0, 0
-        while np.sqrt(_dot(r, r)) > goal:
+        while np.sqrt(self.dot(r, r)) > goal:
             if steps == CG_MAX_ITERS:
                 raise ArithmeticError(
                     f"harmonic extension: CG above a relative residual of "
                     f"{CG_TOL:g} after {CG_MAX_ITERS} steps")
             steps += 1
             z = self.cycle(r)
-            rz, rz_old = _dot(r, z), rz
+            rz, rz_old = self.dot(r, z), rz
             p *= rz / rz_old
             p += z
-            q = _five_point(p, mask)
-            alpha = rz / _dot(p, q)
+            q = _five_point(p, mask, self.mirror)
+            alpha = rz / self.dot(p, q)
             u += alpha * p
             r -= alpha * q
         return u
@@ -985,12 +1064,14 @@ class _Multigrid:
             e.flat[self.coarse] = self.inverse @ r.flat[self.coarse]
             return e
         mask, quarter = self.levels[level]
-        _gauss_seidel(e, r, quarter, 0)
-        res = r - _five_point(e, mask)
+        _gauss_seidel(e, r, quarter, 0, self.mirror)
+        res = r - _five_point(e, mask, self.mirror)
         coarse_mask = self.levels[level + 1][0]
         t = res[2:-2:2] + 0.5 * (res[1:-3:2] + res[3:-1:2])
         down = np.zeros(coarse_mask.shape)
         down[1:-1, 1:-1] = t[:, 2:-2:2] + 0.5 * (t[:, 1:-3:2] + t[:, 3:-1:2])
+        if self.mirror:   # 0.5 * (t[:, -2] + its mirror), exactly
+            down[1:-1, -1] = t[:, -1] + t[:, -2]
         down *= coarse_mask
         ec = self.cycle(down, level + 1)
         t = np.empty((r.shape[0], ec.shape[1]))
@@ -999,7 +1080,7 @@ class _Multigrid:
         e[:, ::2] += t
         e[:, 1::2] += 0.5 * (t[:, :-1] + t[:, 1:])
         e *= mask
-        _gauss_seidel(e, r, quarter, 1)
+        _gauss_seidel(e, r, quarter, 1, self.mirror)
         return e
 
 

@@ -211,18 +211,23 @@ def radial_sweep_all_at_once(spec: ProblemSpec, u: ScalarField,
     return RadialSweep(radii, k, *cols)
 
 
-def five_point_2d(u: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def five_point_2d(u: np.ndarray, mask: np.ndarray,
+                  mirror: bool) -> np.ndarray:
     """``energy._five_point`` on 2-D slices of the interior: 4u, minus the
     rows above and below, minus the columns left and right, times the
-    float free ``mask`` there; 0 (+0.0) on the outer ring."""
+    float free ``mask`` there; 0 (+0.0) on the outer ring.  With
+    ``mirror`` the last column is a mirror axis: its inner rows are taken
+    as well, with the left column for the right one."""
     out = np.zeros_like(u)
-    c = out[1:-1, 1:-1]
-    np.multiply(u[1:-1, 1:-1], 4.0, out=c)
-    c -= u[:-2, 1:-1]
-    c -= u[2:, 1:-1]
-    c -= u[1:-1, :-2]
-    c -= u[1:-1, 2:]
-    c *= mask[1:-1, 1:-1]
+    last = u.shape[1] - (not mirror)
+    right = np.concatenate([u[1:-1, 2:], u[1:-1, -2:-1]], axis=1)
+    c = out[1:-1, 1:last]
+    np.multiply(u[1:-1, 1:last], 4.0, out=c)
+    c -= u[:-2, 1:last]
+    c -= u[2:, 1:last]
+    c -= u[1:-1, :last - 1]
+    c -= right[:, :last - 1]
+    c *= mask[1:-1, 1:last]
     return out
 
 

@@ -990,7 +990,8 @@ class TestMirrorFlow:
             np.minimum(u, envelope, out=u)
         grid = types.SimpleNamespace(spacing=math.sqrt(8.0 * scale))
         fixed = np.where(pinned, u, 0.0)
-        assert energy_module._mirror_axis(pinned, w, envelope, fixed, u) == c
+        assert energy_module._mirror_axis(pinned, pinned, w, envelope,
+                                          fixed) == c
         # averaging mirror-equal data with its mirror changes no bit
         before = u.copy()
         energy_module._symmetrize(u, c)
@@ -1149,8 +1150,8 @@ class TestMirrorSharpening:
         for a in arrays:
             mirrored(a, c)
         start[pinned] = end[pinned] = fixed[pinned]
-        assert energy_module._mirror_axis(pinned, w, envelope, fixed,
-                                          start) == c
+        assert energy_module._mirror_axis(pinned, pinned, w, envelope,
+                                          fixed) == c
         grid = types.SimpleNamespace(ny=ny, nx=2 * c + 1, spacing=0.1)
         args = (grid, fixed, pinned, eps, w, envelope, start, end)
         half = energy_module._candidates(*args, c)
@@ -1173,7 +1174,7 @@ class TestSupportHelpers:
         exact = X * X - Y * Y
         ring = boundary_ring(g)
         data = np.where(ring, exact, 0.0)
-        out = harmonic_extension(g, data, ring)
+        out = harmonic_extension(g, data, ring, None)
         assert np.max(np.abs(out - exact)) <= 1e-10
 
 
@@ -1205,8 +1206,8 @@ def spsolve_extension(grid, data, pinned):
     return out
 
 
-def assert_matches_spsolve(grid, data, pinned):
-    out = harmonic_extension(grid, data, pinned)
+def assert_matches_spsolve(grid, data, pinned, axis):
+    out = harmonic_extension(grid, data, pinned, axis)
     ref = spsolve_extension(grid, data, pinned)
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(data))
 
@@ -1272,9 +1273,34 @@ def bundled_call(attr, name, n=None):
 
 
 def bundled_start(name, n=None):
-    """The arguments (grid, data, pinned) of the start solve of config
-    ``name``, on an n x n grid or the config's own."""
+    """The arguments (grid, data, pinned, axis) of the start solve of
+    config ``name``, on an n x n grid or the config's own."""
     return bundled_call("harmonic_extension", name, n)
+
+
+MIRRORED_CONFIGS = ["stokes", "corner_beta2", "corner_type3"]
+
+
+def multigrids(fn, *args):
+    """``fn(*args)`` and the (free mask shape, levels, mirror) of every
+    ``_Multigrid`` it builds, with the CG steps of each solve."""
+    built = []
+    init, cycle = energy_module._Multigrid.__init__, \
+        energy_module._Multigrid.cycle
+
+    def counted_init(self, free, levels, mirror):
+        built.append([free.shape, levels, mirror, 0])
+        init(self, free, levels, mirror)
+
+    def counted_cycle(self, r, level=0):
+        built[-1][-1] += level == 0   # one fine-level cycle a CG step
+        return cycle(self, r, level)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(energy_module._Multigrid, "__init__", counted_init)
+        mp.setattr(energy_module._Multigrid, "cycle", counted_cycle)
+        out = fn(*args)
+    return out, [tuple(b) for b in built]
 
 
 # The multigrid smoother as four strided parity classes (row parity, column
@@ -1284,10 +1310,13 @@ def bundled_start(name, n=None):
 _PARITIES = ((1, 1), (0, 0), (1, 0), (0, 1))
 
 
-def strided_gauss_seidel(e, r, quarter, order):
+def strided_gauss_seidel(e, r, quarter, order, mirror):
     """``_gauss_seidel`` on strided 2-D slices of the interior: each
     parity class in turn, red first for ``order`` 0 and black first for 1,
-    its east, west, north and south neighbours summed in that order."""
+    its east, west, north and south neighbours summed in that order.  On
+    a ``mirror`` level the last column, a mirror axis, joins the classes
+    of even columns; the flat layout reads the first entry of the next row
+    as its east neighbour, and then adds its west one again."""
     m, n = e.shape
     for p, q in _PARITIES[2 * order:] + _PARITIES[:2 * order]:
         rows, cols = slice(2 - p, m - 1, 2), slice(2 - q, n - 1, 2)
@@ -1296,6 +1325,14 @@ def strided_gauss_seidel(e, r, quarter, order):
         t += e[1 - p:m - 2:2, cols]
         t += r[rows, cols]
         t *= quarter[rows, cols]
+        if mirror and q == 0:
+            a = e[3 - p:m:2, 0] + e[rows, n - 2]
+            a += e[3 - p:m:2, n - 1]
+            a += e[1 - p:m - 2:2, n - 1]
+            a += e[rows, n - 2]
+            a += r[rows, n - 1]
+            a *= quarter[rows, n - 1]
+            e[rows, n - 1] = a
         e[rows, cols] = t
 
 
@@ -1311,10 +1348,12 @@ class TestHarmonicExtension:
 
     @pytest.mark.parametrize("name", SOLVING_CONFIGS)
     def test_bundled_starts(self, name):
-        # the start solve of each solving config, at 129^2
-        grid, fixed, pinned = bundled_start(name, 129)
+        # the start solve of each solving config, at 129^2, on the half
+        # box of the mirrored ones
+        grid, fixed, pinned, axis = bundled_start(name, 129)
         assert np.any(fixed > 0) and not np.all(pinned)
-        assert_matches_spsolve(grid, fixed, pinned)
+        assert axis == (64 if name in MIRRORED_CONFIGS else None)
+        assert_matches_spsolve(grid, fixed, pinned, axis)
 
     @pytest.mark.parametrize("name", SOLVING_CONFIGS)
     def test_bundled_starts_match_the_strided_smoother(self, name):
@@ -1324,40 +1363,53 @@ class TestHarmonicExtension:
             == strided(harmonic_extension, *args).tobytes()
 
     @given(km=st.integers(1, 8), kn=st.integers(1, 8),
-           levels=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+           levels=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           mirror=st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_cycle_matches_the_strided_smoother(self, km, kn, levels, seed):
+    def test_cycle_matches_the_strided_smoother(self, km, kn, levels, seed,
+                                                mirror):
         # the flow's colour cuts smooth as the strided classes did, to the
         # byte, on every node off the ring; on the ring, which the classes
         # never touched, they may leave a zero of the other sign, and the
-        # CG solve that reads the cycle is unchanged to the byte
+        # CG solve that reads the cycle is unchanged to the byte.  On a
+        # mirror level the last column, the axis, holds free nodes too
         assume(km != kn)
         m, n = km * 2 ** levels + 1, kn * 2 ** levels + 1
         rng = np.random.default_rng(seed)
         free = np.zeros((m, n), dtype=bool)
-        free[1:-1, 1:-1] = rng.random((m - 2, n - 2)) < rng.uniform(0.2, 1.0)
+        inner = free[1:-1, 1:] if mirror else free[1:-1, 1:-1]
+        inner[...] = rng.random(inner.shape) < rng.uniform(0.2, 1.0)
         r = rng.standard_normal((m, n)) * free
-        mg = energy_module._Multigrid(free, levels)
+        mg = energy_module._Multigrid(free, levels, mirror)
         fast, ref = mg.cycle(r), strided(mg.cycle, r)
-        assert fast[1:-1, 1:-1].tobytes() == ref[1:-1, 1:-1].tobytes()
+        inner = np.s_[1:-1, 1:None if mirror else -1]
+        assert fast[inner].tobytes() == ref[inner].tobytes()
         assert np.array_equal(fast, ref)
         assert mg.solve(r).tobytes() == strided(mg.solve, r).tobytes()
 
     @pytest.mark.parametrize("parity", [0, 1])
     @given(m=st.integers(3, 40), k=st.integers(1, 20),
-           seed=st.integers(0, 2**32 - 1))
+           seed=st.integers(0, 2**32 - 1), mirror=st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_flat_operator_matches_the_2d_form(self, parity, m, k, seed):
+    def test_flat_operator_matches_the_2d_form(self, parity, m, k, seed,
+                                               mirror):
         # even and odd row lengths: every interior node to the byte; the
         # first and last columns, +0.0 in the 2-D form, get 0 times a
-        # wrapped sum, a zero of either sign
+        # wrapped sum, a zero of either sign.  On a mirror level the last
+        # column, the axis, holds free nodes too, and the first column
+        # zeros, as every multigrid vector does
         n = 2 * k + 1 + parity
         rng = np.random.default_rng(seed)
         mask = np.zeros((m, n))
-        mask[1:-1, 1:-1] = rng.random((m - 2, n - 2)) < rng.uniform(0.2, 1.0)
+        inner = mask[1:-1, 1:] if mirror else mask[1:-1, 1:-1]
+        inner[...] = rng.random(inner.shape) < rng.uniform(0.2, 1.0)
         u = rng.standard_normal((m, n))
-        fast, ref = energy_module._five_point(u, mask), five_point_2d(u, mask)
-        assert fast[1:-1, 1:-1].tobytes() == ref[1:-1, 1:-1].tobytes()
+        if mirror:
+            u[:, 0] = 0.0
+        fast = energy_module._five_point(u, mask, mirror)
+        ref = five_point_2d(u, mask, mirror)
+        inner = np.s_[1:-1, 1:None if mirror else -1]
+        assert fast[inner].tobytes() == ref[inner].tobytes()
         assert np.array_equal(fast, ref)
 
     @pytest.mark.parametrize("name", SOLVING_CONFIGS)
@@ -1369,8 +1421,8 @@ class TestHarmonicExtension:
         args = bundled_start(name)
         real, shapes = energy_module._five_point, set()
 
-        def checked(u, mask):
-            out, ref = real(u, mask), five_point_2d(u, mask)
+        def checked(u, mask, mirror):
+            out, ref = real(u, mask, mirror), five_point_2d(u, mask, mirror)
             assert out[1:-1, 1:-1].tobytes() == ref[1:-1, 1:-1].tobytes()
             assert np.array_equal(out, ref)
             shapes.add(u.shape)
@@ -1398,7 +1450,7 @@ class TestHarmonicExtension:
         rng = np.random.default_rng(seed)
         grid = cw.GridSpec(nx=nx, ny=ny, origin=(0.0, 0.0), spacing=1.0)
         data = rng.uniform(-1.0, 1.0, (ny, nx)) * 10.0 ** rng.uniform(-3, 3)
-        assert_matches_spsolve(grid, data, ~free_set(kind, ny, nx, rng))
+        assert_matches_spsolve(grid, data, ~free_set(kind, ny, nx, rng), None)
 
     @given(a=st.integers(1, 40).filter(lambda a: (a + 1) & a),
            b=st.integers(1, 40).filter(lambda b: (b + 1) & b),
@@ -1412,18 +1464,46 @@ class TestHarmonicExtension:
         j, i = rng.integers(1, 48 - a), rng.integers(1, 48 - b)
         pinned[j:j + a, i:i + b] = False
         data = rng.uniform(0.0, 1.0, (48, 48))
-        assert_matches_spsolve(grid, data, pinned)
+        assert_matches_spsolve(grid, data, pinned, None)
+
+    @pytest.mark.parametrize("ny, nx", [(17, 1025), (1025, 17)])
+    def test_long_thin_grid_is_solved_on_its_own_nodes(self, ny, nx):
+        # each side is padded to its own k * 2^L + 1, so the short side is
+        # not padded to the 129 nodes that a level count set by the long
+        # side would give it
+        rng = np.random.default_rng(ny)
+        grid = cw.GridSpec(nx=nx, ny=ny, origin=(0.0, 0.0), spacing=1.0)
+        data = rng.uniform(0.0, 1.0, (ny, nx))
+        _, built = multigrids(assert_matches_spsolve, grid, data,
+                              boundary_ring(grid), None)
+        [(shape, _, _, _)] = built
+        assert math.prod(shape) <= 1.1 * ny * nx
+
+    @pytest.mark.parametrize("name, shape, levels", [
+        ("stokes", (129, 257), 5), ("corner_beta2", (129, 257), 5),
+        ("corner_alpha2", (257, 129), 5), ("corner_type3", (129, 193), 5),
+        ("blowup_convergence", (193, 385), 6)])
+    def test_bundled_whole_boxes_keep_their_padding(self, name, shape,
+                                                    levels):
+        # the padded box and the level count of each bundled start on its
+        # whole box are those of one level count set by the longer side,
+        # so the whole-box starts of alpha2 and blowup keep their bytes
+        grid, data, pinned, _ = bundled_start(name)
+        _, built = multigrids(harmonic_extension, grid, data, pinned, None)
+        assert [b[:3] for b in built] == [(shape, levels, False)]
 
     def test_no_free_node_returns_a_copy(self):
         grid = cw.GridSpec(nx=16, ny=16, origin=(0.0, 0.0), spacing=1.0)
         data = np.arange(256.0).reshape(16, 16)
-        out = harmonic_extension(grid, data, np.ones((16, 16), dtype=bool))
+        out = harmonic_extension(grid, data, np.ones((16, 16), dtype=bool),
+                                 None)
         assert out is not data and np.array_equal(out, data)
 
     def test_zero_data_gives_zero(self):
         grid = cw.GridSpec(nx=33, ny=33, origin=(0.0, 0.0), spacing=1.0)
         data = np.zeros((33, 33))
-        assert not np.any(harmonic_extension(grid, data, boundary_ring(grid)))
+        assert not np.any(harmonic_extension(grid, data, boundary_ring(grid),
+                                             None))
 
     def test_capped_iterations_raise(self, monkeypatch):
         # a start that is not solved is refused, not returned
@@ -1432,25 +1512,36 @@ class TestHarmonicExtension:
         data = np.where(boundary_ring(g), X * X - Y * Y + 2.0, 0.0)
         monkeypatch.setattr(energy_module, "CG_MAX_ITERS", 2)
         with pytest.raises(ArithmeticError, match="after 2 steps"):
-            harmonic_extension(g, data, boundary_ring(g))
+            harmonic_extension(g, data, boundary_ring(g), None)
 
-    def test_preconditioner_is_symmetric(self):
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_preconditioner_is_symmetric(self, mirror):
+        # in the CG inner product: on a half box, the one that weights the
+        # axis column, free here, by 1/2
         rng = np.random.default_rng(0)
         free = np.zeros((65, 49), dtype=bool)
-        free[1:-1, 1:-1] = rng.random((63, 47)) < 0.8
-        mg = energy_module._Multigrid(free, 3)
+        inner = free[1:-1, 1:] if mirror else free[1:-1, 1:-1]
+        inner[...] = rng.random(inner.shape) < 0.8
+        mg = energy_module._Multigrid(free, 3, mirror)
         x, y = (rng.standard_normal(free.shape) * free for _ in range(2))
-        xMy, yMx = np.vdot(x, mg.cycle(y)), np.vdot(y, mg.cycle(x))
+        xMy, yMx = mg.dot(x, mg.cycle(y)), mg.dot(y, mg.cycle(x))
         assert abs(xMy - yMx) <= 1e-12 * abs(xMy)
-        assert np.vdot(x, mg.cycle(x)) > 0
+        assert mg.dot(x, mg.cycle(x)) > 0
+        if mirror:   # and not in the plain one
+            assert abs(np.vdot(x, mg.cycle(y)) - np.vdot(y, mg.cycle(x))) \
+                > 1e-6 * abs(xMy)
 
     def test_solve_does_not_depend_on_the_blas_thread_count(self):
         # a BLAS dot splits a vector of more than 10,000 entries across
         # its threads, which regroups its sum: with np.vdot in the CG steps
         # this field differed between 1 and 2 OpenBLAS threads.  Each
-        # child solves the type-3 config, 10 flow sweeps
-        grid, _, pinned = bundled_start("corner_type3")
-        assert np.count_nonzero(~(pinned | boundary_ring(grid))) > 10_000
+        # child solves the type-3 config, 10 flow sweeps; its start is a
+        # half box of more than 10,000 nodes
+        _, shapes = multigrids(harmonic_extension,
+                               *bundled_start("corner_type3"))
+        [(shape, _, mirror, _)] = shapes
+        assert mirror and math.prod(shape) > 10_000
+        grid = bundled_start("corner_type3")[0]
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, (str(CONFIGS.parent / "src"), env.get("PYTHONPATH"))))
@@ -1476,6 +1567,93 @@ result = cw.minimize_energy(cfg.problem, cfg.grid, build_boundary(cfg)[0],
                             cw.SolverParams(max_iters=10))
 sys.stdout.buffer.write(result.field.values.tobytes())
 """
+
+
+class TestMirrorStart:
+    """A mirror-symmetric start is solved on the columns up to its axis:
+    the whole-box solve of the same averaged data to round-off, an exact
+    mirror image, in the whole box's CG steps give or take one.  Any other
+    start is solved on its whole box."""
+
+    @staticmethod
+    def assert_half_start(grid, data, pinned, axis):
+        """The half-box start of ``data`` against the whole-box one; the
+        whole box's CG steps."""
+        half, [(_, _, mirror, steps)] = multigrids(
+            harmonic_extension, grid, data, pinned, axis)
+        whole, [(_, _, _, full_steps)] = multigrids(
+            harmonic_extension, grid, data, pinned, None)
+        assert mirror
+        assert np.max(np.abs(half - whole)) <= 1e-10 * np.max(half)
+        assert half[:, axis + 1:].tobytes() \
+            == half[:, axis - 1::-1].copy().tobytes()
+        assert abs(steps - full_steps) <= 1
+        return full_steps
+
+    @pytest.mark.parametrize("name, steps", [
+        ("stokes", 15), ("corner_beta2", 15), ("corner_type3", 16)])
+    def test_bundled_half_starts(self, name, steps):
+        # on the ring data the solve has averaged with their mirror
+        grid, data, pinned, axis = bundled_start(name)
+        assert axis == grid.nx // 2
+        assert self.assert_half_start(grid, data, pinned, axis) == steps
+
+    @given(c=st.sampled_from([4, 8, 12]), ny=st.integers(3, 20),
+           seed=st.integers(0, 2 ** 16),
+           kind=st.sampled_from(["random", "spike", "off-axis"]),
+           scale=st.sampled_from([1.0, SUBNORMAL]))
+    @settings(max_examples=40, deadline=None)
+    @example(c=4, ny=12, seed=3, kind="spike", scale=1.0)
+    def test_drawn_half_starts(self, c, ny, seed, kind, scale):
+        # symmetric free sets on odd widths: "spike" holds column c and
+        # nodes left of column c - 1, so the axis column meets only pinned
+        # neighbours across, "off-axis" nodes left of column c - 1 alone,
+        # "random" anything; normal or subnormal data.  Column 1 holds a
+        # free node and c is a multiple of 4, at least 2^L here, so the
+        # whole box is the half box and its mirror, unpadded: the two
+        # solves are one PCG in exact arithmetic
+        rng = np.random.default_rng(seed)
+        shape = (ny, 2 * c + 1)
+        free = rng.random(shape) < rng.uniform(0.3, 0.95)
+        if kind != "random":
+            free[:, c - 1:] = False
+        if kind == "spike":
+            free[:, c] = rng.random(ny) < 0.7
+        free[[0, -1], :] = free[:, [0, -1]] = False
+        free[rng.integers(1, ny - 1), 1] = True
+        free = mirrored(free, c)
+        data = mirrored(rng.uniform(0.0, 1.0, shape), c) * scale
+        grid = types.SimpleNamespace(ny=ny, nx=2 * c + 1)
+        self.assert_half_start(grid, data, ~free, c)
+
+    @pytest.mark.parametrize("case", [
+        "corner_alpha2", "blowup_convergence", "even-nx", "hull-off-mirror",
+        "symmetric"])
+    def test_whole_box_off_a_mirror(self, case):
+        # alpha2 is mirrored about a row, blowup's weight is not mirrored,
+        # and a hull with one node off its mirror pins the start's nodes
+        # off their mirror; the symmetric control is solved on its half
+        if case in SOLVING_CONFIGS:
+            assert bundled_start(case)[-1] is None
+            return
+        spec, grid, bd, params, weight, mirror = solve_case(
+            "symmetric" if case == "hull-off-mirror" else case)
+        hull_mask = energy_module.star_hull_mask
+
+        def off_mirror(*args):
+            hull = hull_mask(*args)
+            free = hull & ~(boundary_ring(grid) | support_mask(spec, grid))
+            j, i = np.argwhere(free[:, :grid.nx // 2])[0]
+            hull[j, i] = False
+            return hull
+
+        with pytest.MonkeyPatch.context() as mp:
+            if case == "hull-off-mirror":
+                mp.setattr(energy_module, "star_hull_mask", off_mirror)
+                mirror = False
+            axis = first_call("harmonic_extension", spec, grid, bd, params,
+                              weight)[-1]
+        assert axis == (grid.nx // 2 if mirror else None)
 
 
 class TestStarHull:
