@@ -979,8 +979,8 @@ def _dot(a: np.ndarray, b: np.ndarray):
 
 class _Multigrid:
     """The system ``_five_point(u) = rhs`` on a free mask of k * 2^levels
-    + 1 nodes a side, pinned on the outer ring, solved by CG with one
-    V(1,1)-cycle as the preconditioner.
+    + 1 nodes a side, pinned on the outer ring (but on a mirror axis, see
+    below), solved by CG with one V(1,1)-cycle as the preconditioner.
 
     Level l + 1 keeps the even nodes of level l (its free mask by
     injection) and the same unscaled operator.  The residual goes down by
@@ -999,9 +999,9 @@ class _Multigrid:
     With ``mirror`` the last column of the fine level, and so of every
     level, is a mirror axis that may hold free nodes (``harmonic_extension``):
     the operator and the smoother read its left neighbour for its right
-    one, the full weighting takes the residual of the mirror column for
-    that of the left one, and every CG inner product weights the axis
-    column by 1/2.  So the solve is the one of the mirror-symmetric
+    one, the full weighting there takes the left column's residual for
+    the right one's, and every CG inner product weights the axis column
+    by 1/2.  So the solve is the one of the mirror-symmetric
     fields of the whole grid, each held by its columns up to the axis:
     the same steps, and the inner products half the whole grid's, in exact
     arithmetic.  The cycle is symmetric in the weighted inner product."""
