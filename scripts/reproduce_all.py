@@ -36,6 +36,7 @@ CONFIGS = [
     ("corner_beta2.yaml", "run"),
     ("corner_alpha2.yaml", "run"),
     ("corner_type3.yaml", "run"),
+    ("corner_type3_x.yaml", "run"),
     ("blowup_convergence.yaml", "run"),
 ]
 

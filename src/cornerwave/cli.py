@@ -23,8 +23,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .pipeline import (AnalysisError, ConfigError, SolverError, load_config,
-                       run, write_error_record)
+from .pipeline import (AnalysisError, ConfigError, OutputConfig, SolverError,
+                       load_config, run, write_error_record)
 
 STAGES = {
     "run": ("solve", "analyze", "classify", "table1"),
@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    outdir = args.out or "out"
+    outdir = args.out or OutputConfig().directory
     try:
         cfg = load_config(args.config)
         if args.out:

@@ -18,8 +18,11 @@ the quadrant that hosts the fluid, e.g. (-x)^alpha (-y)^beta for a type-1
 point with x0 < 0 and downward force.  The force direction theta0 (down or
 up for type 1, left or right for type 2) fixes the degenerate factor's
 side; the sign of the stagnation coordinate fixes the non-degenerate one.
-These conventions are derived once per spec, in its SubcaseModel
-(``ProblemSpec.model``), and every module reads them from there.
+For types 1 and 2 the fluid cone's bisector points along the force; a
+type-3 point admits several cones, and its data name one by its bisector
+theta_star, which also places the air half-plane.  These conventions are
+derived once per spec, in its SubcaseModel (``ProblemSpec.model``), and
+every module reads them from there.
 
 Everything here is immutable value data shared by the solver and the
 analysis modules; every value type refuses a non-finite number.  A field
@@ -152,7 +155,10 @@ class Type2:
 
 @dataclass(frozen=True)
 class Type3:
-    """Stagnation point at the origin; theta_star orients the fluid cone."""
+    """Stagnation point at the origin; theta_star is the fluid cone's
+    bisector, which also places the air half-plane.  Which angles carry a
+    cone depends on the exponents (``oracle.blowup_limit`` refuses the
+    others)."""
 
     theta_star: float = -math.pi / 2.0
 
@@ -202,7 +208,7 @@ class SubcaseModel:
     frozen: float                    # non-degenerate factor at X0 (1 for type 3)
     frozen_root: float               # its square root, as |x0|^(alpha/2)
     theta0: float | None             # force direction (None for type 3)
-    bisector: float | None           # fluid-cone bisector (None for type 3)
+    bisector: float                  # fluid-cone bisector (theta_star for type 3)
     air_normal: tuple[float, float]  # air side: (X - X0) . air_normal <= 0
 
     def bases(self, x, y):
@@ -247,7 +253,7 @@ def _build_model(spec: ProblemSpec) -> SubcaseModel:
     return SubcaseModel(
         subcase="3", location=(0.0, 0.0), exponents=(a, b), signs=(0, 0),
         degenerate=(True, True), power=a + b, frozen_exponent=0.0, frozen=1.0,
-        frozen_root=1.0, theta0=None, bisector=None,
+        frozen_root=1.0, theta0=None, bisector=st.theta_star,
         air_normal=(math.cos(st.theta_star), math.sin(st.theta_star)))
 
 

@@ -395,11 +395,11 @@ def _start(spec: ProblemSpec, grid: GridSpec, fixed: np.ndarray,
     hull = star_hull_mask(grid, spec.stagnation_location, fixed > 0)
     held = pinned | ~hull
     envelope = None
-    # No envelope for type 3 (no fixed bisector): a cone containing a
+    # No envelope for type 3 (no force direction): a cone containing a
     # coordinate axis (the axis-symmetric pairs) has positive values on a
     # ray where the growth monomial vanishes, so the literal bound would
     # zero the cone interior itself.
-    if envelope_on and spec.model.bisector is not None:
+    if envelope_on and spec.model.theta0 is not None:
         mono = value_envelope_monomial(spec, *grid.mesh())
         sel = (fixed > 0) & (mono > 0)
         if np.any(sel):
@@ -1033,11 +1033,16 @@ class _Multigrid:
         """Conjugate gradients for ``_five_point(u) = rhs`` on the free
         nodes, preconditioned by ``cycle``, from u = 0 until the residual
         is below CG_TOL of ``rhs`` in the 2-norm; ArithmeticError after
-        CG_MAX_ITERS steps short of that."""
+        CG_MAX_ITERS steps short of that.
+
+        It solves for ``rhs`` times 2^-k, k the binary exponent of its
+        largest entry, and scales back: the same floats, but the squares
+        in the inner products cannot underflow for small data."""
         mask = self.levels[0][0]
+        k = np.frexp(np.max(np.abs(rhs)))[1]
         u = np.zeros_like(rhs)
-        goal = CG_TOL * np.sqrt(self.dot(rhs, rhs))
-        r = rhs.copy()
+        r = np.ldexp(rhs, -k)
+        goal = CG_TOL * np.sqrt(self.dot(r, r))
         p = np.zeros_like(rhs)   # so the first direction is z
         rz, steps = 1.0, 0
         while np.sqrt(self.dot(r, r)) > goal:
@@ -1054,7 +1059,7 @@ class _Multigrid:
             alpha = rz / self.dot(p, q)
             u += alpha * p
             r -= alpha * q
-        return u
+        return np.ldexp(u, k)
 
     def cycle(self, r: np.ndarray, level: int = 0) -> np.ndarray:
         """The V-cycle's correction e for the residual ``r`` of ``level``,

@@ -17,7 +17,10 @@ solutions of
     |cos theta1|^alpha |sin theta1|^beta = |cos theta2|^alpha |sin theta2|^beta,
     theta2 = theta1 + 2 pi / (alpha + beta + 2),
 
-found here by dense sampling plus bisection in the angle variable.
+found here by dense sampling plus bisection in the angle variable.  Every
+profile is built about its spec's cone bisector (``SubcaseModel.bisector``):
+the force direction for types 1 and 2, and for type 3 the point's
+theta_star, which names one of these pairs by (theta1 + theta2)/2.
 
 Weighted densities are one-dimensional angular quadratures: the radial part
 of each density integral is exact, r^(p+1) integrating to 1/(p+2).  The
@@ -92,18 +95,15 @@ def angular_weight(spec: ProblemSpec, theta):
     return float(out) if out.ndim == 0 else out
 
 
-def blowup_limit(spec: ProblemSpec, pair: AnglePair | None = None) -> ClosedFormProfile:
-    """Exact blow-up profile for a spec; type 3 requires an angle pair
-    (ignored for types 1 and 2, whose cone is centered on the bisector)."""
+def blowup_limit(spec: ProblemSpec) -> ClosedFormProfile:
+    """Exact blow-up profile for a spec: the cone of opening pi/degree
+    about the model's bisector.  InvalidSpec unless its edge weights agree
+    and are positive, which on type 3 holds for the bisectors of
+    ``corner_pairs`` only."""
     m = spec.model
     deg = spec.degree
-    if m.bisector is None:
-        if pair is None:
-            raise InvalidSpec("type-3 blow-up limit needs an admissible angle pair")
-        theta1, theta2 = pair.theta1, pair.theta2
-    else:
-        half = math.pi / (2.0 * deg)
-        theta1, theta2 = m.bisector - half, m.bisector + half
+    half = math.pi / (2.0 * deg)
+    theta1, theta2 = m.bisector - half, m.bisector + half
     pref = m.frozen_root * math.sqrt(spec.weight_constant)
     w1 = angular_weight(spec, theta1)
     w2 = angular_weight(spec, theta2)
@@ -224,12 +224,11 @@ def snap_symmetric_root(alpha: float, beta: float, theta1: float) -> float:
     return theta1
 
 
-def angle_pair(alpha: float, beta: float, theta1: float | None = None) -> AnglePair:
-    """The type-3 pair with edges theta1 and theta1 + 2 pi/(alpha+beta+2);
-    theta1 defaults to the downward axis-symmetric pair.  Raises
-    InvalidPair unless both edge weights agree and are positive."""
+def angle_pair(alpha: float, beta: float, theta1: float) -> AnglePair:
+    """The type-3 pair with edges theta1 and theta1 + 2 pi/(alpha+beta+2).
+    Raises InvalidPair unless both edge weights agree and are positive."""
     A = TWO_PI / (alpha + beta + 2.0)
-    t1 = -math.pi / 2.0 - A / 2.0 if theta1 is None else float(theta1)
+    t1 = float(theta1)
     w1 = float(_type3_weight(alpha, beta, t1))
     w2 = float(_type3_weight(alpha, beta, t1 + A))
     tol = _edge_tolerance(w1, w2)
@@ -361,13 +360,12 @@ def _subcase_specs(alpha: float, beta: float):
 def conclusion_table(alpha: float, beta: float) -> list[ConclusionRow]:
     """Openings, cone edges, force directions, and densities for all nine
     subcases at the given exponents, the stagnation point at unit distance
-    from its axis.  The type-3 row uses the downward axis-symmetric
-    pair."""
-    pair = angle_pair(alpha, beta)
+    from its axis.  The type-3 row is the cone about the downward axis,
+    ``Type3``'s default bisector."""
     rows = []
     for spec in _subcase_specs(alpha, beta):
         m = spec.model
-        prof = blowup_limit(spec, pair)
+        prof = blowup_limit(spec)
         # the stagnation coordinate off the degenerate axes, if any
         x0, y0 = (None if d else v for v, d in zip(m.location, m.degenerate))
         rows.append(ConclusionRow(

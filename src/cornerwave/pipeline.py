@@ -100,16 +100,16 @@ def _known(mapping, keys: tuple[str, ...], where: str) -> dict:
     return mapping
 
 
-def _number(mapping: dict, key: str, where: str, default=None, kind=float,
+def _number(mapping: dict, key: str, where: str, kind=float,
             required: bool = False):
-    """``mapping[key]`` as a ``kind`` (float or int), ``default`` when it
-    is absent or null (a missing-field error when ``required``);
-    ConfigError names the key when the value is not a finite number, or
-    not a whole one for an int.  A boolean is no number, although Python
-    counts True as 1."""
+    """``mapping[key]`` as a ``kind`` (float or int), None when it is
+    absent or null (a missing-field error when ``required``); ConfigError
+    names the key when the value is not a finite number, or not a whole
+    one for an int.  A boolean is no number, although Python counts True
+    as 1."""
     value = _need(mapping, key, where) if required else mapping.get(key)
     if value is None:
-        return default
+        return None
     if isinstance(value, bool):
         raise ConfigError(f"{where}.{key} must be a number, not {value!r}")
     try:
@@ -125,6 +125,12 @@ def _number(mapping: dict, key: str, where: str, default=None, kind=float,
                 f"{where}.{key} must be a whole number, not {value!r}")
         return int(number)
     return number
+
+
+def _given(**values) -> dict:
+    """The keyword arguments that are not None: a setting left out of a
+    config takes its value type's own default, stated there alone."""
+    return {key: v for key, v in values.items() if v is not None}
 
 
 def _check(key: str, validate, *args):
@@ -158,14 +164,14 @@ def _parse_stag(d: dict) -> Type1 | Type2 | Type3:
     if kind in (1, "1", "type1"):
         _known(d, ("type", "x0", "theta0"), where)
         return Type1(x0=_number(d, "x0", where, required=True),
-                     theta0=_number(d, "theta0", where, 3 * math.pi / 2))
+                     **_given(theta0=_number(d, "theta0", where)))
     if kind in (2, "2", "type2"):
         _known(d, ("type", "y0", "theta0"), where)
         return Type2(y0=_number(d, "y0", where, required=True),
-                     theta0=_number(d, "theta0", where, 0.0))
+                     **_given(theta0=_number(d, "theta0", where)))
     if kind in (3, "3", "type3"):
         _known(d, ("type", "theta_star"), where)
-        return Type3(theta_star=_number(d, "theta_star", where, -math.pi / 2))
+        return Type3(**_given(theta_star=_number(d, "theta_star", where)))
     raise ConfigError(f"unknown stagnation type {kind!r}")
 
 
@@ -189,9 +195,11 @@ def _parse_problem(mapping) -> ProblemSpec:
         beta=_number(prob, "beta", "problem", required=True),
         stag=_parse_stag(_need(prob, "stagnation", "problem")),
         domain=_parse_domain(prob),
-        weight_constant=_number(prob, "weight_constant", "problem", 1.0))
-    # every analysis scale is a fraction of delta, which must be positive
+        **_given(weight_constant=_number(prob, "weight_constant", "problem")))
+    # every analysis scale is a fraction of delta, which must be positive,
+    # and a type-3 theta_star must be the bisector of a corner pair
     _check("problem.stagnation", stagnation_point, spec)
+    _check("problem.stagnation", oracle.blowup_limit, spec)
     return spec
 
 
@@ -210,7 +218,7 @@ def parse_config(data: dict) -> PipelineConfig:
             _number(grid_cfg, "ny", "grid", kind=int, required=True))
         sol = _known(data.get("solver") or {}, ("max_iters",), "solver")
         solver = SolverParams(
-            max_iters=_number(sol, "max_iters", "solver", 6000, int))
+            **_given(max_iters=_number(sol, "max_iters", "solver", int)))
         if solver.max_iters < 1:
             raise ConfigError("solver.max_iters must be at least 1, "
                               f"not {solver.max_iters}")
@@ -221,17 +229,17 @@ def parse_config(data: dict) -> PipelineConfig:
             "analysis.blowup_radii", bw.check_schedule, blowup_radii, grid,
             spec.stagnation_location)
         out = _known(data.get("outputs") or {}, ("directory",), "outputs")
-        directory = out.get("directory", "out")
-        if not isinstance(directory, str):
-            raise ConfigError(
-                f"outputs.directory must be a string, not {directory!r}")
+        if not isinstance(out.get("directory", ""), str):
+            raise ConfigError("outputs.directory must be a string, "
+                              f"not {out['directory']!r}")
+        outputs = OutputConfig(**out)
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     return PipelineConfig(problem=spec, grid=grid, solver=solver,
                           blowup_radii=blowup_radii,
-                          outputs=OutputConfig(directory), raw=data)
+                          outputs=outputs, raw=data)
 
 
 def load_config(path) -> PipelineConfig:
@@ -252,11 +260,11 @@ def load_config(path) -> PipelineConfig:
 
 def build_boundary(cfg: PipelineConfig):
     """Full-grid array whose ring holds the Dirichlet data, the oracle's
-    blow-up profile (on type 3, that of the downward axis-symmetric
-    pair), and that profile.  The profile is evaluated on the ring alone,
-    the only nodes ``minimize_energy`` reads; the interior is zero."""
+    blow-up profile (on type 3, the cone about theta_star), and that
+    profile.  The profile is evaluated on the ring alone, the only nodes
+    ``minimize_energy`` reads; the interior is zero."""
     spec = cfg.problem
-    profile = oracle.blowup_limit(spec, oracle.angle_pair(spec.alpha, spec.beta))
+    profile = oracle.blowup_limit(spec)
     X, Y = cfg.grid.mesh()
     ring = boundary_ring(cfg.grid)
     vals = np.zeros(X.shape)
@@ -298,7 +306,7 @@ def run_analysis(cfg: PipelineConfig, u: ScalarField, sp: StagnationPoint):
 def run_classify(cfg: PipelineConfig, density: float):
     try:
         spec = cfg.problem
-        if spec.model.bisector is None:  # type 3: every corner pair
+        if spec.model.theta0 is None:  # type 3: every corner pair
             pairs = oracle.corner_pairs(spec.alpha, spec.beta)
             corner = [oracle.corner_density(spec, p.theta1, p.theta2) for p in pairs]
         else:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cornerwave as cw
-from cornerwave.oracle import angle_pair, blowup_limit, evaluate_at_points
+from cornerwave.oracle import blowup_limit, evaluate_at_points
 
 
 @dataclass
@@ -24,8 +24,8 @@ class SolvedCase:
     wall_time: float
 
 
-def _solve_case(spec, n, pair=None, params=None):
-    profile = blowup_limit(spec, pair) if pair is not None else blowup_limit(spec)
+def _solve_case(spec, n, params=None):
+    profile = blowup_limit(spec)
     grid = cw.GridSpec.from_domain(spec.domain, n, n)
     X, Y = grid.mesh()
     bd = np.asarray(evaluate_at_points(profile, X, Y, spec.stagnation_location))
@@ -58,11 +58,11 @@ def alpha2():
 
 
 def type3():
-    """72-degree doubly degenerate corner: alpha=2, beta=1, seeded with the
-    downward axis-symmetric angle pair."""
+    """72-degree doubly degenerate corner: alpha=2, beta=1, the cone about
+    the downward axis (``Type3``'s default theta_star)."""
     spec = cw.ProblemSpec(alpha=2.0, beta=1.0, stag=cw.Type3(),
                           domain=cw.Rect(-1.0, -1.0, 1.0, 1.0))
-    return _solve_case(spec, 257, pair=angle_pair(2.0, 1.0))
+    return _solve_case(spec, 257)
 
 
 def blowup():

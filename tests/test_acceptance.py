@@ -249,12 +249,11 @@ def test_criterion_08_first_variation():
 def test_criterion_09_classifier_trichotomy():
     n_checked = 0
     for spec in _all_subcase_specs():
+        prof = blowup_limit(spec)
         if isinstance(spec.stag, cw.Type3):
             pairs = solve_angle_pairs(spec.alpha, spec.beta)
             corner = [corner_density(spec, p.theta1, p.theta2) for p in pairs]
-            prof = blowup_limit(spec, pairs[0])
         else:
-            prof = blowup_limit(spec)
             corner = corner_density(spec, prof.theta1, prof.theta2)
         full = full_ball_density(spec)
         grid = cw.GridSpec.from_domain(

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import types
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ import cornerwave.energy as energy_module
 from cornerwave.energy import (boundary_ring, bump_vector_field,
                                domain_variation_residual, energy,
                                harmonic_extension, support_mask)
-from cornerwave.oracle import angle_pair, blowup_limit, evaluate_at_points
+from cornerwave.oracle import blowup_limit, evaluate_at_points
 from cornerwave.pipeline import build_boundary, parse_config
 from references import (energy_raw_one_expression, five_point_2d,
                         harmonic_residual, profile_field,
@@ -492,13 +493,15 @@ def kernel_case(kind, nx, ny, **params):
                                       y0 + (ny - 1) * h))
         profile = blowup_limit(spec)
     else:                  # type 3: no envelope, air above the seed cone
-        # "type3-tilted" turns the air half-plane 0.4 rad off the grid
-        # axes, which still leaves the cone on the fluid side
-        theta_star = -math.pi / 2.0 + (0.4 if kind == "type3-tilted" else 0.0)
-        spec = cw.ProblemSpec(2.0, 1.0, cw.Type3(theta_star=theta_star),
+        spec = cw.ProblemSpec(2.0, 1.0, cw.Type3(),
                               cw.Rect(-1.0, -1.0, -1.0 + (nx - 1) * h,
                                       -1.0 + (ny - 1) * h))
-        profile = blowup_limit(spec, angle_pair(2.0, 1.0))
+        profile = blowup_limit(spec)
+        if kind == "type3-tilted":
+            # the air half-plane 0.4 rad off the grid axes, which still
+            # leaves the cone of the ring data on the fluid side; no cone
+            # is about that angle, so the data stay the downward cone's
+            spec = replace(spec, stag=cw.Type3(theta_star=-math.pi / 2 + 0.4))
     grid = cw.GridSpec.from_domain(spec.domain, nx, ny)
     X, Y = grid.mesh()
     bd = np.asarray(evaluate_at_points(profile, X, Y, spec.stagnation_location))
@@ -1508,6 +1511,20 @@ class TestHarmonicExtension:
         data = np.zeros((33, 33))
         assert not np.any(harmonic_extension(grid, data, boundary_ring(grid),
                                              None))
+
+    @pytest.mark.parametrize("axis", [None, 16])
+    @pytest.mark.parametrize("k", [530, 660])
+    def test_small_data_scale_exactly(self, k, axis):
+        # the residual's squares underflow below about 1e-154 (NaN start
+        # at 2^-530, no CG step at 2^-660); the solve scales its
+        # right-hand side by a power of two, so the start scales exactly
+        spec, grid, bd, _ = kernel_case("stokes", 33, 33)
+        data = 0.5 * (bd + bd[:, ::-1])   # its own mirror about column 16
+        pinned = support_mask(spec, grid)
+        base = harmonic_extension(grid, data, pinned, axis)
+        small = harmonic_extension(grid, data * 2.0 ** -k, pinned, axis)
+        assert np.all(np.isfinite(small)) and np.any(base > 0)
+        assert small.tobytes() == (base * 2.0 ** -k).tobytes()
 
     def test_capped_iterations_raise(self, monkeypatch):
         # a start that is not solved is refused, not returned

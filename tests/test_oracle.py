@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import mpmath
 import numpy as np
@@ -25,8 +26,9 @@ def spec_11(alpha=0.0, beta=1.0, x0=-1.0, c=1.0):
     return cw.ProblemSpec(alpha, beta, cw.Type1(x0=x0), BIG, weight_constant=c)
 
 
-def spec_3(alpha=1.0, beta=1.0, c=1.0):
-    return cw.ProblemSpec(alpha, beta, cw.Type3(), BIG, weight_constant=c)
+def spec_3(alpha=1.0, beta=1.0, c=1.0, theta_star=-math.pi / 2):
+    return cw.ProblemSpec(alpha, beta, cw.Type3(theta_star=theta_star), BIG,
+                          weight_constant=c)
 
 
 def sym_pair(alpha, beta):
@@ -55,13 +57,18 @@ class TestBlowupLimit:
                                         rel=1e-12)
 
     def test_type3_symmetric_pair(self):
-        prof = blowup_limit(spec_3(1.0, 1.0), sym_pair(1.0, 1.0))
+        prof = blowup_limit(spec_3(1.0, 1.0))
+        assert (prof.theta1, prof.theta2) == astuple(sym_pair(1.0, 1.0))
         assert prof.degree == 2.0
         assert prof.C0 == pytest.approx(0.5 / math.sqrt(2.0), rel=1e-14)
 
-    def test_type3_requires_pair(self):
-        with pytest.raises(cw.InvalidSpec):
-            blowup_limit(spec_3())
+    def test_type3_refuses_a_bisector_off_every_pair(self):
+        with pytest.raises(cw.InvalidSpec, match="edge weights differ"):
+            blowup_limit(spec_3(2.0, 1.0, theta_star=-1.0))
+        # at alpha = beta = 1 every cone balances, but one about a
+        # diagonal puts both edges on the axes
+        with pytest.raises(cw.InvalidSpec, match="degenerate cone"):
+            blowup_limit(spec_3(theta_star=-math.pi / 4))
 
     def test_edge_gradient_identity_all_subcases(self):
         # |grad u0|^2 on each cone edge equals the weight there (eq of the
@@ -73,8 +80,7 @@ class TestBlowupLimit:
                   for y, th in [(-1, left), (1, right), (-1, right), (1, left)]]
         specs += [spec_3(1.0, 2.0)]
         for spec in specs:
-            pair = sym_pair(1.0, 2.0) if isinstance(spec.stag, cw.Type3) else None
-            prof = blowup_limit(spec, pair) if pair else blowup_limit(spec)
+            prof = blowup_limit(spec)
             for edge in (prof.theta1, prof.theta2):
                 inside = edge + 1e-12 if edge == prof.theta1 else edge - 1e-12
                 grad2 = profile_gradient_sq(prof, 1.0, inside)
@@ -416,8 +422,8 @@ class TestChebyshev:
         alpha, beta = 2.0, 1.0
         pair = solve_angle_pairs(alpha, beta)[2]
         a, b, C0, phi0 = chebyshev_coefficients(pair.theta1, alpha, beta)
-        spec = spec_3(alpha, beta)
-        prof = blowup_limit(spec, pair)
+        prof = blowup_limit(spec_3(alpha, beta,
+                                   theta_star=(pair.theta1 + pair.theta2) / 2))
         k = prof.degree
         thetas = pair.theta1 + (pair.theta2 - pair.theta1) * np.linspace(0, 1, 100)
         via_coeffs = C0 * np.cos(k * thetas + phi0)

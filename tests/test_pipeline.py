@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,8 @@ from cornerwave import blowup as bw
 from cornerwave import cli, oracle, pipeline
 from cornerwave.domain import reference_grid
 from cornerwave.energy import boundary_ring
-from cornerwave.oracle import (AnglePair, angle_pair, blowup_limit,
-                               corner_density, evaluate_at_points)
+from cornerwave.oracle import (AnglePair, blowup_limit, corner_density,
+                               evaluate_at_points)
 from cornerwave.pipeline import (AnalysisError, ConfigError,
                                  _marching_segments, build_boundary,
                                  load_config, parse_config, run, run_classify,
@@ -29,7 +30,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = CONFIGS.parent / "src"
 # the bundled configs that solve
 SOLVED = ["stokes", "corner_beta2", "corner_alpha2", "corner_type3",
-          "blowup_convergence"]
+          "corner_type3_x", "blowup_convergence"]
 # the settable values outside problem: and grid:
 SETTABLE = ("solver.max_iters", "analysis.blowup_radii", "outputs.directory")
 # settable values that may take one value across the bundled configs, and
@@ -183,10 +184,46 @@ class TestConfigParsing:
         assert bw.REFERENCE_N == 129
         assert cw.rescale(u, sp, 0.2).grid == reference_grid(129)
 
+    def test_left_out_settings_take_the_value_types_defaults(self):
+        # the parser restates no default: every key left out (or null)
+        # takes the default of the type that holds it
+        data = {"problem": {"alpha": 0.0, "beta": 1.0,
+                            "stagnation": {"type": 1, "x0": -1.0},
+                            "domain": [-2.0, -1.0, 0.0, 1.0]},
+                "grid": {"nx": 33, "ny": 33}}
+        cfg = parse_config(data)
+        assert cfg.problem == cw.ProblemSpec(0.0, 1.0, cw.Type1(x0=-1.0),
+                                             cw.Rect(-2.0, -1.0, 0.0, 1.0))
+        assert cfg.solver == cw.SolverParams()
+        assert cfg.outputs == pipeline.OutputConfig()
+        assert cfg.blowup_radii == []
+        data["problem"].update(weight_constant=None, stagnation={
+            "type": 3, "theta_star": None})
+        data["problem"]["domain"] = [-1.0, -1.0, 1.0, 1.0]
+        data["problem"]["alpha"] = 2.0
+        data["solver"] = {"max_iters": None}
+        assert parse_config(data).problem.stag == cw.Type3()
+        assert parse_config(data).solver == cw.SolverParams()
+        for stag in ({"type": 2, "y0": 0.5}, {"type": 2, "y0": 0.5,
+                                               "theta0": None}):
+            data["problem"]["stagnation"] = stag
+            assert parse_config(data).problem.stag == cw.Type2(y0=0.5)
+
+    def test_cli_default_directory_is_the_config_type_default(
+            self, tmp_path, monkeypatch):
+        # a config that cannot be read leaves its record in the default
+        # output directory, the one OutputConfig names
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["run", "--config", "missing.yaml"]) == 2
+        assert json.loads((tmp_path / pipeline.OutputConfig().directory
+                           / "error.json").read_text())["stage"] == "config"
+
     def test_seed_pair_equals_the_retired_setting(self):
-        # the boundary.pair_theta1 that corner_type3.yaml set: the
-        # downward axis-symmetric pair to the bit, so the seed is unchanged
-        assert angle_pair(2.0, 1.0).theta1 == -2.199114857512855
+        # the boundary.pair_theta1 that corner_type3.yaml set: the cone
+        # about its theta_star to the bit, so the seed is unchanged
+        prof = blowup_limit(load_config(CONFIGS / "corner_type3.yaml").problem)
+        assert prof.theta1 == -2.199114857512855
+        assert prof.theta2 == -2.199114857512855 + 2 * math.pi / 5
 
     def test_settable_keys_outside_problem_and_grid(self):
         # every key the parser accepts outside problem: and grid:, read
@@ -288,13 +325,15 @@ class TestRun:
 class TestBuildBoundary:
     @pytest.mark.parametrize("name", SOLVED)
     def test_seed_is_the_oracle_profile(self, name):
-        # on the ring, the blow-up profile of the downward axis-symmetric
-        # pair, written out from the cone edges and degree, nonzero inside
-        # the cone only; zero inside, which the solve does not read
+        # on the ring, the blow-up profile of the cone about the model's
+        # bisector, written out from the cone edges and degree, nonzero
+        # inside the cone only; zero inside, which the solve does not read
         cfg = load_config(CONFIGS / f"{name}.yaml")
         vals, profile = build_boundary(cfg)
         spec = cfg.problem
-        assert profile == blowup_limit(spec, angle_pair(spec.alpha, spec.beta))
+        assert profile == blowup_limit(spec)
+        assert (profile.theta1 + profile.theta2) / 2 == pytest.approx(
+            spec.model.bisector, abs=1e-15)
         ring = boundary_ring(cfg.grid)
         X, Y = (a[ring] for a in cfg.grid.mesh())
         x0, y0 = spec.stagnation_location
@@ -440,13 +479,69 @@ class TestClassifyPairs:
             return corner_density(spec, theta1, theta2)
 
         monkeypatch.setattr(oracle, "corner_density", recording)
-        seed = angle_pair(alpha, beta)
+        seed = blowup_limit(spec)
         report = run_classify(parse_config(data),
                               corner_density(spec, seed.theta1, seed.theta2))
         assert report.verdict == "corner"
         assert len(scored_pairs) == scored
-        for pair in scored_pairs:
-            blowup_limit(spec, pair)
+        for pair in scored_pairs:   # each the cone about its bisector
+            blowup_limit(replace(spec, stag=cw.Type3(
+                theta_star=(pair.theta1 + pair.theta2) / 2)))
+
+
+def type3_config(tmp_path, theta_star, n=65):
+    """corner_type3.yaml with ``theta_star`` on an n x n grid, writing
+    into a directory of its own under ``tmp_path``."""
+    data = yaml.safe_load((CONFIGS / "corner_type3.yaml").read_text())
+    data["problem"]["stagnation"]["theta_star"] = theta_star
+    data["grid"] = {"nx": n, "ny": n}
+    data["outputs"]["directory"] = str(tmp_path / f"{theta_star:+.6f}")
+    return data
+
+
+class TestThetaStar:
+    """A type-3 point's cone is the one about its theta_star: the ring
+    data, the air half-plane and the profile all follow it."""
+
+    def test_upward_cone_mirrors_the_downward(self, tmp_path):
+        # theta* = pi/2 is the y-mirror of theta* = -pi/2; on 65^2 both
+        # solve in 110 sweeps (at 129^2 theta* = 0 runs to the cap)
+        found = []
+        for theta_star in (-math.pi / 2, math.pi / 2):
+            cfg = parse_config(type3_config(tmp_path, theta_star))
+            manifest = run(cfg)
+            out = Path(cfg.outputs.directory)
+            found.append((manifest,
+                          json.loads((out / "blowup.json").read_text()),
+                          json.loads((out / "classification.json").read_text())))
+        (m_down, b_down, c_down), (m_up, b_up, c_up) = found
+        assert m_down["classification"] == m_up["classification"] == "corner"
+        assert m_down["solver"]["iterations"] == m_up["solver"]["iterations"]
+        assert b_up["opening"] == pytest.approx(b_down["opening"], abs=1e-12)
+        assert b_up["directions"] == pytest.approx(
+            [-t for t in reversed(b_down["directions"])], abs=1e-12)
+        assert b_up["density_estimate"] == pytest.approx(
+            b_down["density_estimate"], rel=1e-12)
+        assert c_up["distance_to_corner_density"] == pytest.approx(
+            c_down["distance_to_corner_density"], rel=1e-9)
+
+    def test_every_corner_pair_bisector_parses(self, tmp_path):
+        pairs = oracle.corner_pairs(2.0, 1.0)
+        assert len(pairs) == 12
+        for p in pairs:
+            cfg = parse_config(type3_config(tmp_path, (p.theta1 + p.theta2) / 2))
+            prof = blowup_limit(cfg.problem)
+            assert prof.theta1 == pytest.approx(p.theta1, abs=1e-14)
+            assert prof.theta2 == pytest.approx(p.theta2, abs=1e-14)
+
+    def test_bundled_cone_about_x(self):
+        # corner_type3_x.yaml is corner_type3.yaml with the cone about +x
+        down = yaml.safe_load((CONFIGS / "corner_type3.yaml").read_text())
+        right = yaml.safe_load((CONFIGS / "corner_type3_x.yaml").read_text())
+        assert right["problem"]["stagnation"]["theta_star"] == 0.0
+        down["problem"]["stagnation"]["theta_star"] = 0.0
+        del down["outputs"], right["outputs"]
+        assert down == right
 
 
 class TestTable1Writer:
@@ -601,6 +696,10 @@ MALFORMED = {
                 "problem.stagnation.x0"),
     "text_y0": (("problem", "stagnation", {"type": 2, "y0": "abc"}),
                 "problem.stagnation.y0"),
+    # a type-3 theta* that is no corner pair's bisector
+    "theta_star_off_every_pair": (("problem", "stagnation",
+                                   {"type": 3, "theta_star": -1.0}),
+                                  "problem.stagnation: edge weights differ"),
     "short_domain": (("problem", "domain", [-1.0, -1.0, 1.0]),
                      "problem.domain"),
     "text_domain": (("problem", "domain", [-1.0, -1.0, "abc", 1.0]),

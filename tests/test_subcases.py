@@ -15,6 +15,7 @@ solver itself to the maps and to the weight scaling u -> sqrt(c) u.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ import cornerwave as cw
 from cornerwave.domain import (value_envelope_monomial, weight_gradient_at,
                                wrap_angle)
 from cornerwave.energy import support_mask
-from cornerwave.oracle import (AnglePair, angular_weight, blowup_limit,
+from cornerwave.oracle import (angular_weight, blowup_limit,
                                corner_density, corner_pairs,
                                evaluate_at_points, full_ball_density)
 
@@ -111,13 +112,6 @@ def same_angle(a, b, tol=1e-12):
     assert abs(wrap_angle(a - b)) <= tol, (a, b)
 
 
-def mapped_pair(profile, angle_map, alpha, beta):
-    """The image cone of a type-3 profile, as a pair of the image spec."""
-    t1 = angle_map(profile.theta2)
-    A = 2 * math.pi / (alpha + beta + 2)
-    return AnglePair(theta1=t1, theta2=t1 + A)
-
-
 @pytest.mark.parametrize("kind", ["mirror", "swap"])
 @pytest.mark.parametrize("label,alpha,beta", CASES)
 class TestSubcaseMaps:
@@ -156,16 +150,14 @@ class TestSubcaseMaps:
     def test_blowup_edges_and_density(self, kind, label, alpha, beta):
         spec_map, _, angle_map, _, _ = MAPS[kind]
         spec = make(label, alpha, beta)
-        image = spec_map(spec)
-        if isinstance(spec.stag, cw.Type3):
-            profiles = [blowup_limit(spec, p) for p in corner_pairs(alpha, beta)]
-            images = [blowup_limit(image, mapped_pair(p, angle_map,
-                                                      image.alpha, image.beta))
-                      for p in profiles]
-        else:
-            profiles = [blowup_limit(spec)]
-            images = [blowup_limit(image)]
-        for prof, img in zip(profiles, images):
+        # a type-3 point on the cone about each corner pair, whose image
+        # cone the map carries with theta*
+        specs = [spec] if not isinstance(spec.stag, cw.Type3) else [
+            replace(spec, stag=cw.Type3(theta_star=(p.theta1 + p.theta2) / 2))
+            for p in corner_pairs(alpha, beta)]
+        for s in specs:
+            image = spec_map(s)
+            prof, img = blowup_limit(s), blowup_limit(image)
             assert img.degree == prof.degree
             assert img.C0 == pytest.approx(prof.C0, rel=1e-12)
             assert img.prefactor == pytest.approx(prof.prefactor, rel=1e-14)
@@ -174,7 +166,7 @@ class TestSubcaseMaps:
             same_angle(img.theta1, angle_map(prof.theta2))
             same_angle(img.theta2, angle_map(prof.theta1))
             assert corner_density(image, img.theta1, img.theta2) == pytest.approx(
-                corner_density(spec, prof.theta1, prof.theta2), rel=1e-10)
+                corner_density(s, prof.theta1, prof.theta2), rel=1e-10)
 
     def test_fields_on_mapped_grids(self, kind, label, alpha, beta):
         spec_map, point_map, _, field_map, _ = MAPS[kind]

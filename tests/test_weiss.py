@@ -7,7 +7,7 @@ import pytest
 import cornerwave as cw
 from cornerwave import quadrature, weiss
 from cornerwave.pipeline import write_csv
-from cornerwave.oracle import AnglePair, blowup_limit, corner_density
+from cornerwave.oracle import blowup_limit, corner_density
 from cornerwave.quadrature import circle_integrals_u2, disk_stencils
 from cornerwave.blowup import profile_radii
 from references import profile_field, radial_sweep_all_at_once, weiss_energy
@@ -45,14 +45,14 @@ class TestWeissEnergy:
             assert weiss_energy(spec, u, sp, r) == pytest.approx(SQRT3_3, abs=1e-2)
 
     def test_constant_on_type3_profile(self):
+        # the quarter-turn cone about the downward axis
         spec = cw.ProblemSpec(1.0, 1.0, cw.Type3(), cw.Rect(-1, -1, 1, 1))
-        A = math.pi / 2
-        pair = AnglePair(theta1=-3 * math.pi / 4, theta2=-3 * math.pi / 4 + A)
-        prof = blowup_limit(spec, pair)
+        prof = blowup_limit(spec)
+        assert (prof.theta1, prof.theta2) == (-3 * math.pi / 4, -math.pi / 4)
         grid = cw.GridSpec.from_domain(spec.domain, 513, 513)
         u = profile_field(prof, grid, (0.0, 0.0))
         sp = cw.stagnation_point(spec)
-        target = corner_density(spec, pair.theta1, pair.theta2)
+        target = corner_density(spec, prof.theta1, prof.theta2)
         assert target == pytest.approx(1.0 / 8.0, abs=1e-10)
         for r in (0.1, 0.25, 0.45):
             assert weiss_energy(spec, u, sp, r) == pytest.approx(target, abs=1e-2)
