@@ -202,8 +202,9 @@ class TestConfigParsing:
         data["problem"]["domain"] = [-1.0, -1.0, 1.0, 1.0]
         data["problem"]["alpha"] = 2.0
         data["solver"] = {"max_iters": None}
-        assert parse_config(data).problem.stag == cw.Type3()
-        assert parse_config(data).solver == cw.SolverParams()
+        cfg = parse_config(data)
+        assert cfg.problem.stag == cw.Type3()
+        assert cfg.solver == cw.SolverParams()
         for stag in ({"type": 2, "y0": 0.5}, {"type": 2, "y0": 0.5,
                                                "theta0": None}):
             data["problem"]["stagnation"] = stag
