@@ -228,10 +228,9 @@ def estimate_asymptotic_directions(u0: ScalarField, center,
     and ``opening`` is their difference.  Raises EmptyPositivity when no
     annulus meets the set; more than one angular component is reported,
     not fatal."""
-    vals = u0.values.astype(float)
     per = []
     disconnected = False
-    all_arcs = _positivity_arcs(vals, u0.grid, ANNULI * radius, center)
+    all_arcs = _positivity_arcs(u0.values, u0.grid, ANNULI * radius, center)
     for rho, arcs in zip(ANNULI, all_arcs):
         if not arcs:
             continue
@@ -321,18 +320,13 @@ class ClassificationReport:
     distance_to_full_density: float
     theoretical_note: str
     best_corner_density: float
-    best_pair_index: int | None = None
 
 
-def classify(density_estimate: float, corner_densities,
+def classify(density_estimate: float, corner_density: float,
              full_density: float) -> ClassificationReport:
-    """Nearest-of-three verdict; ``corner_densities`` is a scalar or, for
-    type 3, one density per admissible angle pair (the distance is
-    minimized over them)."""
-    cd = np.atleast_1d(np.asarray(corner_densities, dtype=float))
-    dists = np.abs(density_estimate - cd)
-    i_best = int(np.argmin(dists))
-    d_corner = float(dists[i_best])
+    """Nearest-of-three verdict: the corner density of the run's own
+    cone, zero (cusp) or the full-ball density (flat)."""
+    d_corner = abs(density_estimate - corner_density)
     d_zero = abs(density_estimate)
     d_full = abs(density_estimate - full_density)
     verdict = ("corner", "cusp", "flat")[int(np.argmin([d_corner, d_zero, d_full]))]
@@ -341,5 +335,4 @@ def classify(density_estimate: float, corner_densities,
         distance_to_corner_density=d_corner, distance_to_zero=d_zero,
         distance_to_full_density=d_full,
         theoretical_note=EXCLUSION_NOTE if verdict in ("cusp", "flat") else "",
-        best_corner_density=float(cd[i_best]),
-        best_pair_index=i_best if cd.size > 1 else None)
+        best_corner_density=corner_density)

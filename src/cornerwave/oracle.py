@@ -224,20 +224,6 @@ def snap_symmetric_root(alpha: float, beta: float, theta1: float) -> float:
     return theta1
 
 
-def angle_pair(alpha: float, beta: float, theta1: float) -> AnglePair:
-    """The type-3 pair with edges theta1 and theta1 + 2 pi/(alpha+beta+2).
-    Raises InvalidPair unless both edge weights agree and are positive."""
-    A = TWO_PI / (alpha + beta + 2.0)
-    t1 = float(theta1)
-    w1 = float(_type3_weight(alpha, beta, t1))
-    w2 = float(_type3_weight(alpha, beta, t1 + A))
-    tol = _edge_tolerance(w1, w2)
-    if abs(w1 - w2) > tol or w1 <= tol:
-        raise InvalidPair(f"theta1={t1:.12g} is no admissible pair: "
-                          f"edge weights {w1:.6g} and {w2:.6g}")
-    return AnglePair(theta1=t1, theta2=t1 + A)
-
-
 def _canonical_degenerate_pairs(alpha: float, beta: float) -> list[float]:
     # alpha = beta = 1 balances the edge weights identically; return the
     # eight pairs that the generic families limit onto (bisectors on the
@@ -295,14 +281,16 @@ def solve_angle_pairs(alpha: float, beta: float) -> list[AnglePair]:
 
 def corner_pairs(alpha: float, beta: float) -> list[AnglePair]:
     """The pairs of ``solve_angle_pairs`` that carry a corner profile,
-    i.e. that ``angle_pair`` admits.  At alpha = beta = 1 this drops the
-    four canonical pairs with a diagonal bisector: their edges lie on the
-    axes, where the edge weight vanishes."""
+    i.e. whose bisector ``blowup_limit`` admits as a type-3 theta_star.
+    At alpha = beta = 1 this drops the four canonical pairs with a
+    diagonal bisector: their edges lie on the axes, where the edge weight
+    vanishes."""
     out = []
     for p in solve_angle_pairs(alpha, beta):
+        stag = Type3(theta_star=0.5 * (p.theta1 + p.theta2))
         try:
-            angle_pair(alpha, beta, p.theta1)
-        except InvalidPair:
+            blowup_limit(ProblemSpec(alpha, beta, stag, Rect(-1.0, -1.0, 1.0, 1.0)))
+        except InvalidSpec:
             continue
         out.append(p)
     return out

@@ -61,9 +61,10 @@ import yaml
 
 from . import blowup as bw
 from . import oracle
-from .domain import (DegenerateDenominator, GridSpec, ProblemSpec, Rect,
-                     ScalarField, StagnationPoint, Type1, Type2, Type3,
-                     load_field, save_field, stagnation_point)
+from .domain import (DegenerateDenominator, GridSpec, InvalidSpec,
+                     ProblemSpec, Rect, ScalarField, StagnationPoint, Type1,
+                     Type2, Type3, load_field, save_field, stagnation_point,
+                     wrap_angle)
 from .energy import (SolverParams, SolveResult, boundary_ring,
                      minimize_energy)
 from .frequency import frequency_profile
@@ -196,10 +197,18 @@ def _parse_problem(mapping) -> ProblemSpec:
         stag=_parse_stag(_need(prob, "stagnation", "problem")),
         domain=_parse_domain(prob),
         **_given(weight_constant=_number(prob, "weight_constant", "problem")))
-    # every analysis scale is a fraction of delta, which must be positive,
-    # and a type-3 theta_star must be the bisector of a corner pair
+    # every analysis scale is a fraction of delta, which must be positive
     _check("problem.stagnation", stagnation_point, spec)
-    _check("problem.stagnation", oracle.blowup_limit, spec)
+    try:
+        oracle.blowup_limit(spec)
+    except InvalidSpec as exc:
+        # only a type-3 cone can fail: its theta_star must bisect a corner pair
+        bisectors = sorted(wrap_angle(0.5 * (p.theta1 + p.theta2))
+                           for p in oracle.corner_pairs(spec.alpha, spec.beta))
+        raise ConfigError(
+            f"problem.stagnation: {exc}; theta_star must be one of "
+            + ", ".join(f"{b!r} ({math.degrees(b):.2f} deg)" for b in bisectors)
+        ) from None
     return spec
 
 
@@ -304,16 +313,13 @@ def run_analysis(cfg: PipelineConfig, u: ScalarField, sp: StagnationPoint):
 
 
 def run_classify(cfg: PipelineConfig, density: float):
+    """The verdict on ``density`` against the corner density of the cone
+    ``build_boundary`` traced."""
     try:
         spec = cfg.problem
-        if spec.model.theta0 is None:  # type 3: every corner pair
-            pairs = oracle.corner_pairs(spec.alpha, spec.beta)
-            corner = [oracle.corner_density(spec, p.theta1, p.theta2) for p in pairs]
-        else:
-            prof = oracle.blowup_limit(spec)
-            corner = oracle.corner_density(spec, prof.theta1, prof.theta2)
-        full = oracle.full_ball_density(spec)
-        return bw.classify(density, corner, full)
+        prof = oracle.blowup_limit(spec)
+        corner = oracle.corner_density(spec, prof.theta1, prof.theta2)
+        return bw.classify(density, corner, oracle.full_ball_density(spec))
     except Exception as exc:
         raise AnalysisError(f"classification failed: {exc}") from exc
 

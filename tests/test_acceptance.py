@@ -250,11 +250,7 @@ def test_criterion_09_classifier_trichotomy():
     n_checked = 0
     for spec in _all_subcase_specs():
         prof = blowup_limit(spec)
-        if isinstance(spec.stag, cw.Type3):
-            pairs = solve_angle_pairs(spec.alpha, spec.beta)
-            corner = [corner_density(spec, p.theta1, p.theta2) for p in pairs]
-        else:
-            corner = corner_density(spec, prof.theta1, prof.theta2)
+        corner = corner_density(spec, prof.theta1, prof.theta2)
         full = full_ball_density(spec)
         grid = cw.GridSpec.from_domain(
             cw.Rect(*_window_around(spec)), 257, 257)

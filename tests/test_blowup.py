@@ -278,15 +278,6 @@ class TestClassify:
         assert rep.verdict == "flat"
         assert "excluded" in rep.theoretical_note
 
-    def test_type3_minimizes_over_pairs(self):
-        spec = cw.ProblemSpec(2.0, 1.0, cw.Type3(), cw.Rect(-1, -1, 1, 1))
-        pairs = cw.solve_angle_pairs(2.0, 1.0)
-        dens = [cw.corner_density(spec, p.theta1, p.theta2) for p in pairs]
-        rep = cw.classify(dens[3] + 1e-4, dens, cw.full_ball_density(spec))
-        assert rep.verdict == "corner"
-        assert rep.best_pair_index is not None
-        assert dens[rep.best_pair_index] == pytest.approx(dens[3], abs=1e-12)
-
 
 class TestBlowupAnalysis:
     def test_result_shape_on_exact_profile(self):

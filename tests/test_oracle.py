@@ -12,7 +12,8 @@ import cornerwave as cw
 from cornerwave.domain import wrap_angle
 from cornerwave.oracle import (AnglePair, _angular_integral, _merge_circular,
                                angular_weight, blowup_limit, conclusion_table,
-                               corner_density, edge_weight_mismatch,
+                               corner_density, corner_pairs,
+                               edge_weight_mismatch,
                                evaluate_blowup_limit, full_ball_density,
                                snap_symmetric_root, solve_angle_pairs)
 from references import (DomainError, angle_condition, chebyshev_coefficients,
@@ -399,6 +400,31 @@ class TestAnglePairs:
         sym = [p for p in pairs if pair_symmetric(2.0, 1.0, p.theta1)]
         # four pairs reflect across a coordinate axis
         assert len(sym) == 4
+
+
+class TestCornerPairs:
+    @pytest.mark.parametrize("alpha, beta, count", [(1.0, 1.0, 4), (2.0, 1.0, 12)])
+    def test_blowup_limit_admits_each_pair(self, alpha, beta, count):
+        # at alpha = beta = 1 four of the eight canonical pairs put both
+        # edges on the axes, where the edge weight vanishes and no corner
+        # profile exists
+        pairs = corner_pairs(alpha, beta)
+        assert len(pairs) == count
+        for p in pairs:   # each the cone about its bisector
+            prof = blowup_limit(spec_3(alpha, beta,
+                                       theta_star=(p.theta1 + p.theta2) / 2))
+            assert prof.theta1 == pytest.approx(p.theta1, abs=1e-14)
+            assert prof.theta2 == pytest.approx(p.theta2, abs=1e-14)
+
+    def test_scanned_pairs_with_positive_edges(self):
+        # on the (alpha, beta) grid of acceptance criterion 7 a corner pair
+        # is a scanned pair whose edge weight is positive
+        for a in (1.0, 1.5, 2.0, 2.5, 3.0):
+            for b in (1.0, 1.5, 2.0, 2.5, 3.0):
+                expected = [p for p in solve_angle_pairs(a, b)
+                            if abs(math.cos(p.theta1)) ** a
+                            * abs(math.sin(p.theta1)) ** b > 1e-10]
+                assert corner_pairs(a, b) == expected, (a, b)
 
 
 class TestChebyshev:

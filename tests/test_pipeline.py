@@ -7,7 +7,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,12 +18,11 @@ from cornerwave import blowup as bw
 from cornerwave import cli, oracle, pipeline
 from cornerwave.domain import reference_grid
 from cornerwave.energy import boundary_ring
-from cornerwave.oracle import (AnglePair, blowup_limit, corner_density,
+from cornerwave.oracle import (blowup_limit, corner_density,
                                evaluate_at_points)
 from cornerwave.pipeline import (AnalysisError, ConfigError,
                                  _marching_segments, build_boundary,
-                                 load_config, parse_config, run, run_classify,
-                                 write_table1)
+                                 load_config, parse_config, run, write_table1)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = CONFIGS.parent / "src"
@@ -463,33 +461,6 @@ class TestDeterminism:
             assert a == b
 
 
-class TestClassifyPairs:
-    @pytest.mark.parametrize("alpha, beta, scored", [(1.0, 1.0, 4), (2.0, 1.0, 12)])
-    def test_type3_scores_only_corner_pairs(self, monkeypatch, alpha, beta, scored):
-        # at alpha = beta = 1 four of the eight canonical pairs put both
-        # edges on the axes, where the edge weight vanishes and no corner
-        # profile exists; the classifier must not score against them
-        data = json.loads(json.dumps(SMALL_CONFIG))
-        data["problem"].update(alpha=alpha, beta=beta, stagnation={"type": 3},
-                               domain=[-1.0, -1.0, 1.0, 1.0])
-        spec = parse_config(data).problem
-        scored_pairs = []
-
-        def recording(spec, theta1, theta2):
-            scored_pairs.append(AnglePair(theta1, theta2))
-            return corner_density(spec, theta1, theta2)
-
-        monkeypatch.setattr(oracle, "corner_density", recording)
-        seed = blowup_limit(spec)
-        report = run_classify(parse_config(data),
-                              corner_density(spec, seed.theta1, seed.theta2))
-        assert report.verdict == "corner"
-        assert len(scored_pairs) == scored
-        for pair in scored_pairs:   # each the cone about its bisector
-            blowup_limit(replace(spec, stag=cw.Type3(
-                theta_star=(pair.theta1 + pair.theta2) / 2)))
-
-
 def type3_config(tmp_path, theta_star, n=65):
     """corner_type3.yaml with ``theta_star`` on an n x n grid, writing
     into a directory of its own under ``tmp_path``."""
@@ -534,6 +505,33 @@ class TestThetaStar:
             prof = blowup_limit(cfg.problem)
             assert prof.theta1 == pytest.approx(p.theta1, abs=1e-14)
             assert prof.theta2 == pytest.approx(p.theta2, abs=1e-14)
+
+    def test_verdict_scores_its_own_cone(self, tmp_path):
+        # theta* = 0 is classified against the corner density of the cone
+        # its ring data traced, not the nearest of the other pairs'
+        cfg = parse_config(type3_config(tmp_path, 0.0))
+        run(cfg)
+        report = json.loads((Path(cfg.outputs.directory)
+                             / "classification.json").read_text())
+        prof = blowup_limit(cfg.problem)
+        assert report["best_corner_density"] \
+            == corner_density(cfg.problem, prof.theta1, prof.theta2)
+        assert report["distance_to_corner_density"] == abs(
+            report["density_estimate"] - report["best_corner_density"])
+        assert "best_pair_index" not in report
+
+    def test_refusal_names_every_admissible_theta_star(self, tmp_path):
+        # the bisectors of the twelve corner pairs of (2, 1), in (-pi, pi]
+        # (through the CLI: exit 2, MALFORMED["theta_star_off_every_pair"])
+        with pytest.raises(ConfigError, match="edge weights differ") as err:
+            parse_config(type3_config(tmp_path, -1.0))
+        listed = re.findall(r"\((-?\d+\.\d\d) deg\)", str(err.value))
+        assert listed == ["-162.00", "-140.51", "-90.00", "-39.49", "-18.00",
+                          "0.00", "18.00", "39.49", "90.00", "140.51",
+                          "162.00", "180.00"]
+        # each value as printed is a theta* the parser takes
+        for value in re.findall(r"(\S+) \(-?\d+\.\d\d deg\)", str(err.value)):
+            parse_config(type3_config(tmp_path, float(value)))
 
     def test_bundled_cone_about_x(self):
         # corner_type3_x.yaml is corner_type3.yaml with the cone about +x
@@ -614,6 +612,8 @@ class TestReproduceAll:
             digest = hashlib.sha256(b"a.csv\0" + b"1\n" + b"b.csv\0"
                                     + Path(name).stem.encode()).hexdigest()
             assert line.endswith(f"  sha256={digest}")
+            # no report written, so no error read
+            assert "  opening_err=-  density_err=-  " in line
             if verb == "run":
                 assert ("sweeps=910  converged=True  "
                         "final_energy=0.8311472280658553  ") in line
@@ -621,6 +621,23 @@ class TestReproduceAll:
             else:
                 assert "sweeps=-  converged=-  final_energy=-  " in line
                 assert "  winner=-  " in line
+
+    def test_errors_read_from_the_reports(self, monkeypatch, tmp_path):
+        # the opening against pi/degree (72 degrees on type 3), the density
+        # against the run's own corner density
+        script = self.script_with_run(monkeypatch, tmp_path, "corner", True)
+        cfg = load_config(CONFIGS / "corner_type3.yaml")
+        cfg.outputs.directory = str(tmp_path)
+        (tmp_path / "b.json").write_text(
+            json.dumps({"opening": math.radians(73.5)}))
+        (tmp_path / "c.json").write_text(json.dumps(
+            {"distance_to_corner_density": 0.002,
+             "best_corner_density": 0.04}))
+        outputs = {"blowup": "b.json", "classification": "c.json"}
+        assert script.errors(cfg, {"outputs": outputs}) \
+            == ("1.500deg", "5.000%")
+        (tmp_path / "b.json").write_text(json.dumps({"opening": None}))
+        assert script.errors(cfg, {"outputs": outputs}) == ("-", "5.000%")
 
     def test_unconverged_solve_exits_1(self, monkeypatch, capsys, tmp_path):
         # every verdict a corner, but the solves hit their sweep budget
