@@ -10,7 +10,7 @@ from .blowup import (BlowupResult, ClassificationReport, blowup_analysis,
 from .domain import (DegenerateDenominator, EmptyPositivity, GridSpec,
                      InvalidBoundary, InvalidPair, InvalidSpec, ProblemSpec,
                      RadiusOutOfRange, Rect, ScalarField, StagnationPoint,
-                     Type1, Type2, Type3, kappa_for, load_field, save_field,
+                     Type1, Type2, Type3, load_field, save_field,
                      stagnation_point, weight_at)
 # the function ``energy`` stays ``cornerwave.energy.energy``: re-exported,
 # it would shadow its own submodule

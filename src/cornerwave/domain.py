@@ -296,22 +296,14 @@ class ProblemSpec:
         return self.model.location
 
     @property
-    def subcase(self) -> str:
-        return self.model.subcase
-
-    @property
     def kappa(self) -> float:
-        return kappa_for(self)
+        """Rescaling exponent: u_r(X) = r^kappa u(X0 + r X) stays O(1)."""
+        return -(self.model.power + 2.0) / 2.0
 
     @property
     def degree(self) -> float:
         """Positive homogeneity degree of the blow-up limit (= -kappa)."""
-        return -kappa_for(self)
-
-
-def kappa_for(spec: ProblemSpec) -> float:
-    """Rescaling exponent: u_r(X) = r^kappa u(X0 + r X) stays O(1)."""
-    return -(spec.model.power + 2.0) / 2.0
+        return -self.kappa
 
 
 def weight_at(spec: ProblemSpec, x, y):
@@ -477,7 +469,7 @@ def stagnation_point(spec: ProblemSpec) -> StagnationPoint:
     """Build the stagnation point of a spec; delta is half the distance
     from X0 to the domain boundary."""
     loc = spec.stagnation_location
-    return StagnationPoint(location=loc, kappa=kappa_for(spec),
+    return StagnationPoint(location=loc, kappa=spec.kappa,
                            delta=spec.domain.distance_to_boundary(loc) / 2.0)
 
 

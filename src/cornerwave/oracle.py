@@ -99,7 +99,8 @@ def blowup_limit(spec: ProblemSpec) -> ClosedFormProfile:
     """Exact blow-up profile for a spec: the cone of opening pi/degree
     about the model's bisector.  InvalidSpec unless its edge weights agree
     and are positive, which on type 3 holds for the bisectors of
-    ``corner_pairs`` only."""
+    ``corner_pairs`` and, at alpha = beta = 1, for every theta_star off
+    the diagonals."""
     m = spec.model
     deg = spec.degree
     half = math.pi / (2.0 * deg)

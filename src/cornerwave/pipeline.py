@@ -202,13 +202,20 @@ def _parse_problem(mapping) -> ProblemSpec:
     try:
         oracle.blowup_limit(spec)
     except InvalidSpec as exc:
-        # only a type-3 cone can fail: its theta_star must bisect a corner pair
-        bisectors = sorted(wrap_angle(0.5 * (p.theta1 + p.theta2))
-                           for p in oracle.corner_pairs(spec.alpha, spec.beta))
-        raise ConfigError(
-            f"problem.stagnation: {exc}; theta_star must be one of "
-            + ", ".join(f"{b!r} ({math.degrees(b):.2f} deg)" for b in bisectors)
-        ) from None
+        # only a type-3 cone can fail: its theta_star must bisect a corner
+        # pair.  At alpha = beta = 1 both edges of the 90 deg cone about any
+        # theta_star weigh |cos 2 theta_star| / 2, so every cone balances and
+        # the four listed pairs are a sample, not the set
+        if spec.alpha == spec.beta == 1:
+            rule = ("at alpha = beta = 1 every theta_star off the diagonals "
+                    "is admissible: a cone about a diagonal has its edges on "
+                    "the axes, where the weight vanishes")
+        else:
+            bisectors = sorted(wrap_angle(0.5 * (p.theta1 + p.theta2))
+                               for p in oracle.corner_pairs(spec.alpha, spec.beta))
+            rule = "theta_star must be one of " + ", ".join(
+                f"{b!r} ({math.degrees(b):.2f} deg)" for b in bisectors)
+        raise ConfigError(f"problem.stagnation: {exc}; {rule}") from None
     return spec
 
 

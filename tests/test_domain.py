@@ -80,20 +80,20 @@ class TestWeight:
 
 class TestKappa:
     def test_type1(self):
-        assert cw.kappa_for(make_spec(0.0, 1.0, cw.Type1(x0=-1.0))) == -1.5
+        assert make_spec(0.0, 1.0, cw.Type1(x0=-1.0)).kappa == -1.5
 
     def test_type2(self):
-        assert cw.kappa_for(make_spec(2.0, 0.0, cw.Type2(y0=1.0))) == -2.0
+        assert make_spec(2.0, 0.0, cw.Type2(y0=1.0)).kappa == -2.0
 
     def test_type3(self):
-        assert cw.kappa_for(make_spec(1.0, 1.0, cw.Type3())) == -2.0
+        assert make_spec(1.0, 1.0, cw.Type3()).kappa == -2.0
 
     def test_matches_profile_degree(self):
         # cross-module: homogeneity degree of the closed-form profile
         for spec in (make_spec(0.5, 1.5, cw.Type1(x0=-1.0)),
                      make_spec(2.5, 0.0, cw.Type2(y0=-1.0, theta0=math.pi))):
             prof = cw.blowup_limit(spec)
-            assert prof.degree == pytest.approx(-cw.kappa_for(spec), abs=0)
+            assert prof.degree == pytest.approx(-spec.kappa, abs=0)
 
 
 class TestSpecValidation:
@@ -115,15 +115,15 @@ class TestSpecValidation:
 
     def test_subcase_labels(self):
         down, up = 3 * math.pi / 2, math.pi / 2
-        assert make_spec(0, 1, cw.Type1(-1.0, down)).subcase == "1.1"
-        assert make_spec(0, 1, cw.Type1(1.0, up)).subcase == "1.2"
-        assert make_spec(0, 1, cw.Type1(-1.0, up)).subcase == "1.3"
-        assert make_spec(0, 1, cw.Type1(1.0, down)).subcase == "1.4"
-        assert make_spec(1, 0, cw.Type2(-1.0, math.pi)).subcase == "2.1"
-        assert make_spec(1, 0, cw.Type2(1.0, 0.0)).subcase == "2.2"
-        assert make_spec(1, 0, cw.Type2(-1.0, 0.0)).subcase == "2.3"
-        assert make_spec(1, 0, cw.Type2(1.0, math.pi)).subcase == "2.4"
-        assert make_spec(1, 1, cw.Type3()).subcase == "3"
+        assert make_spec(0, 1, cw.Type1(-1.0, down)).model.subcase == "1.1"
+        assert make_spec(0, 1, cw.Type1(1.0, up)).model.subcase == "1.2"
+        assert make_spec(0, 1, cw.Type1(-1.0, up)).model.subcase == "1.3"
+        assert make_spec(0, 1, cw.Type1(1.0, down)).model.subcase == "1.4"
+        assert make_spec(1, 0, cw.Type2(-1.0, math.pi)).model.subcase == "2.1"
+        assert make_spec(1, 0, cw.Type2(1.0, 0.0)).model.subcase == "2.2"
+        assert make_spec(1, 0, cw.Type2(-1.0, 0.0)).model.subcase == "2.3"
+        assert make_spec(1, 0, cw.Type2(1.0, math.pi)).model.subcase == "2.4"
+        assert make_spec(1, 1, cw.Type3()).model.subcase == "3"
 
     @pytest.mark.parametrize("build", [
         lambda: make_spec(math.nan, 1.0, cw.Type1(x0=-1.0)),

@@ -1,6 +1,8 @@
 """The five session solves against the checked-in golden manifest
 ``tests/golden.json``: a change that moves a field bit, a sweep count, the
-winner or a candidate energy fails here.  ``scripts/golden.py --write``
+winner or a candidate energy fails here, and so does one that moves a bit
+of the Weiss or frequency columns, the density or the opening of a
+solved field.  ``scripts/golden.py --write``
 rewrites the manifest, and a change that does so names every moved entry
 in CHANGES.md."""
 
@@ -27,21 +29,21 @@ def golden_script():
 
 
 @pytest.fixture(scope="module")
-def results(request):
-    return {name: request.getfixturevalue(name).result for name in CASES}
+def cases(request):
+    return {name: request.getfixturevalue(name) for name in CASES}
 
 
-def test_fixtures_match_the_manifest(golden_script, results):
+def test_fixtures_match_the_manifest(golden_script, cases):
     golden = json.loads(GOLDEN.read_text())
     assert golden["numpy"] == np.__version__, (
         f"tests/golden.json was made with NumPy {golden['numpy']}, this is "
         f"NumPy {np.__version__}: rewrite it with scripts/golden.py --write "
         f"on an unchanged tree")
     assert list(golden["fixtures"]) == list(CASES)
-    for name, result in results.items():
-        assert golden_script.record(result) == golden["fixtures"][name], name
+    for name, case in cases.items():
+        assert golden_script.record(case) == golden["fixtures"][name], name
 
 
-def test_manifest_is_the_script_output(golden_script, results):
+def test_manifest_is_the_script_output(golden_script, cases):
     assert GOLDEN.read_text() == golden_script.render(
-        golden_script.manifest(results))
+        golden_script.manifest(cases))

@@ -533,6 +533,22 @@ class TestThetaStar:
         for value in re.findall(r"(\S+) \(-?\d+\.\d\d deg\)", str(err.value)):
             parse_config(type3_config(tmp_path, float(value)))
 
+    def test_refusal_at_unit_exponents_states_the_rule(self, tmp_path):
+        # at alpha = beta = 1 every 90 deg cone balances: theta* = 0.3 loads,
+        # and a diagonal is refused by the rule, not by a finite list
+        def unit(theta_star):
+            data = type3_config(tmp_path, theta_star)
+            data["problem"]["alpha"] = 1.0
+            return data
+
+        assert parse_config(unit(0.3)).problem.stag.theta_star == 0.3
+        for theta_star in (math.pi / 4, -3 * math.pi / 4):
+            with pytest.raises(ConfigError, match="edge weight vanishes") as err:
+                parse_config(unit(theta_star))
+            assert "off the diagonals" in str(err.value)
+            assert "must be one of" not in str(err.value)
+            assert not re.search(r"\d deg\)", str(err.value))
+
     def test_bundled_cone_about_x(self):
         # corner_type3_x.yaml is corner_type3.yaml with the cone about +x
         down = yaml.safe_load((CONFIGS / "corner_type3.yaml").read_text())

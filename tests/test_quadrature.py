@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 
 import cornerwave as cw
 from cornerwave.domain import TWO_PI, bilinear
-from cornerwave.quadrature import (cell_disk_overlap, circle_integrals_u2,
-                                   disk_stencils, grad_central,
-                                   require_circle_inside)
+from cornerwave.quadrature import (_corner_area, cell_disk_overlap,
+                                   circle_integrals_u2, disk_stencils,
+                                   grad_central, require_circle_inside)
 from references import laplacian5
 
 
@@ -18,40 +19,80 @@ def unit_grid(n=257):
 
 
 # Scalar references: the per-radius stencil and circle rule, one radius
-# and one cell corner per call, as they were before the batched forms.
+# and one cell corner per call.
 
-def _scalar_arc(u, r):
+def _scalar_corner(x, y, r):
+    """The closed form of ``_corner_area`` at one corner, through the
+    same NumPy ufuncs, one abscissa at a time."""
+    c = np.sqrt(np.maximum((r - y) * (r + y), 0.0))
+    b = np.minimum(np.maximum(x, -c), c)
+
+    def F(t):
+        s = np.sqrt(np.maximum((r - t) * (r + t), 0.0))
+        return 0.5 * (t * s + r * r * np.arctan2(t, s))
+
+    band = F(b) + F(c)
+    if y >= 0:
+        return (b + c) * y + (2.0 * F(np.minimum(np.maximum(x, -r), r))
+                              + 0.5 * math.pi * r * r - band)
+    return (b + c) * y + band
+
+
+# The four-branch form the closed form replaced, kept as its accuracy
+# reference: the left-of-x area, less the sliver above the chord v = y.
+
+def _arc(u, r):
     uc = np.clip(u, -r, r)
     s = np.sqrt(np.maximum(r * r - uc * uc, 0.0))
     return 0.5 * (uc * s + r * r * np.arcsin(np.clip(uc / r, -1.0, 1.0)))
 
 
-def _scalar_left(x, r):
-    return 2.0 * _scalar_arc(x, r) + 0.5 * math.pi * r * r
+def _left(x, r):
+    return 2.0 * _arc(x, r) + 0.5 * math.pi * r * r
 
 
-def _scalar_corner(x, y, r):
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+def four_branch_corner(x, y, r):
+    x, y, r = np.broadcast_arrays(np.asarray(x, dtype=float),
+                                  np.asarray(y, dtype=float),
+                                  np.asarray(r, dtype=float))
     out = np.empty(x.shape, dtype=float)
     hi = y >= r
     lo = y <= -r
     mid_pos = (~hi) & (~lo) & (y >= 0)
     mid_neg = (~hi) & (~lo) & (y < 0)
-    out[hi] = _scalar_left(x[hi], r)
+    out[hi] = _left(x[hi], r[hi])
     out[lo] = 0.0
 
-    def _mid(xv, yv):
-        s = np.sqrt(np.maximum(r * r - yv * yv, 0.0))
-        b = np.minimum(np.clip(xv, -r, r), s)
+    def _mid(xv, yv, rv):
+        s = np.sqrt(np.maximum(rv * rv - yv * yv, 0.0))
+        b = np.minimum(np.clip(xv, -rv, rv), s)
         a = -s
         width = np.maximum(b - a, 0.0)
         sliver = np.where(width > 0,
-                          _scalar_arc(b, r) - _scalar_arc(a, r) - yv * width, 0.0)
-        return _scalar_left(xv, r) - sliver
+                          _arc(b, rv) - _arc(a, rv) - yv * width, 0.0)
+        return _left(xv, rv) - sliver
 
-    out[mid_pos] = _mid(x[mid_pos], y[mid_pos])
-    out[mid_neg] = _scalar_left(x[mid_neg], r) - _mid(x[mid_neg], -y[mid_neg])
+    out[mid_pos] = _mid(x[mid_pos], y[mid_pos], r[mid_pos])
+    xn, rn = x[mid_neg], r[mid_neg]
+    out[mid_neg] = _left(xn, rn) - _mid(xn, -y[mid_neg], rn)
     return out
+
+
+def exact_corner(x, y, r):
+    """The corner area in 120-bit arithmetic from the inputs' exact
+    values."""
+    with mpmath.workprec(120):
+        x, y, r = (mpmath.mpf(float(v)) for v in (x, y, r))
+
+        def F(t):
+            return (t * mpmath.sqrt(r * r - t * t) + r * r * mpmath.asin(t / r)) / 2
+
+        c = mpmath.sqrt(max(r * r - y * y, 0))
+        b = min(max(x, -c), c)
+        band = F(b) + F(c)
+        if y >= 0:
+            band = 2 * F(min(max(x, -r), r)) + mpmath.pi * r * r / 2 - band
+        return float((b + c) * y + band)
 
 
 def scalar_disk_stencil(grid, center, r):
@@ -74,10 +115,11 @@ def scalar_disk_stencil(grid, center, r):
     if np.any(rim):
         cx_, cy_ = np.broadcast_to(X, dist.shape)[rim], np.broadcast_to(Y, dist.shape)[rim]
         half = h / 2.0
-        weights[rim] = (_scalar_corner(cx_ + half, cy_ + half, r)
-                        - _scalar_corner(cx_ - half, cy_ + half, r)
-                        - _scalar_corner(cx_ + half, cy_ - half, r)
-                        + _scalar_corner(cx_ - half, cy_ - half, r))
+        corners = [[_scalar_corner(x, y, r) for x, y in zip(cx_ + dx, cy_ + dy)]
+                   for dx, dy in ((half, half), (-half, half), (half, -half),
+                                  (-half, -half))]
+        weights[rim] = (np.array(corners[0]) - np.array(corners[1])
+                        - np.array(corners[2]) + np.array(corners[3]))
     return (slice(j_lo, j_hi), slice(i_lo, i_hi)), weights
 
 
@@ -107,6 +149,40 @@ class TestCellOverlap:
         assert cell_disk_overlap(np.array([0.0]), np.array([0.0]), 0.01, 1.0)[0] \
             == pytest.approx(4e-4, rel=1e-12)
         assert cell_disk_overlap(np.array([5.0]), np.array([0.0]), 0.01, 1.0)[0] == 0.0
+
+
+class TestCornerArea:
+    # the cell spacing of TestBatchedStencils.GRID
+    H = 2.0 / 128
+
+    def test_agrees_with_four_branch_form(self):
+        # 10^5 corners where the four-branch form is itself good to about
+        # 1e-15 r^2: its arcsin(t / r) arguments stay within 0.995 of +-1
+        # (|x| <= 0.95 r or |x| >= r, |y| >= 0.1 r); nearer +-1 it loses up
+        # to 1e-10 r^2 and the mpmath cases below pin the closed form there
+        rng = np.random.default_rng(11)
+        n = 100_000
+        r = rng.uniform(1e-3, 2.0, n)
+        sign = rng.choice([-1.0, 1.0], (2, n))
+        x = sign[0] * r * np.where(rng.random(n) < 0.8, rng.uniform(0.0, 0.95, n),
+                                   rng.uniform(1.0, 1.3, n))
+        y = sign[1] * r * rng.uniform(0.1, 1.3, n)
+        gap = np.abs(_corner_area(x, y, r) - four_branch_corner(x, y, r))
+        assert np.max(gap / (r * r)) <= 2e-15
+
+    @pytest.mark.parametrize("r", [1.0, 0.37, 0.9 + 1.0 / 3.0, H, H / 4])
+    def test_cancellation_regimes_against_mpmath(self, r):
+        # |x| or |y| within 1e-6 r of r (the sliver at y = -0.999999 r is
+        # about 1e-9 r^2), y = 0 and y within 1e-6 r of 0, each against
+        # the other coordinate in and out of the disk
+        near = [1 - 1e-6, -(1 - 1e-6), 1 - 3e-7, 1 + 1e-7, -(1 + 1e-7)]
+        rest = [0.0, 1e-6, -1e-6, 0.3, -0.7, 0.999, -0.5, 1.2]
+        pairs = [(a, b) for a in near + [0.0, 1e-6, -1e-6] for b in near + rest]
+        pairs += [(b, a) for a, b in pairs]
+        x = np.array([a * r for a, _ in pairs])
+        y = np.array([b * r for _, b in pairs])
+        exact = np.array([exact_corner(a, b, r) for a, b in zip(x, y)])
+        assert np.max(np.abs(_corner_area(x, y, r) - exact)) <= 8 * np.spacing(r * r)
 
 
 class TestDiskStencil:

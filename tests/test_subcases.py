@@ -117,8 +117,8 @@ def same_angle(a, b, tol=1e-12):
 class TestSubcaseMaps:
     def test_label(self, kind, label, alpha, beta):
         spec = make(label, alpha, beta)
-        assert spec.subcase == label
-        assert MAPS[kind][0](spec).subcase == LABEL_MAPS[kind][label]
+        assert spec.model.subcase == label
+        assert MAPS[kind][0](spec).model.subcase == LABEL_MAPS[kind][label]
 
     def test_weight_gradient_envelope(self, kind, label, alpha, beta):
         spec_map, point_map, _, _, grad_map = MAPS[kind]
@@ -135,7 +135,7 @@ class TestSubcaseMaps:
     def test_kappa_and_densities(self, kind, label, alpha, beta):
         spec = make(label, alpha, beta)
         image = MAPS[kind][0](spec)
-        assert cw.kappa_for(image) == cw.kappa_for(spec)
+        assert image.kappa == spec.kappa
         assert full_ball_density(image) == pytest.approx(
             full_ball_density(spec), rel=1e-10)
 
@@ -223,7 +223,7 @@ def stokes_11():
 class TestSolveSymmetry:
     def test_mirror_11_to_14(self, stokes_11):
         image = mirrored(STOKES_11)
-        assert image.subcase == "1.4"
+        assert image.model.subcase == "1.4"
         res = solve(image)
         assert res.iterations == stokes_11.iterations
         assert rel_diff(res.field.values,
@@ -231,7 +231,7 @@ class TestSolveSymmetry:
 
     def test_swap_11_to_21(self, stokes_11):
         image = swapped(STOKES_11)
-        assert image.subcase == "2.1"
+        assert image.model.subcase == "2.1"
         assert (image.alpha, image.beta) == (1.0, 0.0)
         res = solve(image)
         assert res.iterations == stokes_11.iterations
